@@ -69,8 +69,24 @@ class CdclSolver(SatSolver):
     literals are dropped on add; tautological clauses are skipped entirely
     (they constrain nothing) and do not count towards `num_clauses`.
 
-    `interrupt` is polled every `interrupt_interval` conflicts; it may raise
-    to abort a long-running solve, leaving the instance reusable.
+    Literals are encoded as `2 * var` (positive) and `2 * var + 1` (negated).
+    `_value` is indexed by encoded literal (1 true, -1 false, 0 unassigned),
+    so a literal's value is one list read.
+
+    The decision queue is a `heapq` of `(-activity, var)` entries. `_queued`
+    marks the variables that have a live entry, one whose key equals the
+    variable's current negated activity; every unassigned variable has one.
+    A bump pushes a fresh entry and so turns the old one stale; `_decide`
+    discards stale entries. A variable is pushed again on unassign only when
+    it has no live entry. When the activity rescale fires, every key changes
+    at once, so the heap is rebuilt from the queued variables; without that
+    rebuild their entries would all read as stale and drop out of the queue.
+    Each decision is the unassigned variable of highest activity, ties to
+    the lowest index.
+
+    `interrupt` is polled every `interrupt_interval` conflicts and every
+    `interrupt_interval` decisions; it may raise to abort a long-running
+    solve, leaving the instance reusable.
     """
 
     _RESTART_BASE = 64
@@ -82,12 +98,13 @@ class CdclSolver(SatSolver):
         self._nvars = 0
         self._added: list[tuple[int, ...]] = []  # normalized clauses as added
         self._watches: list[list[list[int]]] = [[], []]  # per encoded literal
-        self._assign = [0]      # per var: 0 unassigned / 1 true / -1 false
+        self._value = [0, 0]    # per encoded literal: 0 unassigned / 1 true / -1 false
         self._level = [0]
         self._reason: list[Optional[list[int]]] = [None]
         self._phase = [False]
         self._activity = [0.0]
         self._order: list[tuple[float, int]] = []
+        self._queued = [False]  # per var: has a live entry in `_order`
         self._trail: list[int] = []
         self._lim: list[int] = []
         self._qhead = 0
@@ -95,6 +112,7 @@ class CdclSolver(SatSolver):
         self._unsat = False
         self._model: Optional[list[bool]] = None
         self._conflict_count = 0
+        self._decision_count = 0
         self._interrupt = interrupt
         self._interrupt_interval = max(1, interrupt_interval)
 
@@ -110,72 +128,64 @@ class CdclSolver(SatSolver):
 
     def new_var(self) -> int:
         self._nvars += 1
-        self._assign.append(0)
+        self._value.append(0)
+        self._value.append(0)
         self._level.append(0)
         self._reason.append(None)
         self._phase.append(False)
         self._activity.append(0.0)
+        self._queued.append(True)
         self._watches.append([])
         self._watches.append([])
         heapq.heappush(self._order, (0.0, self._nvars))
         return self._nvars
 
-    @staticmethod
-    def _enc(lit: int) -> int:
-        return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
-
-    @staticmethod
-    def _dec(q: int) -> int:
-        return (q >> 1) if (q & 1) == 0 else -(q >> 1)
-
-    def _val(self, q: int) -> int:
-        a = self._assign[q >> 1]
-        if a == 0:
-            return 0
-        return a if (q & 1) == 0 else -a
-
     def add_clause(self, lits: Iterable[int]) -> None:
-        lits = list(lits)
-        if not lits:
-            raise ValueError("empty clause")
-        seen: set[int] = set()
+        # values are read while the literals are checked, so they must be
+        # the level-0 values
+        if self._lim:
+            self._cancel_until(0)
+        nvars = self._nvars
+        value = self._value
+        seen: set[int] = set()  # encoded literals
         clause: list[int] = []
+        enc: list[int] = []     # encoded literals not false at level 0
+        satisfied = False
         for lit in lits:
             if not isinstance(lit, int) or lit == 0:
                 raise ValueError(f"invalid literal {lit!r}")
-            if abs(lit) > self._nvars:
-                raise ValueError(f"unallocated variable {abs(lit)}")
-            if -lit in seen:
+            if lit > 0:
+                if lit > nvars:
+                    raise ValueError(f"unallocated variable {lit}")
+                q = lit << 1
+            else:
+                if -lit > nvars:
+                    raise ValueError(f"unallocated variable {-lit}")
+                q = (-lit << 1) | 1
+            if (q ^ 1) in seen:
                 return  # tautology, constrains nothing
-            if lit not in seen:
-                seen.add(lit)
+            if q not in seen:
+                seen.add(q)
                 clause.append(lit)
+                v = value[q]
+                if v == 0:
+                    enc.append(q)
+                elif v == 1:
+                    satisfied = True
+        if not clause:
+            raise ValueError("empty clause")
         self._added.append(tuple(clause))
-        if self._unsat:
-            return
-        self._cancel_until(0)
-        # drop literals already false at level 0, stop early on a true one
-        enc = []
-        for lit in clause:
-            q = self._enc(lit)
-            v = self._val(q)
-            if v == 1:
-                return  # permanently satisfied
-            if v == 0:
-                enc.append(q)
+        if self._unsat or satisfied:
+            return  # already unsat, or satisfied for good at level 0
         if not enc:
             self._unsat = True
-            return
-        if len(enc) == 1:
+        elif len(enc) == 1:
             self._enqueue(enc[0], None)
             if self._propagate() is not None:
                 self._unsat = True
-            return
-        self._attach(enc)
-
-    def _attach(self, clause: list[int]) -> None:
-        self._watches[clause[0]].append(clause)
-        self._watches[clause[1]].append(clause)
+        else:
+            self._watches[enc[0]].append(enc)
+            self._watches[enc[1]].append(enc)
 
     def to_dimacs(self) -> str:
         lines = [f"p cnf {self._nvars} {len(self._added)}"]
@@ -186,87 +196,105 @@ class CdclSolver(SatSolver):
 
     def _enqueue(self, q: int, reason: Optional[list[int]]) -> None:
         var = q >> 1
-        self._assign[var] = 1 if (q & 1) == 0 else -1
+        self._value[q] = 1
+        self._value[q ^ 1] = -1
         self._level[var] = len(self._lim)
         self._reason[var] = reason
         self._trail.append(q)
 
     def _propagate(self) -> Optional[list[int]]:
-        while self._qhead < len(self._trail):
-            p = self._trail[self._qhead]
-            self._qhead += 1
-            fl = p ^ 1  # literal that just became false
-            ws = self._watches[fl]
+        trail = self._trail
+        value = self._value
+        watches = self._watches
+        level = self._level
+        reason = self._reason
+        cur_level = len(self._lim)
+        qhead = self._qhead
+        while qhead < len(trail):
+            fl = trail[qhead] ^ 1  # literal that just became false
+            qhead += 1
+            ws = watches[fl]
             i = j = 0
             n = len(ws)
             while i < n:
                 c = ws[i]
                 i += 1
-                if c[0] == fl:
-                    c[0], c[1] = c[1], c[0]
-                # invariant: c[1] == fl
                 first = c[0]
-                if self._val(first) == 1:
+                if first == fl:
+                    first = c[0] = c[1]
+                    c[1] = fl
+                # invariant: c[1] == fl
+                vf = value[first]
+                if vf == 1:
                     ws[j] = c
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(c)):
-                    if self._val(c[k]) != -1:
-                        c[1], c[k] = c[k], c[1]
-                        self._watches[c[1]].append(c)
-                        moved = True
+                    q = c[k]
+                    if value[q] != -1:
+                        c[1] = q
+                        c[k] = fl
+                        watches[q].append(c)
                         break
-                if moved:
-                    continue
-                ws[j] = c
-                j += 1
-                if self._val(first) == -1:
-                    while i < n:  # conflict: keep the remaining watchers
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    self._qhead = len(self._trail)
-                    return c
-                self._enqueue(first, c)
+                else:
+                    ws[j] = c
+                    j += 1
+                    if vf == -1:
+                        del ws[j:i]  # conflict: keep the remaining watchers
+                        self._qhead = len(trail)
+                        return c
+                    value[first] = 1
+                    value[first ^ 1] = -1
+                    level[first >> 1] = cur_level
+                    reason[first >> 1] = c
+                    trail.append(first)
             del ws[j:]
+        self._qhead = qhead
         return None
 
     def _bump(self, var: int) -> None:
         act = self._activity[var] + self._var_inc
         self._activity[var] = act
+        self._queued[var] = True
         if act > self._ACT_LIMIT:
             scale = 1.0 / self._ACT_LIMIT
+            activity = self._activity
             for v in range(1, self._nvars + 1):
-                self._activity[v] *= scale
+                activity[v] *= scale
             self._var_inc *= scale
-        heapq.heappush(self._order, (-self._activity[var], var))
+            queued = self._queued
+            self._order = [(-activity[v], v) for v in range(1, self._nvars + 1) if queued[v]]
+            heapq.heapify(self._order)
+        else:
+            heapq.heappush(self._order, (-act, var))
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         learnt: list[int] = [0]
         seen = bytearray(self._nvars + 1)
+        level = self._level
+        trail = self._trail
         counter = 0
         p: Optional[int] = None
         bt = 0
-        index = len(self._trail) - 1
+        index = len(trail) - 1
         cur_level = len(self._lim)
         c = confl
         while True:
             for q in (c if p is None else c[1:]):
                 var = q >> 1
-                if not seen[var] and self._level[var] > 0:
+                lv = level[var]
+                if not seen[var] and lv > 0:
                     seen[var] = 1
                     self._bump(var)
-                    if self._level[var] >= cur_level:
+                    if lv >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-                        if self._level[var] > bt:
-                            bt = self._level[var]
-            while not seen[self._trail[index] >> 1]:
+                        if lv > bt:
+                            bt = lv
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            p = self._trail[index]
+            p = trail[index]
             index -= 1
             counter -= 1
             seen[p >> 1] = 0
@@ -279,23 +307,43 @@ class CdclSolver(SatSolver):
         return learnt, bt
 
     def _cancel_until(self, level: int) -> None:
-        while len(self._lim) > level:
-            mark = self._lim.pop()
-            for q in self._trail[mark:]:
+        lim = self._lim
+        trail = self._trail
+        if len(lim) > level:
+            mark = lim[level]
+            del lim[level:]
+            value = self._value
+            phase = self._phase
+            queued = self._queued
+            activity = self._activity
+            order = self._order
+            for q in trail[mark:]:
                 var = q >> 1
-                self._phase[var] = self._assign[var] == 1
-                self._assign[var] = 0
-                self._reason[var] = None
-                heapq.heappush(self._order, (-self._activity[var], var))
-            del self._trail[mark:]
-        self._qhead = len(self._trail)
+                phase[var] = not (q & 1)
+                value[q] = value[q ^ 1] = 0
+                if not queued[var]:
+                    queued[var] = True
+                    heapq.heappush(order, (-activity[var], var))
+            del trail[mark:]
+        self._qhead = len(trail)
 
     def _decide(self) -> int:
-        while self._order:
-            _, var = heapq.heappop(self._order)
-            if self._assign[var] == 0:
+        order = self._order
+        activity = self._activity
+        queued = self._queued
+        value = self._value
+        while order:
+            key, var = heapq.heappop(order)
+            if key != -activity[var]:
+                continue  # stale: the variable was bumped after this push
+            queued[var] = False
+            if value[var << 1] == 0:
                 return var
         return 0
+
+    def _poll(self, count: int) -> None:
+        if self._interrupt is not None and count % self._interrupt_interval == 0:
+            self._interrupt()
 
     def solve(self) -> bool:
         self._model = None
@@ -312,14 +360,11 @@ class CdclSolver(SatSolver):
             confl = self._propagate()
             if confl is not None:
                 self._conflict_count += 1
-                since_restart += 1
-                if self._interrupt is not None and (
-                    self._conflict_count % self._interrupt_interval == 0
-                ):
-                    self._interrupt()
                 if not self._lim:
                     self._unsat = True
                     return False
+                since_restart += 1
+                self._poll(self._conflict_count)
                 learnt, bt = self._analyze(confl)
                 self._cancel_until(bt)
                 if len(learnt) == 1:
@@ -329,7 +374,8 @@ class CdclSolver(SatSolver):
                     # backjump level so the watches stay sound
                     best = max(range(1, len(learnt)), key=lambda k: self._level[learnt[k] >> 1])
                     learnt[1], learnt[best] = learnt[best], learnt[1]
-                    self._attach(learnt)
+                    self._watches[learnt[0]].append(learnt)
+                    self._watches[learnt[1]].append(learnt)
                     self._enqueue(learnt[0], learnt)
                 self._var_inc *= self._ACT_DECAY
             else:
@@ -341,11 +387,13 @@ class CdclSolver(SatSolver):
                     continue
                 var = self._decide()
                 if var == 0:
-                    self._model = [False] + [self._assign[v] == 1 for v in range(1, self._nvars + 1)]
+                    self._model = [v == 1 for v in self._value[::2]]
                     return True
                 self._lim.append(len(self._trail))
                 q = (var << 1) if self._phase[var] else (var << 1) | 1
                 self._enqueue(q, None)
+                self._decision_count += 1
+                self._poll(self._decision_count)
 
     def model(self) -> list[bool]:
         if self._model is None:

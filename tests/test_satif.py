@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapfsat import CdclSolver, check_model
 
@@ -15,8 +17,8 @@ def brute_force_sat(nvars: int, clauses: list[list[int]]) -> bool:
     return False
 
 
-def solver_with(nvars: int, clauses: list[list[int]]) -> CdclSolver:
-    s = CdclSolver()
+def solver_with(nvars: int, clauses: list[list[int]], **kwargs) -> CdclSolver:
+    s = CdclSolver(**kwargs)
     for _ in range(nvars):
         s.new_var()
     for c in clauses:
@@ -142,6 +144,64 @@ def test_fuzz_against_brute_force():
             assert check_model(clauses, s.model())
 
 
+def test_activity_rescale_keeps_search_complete(monkeypatch):
+    # a tiny limit makes the rescale fire every few conflicts; the decision
+    # queue must be rebuilt then, or variables drop out of it and the model
+    # comes back partial
+    monkeypatch.setattr(CdclSolver, "_ACT_LIMIT", 4.0)
+    fired = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        nv = 12
+        s = solver_with(nv, [])
+        acc: list[list[int]] = []
+        for _ in range(8):
+            # hard random 3-SAT, grown towards the phase transition
+            for _ in range(7):
+                clause = [v if rng.random() < 0.5 else -v
+                          for v in rng.sample(range(1, nv + 1), 3)]
+                acc.append(clause)
+                s.add_clause(clause)
+            got = s.solve()
+            assert got == brute_force_sat(nv, acc), (seed, acc)
+            if not got:
+                break
+            assert check_model(acc, s.model())
+        fired += s._var_inc < 1.0  # only a rescale lowers the increment
+    assert fired >= 20
+
+
+@st.composite
+def incremental_cnf(draw):
+    """Rounds of (new variables, new clauses); clauses use any variable so far."""
+    nvars = 0
+    rounds = []
+    for _ in range(draw(st.integers(1, 5))):
+        fresh = draw(st.integers(0 if nvars else 1, 3))
+        nvars = min(nvars + fresh, 10)
+        lit = st.integers(1, nvars).flatmap(lambda v: st.sampled_from([v, -v]))
+        clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=4), max_size=12))
+        rounds.append((nvars, clauses))
+    return rounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(incremental_cnf())
+def test_incremental_cnf_agrees_with_brute_force(rounds):
+    s = CdclSolver()
+    acc: list[list[int]] = []
+    for nvars, clauses in rounds:
+        while s.num_vars < nvars:
+            s.new_var()
+        for clause in clauses:
+            acc.append(clause)
+            s.add_clause(clause)
+        got = s.solve()
+        assert got == brute_force_sat(nvars, acc)
+        if got:
+            assert check_model(acc, s.model())
+
+
 def test_dimacs_export():
     s = solver_with(3, [[1, -2], [2, 3], [-1]])
     text = s.to_dimacs()
@@ -175,3 +235,61 @@ def test_interrupt_hook_aborts_and_instance_stays_usable():
     if calls:
         s._interrupt = None
         s.solve()  # must not crash after an aborted attempt
+
+
+def test_interrupt_is_polled_on_decisions():
+    class Stop(Exception):
+        pass
+
+    calls = []
+
+    def hook():
+        calls.append(1)
+        raise Stop
+
+    # no clause can conflict, so only the decision poll reaches the hook
+    clauses = [[1, 2], [3, 4], [-5, 6]]
+    s = solver_with(6, clauses, interrupt=hook, interrupt_interval=1)
+    with pytest.raises(Stop):
+        s.solve()
+    assert calls == [1]
+    s._interrupt = None
+    assert s.solve()  # the aborted solve left the instance usable
+    assert check_model(clauses, s.model())
+
+
+def test_interrupt_at_any_poll_leaves_answers_sound():
+    # abort at the k-th poll for every k, then solve again without the hook:
+    # the answer must not depend on where the abort landed
+    class Stop(Exception):
+        pass
+
+    for seed in range(30):
+        rng = random.Random(seed)
+        nv = 8
+        clauses = [[v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, nv + 1), 3)] for _ in range(40)]
+        truth = brute_force_sat(nv, clauses)
+        k = 0
+        while True:
+            k += 1
+            polls = []
+
+            def hook():
+                polls.append(1)
+                if len(polls) == k:
+                    raise Stop
+
+            s = solver_with(nv, clauses, interrupt=hook, interrupt_interval=1)
+            try:
+                got = s.solve()
+                aborted = False
+            except Stop:
+                s._interrupt = None
+                got = s.solve()
+                aborted = True
+            assert got == truth, (seed, k)
+            if got:
+                assert check_model(clauses, s.model())
+            if not aborted:
+                break
