@@ -8,7 +8,6 @@ first N agents of one scenario.
 from __future__ import annotations
 
 import csv
-import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path as FsPath
@@ -136,8 +135,6 @@ def read_csv(src) -> list[BenchRecord]:
     if isinstance(src, (str, FsPath)):
         with open(src, newline="") as fh:
             return read_csv(fh)
-    if isinstance(src, str):  # pragma: no cover - path branch above
-        src = io.StringIO(src)
     reader = csv.reader(src)
     header = next(reader)
     if header != CSV_COLUMNS:

@@ -238,12 +238,6 @@ class Solution:
         horizon = max((p.length for p in ordered), default=0)
         return cls(tuple(p.padded(horizon) for p in ordered))
 
-    def path_for(self, agent_id: Hashable) -> Path:
-        for p in self.paths:
-            if p.agent == agent_id:
-                return p
-        raise KeyError(agent_id)
-
 
 def sum_of_costs(instance: MapfInstance, solution: Solution) -> int:
     return sum(

@@ -31,9 +31,6 @@ class AgentConflicts:
     def empty(cls) -> "AgentConflicts":
         return cls()
 
-    def is_empty(self) -> bool:
-        return not self.vertex and not self.edge
-
     def extended(self, vertex: VertexConflict | None = None,
                  edge: EdgeConflict | None = None) -> "AgentConflicts":
         v = self.vertex | {vertex} if vertex else self.vertex
@@ -67,19 +64,9 @@ class ConflictSet:
     def for_agent(self, agent_id: Hashable) -> AgentConflicts:
         return AgentConflicts(self.vertex_entries(agent_id), self.edge_entries(agent_id))
 
-    def agents(self) -> tuple[Hashable, ...]:
-        seen = dict.fromkeys(itertools.chain(self._vertex, self._edge))
-        return tuple(seen)
-
     def __len__(self) -> int:
         total = sum(len(s) for s in self._vertex.values())
         return total + sum(len(s) for s in self._edge.values())
-
-    def copy(self) -> "ConflictSet":
-        out = ConflictSet()
-        out._vertex = {a: set(s) for a, s in self._vertex.items()}
-        out._edge = {a: set(s) for a, s in self._edge.items()}
-        return out
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,6 @@ class SatSolver:
     def new_var(self) -> int:
         raise NotImplementedError
 
-    def new_vars(self, n: int) -> list[int]:
-        return [self.new_var() for _ in range(n)]
-
     def add_clause(self, lits: Iterable[int]) -> None:
         raise NotImplementedError
 

@@ -10,6 +10,18 @@ Five algorithms share one outcome shape:
 * ``solve_heuristic_smt_cbs``-- lazy clauses over sparse candidate sets,
                                 extended by one all-conflicts-avoiding path.
 
+The four SAT algorithms run one loop (``_lazy_solve``): raise the cost bound
+from the shortest-path total and run one fixed-bounds round (``_fixed``) per
+bound. Within a round, collisions of a satisfying assignment become clauses
+and may grow the candidate sets; with ``extend`` None every agent is on its
+full diagram from the start. An algorithm is a fixed ``(mode, extend)`` pair:
+
+* mddsat    -- ``(COMPLETE, None)``: a collision in an answer is an encoding
+  bug and raises ``EncodingSoundnessError``.
+* smtcbs    -- ``(INCOMPLETE, None)``.
+* sparse    -- ``(INCOMPLETE, "or")``.
+* heuristic -- ``(INCOMPLETE, "and")``.
+
 ``brute_force_oracle`` enumerates path tuples outright and exists to verify
 the optimality of everything else at small scale.
 """
@@ -21,19 +33,19 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable
+from functools import partial
+from typing import Callable, Hashable
 
 from .diagrams import InfeasibleAgentError, build_mdd, build_smdd
 from .encoding import (
     COMPLETE,
     INCOMPLETE,
-    BooleanModel,
+    EncodingSoundnessError,
     add_conflict_clauses,
     build_model,
     extract_solution,
 )
 from .instance import (
-    Collision,
     MapfInstance,
     Path,
     Solution,
@@ -88,17 +100,12 @@ class Deadline:
 @dataclass
 class SolverConfig:
     timeout_s: float = 128.0
-    cost_cap: int | None = None        # None: sum of shortest costs + |V| * k
-    or_subset_cap: int = 64
-    sparse_unsat_fallback: bool = True  # promote all agents before trusting UNSAT
-    or_all_conflicts: bool = True       # False: subsets over newly found conflicts only
+    cost_cap: int | None = None  # None: sum of shortest costs + |V| * k
     algorithm: str = "heuristic"
 
     def __post_init__(self):
         if self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
-        if self.or_subset_cap < 1:
-            raise ValueError("or_subset_cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -261,115 +268,6 @@ def _cbs(instance, config, deadline, stats):
 # ----------------------------------------------------------------- SAT solvers
 
 
-def _solve_model(model: BooleanModel, deadline: Deadline, stats: SolveStats):
-    deadline.check()
-    stats.sat_calls += 1
-    return model.solve()
-
-
-def _full_diagrams(instance, xi, horizon, delta):
-    return {
-        a.id: build_mdd(instance, a.id, horizon, xi[a.id] + delta)
-        for a in instance.agents
-    }
-
-
-def _record_iteration(stats, instance, diagrams, model, soc, horizon, full_flags):
-    stats.iterations.append(
-        IterationStat(
-            soc=soc,
-            makespan=horizon,
-            nodes_per_agent=tuple(diagrams[a.id].node_count for a in instance.agents),
-            decision_vars=model.decision_var_count,
-            full_mdd=tuple(full_flags[a.id] for a in instance.agents),
-        )
-    )
-
-
-def _timed_build(stats, builder):
-    t0 = time.perf_counter()
-    out = builder()
-    stats.encoding_s += time.perf_counter() - t0
-    return out
-
-
-def _backend(deadline: Deadline) -> CdclSolver:
-    # long individual SAT calls poll the deadline between conflicts
-    return CdclSolver(interrupt=deadline.check)
-
-
-def solve_mdd_sat(instance: MapfInstance, config: SolverConfig | None = None) -> SolveOutcome:
-    """Complete model over full diagrams; first satisfiable cost bound wins."""
-    return _run(_mdd_sat, instance, config)
-
-
-def _mdd_sat(instance, config, deadline, stats):
-    xi = _shortest_costs(instance)
-    if xi is None:
-        raise _CapExceeded
-    soc0 = sum(xi.values())
-    mu0 = max(xi.values(), default=0)
-    cap = _resolve_cap(instance, config, soc0)
-    all_full = {a.id: True for a in instance.agents}
-    for soc in range(soc0, cap + 1):
-        deadline.check()
-        delta = soc - soc0
-        horizon = mu0 + delta
-        diagrams = _full_diagrams(instance, xi, horizon, delta)
-        model = _timed_build(
-            stats,
-            lambda: build_model(instance, diagrams, ConflictSet(), horizon, soc,
-                                COMPLETE, solver=_backend(deadline)),
-        )
-        _record_iteration(stats, instance, diagrams, model, soc, horizon, all_full)
-        assignment = _solve_model(model, deadline, stats)
-        if assignment is not None:
-            solution = extract_solution(model, assignment)
-            return solution, sum_of_costs(instance, solution)
-    raise _CapExceeded
-
-
-def solve_smt_cbs(instance: MapfInstance, config: SolverConfig | None = None) -> SolveOutcome:
-    """Incomplete model over full diagrams, collision clauses added on demand."""
-    return _run(_smt_cbs, instance, config)
-
-
-def _smt_cbs(instance, config, deadline, stats):
-    xi = _shortest_costs(instance)
-    if xi is None:
-        raise _CapExceeded
-    soc0 = sum(xi.values())
-    mu0 = max(xi.values(), default=0)
-    cap = _resolve_cap(instance, config, soc0)
-    conflicts = ConflictSet()
-    all_full = {a.id: True for a in instance.agents}
-    for soc in range(soc0, cap + 1):
-        deadline.check()
-        delta = soc - soc0
-        horizon = mu0 + delta
-        diagrams = _full_diagrams(instance, xi, horizon, delta)
-        model = _timed_build(
-            stats,
-            lambda: build_model(instance, diagrams, conflicts, horizon, soc,
-                                INCOMPLETE, solver=_backend(deadline)),
-        )
-        _record_iteration(stats, instance, diagrams, model, soc, horizon, all_full)
-        while True:
-            assignment = _solve_model(model, deadline, stats)
-            if assignment is None:
-                break  # raise the cost bound
-            solution = extract_solution(model, assignment)
-            collisions = validate_solution(instance, solution)
-            if not collisions:
-                return solution, sum_of_costs(instance, solution)
-            stats.conflicts += len(collisions)
-            add_conflict_clauses(model, collisions)
-    raise _CapExceeded
-
-
-# ------------------------------------------------------- sparse candidate sets
-
-
 class CandidateSets:
     """Per-agent candidate paths, with a per-agent full-diagram mode flag."""
 
@@ -409,35 +307,49 @@ class CandidateSets:
         return all(self._full.values())
 
 
+def solve_mdd_sat(instance: MapfInstance, config: SolverConfig | None = None) -> SolveOutcome:
+    """Complete model over full diagrams; first satisfiable cost bound wins."""
+    return _run(partial(_lazy_solve, COMPLETE, None), instance, config)
+
+
+def solve_smt_cbs(instance: MapfInstance, config: SolverConfig | None = None) -> SolveOutcome:
+    """Incomplete model over full diagrams, collision clauses added on demand."""
+    return _run(partial(_lazy_solve, INCOMPLETE, None), instance, config)
+
+
 def solve_sparse_smt_cbs(instance: MapfInstance, config: SolverConfig | None = None) -> SolveOutcome:
     """Sparse candidate sets, extended with one path per conflict subset."""
-    return _run(
-        lambda i, c, d, s: _sparse_family(i, c, d, s, extend="or"), instance, config
-    )
+    return _run(partial(_lazy_solve, INCOMPLETE, "or"), instance, config)
 
 
 def solve_heuristic_smt_cbs(instance: MapfInstance, config: SolverConfig | None = None) -> SolveOutcome:
     """Sparse candidate sets, extended with one all-conflicts-avoiding path."""
-    return _run(
-        lambda i, c, d, s: _sparse_family(i, c, d, s, extend="and"), instance, config
-    )
+    return _run(partial(_lazy_solve, INCOMPLETE, "and"), instance, config)
 
 
-def _sparse_family(instance, config, deadline, stats, extend):
+def _lazy_solve(mode, extend, instance, config, deadline, stats):
+    """Raise the cost bound from the shortest-path total, one round per bound.
+
+    Candidate sets and accumulated conflicts carry over from bound to bound.
+    With `extend` None every agent starts on its full diagram.
+    """
     xi = _shortest_costs(instance)
     if xi is None:
         raise _CapExceeded
-    candidates = CandidateSets.initial(instance)
-    conflicts = ConflictSet()
     soc0 = sum(xi.values())
     mu0 = max(xi.values(), default=0)
     cap = _resolve_cap(instance, config, soc0)
+    if extend is None:
+        candidates = CandidateSets(instance)
+        for a in instance.agents:
+            candidates.promote(a.id)
+    else:
+        candidates = CandidateSets.initial(instance)
+    conflicts = ConflictSet()
     for soc in range(soc0, cap + 1):
         horizon = mu0 + (soc - soc0)
-        solution, conflicts = _fixed(
-            instance, config, deadline, stats, candidates, conflicts, horizon, soc,
-            xi, extend,
-        )
+        solution = _fixed(instance, deadline, stats, candidates, conflicts, horizon,
+                          soc, xi, mode, extend)
         if solution is not None:
             return solution, sum_of_costs(instance, solution)
     raise _CapExceeded
@@ -464,106 +376,105 @@ def heuristic_fixed(
     xi = _shortest_costs(instance)
     if xi is None:
         raise InfeasibleAgentError("some agent cannot reach its goal")
-    return _fixed(
-        instance, config, deadline, stats, candidates, conflicts, horizon, soc,
-        xi, extend="and",
-    )
+    solution = _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc,
+                      xi, INCOMPLETE, "and")
+    return solution, conflicts
 
 
-def _agent_conflicts_from(collisions: Iterable[Collision], agent_id) -> AgentConflicts:
-    vertex = set()
-    edge = set()
-    for col in collisions:
-        if agent_id not in col.agents:
-            continue
-        if col.kind == "vertex":
-            vertex.add((col.location, col.t))
-        else:
-            u, v = col.location
-            edge.add(((u, v) if col.agents[0] == agent_id else (v, u), col.t))
-    return AgentConflicts(frozenset(vertex), frozenset(edge))
+def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
+           mode, extend):
+    """One round at fixed cost and horizon bounds: a collision-free solution or None.
 
-
-def _fixed(instance, config, deadline, stats, candidates, conflicts, horizon, soc,
-           xi, extend):
-    soc0 = sum(xi.values())
-    delta = soc - soc0
+    Collisions become lazy clauses and grow `conflicts` and `candidates` in
+    place. UNSAT is trusted only once every agent is on its full diagram.
+    """
+    delta = soc - sum(xi.values())
     bounds = {a.id: xi[a.id] + delta for a in instance.agents}
     model = None
     while True:
-        deadline.check()
         if model is None:
-            diagrams = {}
-            for a in instance.agents:
-                if candidates.is_full(a.id):
-                    diagrams[a.id] = build_mdd(instance, a.id, horizon, bounds[a.id])
-                else:
-                    diagrams[a.id] = build_smdd(a.id, candidates.paths(a.id), horizon)
-            model = _timed_build(
-                stats,
-                lambda: build_model(instance, diagrams, conflicts, horizon, soc,
-                                INCOMPLETE, solver=_backend(deadline)),
-            )
-            _record_iteration(
-                stats, instance, diagrams, model, soc, horizon,
-                {a.id: candidates.is_full(a.id) for a in instance.agents},
-            )
-        assignment = _solve_model(model, deadline, stats)
+            deadline.check()
+            diagrams = {
+                a.id: build_mdd(instance, a.id, horizon, bounds[a.id])
+                if candidates.is_full(a.id)
+                else build_smdd(a.id, candidates.paths(a.id), horizon)
+                for a in instance.agents
+            }
+            t0 = time.perf_counter()
+            # long single SAT calls poll the deadline between conflicts
+            model = build_model(instance, diagrams, conflicts, horizon, soc, mode,
+                                solver=CdclSolver(interrupt=deadline.check))
+            stats.encoding_s += time.perf_counter() - t0
+            stats.iterations.append(IterationStat(
+                soc=soc,
+                makespan=horizon,
+                nodes_per_agent=tuple(diagrams[a.id].node_count for a in instance.agents),
+                decision_vars=model.decision_var_count,
+                full_mdd=tuple(candidates.is_full(a.id) for a in instance.agents),
+            ))
+        deadline.check()
+        stats.sat_calls += 1
+        assignment = model.solve()
         if assignment is None:
-            if config.sparse_unsat_fallback and not candidates.all_full():
-                for a in instance.agents:
-                    candidates.promote(a.id)
-                model = None
-                continue
-            return None, conflicts
+            if candidates.all_full():
+                return None
+            for a in instance.agents:
+                candidates.promote(a.id)
+            model = None
+            continue
         solution = extract_solution(model, assignment)
         collisions = validate_solution(instance, solution)
         if not collisions:
-            return solution, conflicts
+            return solution
+        if mode == COMPLETE:
+            raise EncodingSoundnessError(
+                f"complete model admitted a collision: {collisions[0]}"
+            )
         stats.conflicts += len(collisions)
         add_conflict_clauses(model, collisions)
-        grown = False
-        if extend == "and":
-            for a in instance.agents:
-                if candidates.is_full(a.id):
-                    continue
-                pi = new_and_path(
-                    instance, a.id, candidates.paths(a.id),
-                    conflicts.for_agent(a.id), horizon, bounds[a.id],
-                )
-                if pi is None:
-                    candidates.promote(a.id)
-                    grown = True
-                else:
-                    assert _avoids(pi, conflicts.for_agent(a.id), horizon)
-                    if candidates.add(a.id, pi):
-                        grown = True
-        else:
-            colliding = list(dict.fromkeys(
-                agent_id for col in collisions for agent_id in col.agents
-            ))
-            for agent_id in colliding:
-                if candidates.is_full(agent_id):
-                    continue
-                if config.or_all_conflicts:
-                    conf = conflicts.for_agent(agent_id)
-                else:
-                    conf = _agent_conflicts_from(collisions, agent_id)
-                paths = new_or_paths(
-                    instance, agent_id, conf, horizon, bounds[agent_id],
-                    subset_cap=config.or_subset_cap,
-                )
-                added = False
-                for p in paths:
-                    if candidates.add(agent_id, p):
-                        added = True
-                if added:
-                    grown = True
-                else:
-                    candidates.promote(agent_id)
-                    grown = True
-        if grown:
+        if _extend(instance, candidates, conflicts, collisions, horizon, bounds, extend):
             model = None  # diagrams changed shape: rebuild on the next pass
+
+
+def _extend(instance, candidates, conflicts, collisions, horizon, bounds, extend):
+    """Grow the sparse candidate sets after a collision; True if any changed.
+
+    "and" adds per agent one path avoiding all of its conflicts; "or" adds,
+    for each colliding agent, one path per conflict subset. An agent with
+    nothing new to add is promoted to its full diagram.
+    """
+    grown = False
+    if extend == "and":
+        for a in instance.agents:
+            if candidates.is_full(a.id):
+                continue
+            pi = new_and_path(
+                instance, a.id, candidates.paths(a.id),
+                conflicts.for_agent(a.id), horizon, bounds[a.id],
+            )
+            if pi is None:
+                candidates.promote(a.id)
+                grown = True
+            else:
+                assert _avoids(pi, conflicts.for_agent(a.id), horizon)
+                if candidates.add(a.id, pi):
+                    grown = True
+    elif extend == "or":
+        colliding = dict.fromkeys(
+            agent_id for col in collisions for agent_id in col.agents
+        )
+        for agent_id in colliding:
+            if candidates.is_full(agent_id):
+                continue
+            paths = new_or_paths(
+                instance, agent_id, conflicts.for_agent(agent_id), horizon,
+                bounds[agent_id],
+            )
+            added = [p for p in paths if candidates.add(agent_id, p)]
+            if not added:
+                candidates.promote(agent_id)
+            grown = True
+    return grown
 
 
 def _avoids(path: Path, conf: AgentConflicts, horizon: int) -> bool:

@@ -194,11 +194,3 @@ class TestConflictSet:
         cs = ConflictSet()
         with pytest.raises(ValueError):
             cs.add_vertex("a1", "v", -1)
-
-    def test_copy_is_independent(self):
-        cs = ConflictSet()
-        cs.add_vertex("a1", "v", 1)
-        cp = cs.copy()
-        cp.add_vertex("a1", "w", 2)
-        assert len(cs) == 1
-        assert len(cp) == 2

@@ -11,7 +11,9 @@ from mapfsat import (
     TIMEOUT,
     Agent,
     CandidateSets,
+    Collision,
     ConflictSet,
+    EncodingSoundnessError,
     Graph,
     MapfInstance,
     SolverConfig,
@@ -29,6 +31,7 @@ from mapfsat import (
     sum_of_costs,
     validate_solution,
 )
+from mapfsat import solvers
 from mapfsat.solvers import SolveStats
 from conftest import random_grid_instance
 
@@ -198,27 +201,13 @@ class TestHeuristicFixed:
         assert solution.paths[0].positions == ("v1", "v2", "v3")
         assert len(conflicts) == 0
 
-    def test_recent_conflicts_only_mode_stays_optimal(self, fix_b, fix_c):
-        config = SolverConfig(timeout_s=30, or_all_conflicts=False)
-        assert solve_sparse_smt_cbs(fix_b, config).soc == 4
-        assert solve_sparse_smt_cbs(fix_c, config).soc == 8
-
-    def test_unsat_fallback_flag_controls_promotion(self, fix_b):
-        # pre-recorded conflict makes the single-candidate model UNSAT even
+    def test_unsat_over_sparse_sets_promotes_all_agents(self, fix_b):
+        # a pre-recorded conflict makes the single-candidate model UNSAT even
         # though the instance is solvable at these bounds
-        def seeded():
-            conflicts = ConflictSet()
-            conflicts.add_vertex("a1", "v01", 1)
-            conflicts.add_vertex("a2", "v01", 1)
-            return CandidateSets.initial(fix_b), conflicts
-
-        candidates, conflicts = seeded()
-        literal = SolverConfig(timeout_s=30, sparse_unsat_fallback=False)
-        solution, _ = heuristic_fixed(fix_b, candidates, conflicts, 2, 4, config=literal)
-        assert solution is None
-        assert not any(candidates.is_full(a.id) for a in fix_b.agents)
-
-        candidates, conflicts = seeded()
+        candidates = CandidateSets.initial(fix_b)
+        conflicts = ConflictSet()
+        conflicts.add_vertex("a1", "v01", 1)
+        conflicts.add_vertex("a2", "v01", 1)
         solution, _ = heuristic_fixed(fix_b, candidates, conflicts, 2, 4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
@@ -238,6 +227,35 @@ class TestOptimalityAgreement:
                 assert out.soc == oracle.soc, algo
                 if out.solution is not None:
                     assert validate_solution(inst, out.solution) == []
+
+    # (soc, sat_calls, conflicts, iterations) per SAT algorithm, pinned so
+    # that a change to the shared loop cannot silently change the search
+    PINNED = {
+        "fix_b": {"mddsat": (4, 1, 0, 1), "smtcbs": (4, 2, 1, 1),
+                  "sparse": (4, 3, 2, 3), "heuristic": (4, 3, 2, 3)},
+        "fix_c": {"mddsat": (8, 3, 0, 3), "smtcbs": (8, 6, 3, 3),
+                  "sparse": (8, 6, 3, 4), "heuristic": (8, 6, 3, 4)},
+        0: {"mddsat": (8, 3, 0, 3), "smtcbs": (8, 7, 4, 3),
+            "sparse": (8, 8, 4, 5), "heuristic": (8, 7, 4, 4)},
+        1: {"mddsat": (9, 4, 0, 4), "smtcbs": (9, 14, 10, 4),
+            "sparse": (9, 14, 10, 6), "heuristic": (9, 14, 10, 6)},
+        2: {"mddsat": (4, 1, 0, 1), "smtcbs": (4, 1, 0, 1),
+            "sparse": (4, 1, 0, 1), "heuristic": (4, 1, 0, 1)},
+        3: {"mddsat": (13, 3, 0, 3), "smtcbs": (13, 6, 3, 3),
+            "sparse": (13, 7, 5, 5), "heuristic": (13, 7, 5, 5)},
+    }
+
+    def test_sat_solvers_keep_pinned_search(self, fix_b, fix_c):
+        rng = random.Random(606)
+        instances = {"fix_b": fix_b, "fix_c": fix_c}
+        instances.update((i, random_grid_instance(rng)) for i in range(4))
+        for key, inst in instances.items():
+            config = SolverConfig(timeout_s=60, cost_cap=xi_sum(inst) + 4)
+            for algo, want in self.PINNED[key].items():
+                out = ALGORITHMS[algo](inst, config)
+                got = (out.soc, out.stats.sat_calls, out.stats.conflicts,
+                       len(out.stats.iterations))
+                assert got == want, (key, algo)
 
     def test_conflict_sets_only_grow(self, fix_c):
         # indirectly: recorded conflict totals are monotone over iterations
@@ -286,3 +304,12 @@ def test_stats_runtime_is_recorded(fix_a):
     out = solve_cbs(fix_a, QUICK)
     assert out.stats.runtime_s >= 0.0
     assert isinstance(out.stats, SolveStats)
+
+
+def test_complete_model_collision_is_a_soundness_error(fix_b, monkeypatch):
+    # a collision in a complete model's answer is an encoding bug, not a
+    # conflict to add lazily
+    fake = Collision("vertex", ("a1", "a2"), "v01", 1)
+    monkeypatch.setattr(solvers, "validate_solution", lambda inst, sol: [fake])
+    with pytest.raises(EncodingSoundnessError):
+        solve_mdd_sat(fix_b, QUICK)
