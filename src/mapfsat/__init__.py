@@ -24,7 +24,6 @@ from .instance import (
 from .pathing import (
     AgentConflicts,
     ConflictSet,
-    DistanceTable,
     bfs_distances,
     constrained_shortest_path,
     new_and_path,
@@ -37,7 +36,6 @@ from .diagrams import (
     build_mdd,
     build_smdd,
     count_represented_paths,
-    dump_mdd,
 )
 from .satif import CdclSolver, SatBackendError, SatSolver, check_model
 from .encoding import (
@@ -63,7 +61,6 @@ from .solvers import (
     brute_force_oracle,
     heuristic_fixed,
     solution_json,
-    solve,
     solve_cbs,
     solve_heuristic_smt_cbs,
     solve_mdd_sat,

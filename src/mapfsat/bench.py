@@ -17,9 +17,10 @@ from .instance import ParseError, build_instance, parse_map, parse_scen
 from .solvers import ALGORITHMS, SolverConfig
 
 ERROR = "error"
+PARSE_ERROR = "parse error"  # reason prefix: a map or scenario failed to parse
 
 CSV_COLUMNS = ["map", "scen", "agents", "algo", "status", "runtime_s", "soc",
-               "sat_calls", "conflicts"]
+               "sat_calls", "conflicts", "reason"]
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,7 @@ class BenchRecord:
     soc: int | None
     sat_calls: int
     conflicts: int
+    reason: str = ""  # why an `error` record failed; empty otherwise
 
 
 def discover_suite(suite_dir: str | FsPath) -> list[FsPath]:
@@ -43,26 +45,30 @@ def discover_suite(suite_dir: str | FsPath) -> list[FsPath]:
 def _run_one(scen_path: FsPath, agents: int, algo: str, timeout_s: float) -> BenchRecord:
     scen_name = scen_path.name
 
-    def err(map_name: str = "") -> BenchRecord:
-        return BenchRecord(map_name, scen_name, agents, algo, ERROR, 0.0, None, 0, 0)
+    def err(reason: str, map_name: str = "") -> BenchRecord:
+        return BenchRecord(map_name, scen_name, agents, algo, ERROR, 0.0, None, 0, 0, reason)
 
     try:
         specs = parse_scen(scen_path.read_text())
-    except (OSError, ParseError):
-        return err()
+    except OSError as exc:
+        return err(str(exc))
+    except ParseError as exc:
+        return err(f"{PARSE_ERROR}: {scen_name}: {exc}")
     if not specs:
-        return err()
+        return err(f"{scen_name}: no agents")
     map_name = specs[0].map_name
     map_path = scen_path.parent / map_name
     try:
         graph = parse_map(map_path.read_text())
-    except (OSError, ParseError):
-        return err(map_name)
+    except OSError as exc:
+        return err(str(exc), map_name)
+    except ParseError as exc:
+        return err(f"{PARSE_ERROR}: {map_name}: {exc}", map_name)
     try:
         instance = build_instance(graph, specs, agents)
-    except ValueError:
-        return err(map_name)
-    config = SolverConfig(timeout_s=timeout_s, algorithm=algo)
+    except ValueError as exc:
+        return err(str(exc), map_name)
+    config = SolverConfig(timeout_s=timeout_s)
     outcome = ALGORITHMS[algo](instance, config)
     return BenchRecord(
         map_name=map_name,
@@ -127,7 +133,7 @@ def write_csv(records: Iterable[BenchRecord], out) -> None:
         writer.writerow([
             r.map_name, r.scen_name, r.agents, r.algo, r.status,
             repr(r.runtime_s), "" if r.soc is None else r.soc,
-            r.sat_calls, r.conflicts,
+            r.sat_calls, r.conflicts, r.reason,
         ])
 
 
@@ -151,5 +157,6 @@ def read_csv(src) -> list[BenchRecord]:
             soc=None if row[6] == "" else int(row[6]),
             sat_calls=int(row[7]),
             conflicts=int(row[8]),
+            reason=row[9],
         ))
     return out

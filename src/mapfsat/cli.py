@@ -1,7 +1,11 @@
 """Command line interface: `mapf solve` and `mapf bench`.
 
-Exit code 0 means the command ran; 2 means a map or scenario file failed to
-parse.
+Exit code 0 means the command ran. Exit code 2 means bad input, reported as
+one `mapf: <message>` line per problem on stderr. For `solve` that is a map
+or scenario file that is missing, unreadable or fails to parse, an agent
+count beyond the scenario, or a start or goal on a blocked cell. For `bench`
+it is a map or scenario file that fails to parse; other unusable inputs
+become `error` records with a reason and leave the exit code at 0.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ import json
 import sys
 from pathlib import Path as FsPath
 
-from .bench import discover_suite, run_benchmark, write_csv
-from .instance import ParseError, build_instance, parse_map, parse_scen
+from .bench import PARSE_ERROR, run_benchmark, write_csv
+from .instance import InstanceError, ParseError, build_instance, parse_map, parse_scen
 from .solvers import ALGORITHMS, SolverConfig, solution_json
 
 
@@ -46,13 +50,11 @@ def _cmd_solve(args) -> int:
     try:
         graph = parse_map(FsPath(args.map).read_text())
         specs = parse_scen(FsPath(args.scen).read_text())
-    except ParseError as exc:
+        instance = build_instance(graph, specs, args.agents)
+    except (OSError, ParseError, InstanceError) as exc:
         print(f"mapf: {exc}", file=sys.stderr)
         return 2
-    instance = build_instance(graph, specs, args.agents)
-    config = SolverConfig(
-        timeout_s=args.timeout, cost_cap=args.cost_cap, algorithm=args.algo
-    )
+    config = SolverConfig(timeout_s=args.timeout, cost_cap=args.cost_cap)
     outcome = ALGORITHMS[args.algo](instance, config)
     instance_id = f"{FsPath(args.map).name}:{FsPath(args.scen).name}:{args.agents}"
     payload = json.dumps(solution_json(instance_id, args.algo, outcome), indent=2)
@@ -72,18 +74,10 @@ def _cmd_bench(args) -> int:
     )
     write_csv(records, args.csv)
     print(f"wrote {len(records)} records to {args.csv}")
-    # distinguish parse failures from solver-level error records
-    for scen in discover_suite(args.suite)[: args.per_count]:
-        try:
-            specs = parse_scen(scen.read_text())
-            if specs:
-                parse_map((scen.parent / specs[0].map_name).read_text())
-        except ParseError as exc:
-            print(f"mapf: {exc}", file=sys.stderr)
-            return 2
-        except OSError:
-            continue  # missing files already surfaced as error records
-    return 0
+    failures = dict.fromkeys(r.reason for r in records if r.reason.startswith(PARSE_ERROR))
+    for reason in failures:
+        print(f"mapf: {reason}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 def main(argv: list[str] | None = None) -> int:

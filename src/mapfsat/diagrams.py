@@ -33,7 +33,7 @@ class Mdd:
         self.levels: tuple[tuple[Vertex, ...], ...] = tuple(
             tuple(sorted(level, key=vertex_sort_key)) for level in levels
         )
-        self._level_sets = [frozenset(level) for level in self.levels]
+        level_sets = [frozenset(level) for level in self.levels]
         if len(self.levels[0]) != 1:
             raise ValueError("level 0 must hold exactly the start node")
         if len(self.levels[-1]) != 1:
@@ -43,7 +43,7 @@ class Mdd:
         for t, u, v in self.edges:
             if not (0 <= t < horizon):
                 raise ValueError(f"edge at level {t} outside horizon")
-            if u not in self._level_sets[t] or v not in self._level_sets[t + 1]:
+            if u not in level_sets[t] or v not in level_sets[t + 1]:
                 raise ValueError(f"edge ({u!r}, {v!r}) at level {t} has missing endpoint")
             out.setdefault((t, u), []).append(v)
         self._out = {k: tuple(sorted(vs, key=vertex_sort_key)) for k, vs in out.items()}
@@ -63,9 +63,6 @@ class Mdd:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def has_node(self, v: Vertex, t: int) -> bool:
-        return 0 <= t <= self.horizon and v in self._level_sets[t]
 
     def has_edge(self, u: Vertex, v: Vertex, t: int) -> bool:
         return (t, u, v) in self.edges
@@ -88,8 +85,8 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
     """
     graph = instance.graph
     agent = instance.agent(agent_id)
-    dist_start = bfs_distances(graph, agent.start).distances
-    dist_goal = bfs_distances(graph, agent.goal).distances
+    dist_start = bfs_distances(graph, agent.start)
+    dist_goal = bfs_distances(graph, agent.goal)
     xi = dist_start.get(agent.goal)
     if xi is None:
         raise InfeasibleAgentError(f"goal of agent {agent_id!r} is unreachable")
@@ -189,16 +186,3 @@ def count_represented_paths(mdd: Mdd) -> int:
                 key = (t + 1, v)
                 counts[key] = counts.get(key, 0) + c
     return counts.get((mdd.horizon, mdd.goal), 0)
-
-
-def dump_mdd(mdd: Mdd) -> str:
-    """Deterministic text form: one line per level, then the edge list."""
-    lines = [f"agent {mdd.agent} horizon {mdd.horizon}"]
-    for t, level in enumerate(mdd.levels):
-        lines.append(f"level {t}: " + " ".join(str(v) for v in level))
-    lines.append("edges:")
-    for t, u, v in sorted(
-        mdd.edges, key=lambda e: (e[0], vertex_sort_key(e[1]), vertex_sort_key(e[2]))
-    ):
-        lines.append(f"{t}: {u}->{v}")
-    return "\n".join(lines) + "\n"

@@ -13,7 +13,6 @@ incomplete mode relies on lazily added collision clauses instead.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Optional
 
@@ -37,7 +36,6 @@ class VariableMap:
     x: dict[tuple[Hashable, Vertex, int], int] = field(default_factory=dict)
     e: dict[tuple[Hashable, Vertex, Vertex, int], int] = field(default_factory=dict)
     c: dict[tuple[Hashable, int], int] = field(default_factory=dict)
-    aux: list[int] = field(default_factory=list)
 
     def x_var(self, agent: Hashable, v: Vertex, t: int) -> Optional[int]:
         return self.x.get((agent, v, t))
@@ -52,34 +50,14 @@ class VariableMap:
     def decision_var_count(self) -> int:
         return len(self.x) + len(self.e)
 
-    def describe(self) -> dict[int, dict]:
-        """Debug map var -> role, for the JSON side-file."""
-        out: dict[int, dict] = {}
-        for (agent, v, t), var in self.x.items():
-            out[var] = {"kind": "vertex", "agent": agent, "vertex": v, "t": t}
-        for (agent, u, v, t), var in self.e.items():
-            out[var] = {"kind": "edge", "agent": agent, "from": u, "to": v, "t": t}
-        for (agent, t), var in self.c.items():
-            out[var] = {"kind": "cost", "agent": agent, "t": t}
-        for var in self.aux:
-            out[var] = {"kind": "aux"}
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps({str(k): v for k, v in sorted(self.describe().items())},
-                          default=str, indent=2)
-
 
 @dataclass
 class BooleanModel:
-    """One solver instance plus the variable map and bounds it was built for."""
+    """One solver instance plus the variable map and horizon it was built for."""
 
     solver: SatSolver
     varmap: VariableMap
-    mode: str
     horizon: int
-    soc: int
-    delta: int
     conflicts: ConflictSet
     instance: MapfInstance
     diagrams: Mapping[Hashable, Mdd]
@@ -96,7 +74,7 @@ class BooleanModel:
         return self.varmap.decision_var_count
 
 
-def _at_most_one(solver: SatSolver, varmap: VariableMap, lits: list[int]) -> None:
+def _at_most_one(solver: SatSolver, lits: list[int]) -> None:
     # pairwise is smaller up to a handful of literals, counter beyond that
     n = len(lits)
     if n <= 1:
@@ -106,11 +84,13 @@ def _at_most_one(solver: SatSolver, varmap: VariableMap, lits: list[int]) -> Non
             for j in range(i + 1, n):
                 solver.add_clause([-lits[i], -lits[j]])
     else:
-        _sequential_le(solver, varmap, lits, 1)
+        cardinality_le(solver, lits, 1)
 
 
-def _sequential_le(solver: SatSolver, varmap: VariableMap, lits: list[int], k: int) -> None:
+def cardinality_le(solver: SatSolver, lits: list[int], k: int) -> None:
     """Sequential-counter clauses enforcing at most k of `lits` true."""
+    if k < 0:
+        raise ValueError("negative cardinality bound")
     n = len(lits)
     if k >= n:
         return
@@ -119,8 +99,6 @@ def _sequential_le(solver: SatSolver, varmap: VariableMap, lits: list[int], k: i
             solver.add_clause([-lit])
         return
     reg = [[solver.new_var() for _ in range(k)] for _ in range(n - 1)]
-    for row in reg:
-        varmap.aux.extend(row)
     solver.add_clause([-lits[0], reg[0][0]])
     for j in range(1, k):
         solver.add_clause([-reg[0][j]])
@@ -132,14 +110,6 @@ def _sequential_le(solver: SatSolver, varmap: VariableMap, lits: list[int], k: i
             solver.add_clause([-reg[i - 1][j], reg[i][j]])
         solver.add_clause([-lits[i], -reg[i - 1][k - 1]])
     solver.add_clause([-lits[n - 1], -reg[n - 2][k - 1]])
-
-
-def cardinality_le(model: BooleanModel, literals: list[int], k: int) -> BooleanModel:
-    """Constrain at most k of the literals to be true (sequential counter)."""
-    if k < 0:
-        raise ValueError("negative cardinality bound")
-    _sequential_le(model.solver, model.varmap, list(literals), k)
-    return model
 
 
 def build_model(
@@ -171,7 +141,7 @@ def build_model(
 
     s = solver if solver is not None else CdclSolver()
     vm = VariableMap()
-    model = BooleanModel(s, vm, mode, horizon, soc, delta, conflicts, instance, diagrams)
+    model = BooleanModel(s, vm, horizon, conflicts, instance, diagrams)
 
     for a in agents:
         mdd = diagrams[a.id]
@@ -196,7 +166,7 @@ def build_model(
                 xv = vm.x[(a.id, u, t)]
                 outs = [vm.e[(a.id, u, w, t)] for w in mdd.outgoing(u, t)]
                 s.add_clause([-xv] + outs)
-                _at_most_one(s, vm, outs)
+                _at_most_one(s, outs)
         # an edge pins both of its endpoints
         for t, u, v in mdd.edges:
             ev = vm.e[(a.id, u, v, t)]
@@ -204,7 +174,7 @@ def build_model(
             s.add_clause([-ev, vm.x[(a.id, v, t + 1)]])
         # at most one vertex per level
         for t in range(horizon + 1):
-            _at_most_one(s, vm, [vm.x[(a.id, v, t)] for v in mdd.levels[t]])
+            _at_most_one(s, [vm.x[(a.id, v, t)] for v in mdd.levels[t]])
         # cost indicators: active while not settled at the goal, monotone,
         # and justified so the true count equals the exact excess cost
         for t in range(xi[a.id], horizon):
@@ -220,7 +190,7 @@ def build_model(
             s.add_clause([-ct] + support + ([nxt] if nxt is not None else []))
 
     all_c = [vm.c[key] for key in sorted(vm.c, key=lambda k: (instance.agent_index(k[0]), k[1]))]
-    _sequential_le(s, vm, all_c, delta)
+    cardinality_le(s, all_c, delta)
 
     if mode == COMPLETE:
         _emit_complete_constraints(model)
@@ -239,7 +209,7 @@ def _emit_complete_constraints(model: BooleanModel) -> None:
             for v in mdd.levels[t]:
                 shared.setdefault((v, t), []).append(vm.x[(a.id, v, t)])
     for key in sorted(shared, key=lambda k: (k[1], vertex_sort_key(k[0]))):
-        _at_most_one(s, vm, shared[key])
+        _at_most_one(s, shared[key])
     # no pair of agents may swap across one edge
     for i in range(len(agents)):
         for j in range(i + 1, len(agents)):

@@ -11,13 +11,15 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
 from .instance import Graph, MapfInstance, Path, Vertex, vertex_sort_key
 
 VertexConflict = tuple[Vertex, int]          # agent must not occupy v at t
 EdgeConflict = tuple[tuple[Vertex, Vertex], int]  # agent must not traverse u->v at t
+
+OR_SUBSET_LIMIT = 64  # most conflict subsets one new_or_paths call tries
 
 
 @dataclass(frozen=True)
@@ -26,10 +28,6 @@ class AgentConflicts:
 
     vertex: frozenset[VertexConflict] = frozenset()
     edge: frozenset[EdgeConflict] = frozenset()
-
-    @classmethod
-    def empty(cls) -> "AgentConflicts":
-        return cls()
 
     def extended(self, vertex: VertexConflict | None = None,
                  edge: EdgeConflict | None = None) -> "AgentConflicts":
@@ -69,21 +67,8 @@ class ConflictSet:
         return total + sum(len(s) for s in self._edge.values())
 
 
-@dataclass(frozen=True)
-class DistanceTable:
-    """Exact hop distances from one source; unreachable vertices are absent."""
-
-    source: Vertex
-    distances: dict[Vertex, int] = field(default_factory=dict)
-
-    def get(self, v: Vertex) -> int | None:
-        return self.distances.get(v)
-
-    def __contains__(self, v: Vertex) -> bool:
-        return v in self.distances
-
-
-def bfs_distances(graph: Graph, source: Vertex) -> DistanceTable:
+def bfs_distances(graph: Graph, source: Vertex) -> dict[Vertex, int]:
+    """Exact hop distances from `source`; unreachable vertices are absent."""
     if source not in graph:
         raise ValueError(f"source {source!r} not in graph")
     dist = {source: 0}
@@ -94,7 +79,7 @@ def bfs_distances(graph: Graph, source: Vertex) -> DistanceTable:
             if w not in dist:
                 dist[w] = dist[u] + 1
                 queue.append(w)
-    return DistanceTable(source, dist)
+    return dist
 
 
 def constrained_shortest_path(
@@ -118,7 +103,7 @@ def constrained_shortest_path(
     graph = instance.graph
     agent = instance.agent(agent_id)
     start, goal = agent.start, agent.goal
-    dist_goal = bfs_distances(graph, goal).distances
+    dist_goal = bfs_distances(graph, goal)
     if start not in dist_goal:
         return None
 
@@ -182,7 +167,7 @@ def shortest_path(instance: MapfInstance, agent_id: Hashable) -> Optional[Path]:
     dist = bfs_distances(instance.graph, agent.start).get(agent.goal)
     if dist is None:
         return None
-    return constrained_shortest_path(instance, agent_id, AgentConflicts.empty(), dist, dist)
+    return constrained_shortest_path(instance, agent_id, AgentConflicts(), dist, dist)
 
 
 def _padded_steps(paths: Iterable[Path], horizon: int) -> set[tuple[int, Vertex, Vertex]]:
@@ -234,17 +219,14 @@ def new_or_paths(
     conflicts: AgentConflicts,
     horizon: int,
     cost_bound: int,
-    subset_cap: int = 64,
 ) -> list[Path]:
     """One shortest avoiding path per nonempty conflict subset.
 
     Subsets are enumerated in increasing cardinality, stopping after
-    `subset_cap` subsets; duplicate paths are dropped. Each returned path
+    `OR_SUBSET_LIMIT` subsets; duplicate paths are dropped. Each returned path
     extends past the last timestep of the subset it answers, so that it
     responds to the conflict rather than parking at the goal beforehand.
     """
-    if subset_cap < 1:
-        raise ValueError("subset_cap must be >= 1")
     items = [("vertex", e) for e in conflicts.vertex] + [("edge", e) for e in conflicts.edge]
     items.sort(key=_conflict_sort_key)
     out: list[Path] = []
@@ -252,7 +234,7 @@ def new_or_paths(
     enumerated = 0
     for r in range(1, len(items) + 1):
         for subset in itertools.combinations(items, r):
-            if enumerated >= subset_cap:
+            if enumerated >= OR_SUBSET_LIMIT:
                 return out
             enumerated += 1
             vconf = frozenset(e for kind, e in subset if kind == "vertex")

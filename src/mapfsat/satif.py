@@ -41,9 +41,6 @@ class SatSolver:
     def num_clauses(self) -> int:
         raise NotImplementedError
 
-    def to_dimacs(self) -> str:
-        raise NotImplementedError
-
 
 def _luby(x: int) -> int:
     # Luby restart sequence (0-indexed): 1 1 2 1 1 2 4 ...
@@ -64,7 +61,9 @@ class CdclSolver(SatSolver):
     Decision order is activity-based with deterministic tie-breaking, phases
     are saved across backtracks, restarts follow the Luby sequence. Duplicate
     literals are dropped on add; tautological clauses are skipped entirely
-    (they constrain nothing) and do not count towards `num_clauses`.
+    (they constrain nothing) and do not count towards `num_clauses`. Clauses
+    live only in the watch lists; `num_clauses` counts every other added
+    clause, including units and clauses already satisfied at level 0.
 
     Literals are encoded as `2 * var` (positive) and `2 * var + 1` (negated).
     `_value` is indexed by encoded literal (1 true, -1 false, 0 unassigned),
@@ -93,7 +92,7 @@ class CdclSolver(SatSolver):
     def __init__(self, interrupt: Optional[Callable[[], None]] = None,
                  interrupt_interval: int = 2048):
         self._nvars = 0
-        self._added: list[tuple[int, ...]] = []  # normalized clauses as added
+        self._nclauses = 0
         self._watches: list[list[list[int]]] = [[], []]  # per encoded literal
         self._value = [0, 0]    # per encoded literal: 0 unassigned / 1 true / -1 false
         self._level = [0]
@@ -121,7 +120,7 @@ class CdclSolver(SatSolver):
 
     @property
     def num_clauses(self) -> int:
-        return len(self._added)
+        return self._nclauses
 
     def new_var(self) -> int:
         self._nvars += 1
@@ -145,7 +144,6 @@ class CdclSolver(SatSolver):
         nvars = self._nvars
         value = self._value
         seen: set[int] = set()  # encoded literals
-        clause: list[int] = []
         enc: list[int] = []     # encoded literals not false at level 0
         satisfied = False
         for lit in lits:
@@ -163,15 +161,14 @@ class CdclSolver(SatSolver):
                 return  # tautology, constrains nothing
             if q not in seen:
                 seen.add(q)
-                clause.append(lit)
                 v = value[q]
                 if v == 0:
                     enc.append(q)
                 elif v == 1:
                     satisfied = True
-        if not clause:
+        if not seen:
             raise ValueError("empty clause")
-        self._added.append(tuple(clause))
+        self._nclauses += 1
         if self._unsat or satisfied:
             return  # already unsat, or satisfied for good at level 0
         if not enc:
@@ -183,11 +180,6 @@ class CdclSolver(SatSolver):
         else:
             self._watches[enc[0]].append(enc)
             self._watches[enc[1]].append(enc)
-
-    def to_dimacs(self) -> str:
-        lines = [f"p cnf {self._nvars} {len(self._added)}"]
-        lines += [" ".join(map(str, c)) + " 0" for c in self._added]
-        return "\n".join(lines) + "\n"
 
     # ----- search ----------------------------------------------------------------
 

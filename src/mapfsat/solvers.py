@@ -101,7 +101,6 @@ class Deadline:
 class SolverConfig:
     timeout_s: float = 128.0
     cost_cap: int | None = None  # None: sum of shortest costs + |V| * k
-    algorithm: str = "heuristic"
 
     def __post_init__(self):
         if self.timeout_s <= 0:
@@ -125,7 +124,6 @@ class SolveStats:
     conflicts: int = 0
     iterations: list[IterationStat] = field(default_factory=list)
     runtime_s: float = 0.0
-    encoding_s: float = 0.0
 
     @property
     def smdd_nodes_per_iter(self) -> list[list[int]]:
@@ -205,7 +203,7 @@ def _cbs(instance, config, deadline, stats):
     cap = _resolve_cap(instance, config, soc0)
     agent_ids = [a.id for a in instance.agents]
 
-    root_constraints = {a: AgentConflicts.empty() for a in agent_ids}
+    root_constraints = {a: AgentConflicts() for a in agent_ids}
     root_paths = {}
     for a in agent_ids:
         budget = cap - (soc0 - xi[a])
@@ -272,7 +270,6 @@ class CandidateSets:
     """Per-agent candidate paths, with a per-agent full-diagram mode flag."""
 
     def __init__(self, instance: MapfInstance):
-        self.instance = instance
         self._paths: dict[Hashable, list[Path]] = {a.id: [] for a in instance.agents}
         self._seen: dict[Hashable, set] = {a.id: set() for a in instance.agents}
         self._full: dict[Hashable, bool] = {a.id: False for a in instance.agents}
@@ -400,11 +397,9 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
                 else build_smdd(a.id, candidates.paths(a.id), horizon)
                 for a in instance.agents
             }
-            t0 = time.perf_counter()
             # long single SAT calls poll the deadline between conflicts
             model = build_model(instance, diagrams, conflicts, horizon, soc, mode,
                                 solver=CdclSolver(interrupt=deadline.check))
-            stats.encoding_s += time.perf_counter() - t0
             stats.iterations.append(IterationStat(
                 soc=soc,
                 makespan=horizon,
@@ -603,16 +598,6 @@ ALGORITHMS: dict[str, Callable[..., SolveOutcome]] = {
     "sparse": solve_sparse_smt_cbs,
     "heuristic": solve_heuristic_smt_cbs,
 }
-
-
-def solve(instance: MapfInstance, config: SolverConfig | None = None) -> SolveOutcome:
-    """Dispatch on config.algorithm."""
-    config = config if config is not None else SolverConfig()
-    try:
-        fn = ALGORITHMS[config.algorithm]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {config.algorithm!r}") from None
-    return fn(instance, config)
 
 
 def solution_json(instance_id: str, algorithm: str, outcome: SolveOutcome) -> dict:

@@ -67,7 +67,7 @@ def random_grid_instance(rng: random.Random, max_side: int = 4,
         graph = parse_map("\n".join(["type octile", f"height {h}", f"width {w}", "map", *rows]))
         if graph.vertex_count < 4:
             continue
-        if len(bfs_distances(graph, graph.vertices[0]).distances) != graph.vertex_count:
+        if len(bfs_distances(graph, graph.vertices[0])) != graph.vertex_count:
             continue
         k = rng.randint(*agents)
         if graph.vertex_count < 2 * k:

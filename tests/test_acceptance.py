@@ -176,7 +176,7 @@ def connected_graphs(n: int) -> list[Graph]:
     for mask in range(1 << len(all_edges)):
         edges = [e for i, e in enumerate(all_edges) if mask >> i & 1]
         g = Graph(verts, edges)
-        if len(bfs_distances(g, 0).distances) == n:
+        if len(bfs_distances(g, 0)) == n:
             out.append(g)
     return out
 

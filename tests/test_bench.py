@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from mapfsat.bench import (
+    PARSE_ERROR,
     BenchRecord,
     discover_suite,
     read_csv,
@@ -87,6 +88,9 @@ class TestRunBenchmark:
         (tmp_path / "open8.map").write_text((SUITE / "open8.map").read_text())
         records = run_benchmark(tmp_path, ["cbs"], [2], timeout_s=30)
         assert [r.status for r in records] == ["error", "solved"]
+        assert "missing.map" in records[0].reason
+        assert not records[0].reason.startswith(PARSE_ERROR)
+        assert records[1].reason == ""
 
     def test_per_count_limits_scenarios(self, tmp_path):
         for name in ("open8.map", "open8-01.scen", "open8-02.scen", "open8-03.scen"):
@@ -127,7 +131,8 @@ class TestCsvRoundTrip:
         records = [
             BenchRecord("m.map", "s1.scen", 2, "cbs", "solved", 0.12345678901234, 7, 0, 3),
             BenchRecord("m.map", "s2.scen", 4, "heuristic", "timeout", 128.0, None, 9, 12),
-            BenchRecord("", "s3.scen", 3, "sparse", "error", 0.0, None, 0, 0),
+            BenchRecord("", "s3.scen", 3, "sparse", "error", 0.0, None, 0, 0,
+                        "parse error: s3.scen: bad, header (line 1)"),
         ]
         buf = io.StringIO()
         write_csv(records, buf)
@@ -138,7 +143,7 @@ class TestCsvRoundTrip:
         buf = io.StringIO()
         write_csv([], buf)
         assert buf.getvalue().strip() == (
-            "map,scen,agents,algo,status,runtime_s,soc,sat_calls,conflicts"
+            "map,scen,agents,algo,status,runtime_s,soc,sat_calls,conflicts,reason"
         )
 
     def test_file_path_round_trip(self, tmp_path):

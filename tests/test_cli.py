@@ -75,14 +75,49 @@ def test_bench_writes_csv(tmp_path):
     assert all(r.status == "solved" for r in records)
 
 
-def test_bench_parse_error_exits_2(tmp_path):
+def solve_args(map_path=SUITE / "open8.map", scen_path=SUITE / "open8-01.scen", agents=2):
+    return ["solve", "--map", str(map_path), "--scen", str(scen_path),
+            "--agents", str(agents), "--algo", "cbs"]
+
+
+def test_solve_missing_file_exits_2(tmp_path, capsys):
+    assert main(solve_args(map_path=tmp_path / "nope.map")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mapf: ") and "nope.map" in err
+    assert err.count("\n") == 1
+
+
+def test_solve_too_many_agents_exits_2(capsys):
+    assert main(solve_args(agents=99)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mapf: ") and "99 agents" in err
+    assert err.count("\n") == 1
+
+
+def test_solve_blocked_start_exits_2(tmp_path, capsys):
+    # the first agent of open8-01 starts at x=6, y=2; block that cell
+    rows = (SUITE / "open8.map").read_text().splitlines()
+    rows[4 + 2] = "......@."
+    blocked = tmp_path / "blocked.map"
+    blocked.write_text("\n".join(rows) + "\n")
+    assert main(solve_args(map_path=blocked)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mapf: ") and "blocked" in err
+    assert err.count("\n") == 1
+
+
+def test_bench_parse_error_exits_2(tmp_path, capsys):
     (tmp_path / "bad.scen").write_text("version 2\n")
     out = tmp_path / "records.csv"
     code = main([
         "bench",
         "--suite", str(tmp_path),
-        "--algos", "cbs",
+        "--algos", "cbs,heuristic",
         "--agents", "2",
         "--csv", str(out),
     ])
     assert code == 2
+    reason = "parse error: bad.scen: unsupported scenario version 2 (line 1)"
+    assert capsys.readouterr().err == f"mapf: {reason}\n"
+    records = read_csv(out)
+    assert [(r.status, r.reason) for r in records] == [("error", reason)] * 2

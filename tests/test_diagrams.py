@@ -13,7 +13,6 @@ from mapfsat import (
     build_mdd,
     build_smdd,
     count_represented_paths,
-    dump_mdd,
 )
 from conftest import random_grid_instance
 
@@ -120,7 +119,7 @@ class TestBuildSmdd:
         smdd = build_smdd("a1", [Path("a1", ("v1", "v2", "v3"))], 3)
         assert smdd.node_count == 4
         assert smdd.edge_count == 3
-        assert smdd.has_node("v3", 3)
+        assert "v3" in smdd.levels[3]
 
     def test_path_longer_than_horizon_rejected(self):
         with pytest.raises(ValueError):
@@ -201,20 +200,9 @@ class TestSparseVersusFull:
 
 def test_dump_format_is_stable(fix_d_paths):
     smdd = build_smdd("ax", fix_d_paths, 4)
-    assert dump_mdd(smdd) == (
-        "agent ax horizon 4\n"
-        "level 0: v1\n"
-        "level 1: v2 v6\n"
-        "level 2: v3\n"
-        "level 3: v4 v7\n"
-        "level 4: v5\n"
-        "edges:\n"
-        "0: v1->v2\n"
-        "0: v1->v6\n"
-        "1: v2->v3\n"
-        "1: v6->v3\n"
-        "2: v3->v4\n"
-        "2: v3->v7\n"
-        "3: v4->v5\n"
-        "3: v7->v5\n"
-    )
+    assert (smdd.agent, smdd.horizon) == ("ax", 4)
+    assert smdd.levels == (("v1",), ("v2", "v6"), ("v3",), ("v4", "v7"), ("v5",))
+    assert smdd.edges == {
+        (0, "v1", "v2"), (0, "v1", "v6"), (1, "v2", "v3"), (1, "v6", "v3"),
+        (2, "v3", "v4"), (2, "v3", "v7"), (3, "v4", "v5"), (3, "v7", "v5"),
+    }

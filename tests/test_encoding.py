@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import random
 
 import pytest
@@ -10,7 +9,6 @@ from mapfsat import (
     COMPLETE,
     INCOMPLETE,
     Agent,
-    BooleanModel,
     CdclSolver,
     Collision,
     ConflictSet,
@@ -18,11 +16,9 @@ from mapfsat import (
     Graph,
     MapfInstance,
     Path,
-    VariableMap,
     add_conflict_clauses,
     bfs_distances,
     brute_force_oracle,
-    build_instance,
     build_mdd,
     build_model,
     build_smdd,
@@ -35,7 +31,20 @@ from mapfsat import (
 from conftest import random_grid_instance
 
 
-def full_model(instance, delta=0, mode=INCOMPLETE, conflicts=None):
+class RecordingSolver(CdclSolver):
+    """Keeps every clause it is given, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.clauses: list[list[int]] = []
+
+    def add_clause(self, lits):
+        lits = list(lits)
+        self.clauses.append(lits)
+        super().add_clause(lits)
+
+
+def full_model(instance, delta=0, mode=INCOMPLETE, conflicts=None, solver=None):
     xi = {
         a.id: bfs_distances(instance.graph, a.start).get(a.goal)
         for a in instance.agents
@@ -48,7 +57,7 @@ def full_model(instance, delta=0, mode=INCOMPLETE, conflicts=None):
     }
     return build_model(
         instance, diagrams, conflicts if conflicts is not None else ConflictSet(),
-        horizon, soc, mode,
+        horizon, soc, mode, solver=solver,
     )
 
 
@@ -98,22 +107,22 @@ class TestBuildModel:
 
 class TestAddConflictClauses:
     def test_vertex_collision_becomes_binary_clause(self, fix_b):
-        model = full_model(fix_b)
+        model = full_model(fix_b, solver=RecordingSolver())
         before = model.solver.num_clauses
         add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v10", 1)])
         assert model.solver.num_clauses == before + 1
         x1 = model.varmap.x_var("a1", "v10", 1)
         x2 = model.varmap.x_var("a2", "v10", 1)
-        assert sorted(model.solver._added[-1]) == sorted((-x1, -x2))
+        assert sorted(model.solver.clauses[-1]) == sorted((-x1, -x2))
 
     def test_edge_collision_uses_opposing_edge_variables(self):
         g = Graph(["v1", "v2"], [("v1", "v2")])
         inst = MapfInstance(g, [Agent("a1", "v1", "v2"), Agent("a2", "v2", "v1")])
-        model = full_model(inst)
+        model = full_model(inst, solver=RecordingSolver())
         add_conflict_clauses(model, [Collision("edge", ("a1", "a2"), ("v1", "v2"), 0)])
         e1 = model.varmap.e_var("a1", "v1", "v2", 0)
         e2 = model.varmap.e_var("a2", "v2", "v1", 0)
-        assert sorted(model.solver._added[-1]) == sorted((-e1, -e2))
+        assert sorted(model.solver.clauses[-1]) == sorted((-e1, -e2))
 
     def test_missing_node_skips_clause_but_records_conflict(self, fix_b):
         model = full_model(fix_b)
@@ -128,60 +137,53 @@ class TestAddConflictClauses:
         conflicts = ConflictSet()
         model = full_model(fix_b, conflicts=conflicts)
         add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v01", 1)])
-        rebuilt = full_model(fix_b, conflicts=conflicts)
+        rebuilt = full_model(fix_b, conflicts=conflicts, solver=RecordingSolver())
         x1 = rebuilt.varmap.x_var("a1", "v01", 1)
         x2 = rebuilt.varmap.x_var("a2", "v01", 1)
         assert any(
-            sorted(c) == sorted((-x1, -x2)) for c in rebuilt.solver._added
+            sorted(c) == sorted((-x1, -x2)) for c in rebuilt.solver.clauses
         )
+
+
+def fresh_solver(nvars):
+    solver = CdclSolver()
+    return solver, [solver.new_var() for _ in range(nvars)]
 
 
 class TestCardinality:
-    def bare_model(self, nvars):
-        g = Graph(["a"], [])
-        inst = MapfInstance(g, [Agent(1, "a", "a")])
-        solver = CdclSolver()
-        lits = [solver.new_var() for _ in range(nvars)]
-        model = BooleanModel(
-            solver=solver, varmap=VariableMap(), mode=INCOMPLETE, horizon=0,
-            soc=0, delta=0, conflicts=ConflictSet(), instance=inst, diagrams={},
-        )
-        return model, lits
-
     def test_at_most_one_of_three_matches_enumeration(self):
         # every assignment with <= 1 true literal extends to the counter
         # variables; every assignment with >= 2 true literals is excluded
         for bits in itertools.product([False, True], repeat=3):
-            model, lits = self.bare_model(3)
-            cardinality_le(model, lits, 1)
+            solver, lits = fresh_solver(3)
+            cardinality_le(solver, lits, 1)
             for lit, bit in zip(lits, bits):
-                model.solver.add_clause([lit if bit else -lit])
-            extendable = model.solve() is not None
-            assert extendable == (sum(bits) <= 1), bits
+                solver.add_clause([lit if bit else -lit])
+            assert solver.solve() == (sum(bits) <= 1), bits
 
     def test_zero_bound_forces_all_false(self):
-        model, lits = self.bare_model(4)
-        cardinality_le(model, lits, 0)
-        assignment = model.solve()
-        assert assignment is not None
+        solver, lits = fresh_solver(4)
+        cardinality_le(solver, lits, 0)
+        assert solver.solve()
+        assignment = solver.model()
         assert all(not assignment[lit] for lit in lits)
 
     def test_slack_bound_has_no_effect(self):
         for bits in itertools.product([False, True], repeat=3):
-            model, lits = self.bare_model(3)
-            cardinality_le(model, lits, 3)
+            solver, lits = fresh_solver(3)
+            cardinality_le(solver, lits, 3)
             for lit, bit in zip(lits, bits):
-                model.solver.add_clause([lit if bit else -lit])
-            assert model.solve() is not None
+                solver.add_clause([lit if bit else -lit])
+            assert solver.solve()
 
     def test_general_bound_matches_enumeration(self):
         for k in (1, 2, 3):
             for bits in itertools.product([False, True], repeat=5):
-                model, lits = self.bare_model(5)
-                cardinality_le(model, lits, k)
+                solver, lits = fresh_solver(5)
+                cardinality_le(solver, lits, k)
                 for lit, bit in zip(lits, bits):
-                    model.solver.add_clause([lit if bit else -lit])
-                assert (model.solve() is not None) == (sum(bits) <= k)
+                    solver.add_clause([lit if bit else -lit])
+                assert solver.solve() == (sum(bits) <= k)
 
 
 class TestExtractSolution:
@@ -215,7 +217,8 @@ class TestExtractSolution:
             solution = extract_solution(model, assignment)
             for a, p in zip(inst.agents, solution.paths):
                 assert model.diagrams[a.id].contains_path(p)
-            assert sum_of_costs(inst, solution) <= model.soc
+            xi_sum = sum(bfs_distances(inst.graph, a.start)[a.goal] for a in inst.agents)
+            assert sum_of_costs(inst, solution) <= xi_sum + delta
 
 
 class TestCostIndicators:
@@ -258,12 +261,3 @@ class TestModelDefinitions:
             model = full_model(fix_b, delta=delta, mode=INCOMPLETE)
             assert model.solve() is not None
 
-
-def test_variable_map_json_round_trip(fix_b):
-    model = full_model(fix_b)
-    payload = json.loads(model.varmap.to_json())
-    assert len(payload) == model.solver.num_vars
-    kinds = {entry["kind"] for entry in payload.values()}
-    assert kinds <= {"vertex", "edge", "cost", "aux"}
-    x1 = model.varmap.x_var("a1", "v00", 0)
-    assert payload[str(x1)] == {"kind": "vertex", "agent": "a1", "vertex": "v00", "t": 0}

@@ -14,6 +14,7 @@ from mapfsat import (
     path_cost,
     shortest_path,
 )
+from mapfsat import pathing
 from conftest import random_grid_instance
 
 
@@ -24,11 +25,11 @@ def vconf(*entries) -> AgentConflicts:
 class TestBfsDistances:
     def test_path_graph(self, fix_a):
         d = bfs_distances(fix_a.graph, "v1")
-        assert d.distances == {"v1": 0, "v2": 1, "v3": 2}
+        assert d == {"v1": 0, "v2": 1, "v3": 2}
 
     def test_cycle(self, fix_b):
         d = bfs_distances(fix_b.graph, "v00")
-        assert d.distances == {"v00": 0, "v01": 1, "v10": 1, "v11": 2}
+        assert d == {"v00": 0, "v01": 1, "v10": 1, "v11": 2}
 
     def test_disconnected_vertex_absent(self):
         from mapfsat import Graph
@@ -39,7 +40,7 @@ class TestBfsDistances:
         assert d.get("c") is None
 
     def test_adjacent_vertices_differ_by_at_most_one(self, fix_c):
-        d = bfs_distances(fix_c.graph, "v1").distances
+        d = bfs_distances(fix_c.graph, "v1")
         for u, v in fix_c.graph.edges:
             assert abs(d[u] - d[v]) <= 1
 
@@ -54,7 +55,7 @@ class TestConstrainedShortestPath:
         assert p is None
 
     def test_plain_shortest(self, fix_a):
-        p = constrained_shortest_path(fix_a, "a1", AgentConflicts.empty(), 2, 2)
+        p = constrained_shortest_path(fix_a, "a1", AgentConflicts(), 2, 2)
         assert p.positions == ("v1", "v2", "v3")
 
     def test_edge_conflict_forces_detour(self, fix_b):
@@ -77,7 +78,7 @@ class TestConstrainedShortestPath:
             for a in inst.agents:
                 want = bfs_distances(inst.graph, a.start).get(a.goal)
                 p = constrained_shortest_path(
-                    inst, a.id, AgentConflicts.empty(), want, want
+                    inst, a.id, AgentConflicts(), want, want
                 )
                 assert path_cost(p, a.goal) == want
 
@@ -124,13 +125,13 @@ class TestNewAndPath:
         assert new_and_path(fix_a, "a1", [], vconf(("v2", 1), ("v2", 2)), 3, 3) is None
 
     def test_vacuous_avoidance_is_the_shortest_path(self, fix_a):
-        p = new_and_path(fix_a, "a1", [], AgentConflicts.empty(), 2, 2)
+        p = new_and_path(fix_a, "a1", [], AgentConflicts(), 2, 2)
         assert p.positions == shortest_path(fix_a, "a1").positions
 
     def test_path_already_represented_gives_empty(self, fix_a):
         existing = shortest_path(fix_a, "a1")
         assert (
-            new_and_path(fix_a, "a1", [existing], AgentConflicts.empty(), 2, 2) is None
+            new_and_path(fix_a, "a1", [existing], AgentConflicts(), 2, 2) is None
         )
 
     def test_avoids_every_conflict(self, fix_c):
@@ -158,15 +159,16 @@ class TestNewOrPaths:
         ]
 
     def test_no_conflicts_no_paths(self, fix_a):
-        assert new_or_paths(fix_a, "a1", AgentConflicts.empty(), 4, 4) == []
+        assert new_or_paths(fix_a, "a1", AgentConflicts(), 4, 4) == []
 
     def test_single_conflict_yields_at_most_one(self, fix_a):
         got = new_or_paths(fix_a, "a1", vconf(("v2", 1)), 4, 4)
         assert len(got) <= 1
 
-    def test_subset_cap_limits_enumeration(self, fix_a):
+    def test_subset_cap_limits_enumeration(self, fix_a, monkeypatch):
+        monkeypatch.setattr(pathing, "OR_SUBSET_LIMIT", 2)
         conf = vconf(("v2", 1), ("v2", 2))
-        capped = new_or_paths(fix_a, "a1", conf, 4, 4, subset_cap=2)
+        capped = new_or_paths(fix_a, "a1", conf, 4, 4)
         assert [p.positions for p in capped] == [
             ("v1", "v1", "v2", "v3"),
             ("v1", "v2", "v3", "v3"),

@@ -202,12 +202,21 @@ def test_incremental_cnf_agrees_with_brute_force(rounds):
             assert check_model(acc, s.model())
 
 
-def test_dimacs_export():
-    s = solver_with(3, [[1, -2], [2, 3], [-1]])
-    text = s.to_dimacs()
-    lines = text.strip().splitlines()
-    assert lines[0] == "p cnf 3 3"
-    assert lines[1:] == ["1 -2 0", "2 3 0", "-1 0"]
+def test_num_clauses_counts_every_added_clause_but_tautologies():
+    s = solver_with(3, [])
+    s.add_clause([1, 1, 2])  # duplicate literal: one clause
+    assert s.num_clauses == 1
+    s.add_clause([1, -1])  # tautology: constrains nothing, not counted
+    assert s.num_clauses == 1
+    s.add_clause([3])  # unit
+    assert s.num_clauses == 2
+    s.add_clause([3, 2])  # already satisfied at level 0
+    assert s.num_clauses == 3
+    s.add_clause([-3])  # contradicts the unit
+    assert s.num_clauses == 4
+    assert s.solve() is False
+    s.add_clause([2])  # added after UNSAT
+    assert s.num_clauses == 5
 
 
 def test_interrupt_hook_aborts_and_instance_stays_usable():

@@ -22,7 +22,6 @@ from mapfsat import (
     build_mdd,
     heuristic_fixed,
     solution_json,
-    solve,
     solve_cbs,
     solve_heuristic_smt_cbs,
     solve_mdd_sat,
@@ -279,12 +278,6 @@ class TestTimeoutAndConfig:
     def test_cost_cap_below_shortest_total_rejected(self, fix_b):
         with pytest.raises(ValueError):
             solve_mdd_sat(fix_b, SolverConfig(cost_cap=3))
-
-    def test_dispatcher_selects_algorithm(self, fix_a):
-        out = solve(fix_a, SolverConfig(algorithm="cbs"))
-        assert out.soc == 2
-        with pytest.raises(ValueError):
-            solve(fix_a, SolverConfig(algorithm="nope"))
 
 
 def test_solution_json_shape(fix_b):
