@@ -14,7 +14,7 @@ from pathlib import Path as FsPath
 from typing import Iterable, Sequence
 
 from .instance import ParseError, build_instance, parse_map, parse_scen
-from .solvers import ALGORITHMS, SolverConfig
+from .solvers import ALGORITHMS, ConfigError, SolverConfig
 
 ERROR = "error"
 PARSE_ERROR = "parse error"  # reason prefix: a map or scenario failed to parse
@@ -42,7 +42,7 @@ def discover_suite(suite_dir: str | FsPath) -> list[FsPath]:
     return sorted(FsPath(suite_dir).glob("*.scen"))
 
 
-def _run_one(scen_path: FsPath, agents: int, algo: str, timeout_s: float) -> BenchRecord:
+def _run_one(scen_path: FsPath, agents: int, algo: str, config: SolverConfig) -> BenchRecord:
     scen_name = scen_path.name
 
     def err(reason: str, map_name: str = "") -> BenchRecord:
@@ -68,7 +68,6 @@ def _run_one(scen_path: FsPath, agents: int, algo: str, timeout_s: float) -> Ben
         instance = build_instance(graph, specs, agents)
     except ValueError as exc:
         return err(str(exc), map_name)
-    config = SolverConfig(timeout_s=timeout_s)
     outcome = ALGORITHMS[algo](instance, config)
     return BenchRecord(
         map_name=map_name,
@@ -91,13 +90,18 @@ def run_benchmark(
     timeout_s: float = 128.0,
     workers: int = 1,
 ) -> list[BenchRecord]:
-    """One record per (scenario, agent count, algorithm), in stable order."""
+    """One record per (scenario, agent count, algorithm), in stable order.
+
+    Raises ConfigError on an unknown algorithm or a time limit that is not
+    positive, before any run starts.
+    """
     for algo in algorithms:
         if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algo!r}")
+            raise ConfigError(f"unknown algorithm {algo!r}")
+    config = SolverConfig(timeout_s=timeout_s)
     scens = discover_suite(suite_dir)[:per_count]
     tasks = [
-        (scen, n, algo, timeout_s)
+        (scen, n, algo, config)
         for scen in scens
         for n in agent_counts
         for algo in algorithms

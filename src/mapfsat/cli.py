@@ -3,9 +3,11 @@
 Exit code 0 means the command ran. Exit code 2 means bad input, reported as
 one `mapf: <message>` line per problem on stderr. For `solve` that is a map
 or scenario file that is missing, unreadable or fails to parse, an agent
-count beyond the scenario, or a start or goal on a blocked cell. For `bench`
-it is a map or scenario file that fails to parse; other unusable inputs
-become `error` records with a reason and leave the exit code at 0.
+count beyond the scenario, a start or goal on a blocked cell, a `--timeout`
+that is not positive, or a `--cost-cap` below the sum of shortest-path
+costs. For `bench` it is an unknown name in `--algos`, a `--timeout` that is
+not positive, or a map or scenario file that fails to parse; other unusable
+inputs become `error` records with a reason and leave the exit code at 0.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path as FsPath
 
 from .bench import PARSE_ERROR, run_benchmark, write_csv
 from .instance import InstanceError, ParseError, build_instance, parse_map, parse_scen
-from .solvers import ALGORITHMS, SolverConfig, solution_json
+from .solvers import ALGORITHMS, ConfigError, SolverConfig, solution_json
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,16 +48,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_input(exc: Exception) -> int:
+    print(f"mapf: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_solve(args) -> int:
     try:
         graph = parse_map(FsPath(args.map).read_text())
         specs = parse_scen(FsPath(args.scen).read_text())
         instance = build_instance(graph, specs, args.agents)
     except (OSError, ParseError, InstanceError) as exc:
-        print(f"mapf: {exc}", file=sys.stderr)
-        return 2
-    config = SolverConfig(timeout_s=args.timeout, cost_cap=args.cost_cap)
-    outcome = ALGORITHMS[args.algo](instance, config)
+        return _bad_input(exc)
+    try:
+        config = SolverConfig(timeout_s=args.timeout, cost_cap=args.cost_cap)
+        outcome = ALGORITHMS[args.algo](instance, config)
+    except ConfigError as exc:
+        return _bad_input(exc)
     instance_id = f"{FsPath(args.map).name}:{FsPath(args.scen).name}:{args.agents}"
     payload = json.dumps(solution_json(instance_id, args.algo, outcome), indent=2)
     if args.out:
@@ -68,10 +77,13 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     counts = [int(n) for n in args.agents.split(",") if n.strip()]
-    records = run_benchmark(
-        args.suite, algos, counts,
-        per_count=args.per_count, timeout_s=args.timeout, workers=args.workers,
-    )
+    try:
+        records = run_benchmark(
+            args.suite, algos, counts,
+            per_count=args.per_count, timeout_s=args.timeout, workers=args.workers,
+        )
+    except ConfigError as exc:
+        return _bad_input(exc)
     write_csv(records, args.csv)
     print(f"wrote {len(records)} records to {args.csv}")
     failures = dict.fromkeys(r.reason for r in records if r.reason.startswith(PARSE_ERROR))

@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Sequence
 
 from .instance import MapfInstance, Path, Vertex, vertex_sort_key
-from .pathing import bfs_distances
+from .pathing import Distances
+from .pathing import bfs_distances  # noqa: F401  the layer tracer wraps this name here
 
 
 class InfeasibleAgentError(ValueError):
@@ -77,7 +78,7 @@ class Mdd:
 
 
 def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
-              cost_bound: int) -> Mdd:
+              cost_bound: int, distances: Distances | None = None) -> Mdd:
     """Full diagram of every start->goal path within the horizon and cost bound.
 
     The goal node persists at every level from the earliest arrival onward,
@@ -85,8 +86,9 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
     """
     graph = instance.graph
     agent = instance.agent(agent_id)
-    dist_start = bfs_distances(graph, agent.start)
-    dist_goal = bfs_distances(graph, agent.goal)
+    distances = distances if distances is not None else Distances(graph)
+    dist_start = distances.dist(agent.start)
+    dist_goal = distances.dist(agent.goal)
     xi = dist_start.get(agent.goal)
     if xi is None:
         raise InfeasibleAgentError(f"goal of agent {agent_id!r} is unreachable")
@@ -98,19 +100,14 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
         )
     bound = min(cost_bound, horizon)
 
-    levels: list[set[Vertex]] = []
-    for t in range(horizon + 1):
-        nodes = set()
-        for v, ds in dist_start.items():
-            if ds > t:
-                continue
-            if v == agent.goal:
-                nodes.add(v)
-            else:
-                dg = dist_goal.get(v)
-                if dg is not None and t + dg <= bound:
-                    nodes.add(v)
-        levels.append(nodes)
+    # v sits on levels dist_start[v] .. bound - dist_goal[v] (the goal on every
+    # level from its arrival on). Visiting vertices in BFS order fills each
+    # level in the same order as a per-level scan would.
+    levels: list[set[Vertex]] = [set() for _ in range(horizon + 1)]
+    for v, ds in dist_start.items():
+        last = horizon if v == agent.goal else bound - dist_goal[v]
+        for t in range(ds, last + 1):
+            levels[t].add(v)
 
     edges = set()
     for t in range(horizon):

@@ -18,7 +18,8 @@ from typing import Hashable, Iterable, Mapping, Optional
 
 from .diagrams import Mdd
 from .instance import Collision, MapfInstance, Path, Solution, Vertex, vertex_sort_key
-from .pathing import ConflictSet, bfs_distances
+from .pathing import ConflictSet, Distances
+from .pathing import bfs_distances  # noqa: F401  the layer tracer wraps this name here
 from .satif import CdclSolver, SatSolver
 
 COMPLETE = "complete"
@@ -120,6 +121,7 @@ def build_model(
     soc: int,
     mode: str,
     solver: SatSolver | None = None,
+    distances: Distances | None = None,
 ) -> BooleanModel:
     """Fresh solver instance encoding the diagrams under the given bounds."""
     if mode not in (COMPLETE, INCOMPLETE):
@@ -130,9 +132,8 @@ def build_model(
     for a in agents:
         if diagrams[a.id].horizon != horizon:
             raise ValueError(f"diagram of agent {a.id!r} has mismatched horizon")
-    xi = {
-        a.id: bfs_distances(instance.graph, a.start).get(a.goal) for a in agents
-    }
+    distances = distances if distances is not None else Distances(instance.graph)
+    xi = {a.id: distances.dist(a.start).get(a.goal) for a in agents}
     if any(d is None for d in xi.values()):
         raise ValueError("some agent cannot reach its goal")
     delta = soc - sum(xi.values())

@@ -82,6 +82,24 @@ def bfs_distances(graph: Graph, source: Vertex) -> dict[Vertex, int]:
     return dist
 
 
+class Distances:
+    """BFS tables of one graph, each computed the first time it is asked for.
+
+    A solver makes one per solve and drops it when the solve returns, so no
+    table outlives the solve that needed it.
+    """
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self._tables: dict[Vertex, dict[Vertex, int]] = {}
+
+    def dist(self, source: Vertex) -> dict[Vertex, int]:
+        table = self._tables.get(source)
+        if table is None:
+            table = self._tables[source] = bfs_distances(self.graph, source)
+        return table
+
+
 def constrained_shortest_path(
     instance: MapfInstance,
     agent_id: Hashable,
@@ -89,6 +107,7 @@ def constrained_shortest_path(
     horizon: int,
     cost_bound: int,
     min_length: int = 0,
+    distances: Distances | None = None,
 ) -> Optional[Path]:
     """Minimum-cost start->goal path of length <= horizon and cost <= cost_bound.
 
@@ -103,7 +122,8 @@ def constrained_shortest_path(
     graph = instance.graph
     agent = instance.agent(agent_id)
     start, goal = agent.start, agent.goal
-    dist_goal = bfs_distances(graph, goal)
+    distances = distances if distances is not None else Distances(graph)
+    dist_goal = distances.dist(goal)
     if start not in dist_goal:
         return None
 
@@ -161,13 +181,16 @@ def constrained_shortest_path(
     return None
 
 
-def shortest_path(instance: MapfInstance, agent_id: Hashable) -> Optional[Path]:
+def shortest_path(instance: MapfInstance, agent_id: Hashable,
+                  distances: Distances | None = None) -> Optional[Path]:
     """Deterministic unconstrained shortest path for one agent."""
     agent = instance.agent(agent_id)
-    dist = bfs_distances(instance.graph, agent.start).get(agent.goal)
+    distances = distances if distances is not None else Distances(instance.graph)
+    dist = distances.dist(agent.start).get(agent.goal)
     if dist is None:
         return None
-    return constrained_shortest_path(instance, agent_id, AgentConflicts(), dist, dist)
+    return constrained_shortest_path(instance, agent_id, AgentConflicts(), dist, dist,
+                                     distances=distances)
 
 
 def _padded_steps(paths: Iterable[Path], horizon: int) -> set[tuple[int, Vertex, Vertex]]:
@@ -185,6 +208,7 @@ def new_and_path(
     conflicts: AgentConflicts,
     horizon: int,
     cost_bound: int,
+    distances: Distances | None = None,
 ) -> Optional[Path]:
     """Shortest path avoiding every conflict of the agent at once.
 
@@ -192,7 +216,8 @@ def new_and_path(
     found path is already represented by the sparse diagram of the candidate
     set (adding it again would change nothing).
     """
-    path = constrained_shortest_path(instance, agent_id, conflicts, horizon, cost_bound)
+    path = constrained_shortest_path(instance, agent_id, conflicts, horizon, cost_bound,
+                                     distances=distances)
     if path is None:
         return None
     candidates = list(candidate_paths)
@@ -219,6 +244,7 @@ def new_or_paths(
     conflicts: AgentConflicts,
     horizon: int,
     cost_bound: int,
+    distances: Distances | None = None,
 ) -> list[Path]:
     """One shortest avoiding path per nonempty conflict subset.
 
@@ -249,6 +275,7 @@ def new_or_paths(
                 horizon,
                 cost_bound,
                 min_length=last_t + 1,
+                distances=distances,
             )
             if path is not None and path.positions not in seen_positions:
                 seen_positions.add(path.positions)

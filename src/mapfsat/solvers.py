@@ -56,7 +56,8 @@ from .instance import (
 from .pathing import (
     AgentConflicts,
     ConflictSet,
-    bfs_distances,
+    Distances,
+    bfs_distances,  # noqa: F401  the layer tracer wraps this name here
     constrained_shortest_path,
     new_and_path,
     new_or_paths,
@@ -75,6 +76,11 @@ class SolveTimeout(Exception):
 
 class _CapExceeded(Exception):
     pass
+
+
+class ConfigError(ValueError):
+    """An unusable setting: a time limit that is not positive, a cost cap
+    below the shortest-path total, or an unknown algorithm name."""
 
 
 class Deadline:
@@ -104,7 +110,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
+            raise ConfigError("timeout must be positive")
 
 
 @dataclass(frozen=True)
@@ -143,10 +149,11 @@ class SolveOutcome:
         return self.status == SOLVED
 
 
-def _shortest_costs(instance: MapfInstance) -> dict[Hashable, int] | None:
+def _shortest_costs(instance: MapfInstance,
+                    distances: Distances) -> dict[Hashable, int] | None:
     xi = {}
     for a in instance.agents:
-        d = bfs_distances(instance.graph, a.start).get(a.goal)
+        d = distances.dist(a.start).get(a.goal)
         if d is None:
             return None
         xi[a.id] = d
@@ -157,7 +164,7 @@ def _resolve_cap(instance: MapfInstance, config: SolverConfig, soc0: int) -> int
     if config.cost_cap is None:
         return soc0 + instance.graph.vertex_count * max(instance.k, 1)
     if config.cost_cap < soc0:
-        raise ValueError(f"cost cap {config.cost_cap} below shortest-cost total {soc0}")
+        raise ConfigError(f"cost cap {config.cost_cap} below shortest-cost total {soc0}")
     return config.cost_cap
 
 
@@ -196,7 +203,8 @@ def solve_cbs(instance: MapfInstance, config: SolverConfig | None = None) -> Sol
 
 
 def _cbs(instance, config, deadline, stats):
-    xi = _shortest_costs(instance)
+    distances = Distances(instance.graph)
+    xi = _shortest_costs(instance, distances)
     if xi is None:
         raise _CapExceeded
     soc0 = sum(xi.values())
@@ -207,7 +215,8 @@ def _cbs(instance, config, deadline, stats):
     root_paths = {}
     for a in agent_ids:
         budget = cap - (soc0 - xi[a])
-        p = constrained_shortest_path(instance, a, root_constraints[a], budget, budget)
+        p = constrained_shortest_path(instance, a, root_constraints[a], budget, budget,
+                                      distances=distances)
         if p is None:
             raise _CapExceeded
         root_paths[a] = p
@@ -250,7 +259,8 @@ def _cbs(instance, config, deadline, stats):
             budget = cap - others
             if budget < xi[agent_id]:
                 continue
-            path = constrained_shortest_path(instance, agent_id, child, budget, budget)
+            path = constrained_shortest_path(instance, agent_id, child, budget, budget,
+                                             distances=distances)
             if path is None:
                 continue
             new_constraints = dict(constraints)
@@ -275,10 +285,11 @@ class CandidateSets:
         self._full: dict[Hashable, bool] = {a.id: False for a in instance.agents}
 
     @classmethod
-    def initial(cls, instance: MapfInstance) -> "CandidateSets":
+    def initial(cls, instance: MapfInstance,
+                distances: Distances | None = None) -> "CandidateSets":
         sets = cls(instance)
         for a in instance.agents:
-            p = shortest_path(instance, a.id)
+            p = shortest_path(instance, a.id, distances)
             if p is None:
                 raise InfeasibleAgentError(f"goal of agent {a.id!r} is unreachable")
             sets.add(a.id, p)
@@ -330,7 +341,8 @@ def _lazy_solve(mode, extend, instance, config, deadline, stats):
     Candidate sets and accumulated conflicts carry over from bound to bound.
     With `extend` None every agent starts on its full diagram.
     """
-    xi = _shortest_costs(instance)
+    distances = Distances(instance.graph)
+    xi = _shortest_costs(instance, distances)
     if xi is None:
         raise _CapExceeded
     soc0 = sum(xi.values())
@@ -341,12 +353,12 @@ def _lazy_solve(mode, extend, instance, config, deadline, stats):
         for a in instance.agents:
             candidates.promote(a.id)
     else:
-        candidates = CandidateSets.initial(instance)
+        candidates = CandidateSets.initial(instance, distances)
     conflicts = ConflictSet()
     for soc in range(soc0, cap + 1):
         horizon = mu0 + (soc - soc0)
         solution = _fixed(instance, deadline, stats, candidates, conflicts, horizon,
-                          soc, xi, mode, extend)
+                          soc, xi, mode, extend, distances)
         if solution is not None:
             return solution, sum_of_costs(instance, solution)
     raise _CapExceeded
@@ -370,16 +382,17 @@ def heuristic_fixed(
     config = config if config is not None else SolverConfig()
     deadline = deadline if deadline is not None else Deadline(config.timeout_s)
     stats = stats if stats is not None else SolveStats()
-    xi = _shortest_costs(instance)
+    distances = Distances(instance.graph)
+    xi = _shortest_costs(instance, distances)
     if xi is None:
         raise InfeasibleAgentError("some agent cannot reach its goal")
     solution = _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc,
-                      xi, INCOMPLETE, "and")
+                      xi, INCOMPLETE, "and", distances)
     return solution, conflicts
 
 
 def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
-           mode, extend):
+           mode, extend, distances):
     """One round at fixed cost and horizon bounds: a collision-free solution or None.
 
     Collisions become lazy clauses and grow `conflicts` and `candidates` in
@@ -392,14 +405,15 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
         if model is None:
             deadline.check()
             diagrams = {
-                a.id: build_mdd(instance, a.id, horizon, bounds[a.id])
+                a.id: build_mdd(instance, a.id, horizon, bounds[a.id], distances)
                 if candidates.is_full(a.id)
                 else build_smdd(a.id, candidates.paths(a.id), horizon)
                 for a in instance.agents
             }
             # long single SAT calls poll the deadline between conflicts
             model = build_model(instance, diagrams, conflicts, horizon, soc, mode,
-                                solver=CdclSolver(interrupt=deadline.check))
+                                solver=CdclSolver(interrupt=deadline.check),
+                                distances=distances)
             stats.iterations.append(IterationStat(
                 soc=soc,
                 makespan=horizon,
@@ -427,11 +441,13 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
             )
         stats.conflicts += len(collisions)
         add_conflict_clauses(model, collisions)
-        if _extend(instance, candidates, conflicts, collisions, horizon, bounds, extend):
+        if _extend(instance, candidates, conflicts, collisions, horizon, bounds, extend,
+                   distances):
             model = None  # diagrams changed shape: rebuild on the next pass
 
 
-def _extend(instance, candidates, conflicts, collisions, horizon, bounds, extend):
+def _extend(instance, candidates, conflicts, collisions, horizon, bounds, extend,
+            distances):
     """Grow the sparse candidate sets after a collision; True if any changed.
 
     "and" adds per agent one path avoiding all of its conflicts; "or" adds,
@@ -445,7 +461,7 @@ def _extend(instance, candidates, conflicts, collisions, horizon, bounds, extend
                 continue
             pi = new_and_path(
                 instance, a.id, candidates.paths(a.id),
-                conflicts.for_agent(a.id), horizon, bounds[a.id],
+                conflicts.for_agent(a.id), horizon, bounds[a.id], distances,
             )
             if pi is None:
                 candidates.promote(a.id)
@@ -463,7 +479,7 @@ def _extend(instance, candidates, conflicts, collisions, horizon, bounds, extend
                 continue
             paths = new_or_paths(
                 instance, agent_id, conflicts.for_agent(agent_id), horizon,
-                bounds[agent_id],
+                bounds[agent_id], distances,
             )
             added = [p for p in paths if candidates.add(agent_id, p)]
             if not added:

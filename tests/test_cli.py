@@ -121,3 +121,34 @@ def test_bench_parse_error_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"mapf: {reason}\n"
     records = read_csv(out)
     assert [(r.status, r.reason) for r in records] == [("error", reason)] * 2
+
+
+def test_solve_bad_timeout_exits_2(capsys):
+    assert main(solve_args() + ["--timeout", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "mapf: timeout must be positive\n"
+
+
+def test_solve_cost_cap_below_shortest_total_exits_2(capsys):
+    assert main(solve_args() + ["--cost-cap", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mapf: cost cap 1 below") and err.count("\n") == 1
+
+
+def bench_args(suite, csv_path, algos="cbs", timeout="30"):
+    return ["bench", "--suite", str(suite), "--algos", algos, "--agents", "2",
+            "--per-count", "1", "--timeout", timeout, "--csv", str(csv_path)]
+
+
+def test_bench_unknown_algorithm_exits_2(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    assert main(bench_args(SUITE, out, algos="cbs,nope")) == 2
+    assert capsys.readouterr().err == "mapf: unknown algorithm 'nope'\n"
+    assert not out.exists()
+
+
+def test_bench_bad_timeout_exits_2(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    assert main(bench_args(SUITE, out, timeout="0")) == 2
+    assert capsys.readouterr().err == "mapf: timeout must be positive\n"
+    assert not out.exists()

@@ -75,8 +75,12 @@ class TestBuildMdd:
             build_mdd(inst, 1, 4, 4)
 
     def test_matches_brute_force_expansion(self):
+        # horizons above the cost bound are what every agent shorter than the
+        # longest one gets in a SAT round: the goal then fills every level
+        # from its arrival on, other vertices stop at bound - dist_goal
         rng = random.Random(13)
         checked = 0
+        above_bound = 0
         while checked < 25:
             inst = random_grid_instance(rng)
             if inst.graph.vertex_count > 8:
@@ -86,19 +90,21 @@ class TestBuildMdd:
 
             xi = bfs_distances(inst.graph, agent.start).get(agent.goal)
             for slack in (0, 1, 2):
-                horizon = min(xi + slack, 6)
-                if horizon < xi:
-                    continue
                 bound = xi + slack
-                mdd = build_mdd(inst, agent.id, horizon, bound)
-                walks = enumerate_expansions(
-                    inst.graph, agent.start, agent.goal, horizon, bound
-                )
-                nodes, edges = expansion_nodes_edges(walks)
-                got_nodes = {(t, v) for t, lvl in enumerate(mdd.levels) for v in lvl}
-                assert got_nodes == nodes
-                assert set(mdd.edges) == edges
+                for horizon in sorted({min(bound, 6), bound + 1, bound + 2}):
+                    if horizon < xi or horizon > 6:
+                        continue
+                    above_bound += horizon > bound
+                    mdd = build_mdd(inst, agent.id, horizon, bound)
+                    walks = enumerate_expansions(
+                        inst.graph, agent.start, agent.goal, horizon, bound
+                    )
+                    nodes, edges = expansion_nodes_edges(walks)
+                    got_nodes = {(t, v) for t, lvl in enumerate(mdd.levels) for v in lvl}
+                    assert got_nodes == nodes
+                    assert set(mdd.edges) == edges
             checked += 1
+        assert above_bound >= 100
 
 
 class TestBuildSmdd:

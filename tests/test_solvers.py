@@ -30,7 +30,7 @@ from mapfsat import (
     sum_of_costs,
     validate_solution,
 )
-from mapfsat import solvers
+from mapfsat import diagrams, encoding, pathing, solvers
 from mapfsat.solvers import SolveStats
 from conftest import random_grid_instance
 
@@ -306,3 +306,28 @@ def test_complete_model_collision_is_a_soundness_error(fix_b, monkeypatch):
     monkeypatch.setattr(solvers, "validate_solution", lambda inst, sol: [fake])
     with pytest.raises(EncodingSoundnessError):
         solve_mdd_sat(fix_b, QUICK)
+
+
+def test_bfs_runs_at_most_twice_per_agent_per_solve(fix_c, monkeypatch):
+    # one table from each start and each goal, shared by every layer of the
+    # solve; the same count on a second solve shows no table outlived the first
+    sources = []
+    real = pathing.bfs_distances
+
+    def counting(graph, source):
+        sources.append(source)
+        return real(graph, source)
+
+    for module in (pathing, diagrams, encoding, solvers):
+        monkeypatch.setattr(module, "bfs_distances", counting)
+    rng = random.Random(606)
+    instances = [fix_c, *(random_grid_instance(rng) for _ in range(4))]
+    for inst in instances:
+        for algo, solve in ALGORITHMS.items():
+            counts = []
+            for _ in range(2):
+                sources.clear()
+                assert solve(inst, QUICK).solved
+                counts.append(len(sources))
+            assert 0 < counts[0] <= 2 * inst.k, algo
+            assert counts[1] == counts[0], algo
