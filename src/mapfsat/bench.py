@@ -13,11 +13,15 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Iterable, Sequence
 
+from .encoding import EncodingSoundnessError
 from .instance import ParseError, build_instance, parse_map, parse_scen
+from .satif import SatBackendError
 from .solvers import ALGORITHMS, ConfigError, SolverConfig
 
 ERROR = "error"
 PARSE_ERROR = "parse error"  # reason prefix: a map or scenario failed to parse
+# faults of one run that become one `error` record, reason "<class>: <message>"
+SOLVER_FAULTS = (EncodingSoundnessError, SatBackendError, MemoryError)
 
 CSV_COLUMNS = ["map", "scen", "agents", "algo", "status", "runtime_s", "soc",
                "sat_calls", "conflicts", "reason"]
@@ -68,7 +72,10 @@ def _run_one(scen_path: FsPath, agents: int, algo: str, config: SolverConfig) ->
         instance = build_instance(graph, specs, agents)
     except ValueError as exc:
         return err(str(exc), map_name)
-    outcome = ALGORITHMS[algo](instance, config)
+    try:
+        outcome = ALGORITHMS[algo](instance, config)
+    except SOLVER_FAULTS as exc:
+        return err(f"{type(exc).__name__}: {exc}", map_name)
     return BenchRecord(
         map_name=map_name,
         scen_name=scen_name,

@@ -5,9 +5,12 @@ one `mapf: <message>` line per problem on stderr. For `solve` that is a map
 or scenario file that is missing, unreadable or fails to parse, an agent
 count beyond the scenario, a start or goal on a blocked cell, a `--timeout`
 that is not positive, or a `--cost-cap` below the sum of shortest-path
-costs. For `bench` it is an unknown name in `--algos`, a `--timeout` that is
-not positive, or a map or scenario file that fails to parse; other unusable
-inputs become `error` records with a reason and leave the exit code at 0.
+costs. For `bench` it is an unknown name in `--algos`, a non-integer
+`--agents` entry, a `--timeout` that is not positive, or a map or scenario
+file that fails to parse; other unusable inputs become `error` records with
+a reason and leave the exit code at 0. `bench` exits 1, ahead of bad input,
+when a run raised one of `bench.SOLVER_FAULTS`; that run is one `error`
+record with one `mapf: <reason>` line, and the other runs complete.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import sys
 from pathlib import Path as FsPath
 
-from .bench import PARSE_ERROR, run_benchmark, write_csv
+from .bench import PARSE_ERROR, SOLVER_FAULTS, run_benchmark, write_csv
 from .instance import InstanceError, ParseError, build_instance, parse_map, parse_scen
 from .solvers import ALGORITHMS, ConfigError, SolverConfig, solution_json
 
@@ -48,8 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bad_input(exc: Exception) -> int:
-    print(f"mapf: {exc}", file=sys.stderr)
+def _bad_input(problem: Exception | str) -> int:
+    print(f"mapf: {problem}", file=sys.stderr)
     return 2
 
 
@@ -76,7 +79,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    counts = [int(n) for n in args.agents.split(",") if n.strip()]
+    try:
+        counts = [int(n) for n in args.agents.split(",") if n.strip()]
+    except ValueError:
+        return _bad_input(f"--agents wants comma-separated integers, got {args.agents!r}")
     try:
         records = run_benchmark(
             args.suite, algos, counts,
@@ -87,9 +93,11 @@ def _cmd_bench(args) -> int:
     write_csv(records, args.csv)
     print(f"wrote {len(records)} records to {args.csv}")
     failures = dict.fromkeys(r.reason for r in records if r.reason.startswith(PARSE_ERROR))
-    for reason in failures:
+    fault_prefixes = tuple(f"{e.__name__}: " for e in SOLVER_FAULTS)
+    faults = [r.reason for r in records if r.reason.startswith(fault_prefixes)]
+    for reason in [*failures, *faults]:
         print(f"mapf: {reason}", file=sys.stderr)
-    return 2 if failures else 0
+    return 1 if faults else 2 if failures else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -117,35 +117,10 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
                 if w in nxt:
                     edges.add((t, u, w))
 
-    _prune_dead_nodes(levels, edges, agent.start, agent.goal, horizon)
+    # No pruning pass: with exact BFS distances on an undirected graph where
+    # agents may wait, every node above lies on a start->goal walk within the
+    # bound (checked by test_matches_brute_force_expansion).
     return Mdd(agent_id, horizon, levels, edges)
-
-
-def _prune_dead_nodes(levels: list[set[Vertex]], edges: set[tuple[int, Vertex, Vertex]],
-                      start: Vertex, goal: Vertex, horizon: int) -> None:
-    """Drop nodes not on any directed start->goal path (backward then forward)."""
-    out: dict[tuple[int, Vertex], list[Vertex]] = {}
-    for t, u, v in edges:
-        out.setdefault((t, u), []).append(v)
-    alive: list[set[Vertex]] = [set() for _ in range(horizon + 1)]
-    if goal in levels[horizon]:
-        alive[horizon].add(goal)
-    for t in range(horizon - 1, -1, -1):
-        for u in levels[t]:
-            if any(v in alive[t + 1] for v in out.get((t, u), ())):
-                alive[t].add(u)
-    reach: list[set[Vertex]] = [set() for _ in range(horizon + 1)]
-    if start in alive[0]:
-        reach[0].add(start)
-    for t in range(horizon):
-        for u in reach[t]:
-            for v in out.get((t, u), ()):
-                if v in alive[t + 1]:
-                    reach[t + 1].add(v)
-    for t in range(horizon + 1):
-        levels[t] = reach[t]
-    dead = {(t, u, v) for (t, u, v) in edges if u not in levels[t] or v not in levels[t + 1]}
-    edges -= dead
 
 
 def build_smdd(agent_id: Hashable, paths: Sequence[Path], horizon: int) -> Mdd:

@@ -149,10 +149,10 @@ def build_model(
         for t in range(horizon + 1):
             for v in mdd.levels[t]:
                 vm.x[(a.id, v, t)] = s.new_var()
-        for t, u, v in sorted(
-            mdd.edges, key=lambda e: (e[0], vertex_sort_key(e[1]), vertex_sort_key(e[2]))
-        ):
-            vm.e[(a.id, u, v, t)] = s.new_var()
+        for t in range(horizon):
+            for u in mdd.levels[t]:
+                for w in mdd.outgoing(u, t):
+                    vm.e[(a.id, u, w, t)] = s.new_var()
         for t in range(xi[a.id], horizon):
             vm.c[(a.id, t)] = s.new_var()
 
@@ -168,7 +168,9 @@ def build_model(
                 outs = [vm.e[(a.id, u, w, t)] for w in mdd.outgoing(u, t)]
                 s.add_clause([-xv] + outs)
                 _at_most_one(s, outs)
-        # an edge pins both of its endpoints
+        # an edge pins both of its endpoints; this loop keeps the frozenset's
+        # order on purpose: the clause order feeds the watch lists, so sorting
+        # it would change the search
         for t, u, v in mdd.edges:
             ev = vm.e[(a.id, u, v, t)]
             s.add_clause([-ev, vm.x[(a.id, u, t)]])
@@ -190,8 +192,8 @@ def build_model(
                 s.add_clause([-nxt, ct])
             s.add_clause([-ct] + support + ([nxt] if nxt is not None else []))
 
-    all_c = [vm.c[key] for key in sorted(vm.c, key=lambda k: (instance.agent_index(k[0]), k[1]))]
-    cardinality_le(s, all_c, delta)
+    # allocated agent by agent in instance order, then by step
+    cardinality_le(s, list(vm.c.values()), delta)
 
     if mode == COMPLETE:
         _emit_complete_constraints(model)
@@ -213,15 +215,15 @@ def _emit_complete_constraints(model: BooleanModel) -> None:
         _at_most_one(s, shared[key])
     # no pair of agents may swap across one edge
     for i in range(len(agents)):
+        mdd = model.diagrams[agents[i].id]
         for j in range(i + 1, len(agents)):
             ai, aj = agents[i].id, agents[j].id
-            for t, u, v in sorted(
-                model.diagrams[ai].edges,
-                key=lambda e: (e[0], vertex_sort_key(e[1]), vertex_sort_key(e[2])),
-            ):
-                opposite = vm.e_var(aj, v, u, t)
-                if opposite is not None:
-                    s.add_clause([-vm.e[(ai, u, v, t)], -opposite])
+            for t in range(model.horizon):
+                for u in mdd.levels[t]:
+                    for v in mdd.outgoing(u, t):
+                        opposite = vm.e_var(aj, v, u, t)
+                        if opposite is not None:
+                            s.add_clause([-vm.e[(ai, u, v, t)], -opposite])
 
 
 def add_conflict_clauses(model: BooleanModel, collisions: Iterable[Collision]) -> BooleanModel:
@@ -266,21 +268,27 @@ def _emit_recorded_conflicts(model: BooleanModel) -> None:
     for every pair of agents that both carry the entry, not only the pair
     that originally collided.
     """
-    instance, vm = model.instance, model.varmap
+    instance, vm, conflicts = model.instance, model.varmap, model.conflicts
     agents = instance.agents
+    vertex_sets = [conflicts.vertex_entries(a.id) for a in agents]
+    edge_sets = [conflicts.edge_entries(a.id) for a in agents]
     for i in range(len(agents)):
+        ai = agents[i].id
+        vertex_order = sorted(vertex_sets[i], key=lambda e: (e[1], vertex_sort_key(e[0])))
+        edge_order = sorted(
+            edge_sets[i],
+            key=lambda e: (e[1], vertex_sort_key(e[0][0]), vertex_sort_key(e[0][1])),
+        )
         for j in range(i + 1, len(agents)):
-            ai, aj = agents[i].id, agents[j].id
-            both_v = model.conflicts.vertex_entries(ai) & model.conflicts.vertex_entries(aj)
-            for v, t in sorted(both_v, key=lambda e: (e[1], vertex_sort_key(e[0]))):
+            aj = agents[j].id
+            for v, t in vertex_order:
+                if (v, t) not in vertex_sets[j]:
+                    continue
                 xi, xj = vm.x_var(ai, v, t), vm.x_var(aj, v, t)
                 if xi is not None and xj is not None:
                     _emit_pair(model, (-xi, -xj))
-            for (u, v), t in sorted(
-                model.conflicts.edge_entries(ai),
-                key=lambda e: (e[1], vertex_sort_key(e[0][0]), vertex_sort_key(e[0][1])),
-            ):
-                if ((v, u), t) not in model.conflicts.edge_entries(aj):
+            for (u, v), t in edge_order:
+                if ((v, u), t) not in edge_sets[j]:
                     continue
                 ei, ej = vm.e_var(ai, u, v, t), vm.e_var(aj, v, u, t)
                 if ei is not None and ej is not None:

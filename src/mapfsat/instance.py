@@ -95,8 +95,7 @@ class Graph:
         return self._adj[v]
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        a, b = sorted((u, v), key=vertex_sort_key)
-        return (a, b) in self.edges
+        return u in self._adj and v in self._adj[u]
 
     @property
     def vertex_count(self) -> int:

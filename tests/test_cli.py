@@ -5,6 +5,8 @@ from pathlib import Path
 
 from mapfsat.bench import read_csv
 from mapfsat.cli import main
+from mapfsat.encoding import EncodingSoundnessError
+from mapfsat.solvers import ALGORITHMS
 
 SUITE = Path(__file__).parent / "data" / "suite8x8"
 
@@ -152,3 +154,31 @@ def test_bench_bad_timeout_exits_2(tmp_path, capsys):
     assert main(bench_args(SUITE, out, timeout="0")) == 2
     assert capsys.readouterr().err == "mapf: timeout must be positive\n"
     assert not out.exists()
+
+
+def test_bench_bad_agents_exits_2(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    args = bench_args(SUITE, out)
+    args[args.index("--agents") + 1] = "2,x"
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "mapf: --agents wants comma-separated integers, got '2,x'\n"
+    )
+    assert not out.exists()
+
+
+def test_bench_solver_fault_is_one_error_record_and_exits_1(tmp_path, capsys, monkeypatch):
+    def unsound(instance, config):
+        raise EncodingSoundnessError("agent 1 occupies 2 vertices at step 3")
+
+    monkeypatch.setitem(ALGORITHMS, "cbs", unsound)
+    out = tmp_path / "records.csv"
+    args = bench_args(SUITE, out, algos="cbs,heuristic")
+    args[args.index("--per-count") + 1] = "2"
+    assert main(args + ["--workers", "1"]) == 1
+    reason = "EncodingSoundnessError: agent 1 occupies 2 vertices at step 3"
+    assert capsys.readouterr().err == f"mapf: {reason}\n" * 2
+    records = read_csv(out)
+    assert [(r.algo, r.status, r.reason) for r in records] == [
+        ("cbs", "error", reason), ("heuristic", "solved", ""),
+    ] * 2

@@ -28,6 +28,7 @@ from mapfsat import (
     sum_of_costs,
     validate_solution,
 )
+from mapfsat.instance import vertex_sort_key
 from conftest import random_grid_instance
 
 
@@ -143,6 +144,80 @@ class TestAddConflictClauses:
         assert any(
             sorted(c) == sorted((-x1, -x2)) for c in rebuilt.solver.clauses
         )
+
+
+def scrambled_grid_instance():
+    """3x3 grid whose declaration order and BFS order both differ from
+    `vertex_sort_key` order, with three agents crossing it."""
+    names = ["q", "b", "m", "z", "a", "k", "c", "y", "p"]  # row-major cells
+    edges = [(names[i], names[i + 1]) for i in range(9) if i % 3 < 2]
+    edges += [(names[i], names[i + 3]) for i in range(6)]
+    g = Graph(list(reversed(names)), edges)
+    agents = [Agent("a1", "q", "p"), Agent("a2", "p", "q"), Agent("a3", "m", "c")]
+    return MapfInstance(g, agents)
+
+
+def canonical(entries):
+    return entries == sorted(entries, key=lambda e: tuple(vertex_sort_key(x) for x in e))
+
+
+class TestEmissionOrder:
+    """Edge variables and pair clauses follow (t, key(u), key(v)) order."""
+
+    def test_edge_variables_are_allocated_in_canonical_order(self):
+        inst = scrambled_grid_instance()
+        ordered = sorted(inst.graph.vertices, key=vertex_sort_key)
+        assert list(inst.graph.vertices) != ordered
+        assert list(bfs_distances(inst.graph, "q")) != ordered
+        model = full_model(inst, delta=2, solver=RecordingSolver())
+        for agent in ("a1", "a2", "a3"):
+            by_var = sorted((var, (t, u, v)) for (a, u, v, t), var in model.varmap.e.items()
+                            if a == agent)
+            assert len(by_var) > 10
+            assert canonical([key for _, key in by_var])
+
+    def test_complete_swap_clauses_are_in_canonical_order(self):
+        model = full_model(scrambled_grid_instance(), delta=2, mode=COMPLETE,
+                           solver=RecordingSolver())
+        edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.varmap.e.items()}
+        swaps: dict[tuple, list] = {}
+        for clause in model.solver.clauses:
+            if len(clause) == 2 and all(-lit in edge_of for lit in clause):
+                (ai, ei), (aj, _) = (edge_of[-lit] for lit in clause)
+                if ai != aj:
+                    swaps.setdefault((ai, aj), []).append(ei)
+        assert set(swaps) == {("a1", "a2"), ("a1", "a3"), ("a2", "a3")}
+        for entries in swaps.values():
+            assert len(entries) > 1 and canonical(entries)
+
+    def test_recorded_conflict_clauses_are_in_canonical_order(self):
+        inst = scrambled_grid_instance()
+        conflicts = ConflictSet()
+        for t in range(5):
+            for u, v in inst.graph.edges:
+                for a in ("a3", "a1", "a2"):
+                    conflicts.add_vertex(a, v, t)
+                    conflicts.add_edge(a, (u, v), t)
+                    conflicts.add_edge(a, (v, u), t)
+        model = full_model(inst, delta=2, conflicts=conflicts, solver=RecordingSolver())
+        node_of = {var: (a, (t, v)) for (a, v, t), var in model.varmap.x.items()}
+        edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.varmap.e.items()}
+        emitted: dict[tuple, list] = {}
+        for clause in model.solver.clauses:
+            if len(clause) != 2:
+                continue
+            for kind, table in (("vertex", node_of), ("edge", edge_of)):
+                if all(-lit in table for lit in clause):
+                    (ai, ei), (aj, _) = (table[-lit] for lit in clause)
+                    if ai != aj:
+                        emitted.setdefault((ai, aj), []).append((kind, ei))
+        assert set(emitted) == {("a1", "a2"), ("a1", "a3"), ("a2", "a3")}
+        for entries in emitted.values():
+            kinds = [kind for kind, _ in entries]
+            assert kinds == sorted(kinds, key=["vertex", "edge"].index)
+            for kind in ("vertex", "edge"):
+                keys = [e for k, e in entries if k == kind]
+                assert len(keys) > 1 and canonical(keys)
 
 
 def fresh_solver(nvars):

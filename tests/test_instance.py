@@ -163,9 +163,12 @@ class TestGraphInvariants:
             Graph(["a"], [("a", "b")])
 
     def test_adjacency_is_symmetric(self):
-        g = Graph(["a", "b"], [("a", "b")])
+        g = Graph(["a", "b", "c"], [("a", "b")])
         assert "b" in g.neighbors("a")
         assert "a" in g.neighbors("b")
+        assert g.has_edge("a", "b") and g.has_edge("b", "a")
+        assert not g.has_edge("a", "c") and not g.has_edge("c", "b")
+        assert not g.has_edge("a", "nope") and not g.has_edge("nope", "a")
 
 
 class TestPathCost:
