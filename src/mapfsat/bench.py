@@ -99,12 +99,15 @@ def run_benchmark(
 ) -> list[BenchRecord]:
     """One record per (scenario, agent count, algorithm), in stable order.
 
-    Raises ConfigError on an unknown algorithm or a time limit that is not
-    positive, before any run starts.
+    Raises ConfigError on an unknown algorithm, an agent count below 1 or a
+    time limit that is not positive, before any run starts.
     """
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
+    for n in agent_counts:
+        if n < 1:
+            raise ConfigError(f"agent count must be at least 1, got {n}")
     config = SolverConfig(timeout_s=timeout_s)
     scens = discover_suite(suite_dir)[:per_count]
     tasks = [

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Sequence
 
-from .instance import MapfInstance, Path, Vertex, vertex_sort_key
+from .instance import MapfInstance, Path, Vertex
 from .pathing import Distances
 from .pathing import bfs_distances  # noqa: F401  the layer tracer wraps this name here
 
@@ -32,7 +32,7 @@ class Mdd:
         self.agent = agent
         self.horizon = horizon
         self.levels: tuple[tuple[Vertex, ...], ...] = tuple(
-            tuple(sorted(level, key=vertex_sort_key)) for level in levels
+            tuple(sorted(level)) for level in levels
         )
         level_sets = [frozenset(level) for level in self.levels]
         if len(self.levels[0]) != 1:
@@ -47,7 +47,7 @@ class Mdd:
             if u not in level_sets[t] or v not in level_sets[t + 1]:
                 raise ValueError(f"edge ({u!r}, {v!r}) at level {t} has missing endpoint")
             out.setdefault((t, u), []).append(v)
-        self._out = {k: tuple(sorted(vs, key=vertex_sort_key)) for k, vs in out.items()}
+        self._out = {k: tuple(sorted(vs)) for k, vs in out.items()}
 
     @property
     def start(self) -> Vertex:

@@ -14,13 +14,14 @@ incomplete mode relies on lazily added collision clauses instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .diagrams import Mdd
-from .instance import Collision, MapfInstance, Path, Solution, Vertex, vertex_sort_key
+from .instance import Collision, MapfInstance, Path, Solution, Vertex
 from .pathing import ConflictSet, Distances
 from .pathing import bfs_distances  # noqa: F401  the layer tracer wraps this name here
-from .satif import CdclSolver, SatSolver
+from .satif import CdclSolver
 
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
@@ -56,7 +57,7 @@ class VariableMap:
 class BooleanModel:
     """One solver instance plus the variable map and horizon it was built for."""
 
-    solver: SatSolver
+    solver: CdclSolver
     varmap: VariableMap
     horizon: int
     conflicts: ConflictSet
@@ -75,7 +76,7 @@ class BooleanModel:
         return self.varmap.decision_var_count
 
 
-def _at_most_one(solver: SatSolver, lits: list[int]) -> None:
+def _at_most_one(solver: CdclSolver, lits: list[int]) -> None:
     # pairwise is smaller up to a handful of literals, counter beyond that
     n = len(lits)
     if n <= 1:
@@ -88,7 +89,7 @@ def _at_most_one(solver: SatSolver, lits: list[int]) -> None:
         cardinality_le(solver, lits, 1)
 
 
-def cardinality_le(solver: SatSolver, lits: list[int], k: int) -> None:
+def cardinality_le(solver: CdclSolver, lits: list[int], k: int) -> None:
     """Sequential-counter clauses enforcing at most k of `lits` true."""
     if k < 0:
         raise ValueError("negative cardinality bound")
@@ -120,7 +121,7 @@ def build_model(
     horizon: int,
     soc: int,
     mode: str,
-    solver: SatSolver | None = None,
+    solver: CdclSolver | None = None,
     distances: Distances | None = None,
 ) -> BooleanModel:
     """Fresh solver instance encoding the diagrams under the given bounds."""
@@ -168,13 +169,13 @@ def build_model(
                 outs = [vm.e[(a.id, u, w, t)] for w in mdd.outgoing(u, t)]
                 s.add_clause([-xv] + outs)
                 _at_most_one(s, outs)
-        # an edge pins both of its endpoints; this loop keeps the frozenset's
-        # order on purpose: the clause order feeds the watch lists, so sorting
-        # it would change the search
-        for t, u, v in mdd.edges:
-            ev = vm.e[(a.id, u, v, t)]
-            s.add_clause([-ev, vm.x[(a.id, u, t)]])
-            s.add_clause([-ev, vm.x[(a.id, v, t + 1)]])
+        # an edge pins both of its endpoints
+        for t in range(horizon):
+            for u in mdd.levels[t]:
+                for v in mdd.outgoing(u, t):
+                    ev = vm.e[(a.id, u, v, t)]
+                    s.add_clause([-ev, vm.x[(a.id, u, t)]])
+                    s.add_clause([-ev, vm.x[(a.id, v, t + 1)]])
         # at most one vertex per level
         for t in range(horizon + 1):
             _at_most_one(s, [vm.x[(a.id, v, t)] for v in mdd.levels[t]])
@@ -205,13 +206,13 @@ def _emit_complete_constraints(model: BooleanModel) -> None:
     instance, vm, s = model.instance, model.varmap, model.solver
     agents = instance.agents
     # at most one agent per shared vertex-timestep
-    shared: dict[tuple[Vertex, int], list[int]] = {}
+    shared: dict[tuple[int, Vertex], list[int]] = {}
     for a in agents:
         mdd = model.diagrams[a.id]
         for t in range(model.horizon + 1):
             for v in mdd.levels[t]:
-                shared.setdefault((v, t), []).append(vm.x[(a.id, v, t)])
-    for key in sorted(shared, key=lambda k: (k[1], vertex_sort_key(k[0]))):
+                shared.setdefault((t, v), []).append(vm.x[(a.id, v, t)])
+    for key in sorted(shared):
         _at_most_one(s, shared[key])
     # no pair of agents may swap across one edge
     for i in range(len(agents)):
@@ -270,15 +271,13 @@ def _emit_recorded_conflicts(model: BooleanModel) -> None:
     """
     instance, vm, conflicts = model.instance, model.varmap, model.conflicts
     agents = instance.agents
+    by_step = itemgetter(1, 0)  # entries are (vertex or edge, t)
     vertex_sets = [conflicts.vertex_entries(a.id) for a in agents]
     edge_sets = [conflicts.edge_entries(a.id) for a in agents]
     for i in range(len(agents)):
         ai = agents[i].id
-        vertex_order = sorted(vertex_sets[i], key=lambda e: (e[1], vertex_sort_key(e[0])))
-        edge_order = sorted(
-            edge_sets[i],
-            key=lambda e: (e[1], vertex_sort_key(e[0][0]), vertex_sort_key(e[0][1])),
-        )
+        vertex_order = sorted(vertex_sets[i], key=by_step)
+        edge_order = sorted(edge_sets[i], key=by_step)
         for j in range(i + 1, len(agents)):
             aj = agents[j].id
             for v, t in vertex_order:

@@ -2,7 +2,10 @@
 
 Vertex ids are arbitrary hashable values: integers (row-major cell index)
 for grid maps, strings in hand-built graphs. Ids within one graph must be
-mutually orderable; `vertex_sort_key` keeps sorting stable either way.
+mutually orderable, and `Graph` rejects ids that are not. Their own order is
+the one vertex order: it sorts neighbour lists, diagram levels and
+out-edges, breaks ties in the space-time search, and orders every clause
+emission, so no result depends on hash order.
 """
 
 from __future__ import annotations
@@ -40,11 +43,6 @@ class InstanceError(ValueError):
     """A graph, instance, path or solution violates a structural invariant."""
 
 
-def vertex_sort_key(v: Vertex):
-    """Total order over vertex ids that tolerates mixed id types."""
-    return (type(v).__name__, v)
-
-
 @dataclass(frozen=True)
 class GridMeta:
     """2D provenance of a graph parsed from a map file."""
@@ -72,6 +70,10 @@ class Graph:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise InstanceError("duplicate vertex ids")
+        try:
+            sorted(self.vertices)
+        except TypeError:
+            raise InstanceError("vertex ids are not mutually orderable") from None
         adj: dict[Vertex, set[Vertex]] = {v: set() for v in self.vertices}
         norm = set()
         for e in edges:
@@ -80,12 +82,12 @@ class Graph:
                 raise InstanceError(f"self-loop edge at {u!r}")
             if u not in vset or v not in vset:
                 raise InstanceError(f"edge ({u!r}, {v!r}) references an undeclared vertex")
-            a, b = sorted((u, v), key=vertex_sort_key)
+            a, b = sorted((u, v))
             norm.add((a, b))
             adj[u].add(v)
             adj[v].add(u)
         self.edges: frozenset[tuple[Vertex, Vertex]] = frozenset(norm)
-        self._adj = {v: tuple(sorted(adj[v], key=vertex_sort_key)) for v in self.vertices}
+        self._adj = {v: tuple(sorted(adj[v])) for v in self.vertices}
         self.grid = grid
 
     def __contains__(self, v: Vertex) -> bool:
@@ -291,14 +293,10 @@ def validate_solution(instance: MapfInstance, solution: Solution) -> list[Collis
                         out.append(Collision("edge", (paths[i].agent, paths[j].agent), (u, v), t))
 
     def key(c: Collision):
+        # a pair of agents collides at most once per kind and timestep
         i = instance.agent_index(c.agents[0])
         j = instance.agent_index(c.agents[1])
-        loc = (
-            (vertex_sort_key(c.location),)
-            if c.kind == "vertex"
-            else tuple(vertex_sort_key(x) for x in c.location)
-        )
-        return (c.t, i, j, 0 if c.kind == "vertex" else 1, loc)
+        return (c.t, i, j, 0 if c.kind == "vertex" else 1)
 
     out.sort(key=key)
     return out
@@ -420,6 +418,8 @@ def parse_scen(text: str) -> list[AgentSpec]:
 
 def build_instance(graph: Graph, specs: Sequence[AgentSpec], n: int) -> MapfInstance:
     """Instance over the first `n` specs; agent ids are 1..n."""
+    if n < 1:
+        raise InstanceError(f"agent count must be at least 1, got {n}")
     if n > len(specs):
         raise InstanceError(f"requested {n} agents but only {len(specs)} specs available")
     agents = []

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
-from .instance import Graph, MapfInstance, Path, Vertex, vertex_sort_key
+from .instance import Graph, MapfInstance, Path, Vertex
 
 VertexConflict = tuple[Vertex, int]          # agent must not occupy v at t
 EdgeConflict = tuple[tuple[Vertex, Vertex], int]  # agent must not traverse u->v at t
@@ -143,7 +143,7 @@ def constrained_shortest_path(
     g0 = 0 if start == goal else 1
     counter = itertools.count()
     root = (start, 0, None)
-    heap = [(g0 + h(start), 0, vertex_sort_key(start), next(counter), g0, root)]
+    heap = [(g0 + h(start), 0, start, next(counter), g0, root)]
     settled: set[tuple[Vertex, int]] = set()
     while heap:
         f, t, _, _, g, node = heapq.heappop(heap)
@@ -176,7 +176,7 @@ def constrained_shortest_path(
             if (w, t + 1) in settled:
                 continue
             heapq.heappush(
-                heap, (f2, t + 1, vertex_sort_key(w), next(counter), g2, (w, t + 1, node))
+                heap, (f2, t + 1, w, next(counter), g2, (w, t + 1, node))
             )
     return None
 
@@ -229,15 +229,6 @@ def new_and_path(
     return path
 
 
-def _conflict_sort_key(item: tuple[str, VertexConflict | EdgeConflict]):
-    kind, entry = item
-    if kind == "vertex":
-        v, t = entry
-        return (t, 0, vertex_sort_key(v), ())
-    (u, v), t = entry
-    return (t, 1, vertex_sort_key(u), vertex_sort_key(v))
-
-
 def new_or_paths(
     instance: MapfInstance,
     agent_id: Hashable,
@@ -254,7 +245,8 @@ def new_or_paths(
     responds to the conflict rather than parking at the goal beforehand.
     """
     items = [("vertex", e) for e in conflicts.vertex] + [("edge", e) for e in conflicts.edge]
-    items.sort(key=_conflict_sort_key)
+    # by timestep, vertex entries first, then by the vertex or the edge itself
+    items.sort(key=lambda item: (item[1][1], item[0] == "edge", item[1][0]))
     out: list[Path] = []
     seen_positions: set[tuple[Vertex, ...]] = set()
     enumerated = 0

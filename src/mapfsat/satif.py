@@ -1,4 +1,4 @@
-"""Incremental SAT backend: solver contract plus a built-in CDCL implementation.
+"""Incremental SAT backend: a built-in CDCL solver.
 
 Variables are dense positive integers starting at 1 and literals follow the
 DIMACS convention (negative int = negated variable). A solver instance is
@@ -17,31 +17,6 @@ class SatBackendError(RuntimeError):
     """Internal backend failure; distinct from an UNSAT answer."""
 
 
-class SatSolver:
-    """Contract every backend must satisfy (see module docstring)."""
-
-    def new_var(self) -> int:
-        raise NotImplementedError
-
-    def add_clause(self, lits: Iterable[int]) -> None:
-        raise NotImplementedError
-
-    def solve(self) -> bool:
-        raise NotImplementedError
-
-    def model(self) -> list[bool]:
-        """Truth values indexed by variable (index 0 unused); valid after SAT."""
-        raise NotImplementedError
-
-    @property
-    def num_vars(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def num_clauses(self) -> int:
-        raise NotImplementedError
-
-
 def _luby(x: int) -> int:
     # Luby restart sequence (0-indexed): 1 1 2 1 1 2 4 ...
     size, seq = 1, 0
@@ -55,7 +30,7 @@ def _luby(x: int) -> int:
     return 1 << seq
 
 
-class CdclSolver(SatSolver):
+class CdclSolver:
     """Conflict-driven clause learning with two watched literals.
 
     Decision order is activity-based with deterministic tie-breaking, phases
@@ -385,6 +360,7 @@ class CdclSolver(SatSolver):
                 self._poll(self._decision_count)
 
     def model(self) -> list[bool]:
+        """Truth values indexed by variable (index 0 unused); valid after SAT."""
         if self._model is None:
             raise ValueError("no model available; last solve was not SAT")
         return list(self._model)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from mapfsat.bench import read_csv
 from mapfsat.cli import main
 from mapfsat.encoding import EncodingSoundnessError
@@ -96,6 +98,13 @@ def test_solve_too_many_agents_exits_2(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("agents", [0, -2])
+def test_solve_agent_count_below_one_exits_2(agents, capsys):
+    assert main(solve_args(agents=agents)) == 2
+    err = capsys.readouterr().err
+    assert err == f"mapf: agent count must be at least 1, got {agents}\n"
+
+
 def test_solve_blocked_start_exits_2(tmp_path, capsys):
     # the first agent of open8-01 starts at x=6, y=2; block that cell
     rows = (SUITE / "open8.map").read_text().splitlines()
@@ -164,6 +173,16 @@ def test_bench_bad_agents_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "mapf: --agents wants comma-separated integers, got '2,x'\n"
     )
+    assert not out.exists()
+
+
+def test_bench_agent_count_below_one_exits_2(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    args = bench_args(SUITE, out)
+    i = args.index("--agents")
+    args[i:i + 2] = ["--agents=-2,0"]  # a separate "-2,0" would parse as an option
+    assert main(args) == 2
+    assert capsys.readouterr().err == "mapf: agent count must be at least 1, got -2\n"
     assert not out.exists()
 
 

@@ -28,7 +28,6 @@ from mapfsat import (
     sum_of_costs,
     validate_solution,
 )
-from mapfsat.instance import vertex_sort_key
 from conftest import random_grid_instance
 
 
@@ -147,8 +146,8 @@ class TestAddConflictClauses:
 
 
 def scrambled_grid_instance():
-    """3x3 grid whose declaration order and BFS order both differ from
-    `vertex_sort_key` order, with three agents crossing it."""
+    """3x3 grid whose declaration order and BFS order both differ from the
+    ids' sorted order, with three agents crossing it."""
     names = ["q", "b", "m", "z", "a", "k", "c", "y", "p"]  # row-major cells
     edges = [(names[i], names[i + 1]) for i in range(9) if i % 3 < 2]
     edges += [(names[i], names[i + 3]) for i in range(6)]
@@ -158,15 +157,15 @@ def scrambled_grid_instance():
 
 
 def canonical(entries):
-    return entries == sorted(entries, key=lambda e: tuple(vertex_sort_key(x) for x in e))
+    return entries == sorted(entries)
 
 
 class TestEmissionOrder:
-    """Edge variables and pair clauses follow (t, key(u), key(v)) order."""
+    """Edge variables and clauses follow (t, u, v) order."""
 
     def test_edge_variables_are_allocated_in_canonical_order(self):
         inst = scrambled_grid_instance()
-        ordered = sorted(inst.graph.vertices, key=vertex_sort_key)
+        ordered = sorted(inst.graph.vertices)
         assert list(inst.graph.vertices) != ordered
         assert list(bfs_distances(inst.graph, "q")) != ordered
         model = full_model(inst, delta=2, solver=RecordingSolver())
@@ -175,6 +174,26 @@ class TestEmissionOrder:
                             if a == agent)
             assert len(by_var) > 10
             assert canonical([key for _, key in by_var])
+
+    def test_pin_clauses_are_in_canonical_order(self):
+        model = full_model(scrambled_grid_instance(), delta=2, solver=RecordingSolver())
+        node_of = {var: (a, t, v) for (a, v, t), var in model.varmap.x.items()}
+        edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.varmap.e.items()}
+        pins: dict[str, list] = {}
+        for clause in model.solver.clauses:
+            if len(clause) == 2 and -clause[0] in edge_of and clause[1] in node_of:
+                agent, edge = edge_of[-clause[0]]
+                pins.setdefault(agent, []).append((edge, node_of[clause[1]]))
+        assert set(pins) == {"a1", "a2", "a3"}
+        for agent, entries in pins.items():
+            edges = [edge for edge, _ in entries[0::2]]
+            assert len(edges) == sum(1 for a, _ in edge_of.values() if a == agent)
+            assert canonical(edges)
+            # each edge pins its tail at t, then its head at t + 1
+            assert entries == [
+                pin for (t, u, v) in edges
+                for pin in (((t, u, v), (agent, t, u)), ((t, u, v), (agent, t + 1, v)))
+            ]
 
     def test_complete_swap_clauses_are_in_canonical_order(self):
         model = full_model(scrambled_grid_instance(), delta=2, mode=COMPLETE,

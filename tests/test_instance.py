@@ -152,6 +152,15 @@ class TestBuildInstance:
         with pytest.raises(InstanceError):
             build_instance(g, [], 1)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_agent_count_below_one(self, n):
+        g = parse_map(map_text(["..", ".."]))
+        specs = parse_scen(
+            "version 1\n0 m.map 2 2 0 0 1 1 2\n0 m.map 2 2 1 1 0 0 2\n"
+        )
+        with pytest.raises(InstanceError, match="at least 1"):
+            build_instance(g, specs, n)
+
 
 class TestGraphInvariants:
     def test_self_loop_rejected(self):
@@ -161,6 +170,10 @@ class TestGraphInvariants:
     def test_undeclared_endpoint_rejected(self):
         with pytest.raises(InstanceError):
             Graph(["a"], [("a", "b")])
+
+    def test_unorderable_ids_rejected(self):
+        with pytest.raises(InstanceError, match="orderable"):
+            Graph([1, "a"], [])
 
     def test_adjacency_is_symmetric(self):
         g = Graph(["a", "b", "c"], [("a", "b")])

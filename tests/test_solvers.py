@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path as FsPath
 
 import pytest
 
@@ -30,6 +35,7 @@ from mapfsat import (
     sum_of_costs,
     validate_solution,
 )
+import mapfsat
 from mapfsat import diagrams, encoding, pathing, solvers
 from mapfsat.solvers import SolveStats
 from conftest import random_grid_instance
@@ -331,3 +337,40 @@ def test_bfs_runs_at_most_twice_per_agent_per_solve(fix_c, monkeypatch):
                 counts.append(len(sources))
             assert 0 < counts[0] <= 2 * inst.k, algo
             assert counts[1] == counts[0], algo
+
+
+STRING_GRID_SOLVE = """
+import json, random
+from mapfsat import ALGORITHMS, Agent, Graph, MapfInstance, SolverConfig
+cells = [f"r{y}c{x}" for y in range(5) for x in range(5)]
+edges = [(f"r{y}c{x}", f"r{y}c{x + 1}") for y in range(5) for x in range(4)]
+edges += [(f"r{y}c{x}", f"r{y + 1}c{x}") for y in range(4) for x in range(5)]
+rng = random.Random(1)
+starts, goals = rng.sample(cells, 8), rng.sample(cells, 8)
+agents = [Agent(i + 1, s, g) for i, (s, g) in enumerate(zip(starts, goals))]
+instance = MapfInstance(Graph(cells, edges), agents)
+answers = {}
+for name, solve in sorted(ALGORITHMS.items()):
+    out = solve(instance, SolverConfig(timeout_s=60))
+    answers[name] = [out.soc, out.stats.sat_calls, out.stats.conflicts,
+                     [p.positions for p in out.solution.paths]]
+print(json.dumps(answers))
+"""
+
+
+def test_string_id_solves_do_not_depend_on_hash_seed():
+    """String ids hash differently under every PYTHONHASHSEED; no emission
+    may read that order, so soc, counters and paths must all agree."""
+    package_root = str(FsPath(mapfsat.__file__).resolve().parent.parent)
+    answers = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
+        run = subprocess.run([sys.executable, "-c", STRING_GRID_SOLVE], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        answers.append(json.loads(run.stdout))
+    assert set(answers[0]) == set(ALGORITHMS)
+    assert all(soc is not None for soc, *_ in answers[0].values())
+    assert answers[1] == answers[0] and answers[2] == answers[0]
