@@ -99,8 +99,8 @@ def run_benchmark(
 ) -> list[BenchRecord]:
     """One record per (scenario, agent count, algorithm), in stable order.
 
-    Raises ConfigError on an unknown algorithm, an agent count below 1 or a
-    time limit that is not positive, before any run starts.
+    Raises ConfigError, before any run starts, on an unknown algorithm, an
+    agent count or per-count below 1, or a time limit that is not positive.
     """
     for algo in algorithms:
         if algo not in ALGORITHMS:
@@ -108,6 +108,8 @@ def run_benchmark(
     for n in agent_counts:
         if n < 1:
             raise ConfigError(f"agent count must be at least 1, got {n}")
+    if per_count < 1:
+        raise ConfigError(f"per-count must be at least 1, got {per_count}")
     config = SolverConfig(timeout_s=timeout_s)
     scens = discover_suite(suite_dir)[:per_count]
     tasks = [

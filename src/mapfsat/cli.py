@@ -4,13 +4,15 @@ Exit code 0 means the command ran. Exit code 2 means bad input, reported as
 one `mapf: <message>` line per problem on stderr. For `solve` that is a map
 or scenario file that is missing, unreadable or fails to parse, an agent
 count below 1 or beyond the scenario, a start or goal on a blocked cell, a
-`--timeout` that is not positive, or a `--cost-cap` below the sum of
-shortest-path costs. For `bench` it is an unknown name in `--algos`, an
-`--agents` entry that is not an integer or is below 1, a `--timeout` that
-is not positive, or a map or scenario file that fails to parse; other unusable inputs become `error` records with
-a reason and leave the exit code at 0. `bench` exits 1, ahead of bad input,
-when a run raised one of `bench.SOLVER_FAULTS`; that run is one `error`
-record with one `mapf: <reason>` line, and the other runs complete.
+`--timeout` that is not positive (NaN included), or a `--cost-cap` below
+the sum of shortest-path costs. For `bench` it is an unknown name in
+`--algos`, an `--agents` entry that is not an integer or is below 1, a
+`--per-count` below 1, a `--timeout` that is not positive (NaN included),
+or a map or scenario file that fails to parse; other unusable inputs become
+`error` records with a reason and leave the exit code at 0. `bench` exits 1,
+ahead of bad input, when a run raised one of `bench.SOLVER_FAULTS`; that run
+is one `error` record with one `mapf: <reason>` line, and the other runs
+complete.
 """
 
 from __future__ import annotations

@@ -6,11 +6,15 @@ build keeps exactly the nodes reachable from the start in t steps that can
 still reach the goal within the cost bound; the sparse build inserts an
 explicit set of candidate paths, which may make extra combined paths
 representable as a side effect.
+
+A diagram keeps its levels and out-edge lists in the ids' order, as its
+builder hands them over: the full build sorts each level and filters
+`Graph.moves`; the sparse build, whose paths arrive in any order, sorts both.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from .instance import MapfInstance, Path, Vertex
 from .pathing import Distances
@@ -22,32 +26,21 @@ class InfeasibleAgentError(ValueError):
 
 
 class Mdd:
-    """Per-agent leveled DAG of time-expanded nodes."""
+    """Per-agent leveled DAG of time-expanded nodes, kept as its builder orders it."""
 
     def __init__(self, agent: Hashable, horizon: int,
-                 levels: Sequence[Iterable[Vertex]],
-                 edges: Iterable[tuple[int, Vertex, Vertex]]):
+                 levels: tuple[tuple[Vertex, ...], ...],
+                 out: dict[tuple[int, Vertex], tuple[Vertex, ...]]):
         if len(levels) != horizon + 1:
             raise ValueError(f"expected {horizon + 1} levels, got {len(levels)}")
+        if len(levels[0]) != 1:
+            raise ValueError("level 0 must hold exactly the start node")
+        if len(levels[-1]) != 1:
+            raise ValueError("last level must hold exactly the goal node")
         self.agent = agent
         self.horizon = horizon
-        self.levels: tuple[tuple[Vertex, ...], ...] = tuple(
-            tuple(sorted(level)) for level in levels
-        )
-        level_sets = [frozenset(level) for level in self.levels]
-        if len(self.levels[0]) != 1:
-            raise ValueError("level 0 must hold exactly the start node")
-        if len(self.levels[-1]) != 1:
-            raise ValueError("last level must hold exactly the goal node")
-        self.edges: frozenset[tuple[int, Vertex, Vertex]] = frozenset(edges)
-        out: dict[tuple[int, Vertex], list[Vertex]] = {}
-        for t, u, v in self.edges:
-            if not (0 <= t < horizon):
-                raise ValueError(f"edge at level {t} outside horizon")
-            if u not in level_sets[t] or v not in level_sets[t + 1]:
-                raise ValueError(f"edge ({u!r}, {v!r}) at level {t} has missing endpoint")
-            out.setdefault((t, u), []).append(v)
-        self._out = {k: tuple(sorted(vs)) for k, vs in out.items()}
+        self.levels = levels
+        self._out = out
 
     @property
     def start(self) -> Vertex:
@@ -63,10 +56,7 @@ class Mdd:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    def has_edge(self, u: Vertex, v: Vertex, t: int) -> bool:
-        return (t, u, v) in self.edges
+        return sum(len(heads) for heads in self._out.values())
 
     def outgoing(self, u: Vertex, t: int) -> tuple[Vertex, ...]:
         return self._out.get((t, u), ())
@@ -74,7 +64,7 @@ class Mdd:
     def contains_path(self, path: Path) -> bool:
         """True when the goal-padded path is a directed walk of this diagram."""
         pos = path.padded(self.horizon).positions
-        return all(self.has_edge(pos[t], pos[t + 1], t) for t in range(self.horizon))
+        return all(pos[t + 1] in self.outgoing(pos[t], t) for t in range(self.horizon))
 
 
 def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
@@ -101,26 +91,25 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
     bound = min(cost_bound, horizon)
 
     # v sits on levels dist_start[v] .. bound - dist_goal[v] (the goal on every
-    # level from its arrival on). Visiting vertices in BFS order fills each
-    # level in the same order as a per-level scan would.
-    levels: list[set[Vertex]] = [set() for _ in range(horizon + 1)]
+    # level from its arrival on)
+    members: list[set[Vertex]] = [set() for _ in range(horizon + 1)]
     for v, ds in dist_start.items():
         last = horizon if v == agent.goal else bound - dist_goal[v]
         for t in range(ds, last + 1):
-            levels[t].add(v)
+            members[t].add(v)
+    levels = tuple(tuple(sorted(level)) for level in members)
 
-    edges = set()
+    # graph.moves(u) is in the ids' order, so each out-edge list is as well
+    out = {}
     for t in range(horizon):
-        nxt = levels[t + 1]
+        nxt = members[t + 1]
         for u in levels[t]:
-            for w in (u, *graph.neighbors(u)):
-                if w in nxt:
-                    edges.add((t, u, w))
+            out[(t, u)] = tuple([w for w in graph.moves(u) if w in nxt])
 
     # No pruning pass: with exact BFS distances on an undirected graph where
     # agents may wait, every node above lies on a start->goal walk within the
     # bound (checked by test_matches_brute_force_expansion).
-    return Mdd(agent_id, horizon, levels, edges)
+    return Mdd(agent_id, horizon, levels, out)
 
 
 def build_smdd(agent_id: Hashable, paths: Sequence[Path], horizon: int) -> Mdd:
@@ -129,8 +118,8 @@ def build_smdd(agent_id: Hashable, paths: Sequence[Path], horizon: int) -> Mdd:
         raise ValueError("empty candidate path set")
     goal = paths[0].positions[-1]
     start = paths[0].positions[0]
-    levels: list[set[Vertex]] = [set() for _ in range(horizon + 1)]
-    edges: set[tuple[int, Vertex, Vertex]] = set()
+    members: list[set[Vertex]] = [set() for _ in range(horizon + 1)]
+    heads: dict[tuple[int, Vertex], set[Vertex]] = {}
     for p in paths:
         if p.agent != agent_id:
             raise ValueError(f"path of agent {p.agent!r} in candidate set of {agent_id!r}")
@@ -140,10 +129,12 @@ def build_smdd(agent_id: Hashable, paths: Sequence[Path], horizon: int) -> Mdd:
             raise ValueError(f"candidate path longer than horizon {horizon}")
         pos = p.padded(horizon).positions
         for t in range(horizon + 1):
-            levels[t].add(pos[t])
+            members[t].add(pos[t])
         for t in range(horizon):
-            edges.add((t, pos[t], pos[t + 1]))
-    return Mdd(agent_id, horizon, levels, edges)
+            heads.setdefault((t, pos[t]), set()).add(pos[t + 1])
+    levels = tuple(tuple(sorted(level)) for level in members)
+    out = {key: tuple(sorted(vs)) for key, vs in heads.items()}
+    return Mdd(agent_id, horizon, levels, out)
 
 
 def count_represented_paths(mdd: Mdd) -> int:

@@ -3,9 +3,10 @@
 Vertex ids are arbitrary hashable values: integers (row-major cell index)
 for grid maps, strings in hand-built graphs. Ids within one graph must be
 mutually orderable, and `Graph` rejects ids that are not. Their own order is
-the one vertex order: it sorts neighbour lists, diagram levels and
-out-edges, breaks ties in the space-time search, and orders every clause
-emission, so no result depends on hash order.
+the one vertex order. `Graph` sorts each neighbour list and each vertex's
+moves once, when it is built; diagram levels and out-edges, ties in the
+space-time search and every clause emission follow the same order, so no
+result depends on hash order.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class GridMeta:
 
 
 class Graph:
-    """Undirected graph; edges are unordered vertex pairs, no self-loops."""
+    """Undirected graph without self-loops, kept as adjacency in the ids' order."""
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]],
                  grid: GridMeta | None = None):
@@ -75,19 +76,16 @@ class Graph:
         except TypeError:
             raise InstanceError("vertex ids are not mutually orderable") from None
         adj: dict[Vertex, set[Vertex]] = {v: set() for v in self.vertices}
-        norm = set()
         for e in edges:
             u, v = e
             if u == v:
                 raise InstanceError(f"self-loop edge at {u!r}")
             if u not in vset or v not in vset:
                 raise InstanceError(f"edge ({u!r}, {v!r}) references an undeclared vertex")
-            a, b = sorted((u, v))
-            norm.add((a, b))
             adj[u].add(v)
             adj[v].add(u)
-        self.edges: frozenset[tuple[Vertex, Vertex]] = frozenset(norm)
         self._adj = {v: tuple(sorted(adj[v])) for v in self.vertices}
+        self._moves = {v: tuple(sorted((v, *adj[v]))) for v in self.vertices}
         self.grid = grid
 
     def __contains__(self, v: Vertex) -> bool:
@@ -95,6 +93,10 @@ class Graph:
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         return self._adj[v]
+
+    def moves(self, v: Vertex) -> tuple[Vertex, ...]:
+        """`v` itself (a wait) and its neighbours, in the ids' order."""
+        return self._moves[v]
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return u in self._adj and v in self._adj[u]
@@ -105,7 +107,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(len(ns) for ns in self._adj.values()) // 2
 
     def cell_vertex(self, x: int, y: int) -> Optional[int]:
         """Vertex id for a grid cell, or None if blocked/out of bounds."""

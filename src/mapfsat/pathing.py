@@ -161,7 +161,7 @@ def constrained_shortest_path(
             return Path(agent_id, tuple(reversed(positions)))
         if t == horizon:
             continue
-        for w in (v, *graph.neighbors(v)):
+        for w in graph.moves(v):
             if (w, t + 1) in avoid.vertex:
                 continue
             if w != v and ((v, w), t) in avoid.edge:

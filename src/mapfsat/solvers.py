@@ -79,8 +79,8 @@ class _CapExceeded(Exception):
 
 
 class ConfigError(ValueError):
-    """An unusable setting: a time limit that is not positive, a cost cap
-    below the shortest-path total, or an unknown algorithm name."""
+    """An unusable setting: a time limit that is not positive, a cost cap below
+    the shortest-path total, an unknown algorithm, or a bench count below 1."""
 
 
 class Deadline:
@@ -105,11 +105,11 @@ class Deadline:
 
 @dataclass
 class SolverConfig:
-    timeout_s: float = 128.0
+    timeout_s: float = 128.0  # inf: no limit
     cost_cap: int | None = None  # None: sum of shortest costs + |V| * k
 
     def __post_init__(self):
-        if self.timeout_s <= 0:
+        if not self.timeout_s > 0:  # also rejects NaN, which would never expire
             raise ConfigError("timeout must be positive")
 
 

@@ -78,3 +78,14 @@ def random_grid_instance(rng: random.Random, max_side: int = 4,
             graph,
             [Agent(i + 1, s, g) for i, (s, g) in enumerate(zip(starts, goals))],
         )
+
+
+def scrambled_grid_instance():
+    """3x3 grid whose declaration order and BFS order both differ from the
+    ids' sorted order, with three agents crossing it."""
+    names = ["q", "b", "m", "z", "a", "k", "c", "y", "p"]  # row-major cells
+    edges = [(names[i], names[i + 1]) for i in range(9) if i % 3 < 2]
+    edges += [(names[i], names[i + 3]) for i in range(6)]
+    g = Graph(list(reversed(names)), edges)
+    agents = [Agent("a1", "q", "p"), Agent("a2", "p", "q"), Agent("a3", "m", "c")]
+    return MapfInstance(g, agents)

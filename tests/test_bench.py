@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from mapfsat import bench
 from mapfsat.bench import (
     PARSE_ERROR,
     BenchRecord,
@@ -15,6 +16,7 @@ from mapfsat.bench import (
     success_rate,
     write_csv,
 )
+from mapfsat.solvers import ConfigError
 
 SUITE = Path(__file__).parent / "data" / "suite8x8"
 
@@ -97,6 +99,15 @@ class TestRunBenchmark:
             (tmp_path / name).write_text((SUITE / name).read_text())
         records = run_benchmark(tmp_path, ["cbs"], [2], per_count=2, timeout_s=30)
         assert len(records) == 2
+
+    @pytest.mark.parametrize("per_count", [0, -1])
+    def test_per_count_below_one_rejected_before_any_run(self, per_count, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench, "_run_one", no_run)
+        with pytest.raises(ConfigError, match="per-count must be at least 1"):
+            run_benchmark(SUITE, ["cbs"], [2], per_count=per_count, timeout_s=30)
 
     def test_unknown_algorithm_rejected(self, tmp_path):
         with pytest.raises(ValueError):

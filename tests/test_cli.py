@@ -135,9 +135,10 @@ def test_bench_parse_error_exits_2(tmp_path, capsys):
 
 
 def test_solve_bad_timeout_exits_2(capsys):
-    assert main(solve_args() + ["--timeout", "0"]) == 2
-    err = capsys.readouterr().err
-    assert err == "mapf: timeout must be positive\n"
+    for timeout in ("0", "nan"):  # a NaN limit would never expire
+        assert main(solve_args() + ["--timeout", timeout]) == 2
+        err = capsys.readouterr().err
+        assert err == "mapf: timeout must be positive\n"
 
 
 def test_solve_cost_cap_below_shortest_total_exits_2(capsys):
@@ -160,8 +161,20 @@ def test_bench_unknown_algorithm_exits_2(tmp_path, capsys):
 
 def test_bench_bad_timeout_exits_2(tmp_path, capsys):
     out = tmp_path / "records.csv"
-    assert main(bench_args(SUITE, out, timeout="0")) == 2
-    assert capsys.readouterr().err == "mapf: timeout must be positive\n"
+    for timeout in ("0", "nan"):
+        assert main(bench_args(SUITE, out, timeout=timeout)) == 2
+        assert capsys.readouterr().err == "mapf: timeout must be positive\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("per_count", ["0", "-1"])
+def test_bench_per_count_below_one_exits_2(per_count, tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    args = bench_args(SUITE, out)
+    i = args.index("--per-count")
+    args[i:i + 2] = [f"--per-count={per_count}"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"mapf: per-count must be at least 1, got {per_count}\n"
     assert not out.exists()
 
 

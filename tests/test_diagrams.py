@@ -10,11 +10,12 @@ from mapfsat import (
     InfeasibleAgentError,
     MapfInstance,
     Path,
+    bfs_distances,
     build_mdd,
     build_smdd,
     count_represented_paths,
 )
-from conftest import random_grid_instance
+from conftest import random_grid_instance, scrambled_grid_instance
 
 
 def enumerate_expansions(graph, start, goal, horizon, bound):
@@ -41,6 +42,14 @@ def enumerate_expansions(graph, start, goal, horizon, bound):
         for w in (walk[-1], *graph.neighbors(walk[-1])):
             stack.append(walk + (w,))
     return done
+
+
+def diagram_edges(mdd):
+    """(t, u, v) triples read off the out-edge lists of the level nodes."""
+    edges = {(t, u, v) for t in range(mdd.horizon) for u in mdd.levels[t]
+             for v in mdd.outgoing(u, t)}
+    assert len(edges) == mdd.edge_count  # no out-edge leaves a node off its level
+    return edges
 
 
 def expansion_nodes_edges(walks):
@@ -86,8 +95,6 @@ class TestBuildMdd:
             if inst.graph.vertex_count > 8:
                 continue
             agent = inst.agents[0]
-            from mapfsat import bfs_distances
-
             xi = bfs_distances(inst.graph, agent.start).get(agent.goal)
             for slack in (0, 1, 2):
                 bound = xi + slack
@@ -102,7 +109,7 @@ class TestBuildMdd:
                     nodes, edges = expansion_nodes_edges(walks)
                     got_nodes = {(t, v) for t, lvl in enumerate(mdd.levels) for v in lvl}
                     assert got_nodes == nodes
-                    assert set(mdd.edges) == edges
+                    assert diagram_edges(mdd) == edges
             checked += 1
         assert above_bound >= 100
 
@@ -144,6 +151,53 @@ class TestBuildSmdd:
             assert smdd.contains_path(p)
 
 
+class TestOrderedDiagrams:
+    """Both builders hand over levels and out-edge lists in the ids' order."""
+
+    @staticmethod
+    def assert_ordered(mdd):
+        for t, level in enumerate(mdd.levels):
+            assert list(level) == sorted(level)
+            if t < mdd.horizon:
+                for u in level:
+                    heads = mdd.outgoing(u, t)
+                    assert list(heads) == sorted(heads)
+                    assert set(heads) <= set(mdd.levels[t + 1])
+
+    def test_graph_moves_are_the_vertex_and_its_neighbours_sorted(self):
+        rng = random.Random(5)
+        graphs = [scrambled_grid_instance().graph]
+        graphs += [random_grid_instance(rng).graph for _ in range(10)]
+        for graph in graphs:
+            for v in graph.vertices:
+                assert graph.moves(v) == tuple(sorted((v, *graph.neighbors(v))))
+
+    def test_full_diagrams_are_ordered(self):
+        inst = scrambled_grid_instance()
+        for agent in inst.agents:
+            xi = bfs_distances(inst.graph, agent.start)[agent.goal]
+            mdd = build_mdd(inst, agent.id, xi + 3, xi + 2)
+            assert mdd.node_count > mdd.horizon + 1
+            self.assert_ordered(mdd)
+
+    def test_sparse_diagrams_are_ordered(self):
+        # row-major cells q b m / z a k / c y p; the candidates meet the vertices
+        # of the branching levels and nodes against the ids' order
+        paths = [
+            Path("a1", ("q", "z", "c", "y", "p")),
+            Path("a1", ("q", "b", "m", "k", "p")),
+            Path("a1", ("q", "b", "a", "y", "p")),
+            Path("a1", ("q", "z", "a", "k", "p")),
+            Path("a1", ("q", "q", "z", "a", "y", "p")),
+        ]
+        smdd = build_smdd("a1", paths, 5)
+        assert smdd.levels[1] == ("b", "q", "z")
+        assert smdd.outgoing("q", 0) == ("b", "q", "z")
+        assert smdd.outgoing("a", 2) == ("k", "y")
+        self.assert_ordered(smdd)
+        assert all(smdd.contains_path(p) for p in paths)
+
+
 class TestCountRepresentedPaths:
     def test_overestimation_example(self, fix_d_paths):
         smdd = build_smdd("ax", fix_d_paths, 4)
@@ -171,7 +225,7 @@ class TestSparseVersusFull:
         smdd = build_smdd("ax", fix_d_paths, 4)
         for t, lvl in enumerate(smdd.levels):
             assert set(lvl) <= set(full.levels[t])
-        assert smdd.edges <= full.edges
+        assert diagram_edges(smdd) <= diagram_edges(full)
 
     def test_random_candidate_subsets_stay_inside_full(self):
         rng = random.Random(99)
@@ -180,8 +234,6 @@ class TestSparseVersusFull:
         for _ in range(20):
             inst = random_grid_instance(rng)
             agent = inst.agents[0]
-            from mapfsat import bfs_distances
-
             xi = bfs_distances(inst.graph, agent.start).get(agent.goal)
             horizon, bound = xi + 2, xi + 2
             paths = []
@@ -200,7 +252,7 @@ class TestSparseVersusFull:
             full = build_mdd(inst, agent.id, horizon, bound)
             for t, lvl in enumerate(smdd.levels):
                 assert set(lvl) <= set(full.levels[t])
-            assert smdd.edges <= full.edges
+            assert diagram_edges(smdd) <= diagram_edges(full)
             assert count_represented_paths(smdd) >= len({p.positions for p in paths})
 
 
@@ -208,7 +260,7 @@ def test_dump_format_is_stable(fix_d_paths):
     smdd = build_smdd("ax", fix_d_paths, 4)
     assert (smdd.agent, smdd.horizon) == ("ax", 4)
     assert smdd.levels == (("v1",), ("v2", "v6"), ("v3",), ("v4", "v7"), ("v5",))
-    assert smdd.edges == {
+    assert diagram_edges(smdd) == {
         (0, "v1", "v2"), (0, "v1", "v6"), (1, "v2", "v3"), (1, "v6", "v3"),
         (2, "v3", "v4"), (2, "v3", "v7"), (3, "v4", "v5"), (3, "v7", "v5"),
     }

@@ -28,7 +28,7 @@ from mapfsat import (
     sum_of_costs,
     validate_solution,
 )
-from conftest import random_grid_instance
+from conftest import random_grid_instance, scrambled_grid_instance
 
 
 class RecordingSolver(CdclSolver):
@@ -145,17 +145,6 @@ class TestAddConflictClauses:
         )
 
 
-def scrambled_grid_instance():
-    """3x3 grid whose declaration order and BFS order both differ from the
-    ids' sorted order, with three agents crossing it."""
-    names = ["q", "b", "m", "z", "a", "k", "c", "y", "p"]  # row-major cells
-    edges = [(names[i], names[i + 1]) for i in range(9) if i % 3 < 2]
-    edges += [(names[i], names[i + 3]) for i in range(6)]
-    g = Graph(list(reversed(names)), edges)
-    agents = [Agent("a1", "q", "p"), Agent("a2", "p", "q"), Agent("a3", "m", "c")]
-    return MapfInstance(g, agents)
-
-
 def canonical(entries):
     return entries == sorted(entries)
 
@@ -212,8 +201,10 @@ class TestEmissionOrder:
     def test_recorded_conflict_clauses_are_in_canonical_order(self):
         inst = scrambled_grid_instance()
         conflicts = ConflictSet()
+        graph = inst.graph
+        pairs = [(u, v) for u in graph.vertices for v in graph.neighbors(u) if u < v]
         for t in range(5):
-            for u, v in inst.graph.edges:
+            for u, v in pairs:
                 for a in ("a3", "a1", "a2"):
                     conflicts.add_vertex(a, v, t)
                     conflicts.add_edge(a, (u, v), t)

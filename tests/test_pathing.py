@@ -41,8 +41,10 @@ class TestBfsDistances:
 
     def test_adjacent_vertices_differ_by_at_most_one(self, fix_c):
         d = bfs_distances(fix_c.graph, "v1")
-        for u, v in fix_c.graph.edges:
-            assert abs(d[u] - d[v]) <= 1
+        graph = fix_c.graph
+        for u in graph.vertices:
+            for v in graph.neighbors(u):
+                assert abs(d[u] - d[v]) <= 1
 
 
 class TestConstrainedShortestPath:

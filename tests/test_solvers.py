@@ -278,8 +278,13 @@ class TestTimeoutAndConfig:
         assert out.soc is None
 
     def test_invalid_timeout_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(timeout_s=0)
+        for timeout in (0, float("nan")):
+            with pytest.raises(ValueError):
+                SolverConfig(timeout_s=timeout)
+
+    def test_infinite_timeout_means_no_limit(self, fix_b):
+        out = solve_mdd_sat(fix_b, SolverConfig(timeout_s=float("inf")))
+        assert out.status == SOLVED and out.soc == 4
 
     def test_cost_cap_below_shortest_total_rejected(self, fix_b):
         with pytest.raises(ValueError):
