@@ -13,12 +13,17 @@ or a map or scenario file that fails to parse; other unusable inputs become
 ahead of bad input, when a run raised one of `bench.SOLVER_FAULTS`; that run
 is one `error` record with one `mapf: <reason>` line, and the other runs
 complete.
+
+A reader that closes standard output early (`mapf solve ... | head -1`) does
+not change the exit code: the output it no longer takes is dropped without
+a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path as FsPath
 
@@ -53,6 +58,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str) -> None:
+    """Print `text` on stdout; drop it quietly if the reader has gone."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # later writes, including the interpreter's own final flush, go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _bad_input(problem: Exception | str) -> int:
     print(f"mapf: {problem}", file=sys.stderr)
     return 2
@@ -75,7 +91,7 @@ def _cmd_solve(args) -> int:
     if args.out:
         FsPath(args.out).write_text(payload + "\n")
     else:
-        print(payload)
+        _emit(payload)
     return 0
 
 
@@ -93,7 +109,7 @@ def _cmd_bench(args) -> int:
     except ConfigError as exc:
         return _bad_input(exc)
     write_csv(records, args.csv)
-    print(f"wrote {len(records)} records to {args.csv}")
+    _emit(f"wrote {len(records)} records to {args.csv}")
     failures = dict.fromkeys(r.reason for r in records if r.reason.startswith(PARSE_ERROR))
     fault_prefixes = tuple(f"{e.__name__}: " for e in SOLVER_FAULTS)
     faults = [r.reason for r in records if r.reason.startswith(fault_prefixes)]

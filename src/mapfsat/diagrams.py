@@ -8,8 +8,9 @@ explicit set of candidate paths, which may make extra combined paths
 representable as a side effect.
 
 A diagram keeps its levels and out-edge lists in the ids' order, as its
-builder hands them over: the full build sorts each level and filters
-`Graph.moves`; the sparse build, whose paths arrive in any order, sorts both.
+builder hands them over: the full build sweeps forward from the start, sorts
+each level and filters `Graph.moves`; the sparse build, whose paths arrive in
+any order, sorts both.
 """
 
 from __future__ import annotations
@@ -71,15 +72,19 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
               cost_bound: int, distances: Distances | None = None) -> Mdd:
     """Full diagram of every start->goal path within the horizon and cost bound.
 
-    The goal node persists at every level from the earliest arrival onward,
-    so trailing goal waits stay representable and free.
+    The levels are swept forward from the start: level t + 1 holds the moves
+    of level-t nodes that are the goal or can still reach it within the
+    bound. That is the vertex set with dist(start, v) <= t <= bound -
+    dist(v, goal), and only the goal's distance table is read. The goal node
+    persists at every level from the earliest arrival onward, so trailing
+    goal waits stay representable and free.
     """
     graph = instance.graph
     agent = instance.agent(agent_id)
+    goal = agent.goal
     distances = distances if distances is not None else Distances(graph)
-    dist_start = distances.dist(agent.start)
-    dist_goal = distances.dist(agent.goal)
-    xi = dist_start.get(agent.goal)
+    dist_goal = distances.dist(goal)
+    xi = dist_goal.get(agent.start)
     if xi is None:
         raise InfeasibleAgentError(f"goal of agent {agent_id!r} is unreachable")
     if cost_bound < xi:
@@ -90,26 +95,22 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
         )
     bound = min(cost_bound, horizon)
 
-    # v sits on levels dist_start[v] .. bound - dist_goal[v] (the goal on every
-    # level from its arrival on)
-    members: list[set[Vertex]] = [set() for _ in range(horizon + 1)]
-    for v, ds in dist_start.items():
-        last = horizon if v == agent.goal else bound - dist_goal[v]
-        for t in range(ds, last + 1):
-            members[t].add(v)
-    levels = tuple(tuple(sorted(level)) for level in members)
-
-    # graph.moves(u) is in the ids' order, so each out-edge list is as well
+    # graph.moves(u) is in the ids' order, so each out-edge list is as well.
+    # No pruning pass: on an undirected graph where agents may wait, every
+    # node swept here lies on a start->goal walk within the bound (checked by
+    # test_matches_brute_force_expansion).
+    moves = graph.moves
+    levels = [(agent.start,)]
     out = {}
     for t in range(horizon):
-        nxt = members[t + 1]
+        slack = bound - (t + 1)
+        reached: set[Vertex] = set()
         for u in levels[t]:
-            out[(t, u)] = tuple([w for w in graph.moves(u) if w in nxt])
-
-    # No pruning pass: with exact BFS distances on an undirected graph where
-    # agents may wait, every node above lies on a start->goal walk within the
-    # bound (checked by test_matches_brute_force_expansion).
-    return Mdd(agent_id, horizon, levels, out)
+            heads = tuple([w for w in moves(u) if w == goal or dist_goal[w] <= slack])
+            out[(t, u)] = heads
+            reached.update(heads)
+        levels.append(tuple(sorted(reached)))
+    return Mdd(agent_id, horizon, tuple(levels), out)
 
 
 def build_smdd(agent_id: Hashable, paths: Sequence[Path], horizon: int) -> Mdd:

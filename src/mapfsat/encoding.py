@@ -45,9 +45,6 @@ class VariableMap:
     def e_var(self, agent: Hashable, u: Vertex, v: Vertex, t: int) -> Optional[int]:
         return self.e.get((agent, u, v, t))
 
-    def c_var(self, agent: Hashable, t: int) -> Optional[int]:
-        return self.c.get((agent, t))
-
     @property
     def decision_var_count(self) -> int:
         return len(self.x) + len(self.e)
@@ -76,7 +73,7 @@ class BooleanModel:
         return self.varmap.decision_var_count
 
 
-def _at_most_one(solver: CdclSolver, lits: list[int]) -> None:
+def _at_most_one(solver: CdclSolver, lits: list[int], clauses: list) -> None:
     # pairwise is smaller up to a handful of literals, counter beyond that
     n = len(lits)
     if n <= 1:
@@ -84,34 +81,38 @@ def _at_most_one(solver: CdclSolver, lits: list[int]) -> None:
     if n <= 5:
         for i in range(n):
             for j in range(i + 1, n):
-                solver.add_clause([-lits[i], -lits[j]])
+                clauses.append([-lits[i], -lits[j]])
     else:
-        cardinality_le(solver, lits, 1)
+        cardinality_le(solver, lits, 1, clauses)
 
 
-def cardinality_le(solver: CdclSolver, lits: list[int], k: int) -> None:
-    """Sequential-counter clauses enforcing at most k of `lits` true."""
+def cardinality_le(solver: CdclSolver, lits: list[int], k: int, clauses: list) -> None:
+    """Sequential-counter clauses enforcing at most k of `lits` true.
+
+    The counter's variables are allocated on `solver` at once; the clauses
+    are appended to `clauses`, for the caller to add in order.
+    """
     if k < 0:
         raise ValueError("negative cardinality bound")
     n = len(lits)
     if k >= n:
         return
     if k == 0:
-        for lit in lits:
-            solver.add_clause([-lit])
+        clauses.extend([-lit] for lit in lits)
         return
-    reg = [[solver.new_var() for _ in range(k)] for _ in range(n - 1)]
-    solver.add_clause([-lits[0], reg[0][0]])
+    regs = solver.new_vars(k * (n - 1))
+    reg = [regs[i * k:(i + 1) * k] for i in range(n - 1)]
+    clauses.append([-lits[0], reg[0][0]])
     for j in range(1, k):
-        solver.add_clause([-reg[0][j]])
+        clauses.append([-reg[0][j]])
     for i in range(1, n - 1):
-        solver.add_clause([-lits[i], reg[i][0]])
-        solver.add_clause([-reg[i - 1][0], reg[i][0]])
+        clauses.append([-lits[i], reg[i][0]])
+        clauses.append([-reg[i - 1][0], reg[i][0]])
         for j in range(1, k):
-            solver.add_clause([-lits[i], -reg[i - 1][j - 1], reg[i][j]])
-            solver.add_clause([-reg[i - 1][j], reg[i][j]])
-        solver.add_clause([-lits[i], -reg[i - 1][k - 1]])
-    solver.add_clause([-lits[n - 1], -reg[n - 2][k - 1]])
+            clauses.append([-lits[i], -reg[i - 1][j - 1], reg[i][j]])
+            clauses.append([-reg[i - 1][j], reg[i][j]])
+        clauses.append([-lits[i], -reg[i - 1][k - 1]])
+    clauses.append([-lits[n - 1], -reg[n - 2][k - 1]])
 
 
 def build_model(
@@ -124,7 +125,12 @@ def build_model(
     solver: CdclSolver | None = None,
     distances: Distances | None = None,
 ) -> BooleanModel:
-    """Fresh solver instance encoding the diagrams under the given bounds."""
+    """Fresh solver instance encoding the diagrams under the given bounds.
+
+    Variables are allocated agent by agent. Clauses reach the solver in
+    emission order, in batches no larger than one agent's clauses or one
+    section's, so a build never holds all of them at once.
+    """
     if mode not in (COMPLETE, INCOMPLETE):
         raise ValueError(f"unknown mode {mode!r}")
     agents = instance.agents
@@ -134,7 +140,7 @@ def build_model(
         if diagrams[a.id].horizon != horizon:
             raise ValueError(f"diagram of agent {a.id!r} has mismatched horizon")
     distances = distances if distances is not None else Distances(instance.graph)
-    xi = {a.id: distances.dist(a.start).get(a.goal) for a in agents}
+    xi = {a.id: distances.dist(a.goal).get(a.start) for a in agents}
     if any(d is None for d in xi.values()):
         raise ValueError("some agent cannot reach its goal")
     delta = soc - sum(xi.values())
@@ -144,57 +150,61 @@ def build_model(
     s = solver if solver is not None else CdclSolver()
     vm = VariableMap()
     model = BooleanModel(s, vm, horizon, conflicts, instance, diagrams)
+    x, e, c = vm.x, vm.e, vm.c
 
     for a in agents:
         mdd = diagrams[a.id]
-        for t in range(horizon + 1):
-            for v in mdd.levels[t]:
-                vm.x[(a.id, v, t)] = s.new_var()
-        for t in range(horizon):
-            for u in mdd.levels[t]:
-                for w in mdd.outgoing(u, t):
-                    vm.e[(a.id, u, w, t)] = s.new_var()
-        for t in range(xi[a.id], horizon):
-            vm.c[(a.id, t)] = s.new_var()
+        nodes = [(a.id, v, t) for t in range(horizon + 1) for v in mdd.levels[t]]
+        x.update(zip(nodes, s.new_vars(len(nodes))))
+        edges = [(a.id, u, w, t) for t in range(horizon) for u in mdd.levels[t]
+                 for w in mdd.outgoing(u, t)]
+        e.update(zip(edges, s.new_vars(len(edges))))
+        steps = [(a.id, t) for t in range(xi[a.id], horizon)]
+        c.update(zip(steps, s.new_vars(len(steps))))
 
     for a in agents:
         mdd = diagrams[a.id]
+        clauses: list[list[int]] = []
         # endpoints
-        s.add_clause([vm.x[(a.id, mdd.start, 0)]])
-        s.add_clause([vm.x[(a.id, mdd.goal, horizon)]])
+        clauses.append([x[(a.id, mdd.start, 0)]])
+        clauses.append([x[(a.id, mdd.goal, horizon)]])
         # occupying a node forces exactly one outgoing edge
         for t in range(horizon):
             for u in mdd.levels[t]:
-                xv = vm.x[(a.id, u, t)]
-                outs = [vm.e[(a.id, u, w, t)] for w in mdd.outgoing(u, t)]
-                s.add_clause([-xv] + outs)
-                _at_most_one(s, outs)
+                xv = x[(a.id, u, t)]
+                outs = [e[(a.id, u, w, t)] for w in mdd.outgoing(u, t)]
+                clauses.append([-xv] + outs)
+                _at_most_one(s, outs, clauses)
         # an edge pins both of its endpoints
         for t in range(horizon):
             for u in mdd.levels[t]:
+                xu = x[(a.id, u, t)]
                 for v in mdd.outgoing(u, t):
-                    ev = vm.e[(a.id, u, v, t)]
-                    s.add_clause([-ev, vm.x[(a.id, u, t)]])
-                    s.add_clause([-ev, vm.x[(a.id, v, t + 1)]])
+                    ev = e[(a.id, u, v, t)]
+                    clauses.append([-ev, xu])
+                    clauses.append([-ev, x[(a.id, v, t + 1)]])
         # at most one vertex per level
         for t in range(horizon + 1):
-            _at_most_one(s, [vm.x[(a.id, v, t)] for v in mdd.levels[t]])
+            _at_most_one(s, [x[(a.id, v, t)] for v in mdd.levels[t]], clauses)
         # cost indicators: active while not settled at the goal, monotone,
         # and justified so the true count equals the exact excess cost
         for t in range(xi[a.id], horizon):
-            ct = vm.c[(a.id, t)]
+            ct = c[(a.id, t)]
             support = [
-                vm.x[(a.id, v, t)] for v in mdd.levels[t] if v != a.goal
+                x[(a.id, v, t)] for v in mdd.levels[t] if v != a.goal
             ]
             for xv in support:
-                s.add_clause([-xv, ct])
-            nxt = vm.c_var(a.id, t + 1)
+                clauses.append([-xv, ct])
+            nxt = c.get((a.id, t + 1))
             if nxt is not None:
-                s.add_clause([-nxt, ct])
-            s.add_clause([-ct] + support + ([nxt] if nxt is not None else []))
+                clauses.append([-nxt, ct])
+            clauses.append([-ct] + support + ([nxt] if nxt is not None else []))
+        s.add_clauses(clauses)
 
     # allocated agent by agent in instance order, then by step
-    cardinality_le(s, list(vm.c.values()), delta)
+    clauses = []
+    cardinality_le(s, list(c.values()), delta, clauses)
+    s.add_clauses(clauses)
 
     if mode == COMPLETE:
         _emit_complete_constraints(model)
@@ -212,11 +222,14 @@ def _emit_complete_constraints(model: BooleanModel) -> None:
         for t in range(model.horizon + 1):
             for v in mdd.levels[t]:
                 shared.setdefault((t, v), []).append(vm.x[(a.id, v, t)])
+    clauses: list[list[int]] = []
     for key in sorted(shared):
-        _at_most_one(s, shared[key])
+        _at_most_one(s, shared[key], clauses)
+    s.add_clauses(clauses)
     # no pair of agents may swap across one edge
     for i in range(len(agents)):
         mdd = model.diagrams[agents[i].id]
+        clauses = []
         for j in range(i + 1, len(agents)):
             ai, aj = agents[i].id, agents[j].id
             for t in range(model.horizon):
@@ -224,7 +237,8 @@ def _emit_complete_constraints(model: BooleanModel) -> None:
                     for v in mdd.outgoing(u, t):
                         opposite = vm.e_var(aj, v, u, t)
                         if opposite is not None:
-                            s.add_clause([-vm.e[(ai, u, v, t)], -opposite])
+                            clauses.append([-vm.e[(ai, u, v, t)], -opposite])
+        s.add_clauses(clauses)
 
 
 def add_conflict_clauses(model: BooleanModel, collisions: Iterable[Collision]) -> BooleanModel:
@@ -259,7 +273,7 @@ def _emit_pair(model: BooleanModel, pair: tuple[int, int]) -> None:
     if key in model._emitted_pairs:
         return
     model._emitted_pairs.add(key)
-    model.solver.add_clause(list(pair))
+    model.solver.add_clause(pair)
 
 
 def _emit_recorded_conflicts(model: BooleanModel) -> None:

@@ -84,22 +84,23 @@ class Graph:
                 raise InstanceError(f"edge ({u!r}, {v!r}) references an undeclared vertex")
             adj[u].add(v)
             adj[v].add(u)
-        self._adj = {v: tuple(sorted(adj[v])) for v in self.vertices}
+        # vertex -> its neighbours in the ids' order; read-only
+        self.adjacency = {v: tuple(sorted(adj[v])) for v in self.vertices}
         self._moves = {v: tuple(sorted((v, *adj[v]))) for v in self.vertices}
         self.grid = grid
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self._adj
+        return v in self.adjacency
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        return self._adj[v]
+        return self.adjacency[v]
 
     def moves(self, v: Vertex) -> tuple[Vertex, ...]:
         """`v` itself (a wait) and its neighbours, in the ids' order."""
         return self._moves[v]
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return u in self._adj and v in self._adj[u]
+        return u in self.adjacency and v in self.adjacency[u]
 
     @property
     def vertex_count(self) -> int:
@@ -107,7 +108,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(ns) for ns in self._adj.values()) // 2
+        return sum(len(ns) for ns in self.adjacency.values()) // 2
 
     def cell_vertex(self, x: int, y: int) -> Optional[int]:
         """Vertex id for a grid cell, or None if blocked/out of bounds."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
@@ -71,20 +70,27 @@ def bfs_distances(graph: Graph, source: Vertex) -> dict[Vertex, int]:
     """Exact hop distances from `source`; unreachable vertices are absent."""
     if source not in graph:
         raise ValueError(f"source {source!r} not in graph")
+    adj = graph.adjacency
     dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in graph.neighbors(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = d
+                    reached.append(w)
+        frontier = reached
     return dist
 
 
 class Distances:
     """BFS tables of one graph, each computed the first time it is asked for.
 
+    The graph is undirected, so a goal's table also holds every start's
+    distance to that goal: solvers ask only for goal tables, one per agent.
     A solver makes one per solve and drops it when the solve returns, so no
     table outlives the solve that needed it.
     """
@@ -186,7 +192,7 @@ def shortest_path(instance: MapfInstance, agent_id: Hashable,
     """Deterministic unconstrained shortest path for one agent."""
     agent = instance.agent(agent_id)
     distances = distances if distances is not None else Distances(instance.graph)
-    dist = distances.dist(agent.start).get(agent.goal)
+    dist = distances.dist(agent.goal).get(agent.start)
     if dist is None:
         return None
     return constrained_shortest_path(instance, agent_id, AgentConflicts(), dist, dist,

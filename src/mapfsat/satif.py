@@ -10,7 +10,7 @@ are single-owner; distinct instances may run concurrently.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class SatBackendError(RuntimeError):
@@ -98,63 +98,89 @@ class CdclSolver:
         return self._nclauses
 
     def new_var(self) -> int:
-        self._nvars += 1
-        self._value.append(0)
-        self._value.append(0)
-        self._level.append(0)
-        self._reason.append(None)
-        self._phase.append(False)
-        self._activity.append(0.0)
-        self._queued.append(True)
-        self._watches.append([])
-        self._watches.append([])
-        heapq.heappush(self._order, (0.0, self._nvars))
-        return self._nvars
+        return self.new_vars(1).start
+
+    def new_vars(self, n: int) -> range:
+        """Allocate `n` variables at once; returns their indices."""
+        first = self._nvars + 1
+        self._nvars += n
+        self._value += [0] * (2 * n)
+        self._level += [0] * n
+        self._reason += [None] * n
+        self._phase += [False] * n
+        self._activity += [0.0] * n
+        self._queued += [True] * n
+        self._watches += [[] for _ in range(2 * n)]
+        # each new entry is the largest in the heap, so appending keeps it a heap
+        self._order += [(0.0, v) for v in range(first, self._nvars + 1)]
+        return range(first, self._nvars + 1)
 
     def add_clause(self, lits: Iterable[int]) -> None:
+        self.add_clauses((tuple(lits),))
+
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
+        """Add clauses in order, each exactly as `add_clause` would."""
         # values are read while the literals are checked, so they must be
         # the level-0 values
         if self._lim:
             self._cancel_until(0)
         nvars = self._nvars
         value = self._value
-        seen: set[int] = set()  # encoded literals
-        enc: list[int] = []     # encoded literals not false at level 0
-        satisfied = False
-        for lit in lits:
-            if not isinstance(lit, int) or lit == 0:
-                raise ValueError(f"invalid literal {lit!r}")
-            if lit > 0:
-                if lit > nvars:
-                    raise ValueError(f"unallocated variable {lit}")
-                q = lit << 1
-            else:
-                if -lit > nvars:
-                    raise ValueError(f"unallocated variable {-lit}")
-                q = (-lit << 1) | 1
-            if (q ^ 1) in seen:
-                return  # tautology, constrains nothing
-            if q not in seen:
-                seen.add(q)
-                v = value[q]
-                if v == 0:
-                    enc.append(q)
-                elif v == 1:
-                    satisfied = True
-        if not seen:
-            raise ValueError("empty clause")
-        self._nclauses += 1
-        if self._unsat or satisfied:
-            return  # already unsat, or satisfied for good at level 0
-        if not enc:
-            self._unsat = True
-        elif len(enc) == 1:
-            self._enqueue(enc[0], None)
-            if self._propagate() is not None:
+        watches = self._watches
+        for lits in clauses:
+            if len(lits) == 2:
+                # short path: two distinct variables, both valid and unassigned
+                a, b = lits
+                if (type(a) is int and type(b) is int and a and b
+                        and -nvars <= a <= nvars and -nvars <= b <= nvars):
+                    qa = a << 1 if a > 0 else (-a << 1) | 1
+                    qb = b << 1 if b > 0 else (-b << 1) | 1
+                    if qa >> 1 != qb >> 1 and value[qa] == 0 and value[qb] == 0:
+                        self._nclauses += 1
+                        enc = [qa, qb]
+                        watches[qa].append(enc)
+                        watches[qb].append(enc)
+                        continue
+            seen: set[int] = set()  # encoded literals
+            enc = []                # encoded literals not false at level 0
+            satisfied = tautology = False
+            for lit in lits:
+                if not isinstance(lit, int) or lit == 0:
+                    raise ValueError(f"invalid literal {lit!r}")
+                if lit > 0:
+                    if lit > nvars:
+                        raise ValueError(f"unallocated variable {lit}")
+                    q = lit << 1
+                else:
+                    if -lit > nvars:
+                        raise ValueError(f"unallocated variable {-lit}")
+                    q = (-lit << 1) | 1
+                if (q ^ 1) in seen:
+                    tautology = True
+                    break
+                if q not in seen:
+                    seen.add(q)
+                    v = value[q]
+                    if v == 0:
+                        enc.append(q)
+                    elif v == 1:
+                        satisfied = True
+            if tautology:
+                continue  # constrains nothing
+            if not seen:
+                raise ValueError("empty clause")
+            self._nclauses += 1
+            if self._unsat or satisfied:
+                continue  # already unsat, or satisfied for good at level 0
+            if not enc:
                 self._unsat = True
-        else:
-            self._watches[enc[0]].append(enc)
-            self._watches[enc[1]].append(enc)
+            elif len(enc) == 1:
+                self._enqueue(enc[0], None)
+                if self._propagate() is not None:
+                    self._unsat = True
+            else:
+                watches[enc[0]].append(enc)
+                watches[enc[1]].append(enc)
 
     # ----- search ----------------------------------------------------------------
 

@@ -153,7 +153,7 @@ def _shortest_costs(instance: MapfInstance,
                     distances: Distances) -> dict[Hashable, int] | None:
     xi = {}
     for a in instance.agents:
-        d = distances.dist(a.start).get(a.goal)
+        d = distances.dist(a.goal).get(a.start)
         if d is None:
             return None
         xi[a.id] = d

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from mapfsat.encoding import EncodingSoundnessError
 from mapfsat.solvers import ALGORITHMS
 
 SUITE = Path(__file__).parent / "data" / "suite8x8"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_solve_writes_solution_json(tmp_path):
@@ -214,3 +218,21 @@ def test_bench_solver_fault_is_one_error_record_and_exits_1(tmp_path, capsys, mo
     assert [(r.algo, r.status, r.reason) for r in records] == [
         ("cbs", "error", reason), ("heuristic", "solved", ""),
     ] * 2
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--map", str(SUITE / "open8.map"), "--scen", str(SUITE / "open8-01.scen"),
+     "--agents", "2"],
+    ["bench", "--suite", str(SUITE), "--algos", "cbs", "--agents", "2", "--per-count", "1"],
+])
+def test_reader_that_closes_first_leaves_exit_code_and_no_traceback(command, tmp_path):
+    if command[0] == "bench":
+        command = command + ["--csv", str(tmp_path / "records.csv")]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen([sys.executable, "-m", "mapfsat.cli", *command],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()  # the reader is gone before anything is written
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    assert err == b""

@@ -113,6 +113,45 @@ class TestBuildMdd:
             checked += 1
         assert above_bound >= 100
 
+    def test_matches_interval_construction(self):
+        # the forward sweep against the definition it replaced: v sits on
+        # levels dist(start, v) .. bound - dist(v, goal), the goal on every
+        # level from its arrival on, and each out-edge list is the moves of
+        # the node that land on the next level
+        def interval_mdd(graph, start, goal, horizon, bound):
+            dist_start = bfs_distances(graph, start)
+            dist_goal = bfs_distances(graph, goal)
+            members = [set() for _ in range(horizon + 1)]
+            for v, ds in dist_start.items():
+                last = horizon if v == goal else bound - dist_goal[v]
+                for t in range(ds, last + 1):
+                    members[t].add(v)
+            levels = tuple(tuple(sorted(level)) for level in members)
+            out = {(t, u): tuple(w for w in graph.moves(u) if w in members[t + 1])
+                   for t in range(horizon) for u in levels[t]}
+            return levels, out
+
+        rng = random.Random(29)
+        checked = above_bound = 0
+        while checked < 40:
+            inst = random_grid_instance(rng, max_side=7)
+            if inst.graph.vertex_count <= 8:
+                continue
+            for agent in inst.agents:
+                xi = bfs_distances(inst.graph, agent.goal)[agent.start]
+                for slack in range(4):
+                    bound = xi + slack
+                    for horizon in (bound, bound + 1, bound + 3):
+                        above_bound += horizon > bound
+                        mdd = build_mdd(inst, agent.id, horizon, bound)
+                        levels, out = interval_mdd(inst.graph, agent.start, agent.goal,
+                                                   horizon, bound)
+                        assert mdd.levels == levels
+                        assert {(t, u): mdd.outgoing(u, t) for t, u in out} == out
+                        assert mdd.edge_count == sum(map(len, out.values()))
+            checked += 1
+        assert above_bound >= 500
+
 
 class TestBuildSmdd:
     def test_two_path_example(self, fix_d_paths):

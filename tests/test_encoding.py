@@ -32,16 +32,20 @@ from conftest import random_grid_instance, scrambled_grid_instance
 
 
 class RecordingSolver(CdclSolver):
-    """Keeps every clause it is given, in order."""
+    """Keeps every clause it is given, in order.
+
+    `add_clause` hands its clause to `add_clauses`, so recording the batched
+    path records both.
+    """
 
     def __init__(self):
         super().__init__()
         self.clauses: list[list[int]] = []
 
-    def add_clause(self, lits):
-        lits = list(lits)
-        self.clauses.append(lits)
-        super().add_clause(lits)
+    def add_clauses(self, clauses):
+        clauses = [list(lits) for lits in clauses]
+        self.clauses.extend(clauses)
+        super().add_clauses(clauses)
 
 
 def full_model(instance, delta=0, mode=INCOMPLETE, conflicts=None, solver=None):
@@ -235,20 +239,26 @@ def fresh_solver(nvars):
     return solver, [solver.new_var() for _ in range(nvars)]
 
 
+def at_most(solver, lits, k):
+    clauses = []
+    cardinality_le(solver, lits, k, clauses)
+    solver.add_clauses(clauses)
+
+
 class TestCardinality:
     def test_at_most_one_of_three_matches_enumeration(self):
         # every assignment with <= 1 true literal extends to the counter
         # variables; every assignment with >= 2 true literals is excluded
         for bits in itertools.product([False, True], repeat=3):
             solver, lits = fresh_solver(3)
-            cardinality_le(solver, lits, 1)
+            at_most(solver, lits, 1)
             for lit, bit in zip(lits, bits):
                 solver.add_clause([lit if bit else -lit])
             assert solver.solve() == (sum(bits) <= 1), bits
 
     def test_zero_bound_forces_all_false(self):
         solver, lits = fresh_solver(4)
-        cardinality_le(solver, lits, 0)
+        at_most(solver, lits, 0)
         assert solver.solve()
         assignment = solver.model()
         assert all(not assignment[lit] for lit in lits)
@@ -256,7 +266,7 @@ class TestCardinality:
     def test_slack_bound_has_no_effect(self):
         for bits in itertools.product([False, True], repeat=3):
             solver, lits = fresh_solver(3)
-            cardinality_le(solver, lits, 3)
+            at_most(solver, lits, 3)
             for lit, bit in zip(lits, bits):
                 solver.add_clause([lit if bit else -lit])
             assert solver.solve()
@@ -265,7 +275,7 @@ class TestCardinality:
         for k in (1, 2, 3):
             for bits in itertools.product([False, True], repeat=5):
                 solver, lits = fresh_solver(5)
-                cardinality_le(solver, lits, k)
+                at_most(solver, lits, k)
                 for lit, bit in zip(lits, bits):
                     solver.add_clause([lit if bit else -lit])
                 assert solver.solve() == (sum(bits) <= k)

@@ -302,3 +302,93 @@ def test_interrupt_at_any_poll_leaves_answers_sound():
                 assert check_model(clauses, s.model())
             if not aborted:
                 break
+
+
+def random_stream(rng: random.Random, nvars: int, n: int) -> list[list[int]]:
+    """Clauses mixing units, duplicate literals, tautologies and plain clauses."""
+    def lit() -> int:
+        return rng.choice((1, -1)) * rng.randint(1, nvars)
+
+    out = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.1:
+            out.append([lit()])
+        elif kind < 0.2:
+            a = lit()
+            out.append([a, a, lit()])
+        elif kind < 0.3:
+            a = lit()
+            out.append([a, lit(), -a])
+        else:
+            out.append([lit() for _ in range(rng.choice((2, 2, 2, 3, 4)))])
+    return out
+
+
+def in_batches(rng: random.Random, clauses: list[list[int]]):
+    i = 0
+    while i < len(clauses):
+        j = i + rng.randint(0, 6)
+        yield clauses[i:j]
+        i = j
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_add_clauses_equals_repeated_add_clause(seed):
+    rng = random.Random(seed)
+    nvars = rng.randint(3, 12)
+    one, batched = CdclSolver(), CdclSolver()
+    one.new_vars(nvars)
+    batched.new_vars(nvars)
+    # three rounds, so later clauses meet literals that earlier units and
+    # solves fixed at level 0, and a solver left above level 0
+    for _ in range(3):
+        stream = random_stream(rng, nvars, rng.randint(0, 3 * nvars))
+        for clause in stream:
+            # repeating a literal changes nothing but keeps a binary clause
+            # off the short path, so `one` takes the general path throughout
+            one.add_clause([*clause, clause[-1]])
+        for batch in in_batches(rng, stream):
+            batched.add_clauses(batch)
+        assert one.num_clauses == batched.num_clauses
+        got = one.solve()
+        assert batched.solve() == got
+        assert (one._conflict_count, one._decision_count) == (
+            batched._conflict_count, batched._decision_count)
+        if got:
+            assert one.model() == batched.model()
+
+
+@pytest.mark.parametrize("bad", [0, 4, -4, 1.0, "1", None])
+def test_add_clauses_rejects_invalid_literals_like_add_clause(bad):
+    one, batched = CdclSolver(), CdclSolver()
+    one.new_vars(3)
+    batched.new_vars(3)
+    one.add_clause([1, 2])
+    with pytest.raises(ValueError) as single:
+        one.add_clause([-1, bad])
+    with pytest.raises(ValueError) as batch:
+        batched.add_clauses([[1, 2], [-1, bad], [3]])
+    assert str(batch.value) == str(single.value)
+    # the clause ahead of the bad one is in, the one behind it is not
+    assert batched.num_clauses == one.num_clauses == 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_new_vars_equals_repeated_new_var(seed):
+    rng = random.Random(seed)
+    clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 41), 3)]
+               for _ in range(170)]
+    one, batched = CdclSolver(), CdclSolver()
+    for _ in range(40):
+        one.new_var()
+    assert batched.new_vars(25) == range(1, 26)
+    assert batched.new_vars(0) == range(26, 26)
+    assert batched.new_vars(15) == range(26, 41)
+    for c in clauses:
+        one.add_clause(c)
+    batched.add_clauses(clauses)
+    assert one.solve() == batched.solve()
+    assert (one._conflict_count, one._decision_count) == (
+        batched._conflict_count, batched._decision_count)
+    assert one._conflict_count > 0

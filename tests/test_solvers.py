@@ -319,29 +319,34 @@ def test_complete_model_collision_is_a_soundness_error(fix_b, monkeypatch):
         solve_mdd_sat(fix_b, QUICK)
 
 
-def test_bfs_runs_at_most_twice_per_agent_per_solve(fix_c, monkeypatch):
-    # one table from each start and each goal, shared by every layer of the
-    # solve; the same count on a second solve shows no table outlived the first
+def test_distance_tables_come_from_goals_once_per_solve(fix_c, monkeypatch):
+    # the graph is undirected, so each goal's table also gives every start's
+    # cost: one table per goal, shared by every layer of the solve, and none
+    # from a start; the same tables on a second solve show none outlived the
+    # first
     sources = []
     real = pathing.bfs_distances
 
-    def counting(graph, source):
+    def recording(graph, source):
         sources.append(source)
         return real(graph, source)
 
     for module in (pathing, diagrams, encoding, solvers):
-        monkeypatch.setattr(module, "bfs_distances", counting)
+        monkeypatch.setattr(module, "bfs_distances", recording)
     rng = random.Random(606)
     instances = [fix_c, *(random_grid_instance(rng) for _ in range(4))]
     for inst in instances:
+        goals = {a.goal for a in inst.agents}
         for algo, solve in ALGORITHMS.items():
-            counts = []
+            runs = []
             for _ in range(2):
                 sources.clear()
                 assert solve(inst, QUICK).solved
-                counts.append(len(sources))
-            assert 0 < counts[0] <= 2 * inst.k, algo
-            assert counts[1] == counts[0], algo
+                runs.append(list(sources))
+            assert runs[0], algo
+            assert set(runs[0]) <= goals, algo
+            assert len(set(runs[0])) == len(runs[0]), algo
+            assert runs[1] == runs[0], algo
 
 
 STRING_GRID_SOLVE = """
