@@ -10,8 +10,9 @@ the sum of shortest-path costs. For `bench` it is an unknown name in
 `--per-count` below 1, a `--timeout` that is not positive (NaN included),
 or a map or scenario file that fails to parse; other unusable inputs become
 `error` records with a reason and leave the exit code at 0. `bench` exits 1,
-ahead of bad input, when a run raised one of `bench.SOLVER_FAULTS`; that run
-is one `error` record with one `mapf: <reason>` line, and the other runs
+ahead of bad input, when a run raised one of `bench.SOLVER_FAULTS` (a
+`solved` run that fails re-validation raises `EncodingSoundnessError`); that
+run is one `error` record with one `mapf: <reason>` line, and the other runs
 complete.
 
 A reader that closes standard output early (`mapf solve ... | head -1`) does

@@ -60,7 +60,6 @@ class BooleanModel:
     conflicts: ConflictSet
     instance: MapfInstance
     diagrams: Mapping[Hashable, Mdd]
-    _emitted_pairs: set = field(default_factory=set)
 
     def solve(self) -> Optional[list[bool]]:
         """Satisfying assignment of the current clause set, or None."""
@@ -248,32 +247,35 @@ def add_conflict_clauses(model: BooleanModel, collisions: Iterable[Collision]) -
     the rule is then vacuously enforced for the missing side. The conflict is
     recorded either way so later models re-emit it.
     """
-    vm, s = model.varmap, model.solver
     for col in collisions:
-        ai, aj = col.agents
-        if col.kind == "vertex":
-            v, t = col.location, col.t
-            model.conflicts.add_vertex(ai, v, t)
-            model.conflicts.add_vertex(aj, v, t)
-            xi, xj = vm.x_var(ai, v, t), vm.x_var(aj, v, t)
-            if xi is not None and xj is not None:
-                _emit_pair(model, (-xi, -xj))
-        else:
-            (u, v), t = col.location, col.t
-            model.conflicts.add_edge(ai, (u, v), t)
-            model.conflicts.add_edge(aj, (v, u), t)
-            ei, ej = vm.e_var(ai, u, v, t), vm.e_var(aj, v, u, t)
-            if ei is not None and ej is not None:
-                _emit_pair(model, (-ei, -ej))
+        model.conflicts.record(col)
+        clause = _pair_clause(model, *col.agents, col.kind, col.entry(0))
+        if clause is not None:
+            model.solver.add_clause(clause)
     return model
 
 
-def _emit_pair(model: BooleanModel, pair: tuple[int, int]) -> None:
-    key = tuple(sorted(pair))
-    if key in model._emitted_pairs:
-        return
-    model._emitted_pairs.add(key)
-    model.solver.add_clause(pair)
+def _pair_clause(model: BooleanModel, ai: Hashable, aj: Hashable, kind: str,
+                 entry: tuple) -> Optional[tuple[int, int]]:
+    """Clause keeping `ai` off its conflict `entry` and `aj` off the counterpart.
+
+    None when `aj` does not carry the counterpart, or when either agent's
+    diagram lacks the node or edge.
+    """
+    vm, theirs = model.varmap, model.conflicts.for_agent(aj)
+    if kind == "vertex":
+        v, t = entry
+        if entry not in theirs.vertex:
+            return None
+        li, lj = vm.x_var(ai, v, t), vm.x_var(aj, v, t)
+    else:
+        (u, v), t = entry
+        if ((v, u), t) not in theirs.edge:
+            return None
+        li, lj = vm.e_var(ai, u, v, t), vm.e_var(aj, v, u, t)
+    if li is None or lj is None:
+        return None
+    return (-li, -lj)
 
 
 def _emit_recorded_conflicts(model: BooleanModel) -> None:
@@ -283,29 +285,18 @@ def _emit_recorded_conflicts(model: BooleanModel) -> None:
     for every pair of agents that both carry the entry, not only the pair
     that originally collided.
     """
-    instance, vm, conflicts = model.instance, model.varmap, model.conflicts
-    agents = instance.agents
+    agents = model.instance.agents
     by_step = itemgetter(1, 0)  # entries are (vertex or edge, t)
-    vertex_sets = [conflicts.vertex_entries(a.id) for a in agents]
-    edge_sets = [conflicts.edge_entries(a.id) for a in agents]
     for i in range(len(agents)):
         ai = agents[i].id
-        vertex_order = sorted(vertex_sets[i], key=by_step)
-        edge_order = sorted(edge_sets[i], key=by_step)
+        own = model.conflicts.for_agent(ai)
+        entries = [("vertex", e) for e in sorted(own.vertex, key=by_step)]
+        entries += [("edge", e) for e in sorted(own.edge, key=by_step)]
         for j in range(i + 1, len(agents)):
-            aj = agents[j].id
-            for v, t in vertex_order:
-                if (v, t) not in vertex_sets[j]:
-                    continue
-                xi, xj = vm.x_var(ai, v, t), vm.x_var(aj, v, t)
-                if xi is not None and xj is not None:
-                    _emit_pair(model, (-xi, -xj))
-            for (u, v), t in edge_order:
-                if ((v, u), t) not in edge_sets[j]:
-                    continue
-                ei, ej = vm.e_var(ai, u, v, t), vm.e_var(aj, v, u, t)
-                if ei is not None and ej is not None:
-                    _emit_pair(model, (-ei, -ej))
+            for kind, entry in entries:
+                clause = _pair_clause(model, ai, agents[j].id, kind, entry)
+                if clause is not None:
+                    model.solver.add_clause(clause)
 
 
 def extract_solution(model: BooleanModel, assignment: list[bool]) -> Solution:

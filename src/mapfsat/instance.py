@@ -262,6 +262,14 @@ class Collision:
     location: Vertex | tuple[Vertex, Vertex]
     t: int
 
+    def entry(self, side: int) -> tuple:
+        """What the agent `agents[side]` must avoid: `(vertex, t)`, or
+        `(edge, t)` with the edge in the direction that agent traversed it."""
+        if self.kind == "vertex" or side == 0:
+            return (self.location, self.t)
+        u, v = self.location
+        return ((v, u), self.t)
+
 
 def validate_solution(instance: MapfInstance, solution: Solution) -> list[Collision]:
     """All vertex and edge collisions, ordered by timestep then agent indices."""

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
-from .instance import Graph, MapfInstance, Path, Vertex
+from .instance import Collision, Graph, MapfInstance, Path, Vertex
 
 VertexConflict = tuple[Vertex, int]          # agent must not occupy v at t
 EdgeConflict = tuple[tuple[Vertex, Vertex], int]  # agent must not traverse u->v at t
@@ -28,42 +28,35 @@ class AgentConflicts:
     vertex: frozenset[VertexConflict] = frozenset()
     edge: frozenset[EdgeConflict] = frozenset()
 
-    def extended(self, vertex: VertexConflict | None = None,
-                 edge: EdgeConflict | None = None) -> "AgentConflicts":
-        v = self.vertex | {vertex} if vertex else self.vertex
-        e = self.edge | {edge} if edge else self.edge
-        return AgentConflicts(v, e)
+    def with_entry(self, kind: str, entry: VertexConflict | EdgeConflict) -> "AgentConflicts":
+        """A copy that also avoids `entry`, a "vertex" or an "edge" entry."""
+        if kind == "vertex":
+            return AgentConflicts(self.vertex | {entry}, self.edge)
+        return AgentConflicts(self.vertex, self.edge | {entry})
 
 
 class ConflictSet:
-    """Accumulated per-agent vertex and edge conflicts."""
+    """Accumulated conflicts: one `AgentConflicts` per agent."""
 
     def __init__(self):
-        self._vertex: dict[Hashable, set[VertexConflict]] = {}
-        self._edge: dict[Hashable, set[EdgeConflict]] = {}
+        self._by_agent: dict[Hashable, AgentConflicts] = {}
 
-    def add_vertex(self, agent_id: Hashable, v: Vertex, t: int) -> None:
-        if t < 0:
+    def add(self, agent_id: Hashable, kind: str,
+            entry: VertexConflict | EdgeConflict) -> None:
+        if entry[1] < 0:
             raise ValueError("negative timestep")
-        self._vertex.setdefault(agent_id, set()).add((v, t))
+        self._by_agent[agent_id] = self.for_agent(agent_id).with_entry(kind, entry)
 
-    def add_edge(self, agent_id: Hashable, edge: tuple[Vertex, Vertex], t: int) -> None:
-        if t < 0:
-            raise ValueError("negative timestep")
-        self._edge.setdefault(agent_id, set()).add((tuple(edge), t))
-
-    def vertex_entries(self, agent_id: Hashable) -> frozenset[VertexConflict]:
-        return frozenset(self._vertex.get(agent_id, ()))
-
-    def edge_entries(self, agent_id: Hashable) -> frozenset[EdgeConflict]:
-        return frozenset(self._edge.get(agent_id, ()))
+    def record(self, collision: Collision) -> None:
+        """Keep both agents of `collision` off what they collided on."""
+        for side in (0, 1):
+            self.add(collision.agents[side], collision.kind, collision.entry(side))
 
     def for_agent(self, agent_id: Hashable) -> AgentConflicts:
-        return AgentConflicts(self.vertex_entries(agent_id), self.edge_entries(agent_id))
+        return self._by_agent.get(agent_id, AgentConflicts())
 
     def __len__(self) -> int:
-        total = sum(len(s) for s in self._vertex.values())
-        return total + sum(len(s) for s in self._edge.values())
+        return sum(len(c.vertex) + len(c.edge) for c in self._by_agent.values())
 
 
 def bfs_distances(graph: Graph, source: Vertex) -> dict[Vertex, int]:

@@ -75,7 +75,7 @@ class SolveTimeout(Exception):
 
 
 class _CapExceeded(Exception):
-    pass
+    """Internal: no solution within the cost cap."""
 
 
 class ConfigError(ValueError):
@@ -149,13 +149,13 @@ class SolveOutcome:
         return self.status == SOLVED
 
 
-def _shortest_costs(instance: MapfInstance,
-                    distances: Distances) -> dict[Hashable, int] | None:
+def _shortest_costs(instance: MapfInstance, distances: Distances) -> dict[Hashable, int]:
+    """Each agent's shortest-path cost; InfeasibleAgentError if one has none."""
     xi = {}
     for a in instance.agents:
         d = distances.dist(a.goal).get(a.start)
         if d is None:
-            return None
+            raise InfeasibleAgentError(f"goal of agent {a.id!r} is unreachable")
         xi[a.id] = d
     return xi
 
@@ -205,8 +205,6 @@ def solve_cbs(instance: MapfInstance, config: SolverConfig | None = None) -> Sol
 def _cbs(instance, config, deadline, stats):
     distances = Distances(instance.graph)
     xi = _shortest_costs(instance, distances)
-    if xi is None:
-        raise _CapExceeded
     soc0 = sum(xi.values())
     cap = _resolve_cap(instance, config, soc0)
     agent_ids = [a.id for a in instance.agents]
@@ -224,9 +222,6 @@ def _cbs(instance, config, deadline, stats):
     def node_soc(paths):
         return sum(path_cost(p, instance.agent(a).goal) for a, p in paths.items())
 
-    def freeze(constraints):
-        return tuple((constraints[a].vertex, constraints[a].edge) for a in agent_ids)
-
     counter = itertools.count()
     heap = [(node_soc(root_paths), next(counter), root_constraints, root_paths)]
     expanded: set = set()
@@ -235,7 +230,7 @@ def _cbs(instance, config, deadline, stats):
         soc, _, constraints, paths = heapq.heappop(heap)
         if soc > cap:
             raise _CapExceeded
-        key = freeze(constraints)
+        key = tuple(constraints[a] for a in agent_ids)
         if key in expanded:  # the same constraint sets arise via both branches
             continue
         expanded.add(key)
@@ -247,12 +242,7 @@ def _cbs(instance, config, deadline, stats):
         col = collisions[0]
         for side in (0, 1):
             agent_id = col.agents[side]
-            if col.kind == "vertex":
-                child = constraints[agent_id].extended(vertex=(col.location, col.t))
-            else:
-                u, v = col.location
-                edge = (u, v) if side == 0 else (v, u)
-                child = constraints[agent_id].extended(edge=(edge, col.t))
+            child = constraints[agent_id].with_entry(col.kind, col.entry(side))
             # constraints only accumulate, so the other agents' current costs
             # are lower bounds below this node: budget what is left of the cap
             others = soc - path_cost(paths[agent_id], instance.agent(agent_id).goal)
@@ -343,8 +333,6 @@ def _lazy_solve(mode, extend, instance, config, deadline, stats):
     """
     distances = Distances(instance.graph)
     xi = _shortest_costs(instance, distances)
-    if xi is None:
-        raise _CapExceeded
     soc0 = sum(xi.values())
     mu0 = max(xi.values(), default=0)
     cap = _resolve_cap(instance, config, soc0)
@@ -384,8 +372,6 @@ def heuristic_fixed(
     stats = stats if stats is not None else SolveStats()
     distances = Distances(instance.graph)
     xi = _shortest_costs(instance, distances)
-    if xi is None:
-        raise InfeasibleAgentError("some agent cannot reach its goal")
     solution = _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc,
                       xi, INCOMPLETE, "and", distances)
     return solution, conflicts

@@ -11,7 +11,8 @@ import pytest
 from mapfsat.bench import read_csv
 from mapfsat.cli import main
 from mapfsat.encoding import EncodingSoundnessError
-from mapfsat.solvers import ALGORITHMS
+from mapfsat.instance import Path as AgentPath, Solution
+from mapfsat.solvers import ALGORITHMS, SOLVED, SolveOutcome
 
 SUITE = Path(__file__).parent / "data" / "suite8x8"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -218,6 +219,37 @@ def test_bench_solver_fault_is_one_error_record_and_exits_1(tmp_path, capsys, mo
     assert [(r.algo, r.status, r.reason) for r in records] == [
         ("cbs", "error", reason), ("heuristic", "solved", ""),
     ] * 2
+
+
+@pytest.mark.parametrize("second, soc, problem", [
+    ((3, 1, 0), 4,
+     "solved paths collide: Collision(kind='vertex', agents=(1, 2), location=1, t=1)"),
+    ((3, 2, 0), 5, "reported sum of costs 5, paths cost 4"),
+])
+def test_bench_revalidates_solved_records(second, soc, problem, tmp_path, capsys,
+                                          monkeypatch):
+    # 2x2 open grid, cells 0 1 / 2 3; the agents cross from corner to corner
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "square.map").write_text("type octile\nheight 2\nwidth 2\nmap\n..\n..\n")
+    (suite / "square.scen").write_text(
+        "version 1\n0\tsquare.map\t2\t2\t0\t0\t1\t1\t2\n"
+        "0\tsquare.map\t2\t2\t1\t1\t0\t0\t2\n"
+    )
+
+    def wrong(instance, config):
+        a1, a2 = instance.agents
+        paths = [AgentPath(a1.id, (0, 1, 3)), AgentPath(a2.id, second)]
+        solution = Solution.from_paths(instance, paths)
+        return SolveOutcome(SOLVED, solution, soc, solution.horizon)
+
+    monkeypatch.setitem(ALGORITHMS, "cbs", wrong)
+    out = tmp_path / "records.csv"
+    assert main(bench_args(suite, out, algos="cbs") + ["--workers", "1"]) == 1
+    reason = f"EncodingSoundnessError: {problem}"
+    assert capsys.readouterr().err == f"mapf: {reason}\n"
+    records = read_csv(out)
+    assert [(r.status, r.soc, r.reason) for r in records] == [("error", None, reason)]
 
 
 @pytest.mark.parametrize("command", [

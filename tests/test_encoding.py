@@ -134,8 +134,8 @@ class TestAddConflictClauses:
         # v10 at step 5 is outside every diagram at these bounds
         add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v10", 5)])
         assert model.solver.num_clauses == before
-        assert ("v10", 5) in model.conflicts.vertex_entries("a1")
-        assert ("v10", 5) in model.conflicts.vertex_entries("a2")
+        assert ("v10", 5) in model.conflicts.for_agent("a1").vertex
+        assert ("v10", 5) in model.conflicts.for_agent("a2").vertex
 
     def test_recorded_conflicts_reach_fresh_models(self, fix_b):
         conflicts = ConflictSet()
@@ -210,9 +210,9 @@ class TestEmissionOrder:
         for t in range(5):
             for u, v in pairs:
                 for a in ("a3", "a1", "a2"):
-                    conflicts.add_vertex(a, v, t)
-                    conflicts.add_edge(a, (u, v), t)
-                    conflicts.add_edge(a, (v, u), t)
+                    conflicts.add(a, "vertex", (v, t))
+                    conflicts.add(a, "edge", ((u, v), t))
+                    conflicts.add(a, "edge", ((v, u), t))
         model = full_model(inst, delta=2, conflicts=conflicts, solver=RecordingSolver())
         node_of = {var: (a, (t, v)) for (a, v, t), var in model.varmap.x.items()}
         edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.varmap.e.items()}

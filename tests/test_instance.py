@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapfsat import (
     Agent,
@@ -10,6 +12,7 @@ from mapfsat import (
     InstanceError,
     MapParseError,
     MapfInstance,
+    ParseError,
     Path,
     ScenParseError,
     Solution,
@@ -27,6 +30,34 @@ def map_text(rows: list[str]) -> str:
     return "\n".join(
         ["type octile", f"height {len(rows)}", f"width {len(rows[0])}", "map", *rows]
     )
+
+
+MASKS = st.integers(1, 6).flatmap(
+    lambda w: st.lists(st.lists(st.booleans(), min_size=w, max_size=w),
+                       min_size=1, max_size=6))
+SCEN_FIELDS = ["0", "open8.map", "8", "8", "6", "2", "0", "1", "7"]
+
+
+def mask_text(mask: list[list[bool]]) -> str:
+    return map_text(["".join(".@"[not c] for c in row) for row in mask])
+
+
+def _map_with(mask, index: int, piece: str) -> str:
+    text = mask_text(mask)
+    index %= len(text)
+    return text[:index] + piece + text[index + 1:]
+
+
+def _scen_with(index: int, token: str) -> str:
+    fields = SCEN_FIELDS[:index] + [token] + SCEN_FIELDS[index + 1:]
+    return "version 1\n" + "\t".join(fields) + "\n"
+
+
+# valid files with one spot replaced reach every check; arbitrary text rarely
+# gets past the headers
+MAP_TEXTS = st.builds(_map_with, MASKS, st.integers(0, 10**6), st.text(max_size=3))
+SCEN_TEXTS = st.builds(_scen_with, st.integers(0, 9), st.one_of(
+    st.text(max_size=4), st.sampled_from(["1.5", "nan", "-3", "1e9", "1_0", "\u0663"])))
 
 
 class TestParseMap:
@@ -68,16 +99,14 @@ class TestParseMap:
         with pytest.raises(MapParseError):
             parse_map("type octile\nheight 3\nwidth 2\nmap\n..\n..")
 
-    def test_render_round_trip(self):
-        rng = random.Random(5)
-        for _ in range(25):
-            w, h = rng.randint(1, 6), rng.randint(1, 6)
-            rows = [
-                "".join(rng.choice(".@") for _ in range(w)) for _ in range(h)
-            ]
-            g = parse_map(map_text(rows))
-            again = parse_map(render_map(g))
-            assert again.grid.passable == g.grid.passable
+    @settings(max_examples=200, deadline=None)
+    @given(MASKS)
+    def test_render_round_trip(self, mask):
+        g = parse_map(mask_text(mask))
+        again = parse_map(render_map(g))
+        assert again.grid.passable == tuple(map(tuple, mask))
+        assert again.vertices == g.vertices
+        assert render_map(again) == render_map(g)
 
 
 class TestParseScen:
@@ -315,3 +344,13 @@ class TestInstanceInvariants:
         g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
         with pytest.raises(InstanceError):
             MapfInstance(g, [Agent(1, "a", "c"), Agent(2, "b", "c")])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), MAP_TEXTS, SCEN_TEXTS))
+def test_parsers_return_a_result_or_a_parse_error(text):
+    for parse in (parse_map, parse_scen):
+        try:
+            parse(text)
+        except ParseError:
+            pass

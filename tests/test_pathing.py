@@ -187,8 +187,8 @@ class TestNewOrPaths:
 class TestConflictSet:
     def test_per_agent_isolation(self):
         cs = ConflictSet()
-        cs.add_vertex("a1", "v", 1)
-        cs.add_edge("a2", ("u", "v"), 0)
+        cs.add("a1", "vertex", ("v", 1))
+        cs.add("a2", "edge", (("u", "v"), 0))
         assert cs.for_agent("a1").vertex == {("v", 1)}
         assert cs.for_agent("a1").edge == frozenset()
         assert cs.for_agent("a2").edge == {(("u", "v"), 0)}
@@ -197,4 +197,4 @@ class TestConflictSet:
     def test_negative_timestep_rejected(self):
         cs = ConflictSet()
         with pytest.raises(ValueError):
-            cs.add_vertex("a1", "v", -1)
+            cs.add("a1", "vertex", ("v", -1))

@@ -16,10 +16,12 @@ from mapfsat import (
     TIMEOUT,
     Agent,
     CandidateSets,
+    CdclSolver,
     Collision,
     ConflictSet,
     EncodingSoundnessError,
     Graph,
+    InfeasibleAgentError,
     MapfInstance,
     SolverConfig,
     bfs_distances,
@@ -99,6 +101,16 @@ class TestFixtureOptima:
     def test_swap_infeasible_at_cap(self, algo):
         out = ALGORITHMS[algo](swap_instance(), QUICK)
         assert out.status == INFEASIBLE
+
+    def test_unreachable_goal_is_infeasible_at_cap(self):
+        # the goal of a2 lies in the other component of the graph
+        g = Graph(["v1", "v2", "v3", "v4"], [("v1", "v2"), ("v3", "v4")])
+        inst = MapfInstance(g, [Agent("a1", "v1", "v2"), Agent("a2", "v3", "v1")])
+        for algo, fn in ALGORITHMS.items():
+            assert fn(inst, QUICK).status == INFEASIBLE, algo
+        assert brute_force_oracle(inst, 10).status == INFEASIBLE
+        with pytest.raises(InfeasibleAgentError):
+            heuristic_fixed(inst, CandidateSets(inst), ConflictSet(), 2, 2)
 
 
 class TestCbs:
@@ -211,8 +223,8 @@ class TestHeuristicFixed:
         # though the instance is solvable at these bounds
         candidates = CandidateSets.initial(fix_b)
         conflicts = ConflictSet()
-        conflicts.add_vertex("a1", "v01", 1)
-        conflicts.add_vertex("a2", "v01", 1)
+        conflicts.add("a1", "vertex", ("v01", 1))
+        conflicts.add("a2", "vertex", ("v01", 1))
         solution, _ = heuristic_fixed(fix_b, candidates, conflicts, 2, 4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
@@ -261,6 +273,28 @@ class TestOptimalityAgreement:
                 got = (out.soc, out.stats.sat_calls, out.stats.conflicts,
                        len(out.stats.iterations))
                 assert got == want, (key, algo)
+
+    def test_no_model_receives_a_conflict_clause_twice(self, fix_a, fix_b, fix_c,
+                                                       monkeypatch):
+        # conflict clauses are the only ones the encoder adds one at a time
+        received: dict[CdclSolver, list[tuple[int, ...]]] = {}
+        add_clause = CdclSolver.add_clause
+
+        def recording(solver, lits):
+            received.setdefault(solver, []).append(tuple(sorted(lits)))
+            add_clause(solver, lits)
+
+        monkeypatch.setattr(CdclSolver, "add_clause", recording)
+        rng = random.Random(606)
+        instances = [fix_a, fix_b, fix_c] + [random_grid_instance(rng) for _ in range(12)]
+        for inst in instances:
+            config = SolverConfig(timeout_s=60, cost_cap=xi_sum(inst) + 4)
+            for algo in ("smtcbs", "sparse", "heuristic"):
+                ALGORITHMS[algo](inst, config)
+        clauses = [c for per_model in received.values() for c in per_model]
+        assert len(clauses) > 100
+        for per_model in received.values():
+            assert len(set(per_model)) == len(per_model)
 
     def test_conflict_sets_only_grow(self, fix_c):
         # indirectly: recorded conflict totals are monotone over iterations
