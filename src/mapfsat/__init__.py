@@ -37,7 +37,7 @@ from .diagrams import (
     build_smdd,
     count_represented_paths,
 )
-from .satif import CdclSolver, SatBackendError, check_model
+from .satif import CdclSolver, SatBackendError
 from .encoding import (
     COMPLETE,
     INCOMPLETE,

@@ -62,11 +62,6 @@ class Mdd:
     def outgoing(self, u: Vertex, t: int) -> tuple[Vertex, ...]:
         return self._out.get((t, u), ())
 
-    def contains_path(self, path: Path) -> bool:
-        """True when the goal-padded path is a directed walk of this diagram."""
-        pos = path.padded(self.horizon).positions
-        return all(pos[t + 1] in self.outgoing(pos[t], t) for t in range(self.horizon))
-
 
 def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
               cost_bound: int, distances: Distances | None = None) -> Mdd:

@@ -55,9 +55,6 @@ class ConflictSet:
     def for_agent(self, agent_id: Hashable) -> AgentConflicts:
         return self._by_agent.get(agent_id, AgentConflicts())
 
-    def __len__(self) -> int:
-        return sum(len(c.vertex) + len(c.edge) for c in self._by_agent.values())
-
 
 def bfs_distances(graph: Graph, source: Vertex) -> dict[Vertex, int]:
     """Exact hop distances from `source`; unreachable vertices are absent."""

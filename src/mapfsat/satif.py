@@ -390,13 +390,3 @@ class CdclSolver:
         if self._model is None:
             raise ValueError("no model available; last solve was not SAT")
         return list(self._model)
-
-
-def check_model(clauses: Iterable[Iterable[int]], model: list[bool]) -> bool:
-    """Independent check that a truth assignment satisfies every clause."""
-    for clause in clauses:
-        if not any(
-            (model[lit] if lit > 0 else not model[-lit]) for lit in clause
-        ):
-            return False
-    return True

@@ -270,8 +270,8 @@ class CandidateSets:
     """Per-agent candidate paths, with a per-agent full-diagram mode flag."""
 
     def __init__(self, instance: MapfInstance):
-        self._paths: dict[Hashable, list[Path]] = {a.id: [] for a in instance.agents}
-        self._seen: dict[Hashable, set] = {a.id: set() for a in instance.agents}
+        # per agent, positions -> path in the order added; the keys drop repeats
+        self._paths: dict[Hashable, dict[tuple, Path]] = {a.id: {} for a in instance.agents}
         self._full: dict[Hashable, bool] = {a.id: False for a in instance.agents}
 
     @classmethod
@@ -286,14 +286,14 @@ class CandidateSets:
         return sets
 
     def add(self, agent_id: Hashable, path: Path) -> bool:
-        if path.positions in self._seen[agent_id]:
+        paths = self._paths[agent_id]
+        if path.positions in paths:
             return False
-        self._seen[agent_id].add(path.positions)
-        self._paths[agent_id].append(path)
+        paths[path.positions] = path
         return True
 
     def paths(self, agent_id: Hashable) -> tuple[Path, ...]:
-        return tuple(self._paths[agent_id])
+        return tuple(self._paths[agent_id].values())
 
     def promote(self, agent_id: Hashable) -> None:
         self._full[agent_id] = True
@@ -434,43 +434,29 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
 
 def _extend(instance, candidates, conflicts, collisions, horizon, bounds, extend,
             distances):
-    """Grow the sparse candidate sets after a collision; True if any changed.
+    """Grow the sparse candidate sets of the colliding agents; True if any changed.
 
-    "and" adds per agent one path avoiding all of its conflicts; "or" adds,
-    for each colliding agent, one path per conflict subset. An agent with
-    nothing new to add is promoted to its full diagram.
+    "and" adds one path avoiding all of an agent's conflicts; "or" adds one
+    path per conflict subset. An agent with nothing new to add is promoted to
+    its full diagram.
     """
     grown = False
-    if extend == "and":
-        for a in instance.agents:
-            if candidates.is_full(a.id):
-                continue
-            pi = new_and_path(
-                instance, a.id, candidates.paths(a.id),
-                conflicts.for_agent(a.id), horizon, bounds[a.id], distances,
-            )
-            if pi is None:
-                candidates.promote(a.id)
-                grown = True
-            else:
-                assert _avoids(pi, conflicts.for_agent(a.id), horizon)
-                if candidates.add(a.id, pi):
-                    grown = True
-    elif extend == "or":
-        colliding = dict.fromkeys(
-            agent_id for col in collisions for agent_id in col.agents
-        )
-        for agent_id in colliding:
-            if candidates.is_full(agent_id):
-                continue
-            paths = new_or_paths(
-                instance, agent_id, conflicts.for_agent(agent_id), horizon,
-                bounds[agent_id], distances,
-            )
-            added = [p for p in paths if candidates.add(agent_id, p)]
-            if not added:
-                candidates.promote(agent_id)
-            grown = True
+    for agent_id in dict.fromkeys(a for col in collisions for a in col.agents):
+        if candidates.is_full(agent_id):
+            continue
+        conf = conflicts.for_agent(agent_id)
+        if extend == "and":
+            pi = new_and_path(instance, agent_id, candidates.paths(agent_id), conf,
+                              horizon, bounds[agent_id], distances)
+            assert pi is None or _avoids(pi, conf, horizon)
+            paths = [] if pi is None else [pi]
+        else:
+            paths = new_or_paths(instance, agent_id, conf, horizon, bounds[agent_id],
+                                 distances)
+        added = [p for p in paths if candidates.add(agent_id, p)]
+        if not added:
+            candidates.promote(agent_id)
+        grown = True
     return grown
 
 

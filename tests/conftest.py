@@ -52,6 +52,12 @@ def fix_d_graph() -> Graph:
     )
 
 
+def contains_path(mdd, path: Path) -> bool:
+    """True when the goal-padded path is a directed walk of the diagram."""
+    pos = path.padded(mdd.horizon).positions
+    return all(pos[t + 1] in mdd.outgoing(pos[t], t) for t in range(mdd.horizon))
+
+
 def random_grid_instance(rng: random.Random, max_side: int = 4,
                          max_obstacle_share: float = 0.3,
                          agents: tuple[int, int] = (2, 3)) -> MapfInstance:

@@ -15,7 +15,7 @@ from mapfsat import (
     build_smdd,
     count_represented_paths,
 )
-from conftest import random_grid_instance, scrambled_grid_instance
+from conftest import contains_path, random_grid_instance, scrambled_grid_instance
 
 
 def enumerate_expansions(graph, start, goal, horizon, bound):
@@ -187,7 +187,7 @@ class TestBuildSmdd:
     def test_every_input_path_is_represented(self, fix_d_paths):
         smdd = build_smdd("ax", fix_d_paths, 4)
         for p in fix_d_paths:
-            assert smdd.contains_path(p)
+            assert contains_path(smdd, p)
 
 
 class TestOrderedDiagrams:
@@ -234,7 +234,7 @@ class TestOrderedDiagrams:
         assert smdd.outgoing("q", 0) == ("b", "q", "z")
         assert smdd.outgoing("a", 2) == ("k", "y")
         self.assert_ordered(smdd)
-        assert all(smdd.contains_path(p) for p in paths)
+        assert all(contains_path(smdd, p) for p in paths)
 
 
 class TestCountRepresentedPaths:

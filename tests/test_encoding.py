@@ -28,7 +28,7 @@ from mapfsat import (
     sum_of_costs,
     validate_solution,
 )
-from conftest import random_grid_instance, scrambled_grid_instance
+from conftest import contains_path, random_grid_instance, scrambled_grid_instance
 
 
 class RecordingSolver(CdclSolver):
@@ -311,7 +311,7 @@ class TestExtractSolution:
             assert assignment is not None  # full diagrams always admit a tuple
             solution = extract_solution(model, assignment)
             for a, p in zip(inst.agents, solution.paths):
-                assert model.diagrams[a.id].contains_path(p)
+                assert contains_path(model.diagrams[a.id], p)
             xi_sum = sum(bfs_distances(inst.graph, a.start)[a.goal] for a in inst.agents)
             assert sum_of_costs(inst, solution) <= xi_sum + delta
 

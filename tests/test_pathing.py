@@ -192,7 +192,8 @@ class TestConflictSet:
         assert cs.for_agent("a1").vertex == {("v", 1)}
         assert cs.for_agent("a1").edge == frozenset()
         assert cs.for_agent("a2").edge == {(("u", "v"), 0)}
-        assert len(cs) == 2
+        assert sum(len(cs.for_agent(a).vertex) + len(cs.for_agent(a).edge)
+                   for a in ("a1", "a2")) == 2
 
     def test_negative_timestep_rejected(self):
         cs = ConflictSet()

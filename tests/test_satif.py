@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapfsat import CdclSolver, check_model
+from mapfsat import CdclSolver
+
+
+def check_model(clauses, model: list[bool]) -> bool:
+    """Independent check that a truth assignment satisfies every clause."""
+    for clause in clauses:
+        if not any(
+            (model[lit] if lit > 0 else not model[-lit]) for lit in clause
+        ):
+            return False
+    return True
 
 
 def brute_force_sat(nvars: int, clauses: list[list[int]]) -> bool:

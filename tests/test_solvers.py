@@ -8,6 +8,8 @@ import sys
 from pathlib import Path as FsPath
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapfsat import (
     ALGORITHMS,
@@ -23,6 +25,7 @@ from mapfsat import (
     Graph,
     InfeasibleAgentError,
     MapfInstance,
+    Path,
     SolverConfig,
     bfs_distances,
     brute_force_oracle,
@@ -49,6 +52,12 @@ def xi_sum(instance) -> int:
     return sum(
         bfs_distances(instance.graph, a.start).get(a.goal) for a in instance.agents
     )
+
+
+def recorded(conflicts: ConflictSet, instance) -> int:
+    """Number of conflict entries recorded for the instance's agents."""
+    return sum(len(conflicts.for_agent(a.id).vertex) + len(conflicts.for_agent(a.id).edge)
+               for a in instance.agents)
 
 
 def swap_instance() -> MapfInstance:
@@ -209,14 +218,14 @@ class TestHeuristicFixed:
         solution, conflicts = heuristic_fixed(fix_c, candidates, ConflictSet(), 3, 6)
         assert solution is None
         assert all(candidates.is_full(a.id) for a in fix_c.agents)
-        assert len(conflicts) > 0
+        assert recorded(conflicts, fix_c) > 0
 
     def test_single_agent_immediate(self, fix_a):
         candidates = CandidateSets.initial(fix_a)
         conflicts = ConflictSet()
         solution, conflicts = heuristic_fixed(fix_a, candidates, conflicts, 2, 2)
         assert solution.paths[0].positions == ("v1", "v2", "v3")
-        assert len(conflicts) == 0
+        assert recorded(conflicts, fix_a) == 0
 
     def test_unsat_over_sparse_sets_promotes_all_agents(self, fix_b):
         # a pre-recorded conflict makes the single-candidate model UNSAT even
@@ -229,6 +238,20 @@ class TestHeuristicFixed:
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
         assert all(candidates.is_full(a.id) for a in fix_b.agents)
+
+    def test_only_colliding_agents_grow(self, fix_b):
+        # a3 has a road of its own and never collides: it keeps its one path
+        g = Graph(
+            [*fix_b.graph.vertices, "w1", "w2", "w3"],
+            [("v00", "v01"), ("v01", "v11"), ("v11", "v10"), ("v10", "v00"),
+             ("w1", "w2"), ("w2", "w3")],
+        )
+        inst = MapfInstance(g, [*fix_b.agents, Agent("a3", "w1", "w3")])
+        candidates = CandidateSets.initial(inst)
+        solution, _ = heuristic_fixed(inst, candidates, ConflictSet(), 2, 6)
+        assert sum_of_costs(inst, solution) == 6
+        assert not candidates.is_full("a3")
+        assert candidates.paths("a3") == (Path("a3", ("w1", "w2", "w3")),)
 
 
 class TestOptimalityAgreement:
@@ -245,6 +268,18 @@ class TestOptimalityAgreement:
                 if out.solution is not None:
                     assert validate_solution(inst, out.solution) == []
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_solvers_match_oracle_on_drawn_instances(self, seed):
+        inst = random_grid_instance(random.Random(seed))
+        cap = xi_sum(inst) + 3
+        oracle = brute_force_oracle(inst, cap)
+        for algo, fn in ALGORITHMS.items():
+            out = fn(inst, SolverConfig(timeout_s=60, cost_cap=cap))
+            assert (out.status, out.soc) == (oracle.status, oracle.soc), algo
+            if out.solution is not None:
+                assert validate_solution(inst, out.solution) == []
+
     # (soc, sat_calls, conflicts, iterations) per SAT algorithm, pinned so
     # that a change to the shared loop cannot silently change the search
     PINNED = {
@@ -253,7 +288,7 @@ class TestOptimalityAgreement:
         "fix_c": {"mddsat": (8, 3, 0, 3), "smtcbs": (8, 6, 3, 3),
                   "sparse": (8, 6, 3, 4), "heuristic": (8, 6, 3, 4)},
         0: {"mddsat": (8, 3, 0, 3), "smtcbs": (8, 7, 4, 3),
-            "sparse": (8, 8, 4, 5), "heuristic": (8, 7, 4, 4)},
+            "sparse": (8, 8, 4, 5), "heuristic": (8, 8, 4, 5)},
         1: {"mddsat": (9, 4, 0, 4), "smtcbs": (9, 14, 10, 4),
             "sparse": (9, 14, 10, 6), "heuristic": (9, 14, 10, 6)},
         2: {"mddsat": (4, 1, 0, 1), "smtcbs": (4, 1, 0, 1),
