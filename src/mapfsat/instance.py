@@ -303,14 +303,17 @@ def validate_solution(instance: MapfInstance, solution: Solution) -> list[Collis
                     if i < j:
                         out.append(Collision("edge", (paths[i].agent, paths[j].agent), (u, v), t))
 
-    def key(c: Collision):
-        # a pair of agents collides at most once per kind and timestep
-        i = instance.agent_index(c.agents[0])
-        j = instance.agent_index(c.agents[1])
-        return (c.t, i, j, 0 if c.kind == "vertex" else 1)
-
-    out.sort(key=key)
+    out.sort(key=lambda c: collision_key(instance, c))
     return out
+
+
+def collision_key(instance: MapfInstance, c: Collision) -> tuple[int, int, int, int]:
+    """Sort key of `validate_solution`'s list: timestep, then the agents'
+    instance indices, then vertex before edge."""
+    # a pair of agents collides at most once per kind and timestep
+    i = instance.agent_index(c.agents[0])
+    j = instance.agent_index(c.agents[1])
+    return (c.t, i, j, 0 if c.kind == "vertex" else 1)
 
 
 def parse_map(text: str) -> Graph:

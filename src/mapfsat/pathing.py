@@ -110,8 +110,14 @@ def constrained_shortest_path(
     The path never occupies a conflicted vertex at its timestep nor traverses
     a conflicted directed edge, and its implicit goal-wait padding out to the
     horizon stays clear of vertex conflicts as well. Ties break on lower f,
-    then lower timestep, then smaller vertex id. Returns None when no such
-    path exists.
+    then lower timestep, then smaller vertex id, then the first push. Returns
+    None when no such path exists.
+
+    Each space-time state `(v, t)` is pushed only when its f is strictly lower
+    than at its last push. Off the goal f is `t + dist(v, goal)` whatever the
+    path, so such a state is pushed once; a goal state's f is its arrival
+    time, which a later push can lower. No two live heap entries share
+    `(f, t, v)`, so those three order the heap on their own.
     """
     if cost_bound < 0:
         raise ValueError("negative cost bound")
@@ -122,28 +128,24 @@ def constrained_shortest_path(
     dist_goal = distances.dist(goal)
     if start not in dist_goal:
         return None
-
-    def h(v: Vertex) -> int:
-        # cost from (v, t) is at least t + dist(v, goal); g already counts t + 1
-        # for a non-goal position, hence the -1.
-        return 0 if v == goal else dist_goal[v] - 1
+    avoid_vertex, avoid_edge, moves = avoid.vertex, avoid.edge, graph.moves
 
     # Terminal states must keep the implicit goal-wait padding conflict-free.
     last_goal_conflict = max(
-        (s for (v, s) in avoid.vertex if v == goal and s <= horizon), default=-1
+        (s for (v, s) in avoid_vertex if v == goal and s <= horizon), default=-1
     )
     earliest_stop = max(min_length, last_goal_conflict)
 
-    if (start, 0) in avoid.vertex:
+    if (start, 0) in avoid_vertex:
         return None
-    g0 = 0 if start == goal else 1
-    counter = itertools.count()
-    root = (start, 0, None)
-    heap = [(g0 + h(start), 0, start, next(counter), g0, root)]
+    # f bounds the cost from below: t + dist(v, goal) off the goal, and the
+    # last arrival time at it
+    f0 = 0 if start == goal else dist_goal[start]
+    heap = [(f0, 0, start, (start, None))]
+    best = {(start, 0): f0}
     settled: set[tuple[Vertex, int]] = set()
     while heap:
-        f, t, _, _, g, node = heapq.heappop(heap)
-        v = node[0]
+        f, t, v, node = heapq.heappop(heap)
         key = (v, t)
         if key in settled:
             continue
@@ -153,27 +155,33 @@ def constrained_shortest_path(
             cur = node
             while cur is not None:
                 positions.append(cur[0])
-                cur = cur[2]
+                cur = cur[1]
             return Path(agent_id, tuple(reversed(positions)))
         if t == horizon:
             continue
-        for w in graph.moves(v):
-            if (w, t + 1) in avoid.vertex:
+        t1 = t + 1
+        for w in moves(v):
+            if (w, t1) in avoid_vertex:
                 continue
-            if w != v and ((v, w), t) in avoid.edge:
+            if w != v and ((v, w), t) in avoid_edge:
                 continue
             dg = dist_goal.get(w)
-            if dg is None or t + 1 + dg > horizon:
+            if dg is None or t1 + dg > horizon:
                 continue
-            g2 = g if w == goal else t + 2
-            f2 = g2 + h(w)
+            if w != goal:
+                f2 = t1 + dg
+            elif v == goal:
+                f2 = f
+            else:
+                f2 = t1
             if f2 > cost_bound:
                 continue
-            if (w, t + 1) in settled:
+            # f never drops along a move, so a settled state's best is <= f2
+            state = (w, t1)
+            if best.get(state, f2 + 1) <= f2:
                 continue
-            heapq.heappush(
-                heap, (f2, t + 1, w, next(counter), g2, (w, t + 1, node))
-            )
+            best[state] = f2
+            heapq.heappush(heap, (f2, t1, w, (w, node)))
     return None
 
 

@@ -46,9 +46,11 @@ from .encoding import (
     extract_solution,
 )
 from .instance import (
+    Collision,
     MapfInstance,
     Path,
     Solution,
+    collision_key,
     path_cost,
     sum_of_costs,
     validate_solution,
@@ -218,26 +220,28 @@ def _cbs(instance, config, deadline, stats):
         if p is None:
             raise _CapExceeded
         root_paths[a] = p
+    root = Solution.from_paths(instance, root_paths.values())
 
-    def node_soc(paths):
-        return sum(path_cost(p, instance.agent(a).goal) for a, p in paths.items())
-
+    # a node: soc, tiebreak, constraints, paths, then its parent's collisions
+    # and the agent it replanned (the root: its own collisions and None); the
+    # root's paths are unconstrained shortest paths, so it costs soc0
     counter = itertools.count()
-    heap = [(node_soc(root_paths), next(counter), root_constraints, root_paths)]
+    heap = [(soc0, next(counter), root_constraints, root_paths,
+             validate_solution(instance, root), None)]
     expanded: set = set()
     while heap:
         deadline.check()
-        soc, _, constraints, paths = heapq.heappop(heap)
+        soc, _, constraints, paths, collisions, replanned = heapq.heappop(heap)
         if soc > cap:
             raise _CapExceeded
         key = tuple(constraints[a] for a in agent_ids)
         if key in expanded:  # the same constraint sets arise via both branches
             continue
         expanded.add(key)
-        solution = Solution.from_paths(instance, paths.values())
-        collisions = validate_solution(instance, solution)
+        if replanned is not None:
+            collisions = child_collisions(instance, collisions, paths, replanned)
         if not collisions:
-            return solution, soc
+            return Solution.from_paths(instance, paths.values()), soc
         stats.conflicts += 1
         col = collisions[0]
         for side in (0, 1):
@@ -245,7 +249,8 @@ def _cbs(instance, config, deadline, stats):
             child = constraints[agent_id].with_entry(col.kind, col.entry(side))
             # constraints only accumulate, so the other agents' current costs
             # are lower bounds below this node: budget what is left of the cap
-            others = soc - path_cost(paths[agent_id], instance.agent(agent_id).goal)
+            goal = instance.agent(agent_id).goal
+            others = soc - path_cost(paths[agent_id], goal)
             budget = cap - others
             if budget < xi[agent_id]:
                 continue
@@ -257,10 +262,38 @@ def _cbs(instance, config, deadline, stats):
             new_constraints[agent_id] = child
             new_paths = dict(paths)
             new_paths[agent_id] = path
-            heapq.heappush(
-                heap, (node_soc(new_paths), next(counter), new_constraints, new_paths)
-            )
+            heapq.heappush(heap, (others + path_cost(path, goal), next(counter),
+                                  new_constraints, new_paths, collisions, agent_id))
     raise _CapExceeded
+
+
+def child_collisions(instance: MapfInstance, parent: list[Collision],
+                     paths: dict[Hashable, Path], replanned: Hashable) -> list[Collision]:
+    """`validate_solution`'s list for `paths` (agent id -> path), where
+    `parent` is that list before `replanned` got its current path.
+
+    Only pairs with `replanned` can change. The parent's other collisions stay
+    as they are even when the common horizon grows or shrinks: past their own
+    lengths, agents wait at distinct goals and cannot collide with each other.
+    """
+    out = [c for c in parent if replanned not in c.agents]
+    horizon = max(p.length for p in paths.values())
+    mine = paths[replanned].padded(horizon).positions
+    i = instance.agent_index(replanned)
+    for j, agent in enumerate(instance.agents):
+        if j == i:
+            continue
+        theirs = paths[agent.id].padded(horizon).positions
+        # an edge collision's location is the lower-index agent's direction
+        pair, first = ((replanned, agent.id), mine) if i < j else ((agent.id, replanned), theirs)
+        for t in range(horizon + 1):
+            v = mine[t]
+            if v == theirs[t]:
+                out.append(Collision("vertex", pair, v, t))
+            elif t < horizon and v == theirs[t + 1] and mine[t + 1] == theirs[t]:
+                out.append(Collision("edge", pair, (first[t], first[t + 1]), t))
+    out.sort(key=lambda c: collision_key(instance, c))
+    return out
 
 
 # ----------------------------------------------------------------- SAT solvers
@@ -277,12 +310,10 @@ class CandidateSets:
     @classmethod
     def initial(cls, instance: MapfInstance,
                 distances: Distances | None = None) -> "CandidateSets":
+        """Each agent's shortest path; every goal must be reachable."""
         sets = cls(instance)
         for a in instance.agents:
-            p = shortest_path(instance, a.id, distances)
-            if p is None:
-                raise InfeasibleAgentError(f"goal of agent {a.id!r} is unreachable")
-            sets.add(a.id, p)
+            sets.add(a.id, shortest_path(instance, a.id, distances))
         return sets
 
     def add(self, agent_id: Hashable, path: Path) -> bool:

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapfsat import (
     AgentConflicts,
     ConflictSet,
+    Path,
     bfs_distances,
     constrained_shortest_path,
     new_and_path,
@@ -20,6 +25,67 @@ from conftest import random_grid_instance
 
 def vconf(*entries) -> AgentConflicts:
     return AgentConflicts(frozenset(entries), frozenset())
+
+
+def counter_search(instance, agent_id, avoid, horizon, cost_bound, min_length=0):
+    """The space-time search as it was before it pushed each state once: a
+    state is pushed from every predecessor, copies are dropped when popped,
+    and a push counter breaks ties among equal (f, t, vertex)."""
+    graph = instance.graph
+    agent = instance.agent(agent_id)
+    start, goal = agent.start, agent.goal
+    dist_goal = bfs_distances(graph, goal)
+    if start not in dist_goal:
+        return None
+
+    def h(v):
+        return 0 if v == goal else dist_goal[v] - 1
+
+    last_goal_conflict = max(
+        (s for (v, s) in avoid.vertex if v == goal and s <= horizon), default=-1
+    )
+    earliest_stop = max(min_length, last_goal_conflict)
+    if (start, 0) in avoid.vertex:
+        return None
+    g0 = 0 if start == goal else 1
+    counter = itertools.count()
+    root = (start, 0, None)
+    heap = [(g0 + h(start), 0, start, next(counter), g0, root)]
+    settled = set()
+    while heap:
+        f, t, _, _, g, node = heapq.heappop(heap)
+        v = node[0]
+        key = (v, t)
+        if key in settled:
+            continue
+        settled.add(key)
+        if v == goal and t >= earliest_stop:
+            positions = []
+            cur = node
+            while cur is not None:
+                positions.append(cur[0])
+                cur = cur[2]
+            return Path(agent_id, tuple(reversed(positions)))
+        if t == horizon:
+            continue
+        for w in graph.moves(v):
+            if (w, t + 1) in avoid.vertex:
+                continue
+            if w != v and ((v, w), t) in avoid.edge:
+                continue
+            dg = dist_goal.get(w)
+            if dg is None or t + 1 + dg > horizon:
+                continue
+            g2 = g if w == goal else t + 2
+            f2 = g2 + h(w)
+            if f2 > cost_bound:
+                continue
+            if (w, t + 1) in settled:
+                continue
+            heapq.heappush(
+                heap, (f2, t + 1, w, next(counter), g2, (w, t + 1, node))
+            )
+    return None
 
 
 class TestBfsDistances:
@@ -116,6 +182,30 @@ class TestConstrainedShortestPath:
             padded = p.padded(horizon).positions
             for t, v in enumerate(padded):
                 assert (v, t) not in avoid.vertex
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_counter_search(self, data):
+        inst = random_grid_instance(random.Random(data.draw(st.integers(0, 2**32))),
+                                    max_side=5)
+        graph = inst.graph
+        agent = data.draw(st.sampled_from(inst.agents))
+        xi = bfs_distances(graph, agent.goal)[agent.start]
+        horizon = data.draw(st.integers(xi, xi + 6))
+        cost_bound = data.draw(st.integers(max(xi - 1, 0), horizon + 1))
+        min_length = data.draw(st.integers(0, horizon + 1))
+        times = st.integers(0, horizon)
+        vertex = data.draw(st.frozensets(st.tuples(st.sampled_from(graph.vertices), times),
+                                         max_size=10))
+        # goal conflicts after the earliest arrival force leaving and returning
+        after_arrival = data.draw(st.frozensets(
+            st.tuples(st.just(agent.goal), st.integers(xi, horizon)), max_size=3))
+        steps = [(u, w) for u in graph.vertices for w in graph.neighbors(u)]
+        edge = data.draw(st.frozensets(st.tuples(st.sampled_from(steps), times), max_size=10))
+        args = (inst, agent.id, AgentConflicts(vertex | after_arrival, edge), horizon,
+                cost_bound, min_length)
+        assert constrained_shortest_path(*args) == counter_search(*args)
 
 
 class TestNewAndPath:

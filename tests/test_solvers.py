@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path as FsPath
 
 import pytest
@@ -26,6 +27,7 @@ from mapfsat import (
     InfeasibleAgentError,
     MapfInstance,
     Path,
+    Solution,
     SolverConfig,
     bfs_distances,
     brute_force_oracle,
@@ -127,6 +129,39 @@ class TestCbs:
         out = solve_cbs(fix_b, QUICK)
         assert out.soc == 4
         assert out.stats.conflicts >= 1
+
+    def test_child_collisions_equal_full_revalidation(self):
+        def walk(rng, inst, agent):
+            # up to six random moves, then a shortest way to the goal
+            dist = bfs_distances(inst.graph, agent.goal)
+            pos = [agent.start]
+            for _ in range(rng.randint(0, 6)):
+                pos.append(rng.choice(inst.graph.moves(pos[-1])))
+            while pos[-1] != agent.goal:
+                pos.append(min(inst.graph.neighbors(pos[-1]), key=dist.__getitem__))
+            return Path(agent.id, tuple(pos))
+
+        rng = random.Random(53)
+        seen = Counter()
+        for _ in range(600):
+            inst = random_grid_instance(rng, agents=(3, 4))
+            paths = {a.id: walk(rng, inst, a) for a in inst.agents}
+            parent = validate_solution(inst, Solution.from_paths(inst, paths.values()))
+            agent = rng.choice(inst.agents)
+            child = dict(paths)
+            child[agent.id] = walk(rng, inst, agent)
+            want = validate_solution(inst, Solution.from_paths(inst, child.values()))
+            assert solvers.child_collisions(inst, parent, child, agent.id) == want
+            before = max(p.length for p in paths.values())
+            after = max(p.length for p in child.values())
+            seen["longer horizon"] += after > before
+            seen["shorter horizon"] += after < before
+            mine = [c for c in want if agent.id in c.agents]
+            at = Counter((c.location, c.t) for c in mine if c.kind == "vertex")
+            seen["three-way vertex"] += max(at.values(), default=0) >= 2
+            seen["swap, replanned second"] += any(
+                c.kind == "edge" and c.agents[1] == agent.id for c in mine)
+        assert len(seen) == 4 and min(seen.values()) >= 20, seen
 
     def test_mdd_sat_counts_cost_iterations(self, fix_c):
         out = solve_mdd_sat(fix_c, QUICK)
@@ -308,6 +343,18 @@ class TestOptimalityAgreement:
                 got = (out.soc, out.stats.sat_calls, out.stats.conflicts,
                        len(out.stats.iterations))
                 assert got == want, (key, algo)
+
+    # (soc, conflicts) of cbs on the same instances, pinned for the same reason
+    CBS_PINNED = {"fix_b": (4, 1), "fix_c": (8, 7), 0: (8, 7), 1: (9, 28), 2: (4, 0),
+                  3: (13, 14)}
+
+    def test_cbs_keeps_pinned_search(self, fix_b, fix_c):
+        rng = random.Random(606)
+        instances = {"fix_b": fix_b, "fix_c": fix_c}
+        instances.update((i, random_grid_instance(rng)) for i in range(4))
+        for key, inst in instances.items():
+            out = solve_cbs(inst, SolverConfig(timeout_s=60, cost_cap=xi_sum(inst) + 4))
+            assert (out.soc, out.stats.conflicts) == self.CBS_PINNED[key], key
 
     def test_no_model_receives_a_conflict_clause_twice(self, fix_a, fix_b, fix_c,
                                                        monkeypatch):
