@@ -4,12 +4,16 @@ Exit code 0 means the command ran. Exit code 2 means bad input, reported as
 one `mapf: <message>` line per problem on stderr. For `solve` that is a map
 or scenario file that is missing, unreadable or fails to parse, an agent
 count below 1 or beyond the scenario, a start or goal on a blocked cell, a
-`--timeout` that is not positive (NaN included), or a `--cost-cap` below
-the sum of shortest-path costs. For `bench` it is an unknown name in
-`--algos`, an `--agents` entry that is not an integer or is below 1, a
-`--per-count` below 1, a `--timeout` that is not positive (NaN included),
-or a map or scenario file that fails to parse; other unusable inputs become
-`error` records with a reason and leave the exit code at 0. `bench` exits 1,
+`--timeout` that is not positive (NaN included), a `--cost-cap` below the
+sum of shortest-path costs, or an `--out` path that cannot be opened for
+writing. For `bench` it is an unknown name in `--algos`, an `--agents` entry
+that is not an integer or is below 1, a `--per-count` below 1, a
+`--timeout` that is not positive (NaN included), a `--csv` path that cannot
+be opened for writing, or a map or scenario file that fails to parse; other
+unusable inputs become `error` records with a reason and leave the exit
+code at 0. Both commands open their output file before they solve, so an
+unwritable path costs no run, and bad input found before the runs leaves no
+output file. `bench` exits 1,
 ahead of bad input, when a run raised one of `bench.SOLVER_FAULTS` (a
 `solved` run that fails re-validation raises `EncodingSoundnessError`); that
 run is one `error` record with one `mapf: <reason>` line, and the other runs
@@ -23,6 +27,7 @@ a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -75,6 +80,12 @@ def _bad_input(problem: Exception | str) -> int:
     return 2
 
 
+def _drop(out) -> None:
+    """Remove the output file `out`, closed by now: bad input leaves none."""
+    if out is not None:
+        os.unlink(out.name)
+
+
 def _cmd_solve(args) -> int:
     try:
         graph = parse_map(FsPath(args.map).read_text())
@@ -84,15 +95,22 @@ def _cmd_solve(args) -> int:
         return _bad_input(exc)
     try:
         config = SolverConfig(timeout_s=args.timeout, cost_cap=args.cost_cap)
-        outcome = ALGORITHMS[args.algo](instance, config)
-    except ConfigError as exc:
+        # opened before the solve, so that an unwritable path costs no solve
+        out = open(args.out, "w") if args.out else None
+    except (ConfigError, OSError) as exc:
         return _bad_input(exc)
-    instance_id = f"{FsPath(args.map).name}:{FsPath(args.scen).name}:{args.agents}"
-    payload = json.dumps(solution_json(instance_id, args.algo, outcome), indent=2)
-    if args.out:
-        FsPath(args.out).write_text(payload + "\n")
-    else:
-        _emit(payload)
+    try:
+        with out or contextlib.nullcontext():
+            outcome = ALGORITHMS[args.algo](instance, config)
+            instance_id = f"{FsPath(args.map).name}:{FsPath(args.scen).name}:{args.agents}"
+            payload = json.dumps(solution_json(instance_id, args.algo, outcome), indent=2)
+            if out:
+                out.write(payload + "\n")
+            else:
+                _emit(payload)
+    except ConfigError as exc:
+        _drop(out)
+        return _bad_input(exc)
     return 0
 
 
@@ -103,13 +121,20 @@ def _cmd_bench(args) -> int:
     except ValueError:
         return _bad_input(f"--agents wants comma-separated integers, got {args.agents!r}")
     try:
-        records = run_benchmark(
-            args.suite, algos, counts,
-            per_count=args.per_count, timeout_s=args.timeout, workers=args.workers,
-        )
-    except ConfigError as exc:
+        # opened before the runs, so that an unwritable path loses no results
+        out = open(args.csv, "w", newline="")
+    except OSError as exc:
         return _bad_input(exc)
-    write_csv(records, args.csv)
+    try:
+        with out:
+            records = run_benchmark(
+                args.suite, algos, counts,
+                per_count=args.per_count, timeout_s=args.timeout, workers=args.workers,
+            )
+            write_csv(records, out)
+    except ConfigError as exc:
+        _drop(out)
+        return _bad_input(exc)
     _emit(f"wrote {len(records)} records to {args.csv}")
     failures = dict.fromkeys(r.reason for r in records if r.reason.startswith(PARSE_ERROR))
     fault_prefixes = tuple(f"{e.__name__}: " for e in SOLVER_FAULTS)

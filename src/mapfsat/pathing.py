@@ -185,6 +185,46 @@ def constrained_shortest_path(
     return None
 
 
+def level_widths(instance: MapfInstance, agent_id: Hashable, avoid: AgentConflicts,
+                 cost: int, distances: Distances | None = None) -> list[int]:
+    """Width of each level 0..cost of the diagram of the agent's start->goal
+    walks of length `cost` that keep clear of `avoid`.
+
+    Levels are swept forward from `(start, 0)` under the filter of
+    `constrained_shortest_path` and the bound `t + dist(v, goal) <= cost`,
+    then pruned backward from `(goal, cost)`. When `cost` is the agent's
+    least cost under `avoid`, these walks are its minimum-cost paths, and a
+    level of width 1 is a vertex every one of them occupies. All zeros when
+    no such walk exists.
+    """
+    agent = instance.agent(agent_id)
+    start = agent.start
+    distances = distances if distances is not None else Distances(instance.graph)
+    dist_goal = distances.dist(agent.goal)
+    avoid_vertex, avoid_edge, moves = avoid.vertex, avoid.edge, instance.graph.moves
+
+    ok = (start, 0) not in avoid_vertex and dist_goal.get(start, cost + 1) <= cost
+    levels = [{start} if ok else set()]
+    for t in range(cost):
+        t1 = t + 1
+        level = set()
+        for v in levels[t]:
+            for w in moves(v):
+                if (w in level or t1 + dist_goal.get(w, cost) > cost or (w, t1) in avoid_vertex
+                        or (w != v and ((v, w), t) in avoid_edge)):
+                    continue
+                level.add(w)
+        levels.append(level)
+    # a kept vertex keeps a move into the next level: its vertex entries held
+    # on the way forward, so only the edge entries are checked again
+    for t in range(cost - 1, -1, -1):
+        later = levels[t + 1]
+        levels[t] = {v for v in levels[t]
+                     if any(w in later and (w == v or ((v, w), t) not in avoid_edge)
+                            for w in moves(v))}
+    return [len(level) for level in levels]
+
+
 def shortest_path(instance: MapfInstance, agent_id: Hashable,
                   distances: Distances | None = None) -> Optional[Path]:
     """Deterministic unconstrained shortest path for one agent."""

@@ -61,6 +61,7 @@ from .pathing import (
     Distances,
     bfs_distances,  # noqa: F401  the layer tracer wraps this name here
     constrained_shortest_path,
+    level_widths,
     new_and_path,
     new_or_paths,
     shortest_path,
@@ -200,7 +201,12 @@ def _run(solver_fn: Callable[..., tuple[Solution, int]], instance: MapfInstance,
 
 
 def solve_cbs(instance: MapfInstance, config: SolverConfig | None = None) -> SolveOutcome:
-    """Best-first constraint-tree search branching on the first collision."""
+    """Best-first constraint-tree search (CBS with ICBS's conflict choice).
+
+    A node branches on its first collision that is cardinal for both agents,
+    else on its first semi-cardinal one, else on its first (`_branch_on`).
+    Among nodes of equal SOC the one with fewer collisions is expanded first.
+    """
     return _run(_cbs, instance, config)
 
 
@@ -221,29 +227,29 @@ def _cbs(instance, config, deadline, stats):
             raise _CapExceeded
         root_paths[a] = p
     root = Solution.from_paths(instance, root_paths.values())
+    root_collisions = validate_solution(instance, root)
 
-    # a node: soc, tiebreak, constraints, paths, then its parent's collisions
-    # and the agent it replanned (the root: its own collisions and None); the
-    # root's paths are unconstrained shortest paths, so it costs soc0
+    # a node: soc, its number of collisions, tiebreak, constraints, paths and
+    # collisions; the root's paths are unconstrained shortest paths, so it
+    # costs soc0
     counter = itertools.count()
-    heap = [(soc0, next(counter), root_constraints, root_paths,
-             validate_solution(instance, root), None)]
+    heap = [(soc0, len(root_collisions), next(counter), root_constraints, root_paths,
+             root_collisions)]
     expanded: set = set()
+    widths: dict = {}  # (agent, constraints, cost) -> level_widths, for this solve
     while heap:
         deadline.check()
-        soc, _, constraints, paths, collisions, replanned = heapq.heappop(heap)
+        soc, _, _, constraints, paths, collisions = heapq.heappop(heap)
         if soc > cap:
             raise _CapExceeded
         key = tuple(constraints[a] for a in agent_ids)
         if key in expanded:  # the same constraint sets arise via both branches
             continue
         expanded.add(key)
-        if replanned is not None:
-            collisions = child_collisions(instance, collisions, paths, replanned)
         if not collisions:
             return Solution.from_paths(instance, paths.values()), soc
         stats.conflicts += 1
-        col = collisions[0]
+        col = _branch_on(instance, collisions, constraints, paths, widths, distances)
         for side in (0, 1):
             agent_id = col.agents[side]
             child = constraints[agent_id].with_entry(col.kind, col.entry(side))
@@ -262,9 +268,43 @@ def _cbs(instance, config, deadline, stats):
             new_constraints[agent_id] = child
             new_paths = dict(paths)
             new_paths[agent_id] = path
-            heapq.heappush(heap, (others + path_cost(path, goal), next(counter),
-                                  new_constraints, new_paths, collisions, agent_id))
+            new_collisions = child_collisions(instance, collisions, new_paths, agent_id)
+            heapq.heappush(heap, (others + path_cost(path, goal), len(new_collisions),
+                                  next(counter), new_constraints, new_paths, new_collisions))
     raise _CapExceeded
+
+
+def _branch_on(instance: MapfInstance, collisions: list[Collision],
+               constraints: dict[Hashable, AgentConflicts], paths: dict[Hashable, Path],
+               widths: dict, distances: Distances) -> Collision:
+    """The first of `collisions` that is cardinal for both agents, else the
+    first cardinal for one of them, else the first.
+
+    A side is cardinal when every minimum-cost path of its agent under its
+    constraints makes the same move, so that avoiding the collision raises
+    the agent's cost: a vertex collision at a level of width 1 or at or after
+    the agent's arrival, an edge collision between two levels of width 1.
+    `widths` caches `level_widths` per agent, constraints and cost.
+    """
+    def cardinal(agent_id, c):
+        cost = path_cost(paths[agent_id], instance.agent(agent_id).goal)
+        if c.kind == "vertex" and c.t >= cost:
+            return True
+        key = (agent_id, constraints[agent_id], cost)
+        w = widths.get(key)
+        if w is None:
+            w = widths[key] = level_widths(instance, agent_id, constraints[agent_id], cost,
+                                           distances)
+        return w[c.t] == 1 and (c.kind == "vertex" or w[c.t + 1] == 1)
+
+    semi = None
+    for c in collisions:
+        sides = cardinal(c.agents[0], c) + cardinal(c.agents[1], c)
+        if sides == 2:
+            return c
+        if sides == 1 and semi is None:
+            semi = c
+    return semi or collisions[0]
 
 
 def child_collisions(instance: MapfInstance, parent: list[Collision],

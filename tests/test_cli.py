@@ -152,6 +152,25 @@ def test_solve_cost_cap_below_shortest_total_exits_2(capsys):
     assert err.startswith("mapf: cost cap 1 below") and err.count("\n") == 1
 
 
+def test_solve_bad_cost_cap_leaves_no_out_file(tmp_path, capsys):
+    out = tmp_path / "solution.json"
+    assert main(solve_args() + ["--cost-cap", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("mapf: cost cap 1 below")
+    assert not out.exists()
+
+
+def refuse_to_solve(instance, config):
+    raise AssertionError("solved before the output path was checked")
+
+
+def test_solve_unwritable_out_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(ALGORITHMS, "cbs", refuse_to_solve)
+    out = tmp_path / "missing" / "solution.json"
+    assert main(solve_args() + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mapf: ") and str(out) in err and err.count("\n") == 1
+
+
 def bench_args(suite, csv_path, algos="cbs", timeout="30"):
     return ["bench", "--suite", str(suite), "--algos", algos, "--agents", "2",
             "--per-count", "1", "--timeout", timeout, "--csv", str(csv_path)]
@@ -202,6 +221,14 @@ def test_bench_agent_count_below_one_exits_2(tmp_path, capsys):
     assert main(args) == 2
     assert capsys.readouterr().err == "mapf: agent count must be at least 1, got -2\n"
     assert not out.exists()
+
+
+def test_bench_unwritable_csv_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(ALGORITHMS, "cbs", refuse_to_solve)
+    out = tmp_path / "missing" / "records.csv"
+    assert main(bench_args(SUITE, out) + ["--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mapf: ") and str(out) in err and err.count("\n") == 1
 
 
 def test_bench_solver_fault_is_one_error_record_and_exits_1(tmp_path, capsys, monkeypatch):

@@ -207,6 +207,43 @@ class TestConstrainedShortestPath:
                 cost_bound, min_length)
         assert constrained_shortest_path(*args) == counter_search(*args)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_level_widths_match_enumerated_walks(self, data):
+        inst = random_grid_instance(random.Random(data.draw(st.integers(0, 2**32))),
+                                    max_side=5)
+        graph = inst.graph
+        agent = data.draw(st.sampled_from(inst.agents))
+        xi = bfs_distances(graph, agent.goal)[agent.start]
+        cost = data.draw(st.integers(max(xi - 1, 0), xi + 3))
+        times = st.integers(0, cost)
+        vertex = data.draw(st.frozensets(st.tuples(st.sampled_from(graph.vertices), times),
+                                         max_size=6))
+        steps = [(u, w) for u in graph.vertices for w in graph.neighbors(u)]
+        edge = data.draw(st.frozensets(st.tuples(st.sampled_from(steps), times), max_size=6))
+
+        # every walk of `cost` steps from the start that keeps clear of the
+        # entries and stands on the goal at the end; a walk whose remaining
+        # steps cannot reach the goal is cut short, which drops no such walk
+        dist = bfs_distances(graph, agent.goal)
+        seen = [set() for _ in range(cost + 1)]
+
+        def extend(walk):
+            t, v = len(walk) - 1, walk[-1]
+            if (v, t) in vertex or dist[v] > cost - t:
+                return
+            if t == cost:
+                for i, u in enumerate(walk):
+                    seen[i].add(u)
+                return
+            for w in graph.moves(v):
+                if w == v or ((v, w), t) not in edge:
+                    extend(walk + [w])
+
+        extend([agent.start])
+        widths = pathing.level_widths(inst, agent.id, AgentConflicts(vertex, edge), cost)
+        assert widths == [len(level) for level in seen]
+
 
 class TestNewAndPath:
     def test_single_conflict(self, fix_a):

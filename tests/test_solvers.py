@@ -18,6 +18,7 @@ from mapfsat import (
     SOLVED,
     TIMEOUT,
     Agent,
+    AgentConflicts,
     CandidateSets,
     CdclSolver,
     Collision,
@@ -31,8 +32,11 @@ from mapfsat import (
     SolverConfig,
     bfs_distances,
     brute_force_oracle,
+    constrained_shortest_path,
     build_mdd,
     heuristic_fixed,
+    parse_map,
+    path_cost,
     solution_json,
     solve_cbs,
     solve_heuristic_smt_cbs,
@@ -161,6 +165,97 @@ class TestCbs:
             seen["three-way vertex"] += max(at.values(), default=0) >= 2
             seen["swap, replanned second"] += any(
                 c.kind == "edge" and c.agents[1] == agent.id for c in mine)
+        assert len(seen) == 4 and min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("b1_goal, bypass", [("w5", False), ("w3", True)])
+    def test_branches_on_a_later_cardinal_collision(self, b1_goal, bypass, monkeypatch):
+        # two parts: a 4-cycle whose agents meet at t=1 with a second shortest
+        # path each (not cardinal), and a corridor w1..w5 with a pocket w6 off
+        # w3 whose agents meet at w3 at t=2. There b1 (w1 -> w5) and b2 (w5 ->
+        # w1) both have one shortest path (cardinal), or b1 has just arrived
+        # at its goal w3 and b2 could pass by x instead (semi-cardinal)
+        edges = [("v00", "v01"), ("v01", "v11"), ("v11", "v10"), ("v10", "v00"),
+                 ("w1", "w2"), ("w2", "w3"), ("w3", "w4"), ("w4", "w5"), ("w3", "w6")]
+        if bypass:
+            edges += [("w2", "x"), ("x", "w4")]
+        g = Graph(["v00", "v01", "v10", "v11", "w1", "w2", "w3", "w4", "w5", "w6", "x"],
+                  edges)
+        inst = MapfInstance(g, [Agent("a1", "v00", "v11"), Agent("a2", "v11", "v00"),
+                                Agent("b1", "w1", b1_goal), Agent("b2", "w5", "w1")])
+        root = Solution.from_paths(inst, [pathing.shortest_path(inst, a.id)
+                                          for a in inst.agents])
+        first, later = validate_solution(inst, root)
+        assert (first.agents, first.location, first.t) == (("a1", "a2"), "v01", 1)
+        assert (later.agents, later.location, later.t) == (("b1", "b2"), "w3", 2)
+
+        searched = []
+        search = solvers.constrained_shortest_path
+
+        def recording(instance, agent_id, avoid, *args, **kwargs):
+            searched.append((agent_id, avoid))
+            return search(instance, agent_id, avoid, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "constrained_shortest_path", recording)
+        out = solve_cbs(inst, QUICK)
+        assert out.status == SOLVED and validate_solution(inst, out.solution) == []
+        # four root searches, then the root's first child
+        assert searched[4] == ("b1", AgentConflicts(frozenset({("w3", 2)})))
+
+    def test_cbs_branch_choice_on_corridors_with_pockets(self, monkeypatch):
+        def corridor_instance(rng):
+            # one open row between two walls, with a few cells of the walls open
+            width = rng.randint(4, 7)
+            walls = [["@"] * width for _ in range(2)]
+            for _ in range(rng.randint(1, 2)):
+                walls[rng.randint(0, 1)][rng.randrange(width)] = "."
+            rows = ["".join(walls[0]), "." * width, "".join(walls[1])]
+            graph = parse_map("\n".join(["type octile", "height 3", f"width {width}", "map",
+                                         *rows]))
+            k = rng.randint(2, 3)
+            starts = rng.sample(graph.vertices, k)
+            goals = rng.sample(graph.vertices, k)
+            return MapfInstance(graph, [Agent(i + 1, s, g)
+                                        for i, (s, g) in enumerate(zip(starts, goals))])
+
+        def raises_cost(inst, agent_id, avoid, collision, side, cost):
+            """No path of the agent's cost avoids its side as well. The search
+            looks no further than the later of that cost and the collision,
+            since the agent's current path was found within its own budget."""
+            bound = max(cost, collision.t)
+            avoid = avoid.with_entry(collision.kind, collision.entry(side))
+            path = constrained_shortest_path(inst, agent_id, avoid, bound, bound)
+            return path is None or path_cost(path, inst.agent(agent_id).goal) > cost
+
+        seen = Counter()
+        branch_on = solvers._branch_on
+
+        def checking(instance, collisions, constraints, paths, widths, distances):
+            chosen = branch_on(instance, collisions, constraints, paths, widths, distances)
+            counts = []
+            for c in collisions:
+                costs = [path_cost(paths[a], instance.agent(a).goal) for a in c.agents]
+                counts.append(sum(raises_cost(instance, a, constraints[a], c, side, costs[side])
+                                  for side, a in enumerate(c.agents)))
+            want = collisions[counts.index(2) if 2 in counts else
+                              counts.index(1) if 1 in counts else 0]
+            assert chosen == want
+            i = collisions.index(chosen)
+            seen["cardinal"] += counts[i] == 2
+            seen["semi-cardinal"] += counts[i] == 1
+            seen["edge-cardinal"] += chosen.kind == "edge" and counts[i] == 2
+            seen["goal-after-arrival"] += chosen.kind == "vertex" and any(
+                chosen.t >= path_cost(paths[a], instance.agent(a).goal)
+                for a in chosen.agents)
+            return chosen
+
+        monkeypatch.setattr(solvers, "_branch_on", checking)
+        rng = random.Random(29)
+        for _ in range(30):
+            inst = corridor_instance(rng)
+            cap = xi_sum(inst) + 4
+            oracle = brute_force_oracle(inst, cap)
+            out = solve_cbs(inst, SolverConfig(timeout_s=60, cost_cap=cap))
+            assert (out.status, out.soc) == (oracle.status, oracle.soc)
         assert len(seen) == 4 and min(seen.values()) >= 20, seen
 
     def test_mdd_sat_counts_cost_iterations(self, fix_c):
@@ -345,8 +440,8 @@ class TestOptimalityAgreement:
                 assert got == want, (key, algo)
 
     # (soc, conflicts) of cbs on the same instances, pinned for the same reason
-    CBS_PINNED = {"fix_b": (4, 1), "fix_c": (8, 7), 0: (8, 7), 1: (9, 28), 2: (4, 0),
-                  3: (13, 14)}
+    CBS_PINNED = {"fix_b": (4, 1), "fix_c": (8, 4), 0: (8, 4), 1: (9, 17), 2: (4, 0),
+                  3: (13, 6)}
 
     def test_cbs_keeps_pinned_search(self, fix_b, fix_c):
         rng = random.Random(606)
