@@ -11,9 +11,11 @@ that is not an integer or is below 1, a `--per-count` below 1, a
 `--timeout` that is not positive (NaN included), a `--csv` path that cannot
 be opened for writing, or a map or scenario file that fails to parse; other
 unusable inputs become `error` records with a reason and leave the exit
-code at 0. Both commands open their output file before they solve, so an
-unwritable path costs no run, and bad input found before the runs leaves no
-output file. `bench` exits 1,
+code at 0. Both commands check that their output file can be written
+before they solve, without truncating it, so an unwritable path costs no run;
+the output is written when the command is done. Bad input found after that
+check leaves a file that was already there unchanged and removes one that
+the check created. `bench` exits 1,
 ahead of bad input, when a run raised one of `bench.SOLVER_FAULTS` (a
 `solved` run that fails re-validation raises `EncodingSoundnessError`); that
 run is one `error` record with one `mapf: <reason>` line, and the other runs
@@ -27,7 +29,6 @@ a traceback.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -80,10 +81,15 @@ def _bad_input(problem: Exception | str) -> int:
     return 2
 
 
-def _drop(out) -> None:
-    """Remove the output file `out`, closed by now: bad input leaves none."""
-    if out is not None:
-        os.unlink(out.name)
+def _check_writable(path: str) -> bool:
+    """Raise OSError unless `path` opens for writing; leave its content alone.
+
+    Returns whether the check created the file, so that bad input found later
+    removes only a file this command made.
+    """
+    created = not os.path.lexists(path)
+    open(path, "a").close()
+    return created
 
 
 def _cmd_solve(args) -> int:
@@ -95,22 +101,22 @@ def _cmd_solve(args) -> int:
         return _bad_input(exc)
     try:
         config = SolverConfig(timeout_s=args.timeout, cost_cap=args.cost_cap)
-        # opened before the solve, so that an unwritable path costs no solve
-        out = open(args.out, "w") if args.out else None
+        # checked before the solve, so that an unwritable path costs no solve
+        created = _check_writable(args.out) if args.out else False
     except (ConfigError, OSError) as exc:
         return _bad_input(exc)
     try:
-        with out or contextlib.nullcontext():
-            outcome = ALGORITHMS[args.algo](instance, config)
-            instance_id = f"{FsPath(args.map).name}:{FsPath(args.scen).name}:{args.agents}"
-            payload = json.dumps(solution_json(instance_id, args.algo, outcome), indent=2)
-            if out:
-                out.write(payload + "\n")
-            else:
-                _emit(payload)
+        outcome = ALGORITHMS[args.algo](instance, config)
     except ConfigError as exc:
-        _drop(out)
+        if created:
+            os.unlink(args.out)
         return _bad_input(exc)
+    instance_id = f"{FsPath(args.map).name}:{FsPath(args.scen).name}:{args.agents}"
+    payload = json.dumps(solution_json(instance_id, args.algo, outcome), indent=2)
+    if args.out:
+        FsPath(args.out).write_text(payload + "\n")
+    else:
+        _emit(payload)
     return 0
 
 
@@ -121,20 +127,20 @@ def _cmd_bench(args) -> int:
     except ValueError:
         return _bad_input(f"--agents wants comma-separated integers, got {args.agents!r}")
     try:
-        # opened before the runs, so that an unwritable path loses no results
-        out = open(args.csv, "w", newline="")
+        # checked before the runs, so that an unwritable path loses no results
+        created = _check_writable(args.csv)
     except OSError as exc:
         return _bad_input(exc)
     try:
-        with out:
-            records = run_benchmark(
-                args.suite, algos, counts,
-                per_count=args.per_count, timeout_s=args.timeout, workers=args.workers,
-            )
-            write_csv(records, out)
+        records = run_benchmark(
+            args.suite, algos, counts,
+            per_count=args.per_count, timeout_s=args.timeout, workers=args.workers,
+        )
     except ConfigError as exc:
-        _drop(out)
+        if created:
+            os.unlink(args.csv)
         return _bad_input(exc)
+    write_csv(records, args.csv)
     _emit(f"wrote {len(records)} records to {args.csv}")
     failures = dict.fromkeys(r.reason for r in records if r.reason.startswith(PARSE_ERROR))
     fault_prefixes = tuple(f"{e.__name__}: " for e in SOLVER_FAULTS)

@@ -171,6 +171,36 @@ def test_solve_unwritable_out_exits_2_before_solving(tmp_path, capsys, monkeypat
     assert err.startswith("mapf: ") and str(out) in err and err.count("\n") == 1
 
 
+EARLIER = "earlier results\n"
+
+
+def test_solve_bad_cost_cap_keeps_an_existing_out_file(tmp_path, capsys):
+    out = tmp_path / "solution.json"
+    out.write_text(EARLIER)
+    assert main(solve_args() + ["--cost-cap", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("mapf: cost cap 1 below")
+    assert out.read_text() == EARLIER
+
+
+def test_solve_that_raises_keeps_an_existing_out_file(tmp_path, monkeypatch):
+    def crash(instance, config):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setitem(ALGORITHMS, "cbs", crash)
+    out = tmp_path / "solution.json"
+    out.write_text(EARLIER)
+    with pytest.raises(RuntimeError):
+        main(solve_args() + ["--out", str(out)])
+    assert out.read_text() == EARLIER
+
+
+def test_solve_replaces_an_existing_out_file(tmp_path):
+    out = tmp_path / "solution.json"
+    out.write_text(EARLIER * 1000)
+    assert main(solve_args() + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "solved"
+
+
 def bench_args(suite, csv_path, algos="cbs", timeout="30"):
     return ["bench", "--suite", str(suite), "--algos", algos, "--agents", "2",
             "--per-count", "1", "--timeout", timeout, "--csv", str(csv_path)]
@@ -229,6 +259,26 @@ def test_bench_unwritable_csv_exits_2_before_any_run(tmp_path, capsys, monkeypat
     assert main(bench_args(SUITE, out) + ["--workers", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("mapf: ") and str(out) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [["--algos", "typo"], ["--timeout", "0"], ["--per-count", "0"]])
+def test_bench_bad_input_keeps_an_existing_csv(bad, tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    out.write_text(EARLIER)
+    args = bench_args(SUITE, out)
+    for flag, value in zip(bad[::2], bad[1::2]):
+        args[args.index(flag) + 1] = value
+    assert main(args) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert out.read_text() == EARLIER
+
+
+def test_bench_replaces_an_existing_csv(tmp_path):
+    out = tmp_path / "records.csv"
+    out.write_text(EARLIER * 1000)
+    assert main(bench_args(SUITE, out)) == 0
+    records = read_csv(out)
+    assert records and all(r.status == SOLVED for r in records)
 
 
 def test_bench_solver_fault_is_one_error_record_and_exits_1(tmp_path, capsys, monkeypatch):
