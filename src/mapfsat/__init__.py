@@ -24,6 +24,7 @@ from .instance import (
 from .pathing import (
     AgentConflicts,
     ConflictSet,
+    Distances,
     bfs_distances,
     constrained_shortest_path,
     new_and_path,
@@ -43,7 +44,6 @@ from .encoding import (
     INCOMPLETE,
     BooleanModel,
     EncodingSoundnessError,
-    VariableMap,
     add_conflict_clauses,
     build_model,
     cardinality_le,

@@ -118,7 +118,8 @@ def run_benchmark(
     """One record per (scenario, agent count, algorithm), in stable order.
 
     Raises ConfigError, before any run starts, on an unknown algorithm, an
-    agent count or per-count below 1, or a time limit that is not positive.
+    agent count, per-count or worker count below 1, or a time limit that is
+    not positive.
     """
     for algo in algorithms:
         if algo not in ALGORITHMS:
@@ -128,6 +129,8 @@ def run_benchmark(
             raise ConfigError(f"agent count must be at least 1, got {n}")
     if per_count < 1:
         raise ConfigError(f"per-count must be at least 1, got {per_count}")
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     config = SolverConfig(timeout_s=timeout_s)
     scens = discover_suite(suite_dir)[:per_count]
     tasks = [
@@ -136,7 +139,7 @@ def run_benchmark(
         for n in agent_counts
         for algo in algorithms
     ]
-    if workers <= 1:
+    if workers == 1:
         return [_run_one(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, *zip(*tasks)))

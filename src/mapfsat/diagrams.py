@@ -64,7 +64,7 @@ class Mdd:
 
 
 def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
-              cost_bound: int, distances: Distances | None = None) -> Mdd:
+              cost_bound: int, distances: Distances) -> Mdd:
     """Full diagram of every start->goal path within the horizon and cost bound.
 
     The levels are swept forward from the start: level t + 1 holds the moves
@@ -74,10 +74,8 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
     persists at every level from the earliest arrival onward, so trailing
     goal waits stay representable and free.
     """
-    graph = instance.graph
     agent = instance.agent(agent_id)
     goal = agent.goal
-    distances = distances if distances is not None else Distances(graph)
     dist_goal = distances.dist(goal)
     xi = dist_goal.get(agent.start)
     if xi is None:
@@ -90,11 +88,11 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
         )
     bound = min(cost_bound, horizon)
 
-    # graph.moves(u) is in the ids' order, so each out-edge list is as well.
+    # Graph.moves(u) is in the ids' order, so each out-edge list is as well.
     # No pruning pass: on an undirected graph where agents may wait, every
     # node swept here lies on a start->goal walk within the bound (checked by
     # test_matches_brute_force_expansion).
-    moves = graph.moves
+    moves = instance.graph.moves
     levels = [(agent.start,)]
     out = {}
     for t in range(horizon):

@@ -32,12 +32,25 @@ class EncodingSoundnessError(RuntimeError):
 
 
 @dataclass
-class VariableMap:
-    """Bijection between diagram nodes/edges/cost indicators and SAT variables."""
+class BooleanModel:
+    """One solver instance, the horizon it was built for, and the bijection
+    between diagram nodes (`x`), diagram edges (`e`), cost indicators (`c`)
+    and its SAT variables."""
 
+    solver: CdclSolver
+    horizon: int
+    conflicts: ConflictSet
+    instance: MapfInstance
+    diagrams: Mapping[Hashable, Mdd]
     x: dict[tuple[Hashable, Vertex, int], int] = field(default_factory=dict)
     e: dict[tuple[Hashable, Vertex, Vertex, int], int] = field(default_factory=dict)
     c: dict[tuple[Hashable, int], int] = field(default_factory=dict)
+
+    def solve(self) -> Optional[list[bool]]:
+        """Satisfying assignment of the current clause set, or None."""
+        if self.solver.solve():
+            return self.solver.model()
+        return None
 
     def x_var(self, agent: Hashable, v: Vertex, t: int) -> Optional[int]:
         return self.x.get((agent, v, t))
@@ -48,28 +61,6 @@ class VariableMap:
     @property
     def decision_var_count(self) -> int:
         return len(self.x) + len(self.e)
-
-
-@dataclass
-class BooleanModel:
-    """One solver instance plus the variable map and horizon it was built for."""
-
-    solver: CdclSolver
-    varmap: VariableMap
-    horizon: int
-    conflicts: ConflictSet
-    instance: MapfInstance
-    diagrams: Mapping[Hashable, Mdd]
-
-    def solve(self) -> Optional[list[bool]]:
-        """Satisfying assignment of the current clause set, or None."""
-        if self.solver.solve():
-            return self.solver.model()
-        return None
-
-    @property
-    def decision_var_count(self) -> int:
-        return self.varmap.decision_var_count
 
 
 def _at_most_one(solver: CdclSolver, lits: list[int], clauses: list) -> None:
@@ -121,8 +112,8 @@ def build_model(
     horizon: int,
     soc: int,
     mode: str,
+    distances: Distances,
     solver: CdclSolver | None = None,
-    distances: Distances | None = None,
 ) -> BooleanModel:
     """Fresh solver instance encoding the diagrams under the given bounds.
 
@@ -138,7 +129,6 @@ def build_model(
     for a in agents:
         if diagrams[a.id].horizon != horizon:
             raise ValueError(f"diagram of agent {a.id!r} has mismatched horizon")
-    distances = distances if distances is not None else Distances(instance.graph)
     xi = {a.id: distances.dist(a.goal).get(a.start) for a in agents}
     if any(d is None for d in xi.values()):
         raise ValueError("some agent cannot reach its goal")
@@ -147,9 +137,8 @@ def build_model(
         raise ValueError(f"sum-of-costs {soc} below the shortest-path total")
 
     s = solver if solver is not None else CdclSolver()
-    vm = VariableMap()
-    model = BooleanModel(s, vm, horizon, conflicts, instance, diagrams)
-    x, e, c = vm.x, vm.e, vm.c
+    model = BooleanModel(s, horizon, conflicts, instance, diagrams)
+    x, e, c = model.x, model.e, model.c
 
     for a in agents:
         mdd = diagrams[a.id]
@@ -212,15 +201,14 @@ def build_model(
 
 
 def _emit_complete_constraints(model: BooleanModel) -> None:
-    instance, vm, s = model.instance, model.varmap, model.solver
-    agents = instance.agents
+    agents, s = model.instance.agents, model.solver
     # at most one agent per shared vertex-timestep
     shared: dict[tuple[int, Vertex], list[int]] = {}
     for a in agents:
         mdd = model.diagrams[a.id]
         for t in range(model.horizon + 1):
             for v in mdd.levels[t]:
-                shared.setdefault((t, v), []).append(vm.x[(a.id, v, t)])
+                shared.setdefault((t, v), []).append(model.x[(a.id, v, t)])
     clauses: list[list[int]] = []
     for key in sorted(shared):
         _at_most_one(s, shared[key], clauses)
@@ -234,9 +222,9 @@ def _emit_complete_constraints(model: BooleanModel) -> None:
             for t in range(model.horizon):
                 for u in mdd.levels[t]:
                     for v in mdd.outgoing(u, t):
-                        opposite = vm.e_var(aj, v, u, t)
+                        opposite = model.e_var(aj, v, u, t)
                         if opposite is not None:
-                            clauses.append([-vm.e[(ai, u, v, t)], -opposite])
+                            clauses.append([-model.e[(ai, u, v, t)], -opposite])
         s.add_clauses(clauses)
 
 
@@ -262,17 +250,17 @@ def _pair_clause(model: BooleanModel, ai: Hashable, aj: Hashable, kind: str,
     None when `aj` does not carry the counterpart, or when either agent's
     diagram lacks the node or edge.
     """
-    vm, theirs = model.varmap, model.conflicts.for_agent(aj)
+    theirs = model.conflicts.for_agent(aj)
     if kind == "vertex":
         v, t = entry
         if entry not in theirs.vertex:
             return None
-        li, lj = vm.x_var(ai, v, t), vm.x_var(aj, v, t)
+        li, lj = model.x_var(ai, v, t), model.x_var(aj, v, t)
     else:
         (u, v), t = entry
         if ((v, u), t) not in theirs.edge:
             return None
-        li, lj = vm.e_var(ai, u, v, t), vm.e_var(aj, v, u, t)
+        li, lj = model.e_var(ai, u, v, t), model.e_var(aj, v, u, t)
     if li is None or lj is None:
         return None
     return (-li, -lj)
@@ -301,13 +289,13 @@ def _emit_recorded_conflicts(model: BooleanModel) -> None:
 
 def extract_solution(model: BooleanModel, assignment: list[bool]) -> Solution:
     """Read the unique true vertex variable per agent and level into paths."""
-    instance, vm = model.instance, model.varmap
+    instance = model.instance
     paths = []
     for a in instance.agents:
         mdd = model.diagrams[a.id]
         positions = []
         for t in range(model.horizon + 1):
-            trues = [v for v in mdd.levels[t] if assignment[vm.x[(a.id, v, t)]]]
+            trues = [v for v in mdd.levels[t] if assignment[model.x[(a.id, v, t)]]]
             if len(trues) != 1:
                 raise EncodingSoundnessError(
                     f"agent {a.id!r} occupies {len(trues)} vertices at step {t}"

@@ -81,8 +81,9 @@ class Distances:
 
     The graph is undirected, so a goal's table also holds every start's
     distance to that goal: solvers ask only for goal tables, one per agent.
-    A solver makes one per solve and drops it when the solve returns, so no
-    table outlives the solve that needed it.
+    A solver makes one per solve, passes it to every layer it calls, and drops
+    it when the solve returns: no layer makes a memo of its own, and no table
+    outlives the solve that needed it.
     """
 
     def __init__(self, graph: Graph):
@@ -102,16 +103,18 @@ def constrained_shortest_path(
     avoid: AgentConflicts,
     horizon: int,
     cost_bound: int,
+    distances: Distances,
     min_length: int = 0,
-    distances: Distances | None = None,
 ) -> Optional[Path]:
     """Minimum-cost start->goal path of length <= horizon and cost <= cost_bound.
 
     The path never occupies a conflicted vertex at its timestep nor traverses
-    a conflicted directed edge, and its implicit goal-wait padding out to the
-    horizon stays clear of vertex conflicts as well. Ties break on lower f,
-    then lower timestep, then smaller vertex id, then the first push. Returns
-    None when no such path exists.
+    a conflicted directed edge. Its implicit goal-wait padding stays clear of
+    every vertex conflict on the goal, also of those past the horizon: the
+    path arrives after the goal's last one, so when that falls at or past the
+    horizon there is no path. Ties break on lower f, then lower timestep, then
+    smaller vertex id, then the first push. Returns None when no such path
+    exists.
 
     Each space-time state `(v, t)` is pushed only when its f is strictly lower
     than at its last push. Off the goal f is `t + dist(v, goal)` whatever the
@@ -124,19 +127,16 @@ def constrained_shortest_path(
     graph = instance.graph
     agent = instance.agent(agent_id)
     start, goal = agent.start, agent.goal
-    distances = distances if distances is not None else Distances(graph)
     dist_goal = distances.dist(goal)
     if start not in dist_goal:
         return None
     avoid_vertex, avoid_edge, moves = avoid.vertex, avoid.edge, graph.moves
 
     # Terminal states must keep the implicit goal-wait padding conflict-free.
-    last_goal_conflict = max(
-        (s for (v, s) in avoid_vertex if v == goal and s <= horizon), default=-1
-    )
-    earliest_stop = max(min_length, last_goal_conflict)
+    last_goal_conflict = max((s for (v, s) in avoid_vertex if v == goal), default=-1)
+    earliest_stop = max(min_length, last_goal_conflict + 1)
 
-    if (start, 0) in avoid_vertex:
+    if earliest_stop > horizon or (start, 0) in avoid_vertex:
         return None
     # f bounds the cost from below: t + dist(v, goal) off the goal, and the
     # last arrival time at it
@@ -186,7 +186,7 @@ def constrained_shortest_path(
 
 
 def level_widths(instance: MapfInstance, agent_id: Hashable, avoid: AgentConflicts,
-                 cost: int, distances: Distances | None = None) -> list[int]:
+                 cost: int, distances: Distances) -> list[int]:
     """Width of each level 0..cost of the diagram of the agent's start->goal
     walks of length `cost` that keep clear of `avoid`.
 
@@ -199,7 +199,6 @@ def level_widths(instance: MapfInstance, agent_id: Hashable, avoid: AgentConflic
     """
     agent = instance.agent(agent_id)
     start = agent.start
-    distances = distances if distances is not None else Distances(instance.graph)
     dist_goal = distances.dist(agent.goal)
     avoid_vertex, avoid_edge, moves = avoid.vertex, avoid.edge, instance.graph.moves
 
@@ -226,15 +225,14 @@ def level_widths(instance: MapfInstance, agent_id: Hashable, avoid: AgentConflic
 
 
 def shortest_path(instance: MapfInstance, agent_id: Hashable,
-                  distances: Distances | None = None) -> Optional[Path]:
+                  distances: Distances) -> Optional[Path]:
     """Deterministic unconstrained shortest path for one agent."""
     agent = instance.agent(agent_id)
-    distances = distances if distances is not None else Distances(instance.graph)
     dist = distances.dist(agent.goal).get(agent.start)
     if dist is None:
         return None
     return constrained_shortest_path(instance, agent_id, AgentConflicts(), dist, dist,
-                                     distances=distances)
+                                     distances)
 
 
 def _padded_steps(paths: Iterable[Path], horizon: int) -> set[tuple[int, Vertex, Vertex]]:
@@ -252,7 +250,7 @@ def new_and_path(
     conflicts: AgentConflicts,
     horizon: int,
     cost_bound: int,
-    distances: Distances | None = None,
+    distances: Distances,
 ) -> Optional[Path]:
     """Shortest path avoiding every conflict of the agent at once.
 
@@ -261,7 +259,7 @@ def new_and_path(
     set (adding it again would change nothing).
     """
     path = constrained_shortest_path(instance, agent_id, conflicts, horizon, cost_bound,
-                                     distances=distances)
+                                     distances)
     if path is None:
         return None
     candidates = list(candidate_paths)
@@ -279,7 +277,7 @@ def new_or_paths(
     conflicts: AgentConflicts,
     horizon: int,
     cost_bound: int,
-    distances: Distances | None = None,
+    distances: Distances,
 ) -> list[Path]:
     """One shortest avoiding path per nonempty conflict subset.
 
@@ -310,8 +308,8 @@ def new_or_paths(
                 AgentConflicts(vconf, econf),
                 horizon,
                 cost_bound,
+                distances,
                 min_length=last_t + 1,
-                distances=distances,
             )
             if path is not None and path.positions not in seen_positions:
                 seen_positions.add(path.positions)

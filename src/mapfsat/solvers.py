@@ -218,14 +218,7 @@ def _cbs(instance, config, deadline, stats):
     agent_ids = [a.id for a in instance.agents]
 
     root_constraints = {a: AgentConflicts() for a in agent_ids}
-    root_paths = {}
-    for a in agent_ids:
-        budget = cap - (soc0 - xi[a])
-        p = constrained_shortest_path(instance, a, root_constraints[a], budget, budget,
-                                      distances=distances)
-        if p is None:
-            raise _CapExceeded
-        root_paths[a] = p
+    root_paths = {a: shortest_path(instance, a, distances) for a in agent_ids}
     root = Solution.from_paths(instance, root_paths.values())
     root_collisions = validate_solution(instance, root)
 
@@ -261,7 +254,7 @@ def _cbs(instance, config, deadline, stats):
             if budget < xi[agent_id]:
                 continue
             path = constrained_shortest_path(instance, agent_id, child, budget, budget,
-                                             distances=distances)
+                                             distances)
             if path is None:
                 continue
             new_constraints = dict(constraints)
@@ -348,8 +341,7 @@ class CandidateSets:
         self._full: dict[Hashable, bool] = {a.id: False for a in instance.agents}
 
     @classmethod
-    def initial(cls, instance: MapfInstance,
-                distances: Distances | None = None) -> "CandidateSets":
+    def initial(cls, instance: MapfInstance, distances: Distances) -> "CandidateSets":
         """Each agent's shortest path; every goal must be reachable."""
         sets = cls(instance)
         for a in instance.agents:
@@ -429,22 +421,17 @@ def heuristic_fixed(
     conflicts: ConflictSet,
     horizon: int,
     soc: int,
-    config: SolverConfig | None = None,
-    deadline: Deadline | None = None,
-    stats: SolveStats | None = None,
 ) -> tuple[Solution | None, ConflictSet]:
-    """One fixed-bounds round of the all-avoiding-path algorithm.
+    """One fixed-bounds round of the all-avoiding-path algorithm, under the
+    default time limit.
 
     Returns (solution, conflicts) on success or (None, conflicts) when no
     solution fits the bounds; `conflicts` accumulates everything discovered.
     """
-    config = config if config is not None else SolverConfig()
-    deadline = deadline if deadline is not None else Deadline(config.timeout_s)
-    stats = stats if stats is not None else SolveStats()
     distances = Distances(instance.graph)
     xi = _shortest_costs(instance, distances)
-    solution = _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc,
-                      xi, INCOMPLETE, "and", distances)
+    solution = _fixed(instance, Deadline(SolverConfig().timeout_s), SolveStats(), candidates,
+                      conflicts, horizon, soc, xi, INCOMPLETE, "and", distances)
     return solution, conflicts
 
 
@@ -468,9 +455,8 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
                 for a in instance.agents
             }
             # long single SAT calls poll the deadline between conflicts
-            model = build_model(instance, diagrams, conflicts, horizon, soc, mode,
-                                solver=CdclSolver(interrupt=deadline.check),
-                                distances=distances)
+            model = build_model(instance, diagrams, conflicts, horizon, soc, mode, distances,
+                                solver=CdclSolver(interrupt=deadline.check))
             stats.iterations.append(IterationStat(
                 soc=soc,
                 makespan=horizon,

@@ -18,6 +18,7 @@ from mapfsat import (
     INCOMPLETE,
     Agent,
     ConflictSet,
+    Distances,
     Graph,
     MapfInstance,
     Path,
@@ -142,6 +143,7 @@ def test_criterion_4_sparsification(random_batch):
     violations = 0
     compared = 0
     for inst, oracle, cap in random_batch:
+        distances = Distances(inst.graph)
         sparse = solve_heuristic_smt_cbs(inst, SolverConfig(timeout_s=120, cost_cap=cap))
         eager = solve_smt_cbs(inst, SolverConfig(timeout_s=120, cost_cap=cap))
         base = soc_floor(inst)
@@ -152,7 +154,7 @@ def test_criterion_4_sparsification(random_batch):
                     continue
                 compared += 1
                 xi = bfs_distances(inst.graph, agent.start).get(agent.goal)
-                full = build_mdd(inst, agent.id, it.makespan, xi + delta)
+                full = build_mdd(inst, agent.id, it.makespan, xi + delta, distances)
                 if it.nodes_per_agent[idx] > full.node_count:
                     violations += 1
         if (
@@ -205,6 +207,7 @@ def test_criterion_5_model_definitions():
     cases = mismatches = 0
     for g in graphs:
         n = g.vertex_count
+        distances = Distances(g)
         for s1, s2 in itertools.permutations(range(n), 2):
             for g1, g2 in itertools.permutations(range(n), 2):
                 inst = MapfInstance(g, [Agent(1, s1, g1), Agent(2, s2, g2)])
@@ -218,11 +221,11 @@ def test_criterion_5_model_definitions():
                     cases += 1
                     soc, mu = soc0 + delta, mu0 + delta
                     diagrams = {
-                        a.id: build_mdd(inst, a.id, mu, xi[i] + delta)
+                        a.id: build_mdd(inst, a.id, mu, xi[i] + delta, distances)
                         for i, a in enumerate(inst.agents)
                     }
                     complete = build_model(
-                        inst, diagrams, ConflictSet(), mu, soc, COMPLETE
+                        inst, diagrams, ConflictSet(), mu, soc, COMPLETE, distances
                     )
                     sat = complete.solve() is not None
                     solvable = opt is not None and opt <= soc
@@ -230,7 +233,7 @@ def test_criterion_5_model_definitions():
                         mismatches += 1
                     if solvable:
                         incomplete = build_model(
-                            inst, diagrams, ConflictSet(), mu, soc, INCOMPLETE
+                            inst, diagrams, ConflictSet(), mu, soc, INCOMPLETE, distances
                         )
                         if incomplete.solve() is None:
                             mismatches += 1

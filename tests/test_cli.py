@@ -232,6 +232,14 @@ def test_bench_per_count_below_one_exits_2(per_count, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_bench_workers_below_one_exits_2(workers, tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    assert main(bench_args(SUITE, out) + [f"--workers={workers}"]) == 2
+    assert capsys.readouterr().err == f"mapf: workers must be at least 1, got {workers}\n"
+    assert not out.exists()
+
+
 def test_bench_bad_agents_exits_2(tmp_path, capsys):
     out = tmp_path / "records.csv"
     args = bench_args(SUITE, out)

@@ -8,6 +8,7 @@ from mapfsat import (
     Agent,
     Graph,
     InfeasibleAgentError,
+    Distances,
     MapfInstance,
     Path,
     bfs_distances,
@@ -60,20 +61,20 @@ def expansion_nodes_edges(walks):
 
 class TestBuildMdd:
     def test_unique_shortest_path(self, fix_a):
-        mdd = build_mdd(fix_a, "a1", 2, 2)
+        mdd = build_mdd(fix_a, "a1", 2, 2, Distances(fix_a.graph))
         assert mdd.node_count == 3
         assert mdd.edge_count == 2
         assert mdd.levels == (("v1",), ("v2",), ("v3",))
 
     def test_one_unit_of_slack(self, fix_a):
-        mdd = build_mdd(fix_a, "a1", 3, 3)
+        mdd = build_mdd(fix_a, "a1", 3, 3, Distances(fix_a.graph))
         got = {(t, v) for t, level in enumerate(mdd.levels) for v in level}
         assert got == {(0, "v1"), (1, "v1"), (1, "v2"), (2, "v2"), (2, "v3"), (3, "v3")}
 
     def test_start_equals_goal(self):
         g = Graph(["a", "b"], [("a", "b")])
         inst = MapfInstance(g, [Agent(1, "a", "a")])
-        mdd = build_mdd(inst, 1, 0, 0)
+        mdd = build_mdd(inst, 1, 0, 0, Distances(g))
         assert mdd.node_count == 1
         assert mdd.edge_count == 0
 
@@ -81,7 +82,7 @@ class TestBuildMdd:
         g = Graph(["a", "b", "c"], [("a", "b")])
         inst = MapfInstance(g, [Agent(1, "a", "c")])
         with pytest.raises(InfeasibleAgentError):
-            build_mdd(inst, 1, 4, 4)
+            build_mdd(inst, 1, 4, 4, Distances(g))
 
     def test_matches_brute_force_expansion(self):
         # horizons above the cost bound are what every agent shorter than the
@@ -95,6 +96,7 @@ class TestBuildMdd:
             if inst.graph.vertex_count > 8:
                 continue
             agent = inst.agents[0]
+            distances = Distances(inst.graph)
             xi = bfs_distances(inst.graph, agent.start).get(agent.goal)
             for slack in (0, 1, 2):
                 bound = xi + slack
@@ -102,7 +104,7 @@ class TestBuildMdd:
                     if horizon < xi or horizon > 6:
                         continue
                     above_bound += horizon > bound
-                    mdd = build_mdd(inst, agent.id, horizon, bound)
+                    mdd = build_mdd(inst, agent.id, horizon, bound, distances)
                     walks = enumerate_expansions(
                         inst.graph, agent.start, agent.goal, horizon, bound
                     )
@@ -137,13 +139,14 @@ class TestBuildMdd:
             inst = random_grid_instance(rng, max_side=7)
             if inst.graph.vertex_count <= 8:
                 continue
+            distances = Distances(inst.graph)
             for agent in inst.agents:
                 xi = bfs_distances(inst.graph, agent.goal)[agent.start]
                 for slack in range(4):
                     bound = xi + slack
                     for horizon in (bound, bound + 1, bound + 3):
                         above_bound += horizon > bound
-                        mdd = build_mdd(inst, agent.id, horizon, bound)
+                        mdd = build_mdd(inst, agent.id, horizon, bound, distances)
                         levels, out = interval_mdd(inst.graph, agent.start, agent.goal,
                                                    horizon, bound)
                         assert mdd.levels == levels
@@ -213,9 +216,10 @@ class TestOrderedDiagrams:
 
     def test_full_diagrams_are_ordered(self):
         inst = scrambled_grid_instance()
+        distances = Distances(inst.graph)
         for agent in inst.agents:
             xi = bfs_distances(inst.graph, agent.start)[agent.goal]
-            mdd = build_mdd(inst, agent.id, xi + 3, xi + 2)
+            mdd = build_mdd(inst, agent.id, xi + 3, xi + 2, distances)
             assert mdd.node_count > mdd.horizon + 1
             self.assert_ordered(mdd)
 
@@ -243,11 +247,11 @@ class TestCountRepresentedPaths:
         assert count_represented_paths(smdd) == 4
 
     def test_single_route(self, fix_a):
-        assert count_represented_paths(build_mdd(fix_a, "a1", 2, 2)) == 1
+        assert count_represented_paths(build_mdd(fix_a, "a1", 2, 2, Distances(fix_a.graph))) == 1
 
     def test_three_routes_with_slack(self, fix_a):
         # enumeration: move-move-wait, wait-move-move, move-wait-move
-        mdd = build_mdd(fix_a, "a1", 3, 3)
+        mdd = build_mdd(fix_a, "a1", 3, 3, Distances(fix_a.graph))
         walks = enumerate_expansions(fix_a.graph, "v1", "v3", 3, 3)
         assert len(walks) == 3
         assert count_represented_paths(mdd) == 3
@@ -260,7 +264,7 @@ class TestCountRepresentedPaths:
 class TestSparseVersusFull:
     def test_sparse_stays_inside_full(self, fix_d_graph, fix_d_paths):
         inst = MapfInstance(fix_d_graph, [Agent("ax", "v1", "v5")])
-        full = build_mdd(inst, "ax", 4, 4)
+        full = build_mdd(inst, "ax", 4, 4, Distances(fix_d_graph))
         smdd = build_smdd("ax", fix_d_paths, 4)
         for t, lvl in enumerate(smdd.levels):
             assert set(lvl) <= set(full.levels[t])
@@ -273,6 +277,7 @@ class TestSparseVersusFull:
         for _ in range(20):
             inst = random_grid_instance(rng)
             agent = inst.agents[0]
+            distances = Distances(inst.graph)
             xi = bfs_distances(inst.graph, agent.start).get(agent.goal)
             horizon, bound = xi + 2, xi + 2
             paths = []
@@ -282,13 +287,14 @@ class TestSparseVersusFull:
                     frozenset({(rng.choice(verts), rng.randint(1, horizon))}),
                     frozenset(),
                 )
-                p = constrained_shortest_path(inst, agent.id, avoid, horizon, bound)
+                p = constrained_shortest_path(inst, agent.id, avoid, horizon, bound,
+                                              distances)
                 if p is not None:
                     paths.append(p)
             if not paths:
                 continue
             smdd = build_smdd(agent.id, paths, horizon)
-            full = build_mdd(inst, agent.id, horizon, bound)
+            full = build_mdd(inst, agent.id, horizon, bound, distances)
             for t, lvl in enumerate(smdd.levels):
                 assert set(lvl) <= set(full.levels[t])
             assert diagram_edges(smdd) <= diagram_edges(full)

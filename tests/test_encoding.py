@@ -12,6 +12,7 @@ from mapfsat import (
     CdclSolver,
     Collision,
     ConflictSet,
+    Distances,
     EncodingSoundnessError,
     Graph,
     MapfInstance,
@@ -55,13 +56,14 @@ def full_model(instance, delta=0, mode=INCOMPLETE, conflicts=None, solver=None):
     }
     soc = sum(xi.values()) + delta
     horizon = max(xi.values()) + delta
+    distances = Distances(instance.graph)
     diagrams = {
-        a.id: build_mdd(instance, a.id, horizon, xi[a.id] + delta)
+        a.id: build_mdd(instance, a.id, horizon, xi[a.id] + delta, distances)
         for a in instance.agents
     }
     return build_model(
         instance, diagrams, conflicts if conflicts is not None else ConflictSet(),
-        horizon, soc, mode, solver=solver,
+        horizon, soc, mode, distances, solver=solver,
     )
 
 
@@ -69,9 +71,9 @@ class TestBuildModel:
     def test_single_agent_variable_counts(self, fix_a):
         model = full_model(fix_a)
         # one vertex per level, two move edges, no slack indicators
-        assert len(model.varmap.x) == 3
-        assert len(model.varmap.e) == 2
-        assert len(model.varmap.c) == 0
+        assert len(model.x) == 3
+        assert len(model.e) == 2
+        assert len(model.c) == 0
         assert model.solve() is not None
 
     def test_forced_shared_vertex_is_unsat(self, fix_b):
@@ -80,7 +82,8 @@ class TestBuildModel:
             "a1": build_smdd("a1", [Path("a1", ("v00", "v01", "v11"))], 2),
             "a2": build_smdd("a2", [Path("a2", ("v11", "v01", "v00"))], 2),
         }
-        model = build_model(fix_b, diagrams, ConflictSet(), 2, 4, INCOMPLETE)
+        model = build_model(fix_b, diagrams, ConflictSet(), 2, 4, INCOMPLETE,
+                            Distances(fix_b.graph))
         assert model.solve() is not None  # no collision clause yet
         add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v01", 1)])
         assert model.solve() is None
@@ -96,17 +99,19 @@ class TestBuildModel:
         assert sum_of_costs(fix_b, solution) == 4
 
     def test_horizon_mismatch_rejected(self, fix_b):
+        distances = Distances(fix_b.graph)
         diagrams = {
-            "a1": build_mdd(fix_b, "a1", 2, 2),
-            "a2": build_mdd(fix_b, "a2", 3, 3),
+            "a1": build_mdd(fix_b, "a1", 2, 2, distances),
+            "a2": build_mdd(fix_b, "a2", 3, 3, distances),
         }
         with pytest.raises(ValueError):
-            build_model(fix_b, diagrams, ConflictSet(), 2, 4, INCOMPLETE)
+            build_model(fix_b, diagrams, ConflictSet(), 2, 4, INCOMPLETE, distances)
 
     def test_negative_slack_rejected(self, fix_b):
-        diagrams = {a.id: build_mdd(fix_b, a.id, 2, 2) for a in fix_b.agents}
+        distances = Distances(fix_b.graph)
+        diagrams = {a.id: build_mdd(fix_b, a.id, 2, 2, distances) for a in fix_b.agents}
         with pytest.raises(ValueError):
-            build_model(fix_b, diagrams, ConflictSet(), 2, 3, INCOMPLETE)
+            build_model(fix_b, diagrams, ConflictSet(), 2, 3, INCOMPLETE, distances)
 
 
 class TestAddConflictClauses:
@@ -115,8 +120,8 @@ class TestAddConflictClauses:
         before = model.solver.num_clauses
         add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v10", 1)])
         assert model.solver.num_clauses == before + 1
-        x1 = model.varmap.x_var("a1", "v10", 1)
-        x2 = model.varmap.x_var("a2", "v10", 1)
+        x1 = model.x_var("a1", "v10", 1)
+        x2 = model.x_var("a2", "v10", 1)
         assert sorted(model.solver.clauses[-1]) == sorted((-x1, -x2))
 
     def test_edge_collision_uses_opposing_edge_variables(self):
@@ -124,8 +129,8 @@ class TestAddConflictClauses:
         inst = MapfInstance(g, [Agent("a1", "v1", "v2"), Agent("a2", "v2", "v1")])
         model = full_model(inst, solver=RecordingSolver())
         add_conflict_clauses(model, [Collision("edge", ("a1", "a2"), ("v1", "v2"), 0)])
-        e1 = model.varmap.e_var("a1", "v1", "v2", 0)
-        e2 = model.varmap.e_var("a2", "v2", "v1", 0)
+        e1 = model.e_var("a1", "v1", "v2", 0)
+        e2 = model.e_var("a2", "v2", "v1", 0)
         assert sorted(model.solver.clauses[-1]) == sorted((-e1, -e2))
 
     def test_missing_node_skips_clause_but_records_conflict(self, fix_b):
@@ -142,8 +147,8 @@ class TestAddConflictClauses:
         model = full_model(fix_b, conflicts=conflicts)
         add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v01", 1)])
         rebuilt = full_model(fix_b, conflicts=conflicts, solver=RecordingSolver())
-        x1 = rebuilt.varmap.x_var("a1", "v01", 1)
-        x2 = rebuilt.varmap.x_var("a2", "v01", 1)
+        x1 = rebuilt.x_var("a1", "v01", 1)
+        x2 = rebuilt.x_var("a2", "v01", 1)
         assert any(
             sorted(c) == sorted((-x1, -x2)) for c in rebuilt.solver.clauses
         )
@@ -163,15 +168,15 @@ class TestEmissionOrder:
         assert list(bfs_distances(inst.graph, "q")) != ordered
         model = full_model(inst, delta=2, solver=RecordingSolver())
         for agent in ("a1", "a2", "a3"):
-            by_var = sorted((var, (t, u, v)) for (a, u, v, t), var in model.varmap.e.items()
+            by_var = sorted((var, (t, u, v)) for (a, u, v, t), var in model.e.items()
                             if a == agent)
             assert len(by_var) > 10
             assert canonical([key for _, key in by_var])
 
     def test_pin_clauses_are_in_canonical_order(self):
         model = full_model(scrambled_grid_instance(), delta=2, solver=RecordingSolver())
-        node_of = {var: (a, t, v) for (a, v, t), var in model.varmap.x.items()}
-        edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.varmap.e.items()}
+        node_of = {var: (a, t, v) for (a, v, t), var in model.x.items()}
+        edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.e.items()}
         pins: dict[str, list] = {}
         for clause in model.solver.clauses:
             if len(clause) == 2 and -clause[0] in edge_of and clause[1] in node_of:
@@ -191,7 +196,7 @@ class TestEmissionOrder:
     def test_complete_swap_clauses_are_in_canonical_order(self):
         model = full_model(scrambled_grid_instance(), delta=2, mode=COMPLETE,
                            solver=RecordingSolver())
-        edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.varmap.e.items()}
+        edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.e.items()}
         swaps: dict[tuple, list] = {}
         for clause in model.solver.clauses:
             if len(clause) == 2 and all(-lit in edge_of for lit in clause):
@@ -214,8 +219,8 @@ class TestEmissionOrder:
                     conflicts.add(a, "edge", ((u, v), t))
                     conflicts.add(a, "edge", ((v, u), t))
         model = full_model(inst, delta=2, conflicts=conflicts, solver=RecordingSolver())
-        node_of = {var: (a, (t, v)) for (a, v, t), var in model.varmap.x.items()}
-        edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.varmap.e.items()}
+        node_of = {var: (a, (t, v)) for (a, v, t), var in model.x.items()}
+        edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.e.items()}
         emitted: dict[tuple, list] = {}
         for clause in model.solver.clauses:
             if len(clause) != 2:
@@ -297,7 +302,7 @@ class TestExtractSolution:
     def test_corrupt_assignment_raises_soundness_fault(self, fix_a):
         model = full_model(fix_a)
         assignment = model.solve()
-        assignment[model.varmap.x_var("a1", "v2", 1)] = False
+        assignment[model.x_var("a1", "v2", 1)] = False
         with pytest.raises(EncodingSoundnessError):
             extract_solution(model, assignment)
 
@@ -329,7 +334,7 @@ class TestCostIndicators:
                 xi = bfs_distances(inst.graph, a.start).get(a.goal)
                 true_c = sum(
                     1
-                    for (agent_id, _t), var in model.varmap.c.items()
+                    for (agent_id, _t), var in model.c.items()
                     if agent_id == a.id and assignment[var]
                 )
                 assert true_c == path_cost(p, a.goal) - xi

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mapfsat import (
     AgentConflicts,
     ConflictSet,
+    Distances,
     Path,
     bfs_distances,
     constrained_shortest_path,
@@ -115,29 +116,38 @@ class TestBfsDistances:
 
 class TestConstrainedShortestPath:
     def test_unique_avoiding_path(self, fix_a):
-        p = constrained_shortest_path(fix_a, "a1", vconf(("v2", 1)), 3, 3)
+        p = constrained_shortest_path(fix_a, "a1", vconf(("v2", 1)), 3, 3, Distances(fix_a.graph))
         assert p.positions == ("v1", "v1", "v2", "v3")
 
     def test_blocked_on_both_steps(self, fix_a):
-        p = constrained_shortest_path(fix_a, "a1", vconf(("v2", 1), ("v2", 2)), 3, 3)
+        p = constrained_shortest_path(fix_a, "a1", vconf(("v2", 1), ("v2", 2)), 3, 3,
+                                      Distances(fix_a.graph))
         assert p is None
 
     def test_plain_shortest(self, fix_a):
-        p = constrained_shortest_path(fix_a, "a1", AgentConflicts(), 2, 2)
+        p = constrained_shortest_path(fix_a, "a1", AgentConflicts(), 2, 2, Distances(fix_a.graph))
         assert p.positions == ("v1", "v2", "v3")
 
     def test_edge_conflict_forces_detour(self, fix_b):
         avoid = AgentConflicts(frozenset(), frozenset({(("v00", "v01"), 0)}))
-        p = constrained_shortest_path(fix_b, "a1", avoid, 2, 2)
+        p = constrained_shortest_path(fix_b, "a1", avoid, 2, 2, Distances(fix_b.graph))
         assert p.positions == ("v00", "v10", "v11")
 
     def test_goal_conflict_after_arrival_forces_detour_or_wait(self, fix_a):
         # settling at the goal would hit (v3, 3): the agent must arrive late
-        p = constrained_shortest_path(fix_a, "a1", vconf(("v3", 3)), 4, 4)
+        p = constrained_shortest_path(fix_a, "a1", vconf(("v3", 3)), 4, 4, Distances(fix_a.graph))
         assert p is not None
         padded = p.padded(4).positions
         assert padded[3] != "v3"
         assert padded[-1] == "v3"
+
+    def test_goal_conflict_past_the_horizon_leaves_no_path(self, fix_a):
+        # v1 v2 v3 fits the horizon, but the agent then waits on (v3, 5)
+        avoid = vconf(("v3", 5))
+        distances = Distances(fix_a.graph)
+        assert constrained_shortest_path(fix_a, "a1", avoid, 3, 3, distances) is None
+        p = constrained_shortest_path(fix_a, "a1", avoid, 6, 6, distances)
+        assert p.length == 6 and p.positions[5] != "v3"
 
     def test_cost_equals_bfs_distance_without_conflicts(self):
         rng = random.Random(31)
@@ -146,15 +156,15 @@ class TestConstrainedShortestPath:
             for a in inst.agents:
                 want = bfs_distances(inst.graph, a.start).get(a.goal)
                 p = constrained_shortest_path(
-                    inst, a.id, AgentConflicts(), want, want
+                    inst, a.id, AgentConflicts(), want, want, Distances(inst.graph)
                 )
                 assert path_cost(p, a.goal) == want
 
     def test_determinism(self, fix_b):
         avoid = vconf(("v01", 1))
-        first = constrained_shortest_path(fix_b, "a1", avoid, 4, 4)
+        first = constrained_shortest_path(fix_b, "a1", avoid, 4, 4, Distances(fix_b.graph))
         for _ in range(5):
-            again = constrained_shortest_path(fix_b, "a1", avoid, 4, 4)
+            again = constrained_shortest_path(fix_b, "a1", avoid, 4, 4, Distances(fix_b.graph))
             assert again.positions == first.positions
 
     def test_respects_bounds_and_conflicts(self):
@@ -172,7 +182,8 @@ class TestConstrainedShortestPath:
                 ),
                 frozenset(),
             )
-            p = constrained_shortest_path(inst, agent.id, avoid, horizon, bound)
+            p = constrained_shortest_path(inst, agent.id, avoid, horizon, bound,
+                                          Distances(inst.graph))
             if p is None:
                 continue
             assert p.length <= horizon
@@ -204,8 +215,9 @@ class TestConstrainedShortestPath:
         steps = [(u, w) for u in graph.vertices for w in graph.neighbors(u)]
         edge = data.draw(st.frozensets(st.tuples(st.sampled_from(steps), times), max_size=10))
         args = (inst, agent.id, AgentConflicts(vertex | after_arrival, edge), horizon,
-                cost_bound, min_length)
-        assert constrained_shortest_path(*args) == counter_search(*args)
+                cost_bound)
+        assert (constrained_shortest_path(*args, Distances(graph), min_length)
+                == counter_search(*args, min_length))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -241,26 +253,29 @@ class TestConstrainedShortestPath:
                     extend(walk + [w])
 
         extend([agent.start])
-        widths = pathing.level_widths(inst, agent.id, AgentConflicts(vertex, edge), cost)
+        widths = pathing.level_widths(inst, agent.id, AgentConflicts(vertex, edge), cost,
+                                      Distances(graph))
         assert widths == [len(level) for level in seen]
 
 
 class TestNewAndPath:
     def test_single_conflict(self, fix_a):
-        p = new_and_path(fix_a, "a1", [], vconf(("v2", 1)), 3, 3)
+        p = new_and_path(fix_a, "a1", [], vconf(("v2", 1)), 3, 3, Distances(fix_a.graph))
         assert p.positions == ("v1", "v1", "v2", "v3")
 
     def test_unavoidable_pair_gives_empty(self, fix_a):
-        assert new_and_path(fix_a, "a1", [], vconf(("v2", 1), ("v2", 2)), 3, 3) is None
+        conf = vconf(("v2", 1), ("v2", 2))
+        assert new_and_path(fix_a, "a1", [], conf, 3, 3, Distances(fix_a.graph)) is None
 
     def test_vacuous_avoidance_is_the_shortest_path(self, fix_a):
-        p = new_and_path(fix_a, "a1", [], AgentConflicts(), 2, 2)
-        assert p.positions == shortest_path(fix_a, "a1").positions
+        p = new_and_path(fix_a, "a1", [], AgentConflicts(), 2, 2, Distances(fix_a.graph))
+        assert p.positions == shortest_path(fix_a, "a1", Distances(fix_a.graph)).positions
 
     def test_path_already_represented_gives_empty(self, fix_a):
-        existing = shortest_path(fix_a, "a1")
+        existing = shortest_path(fix_a, "a1", Distances(fix_a.graph))
         assert (
-            new_and_path(fix_a, "a1", [existing], AgentConflicts(), 2, 2) is None
+            new_and_path(fix_a, "a1", [existing], AgentConflicts(), 2, 2,
+                         Distances(fix_a.graph)) is None
         )
 
     def test_avoids_every_conflict(self, fix_c):
@@ -268,7 +283,7 @@ class TestNewAndPath:
             frozenset({("v2", 1), ("v3", 2)}),
             frozenset({(("v1", "v2"), 0)}),
         )
-        p = new_and_path(fix_c, "a1", [], conf, 7, 7)
+        p = new_and_path(fix_c, "a1", [], conf, 7, 7, Distances(fix_c.graph))
         assert p is not None
         padded = p.padded(7).positions
         assert all((v, t) not in conf.vertex for t, v in enumerate(padded))
@@ -280,7 +295,7 @@ class TestNewAndPath:
 class TestNewOrPaths:
     def test_every_subset_forces_a_unique_avoider(self, fix_a):
         conf = vconf(("v2", 1), ("v2", 2))
-        got = [p.positions for p in new_or_paths(fix_a, "a1", conf, 4, 4)]
+        got = [p.positions for p in new_or_paths(fix_a, "a1", conf, 4, 4, Distances(fix_a.graph))]
         assert got == [
             ("v1", "v1", "v2", "v3"),
             ("v1", "v2", "v3", "v3"),
@@ -288,16 +303,16 @@ class TestNewOrPaths:
         ]
 
     def test_no_conflicts_no_paths(self, fix_a):
-        assert new_or_paths(fix_a, "a1", AgentConflicts(), 4, 4) == []
+        assert new_or_paths(fix_a, "a1", AgentConflicts(), 4, 4, Distances(fix_a.graph)) == []
 
     def test_single_conflict_yields_at_most_one(self, fix_a):
-        got = new_or_paths(fix_a, "a1", vconf(("v2", 1)), 4, 4)
+        got = new_or_paths(fix_a, "a1", vconf(("v2", 1)), 4, 4, Distances(fix_a.graph))
         assert len(got) <= 1
 
     def test_subset_cap_limits_enumeration(self, fix_a, monkeypatch):
         monkeypatch.setattr(pathing, "OR_SUBSET_LIMIT", 2)
         conf = vconf(("v2", 1), ("v2", 2))
-        capped = new_or_paths(fix_a, "a1", conf, 4, 4)
+        capped = new_or_paths(fix_a, "a1", conf, 4, 4, Distances(fix_a.graph))
         assert [p.positions for p in capped] == [
             ("v1", "v1", "v2", "v3"),
             ("v1", "v2", "v3", "v3"),
@@ -305,7 +320,7 @@ class TestNewOrPaths:
 
     def test_returned_paths_respect_bounds(self, fix_b):
         conf = vconf(("v01", 1), ("v10", 1))
-        for p in new_or_paths(fix_b, "a1", conf, 4, 4):
+        for p in new_or_paths(fix_b, "a1", conf, 4, 4, Distances(fix_b.graph)):
             assert p.length <= 4
             assert path_cost(p, "v11") <= 4
             assert p.is_walk(fix_b.graph)

@@ -23,6 +23,7 @@ from mapfsat import (
     CdclSolver,
     Collision,
     ConflictSet,
+    Distances,
     EncodingSoundnessError,
     Graph,
     InfeasibleAgentError,
@@ -182,7 +183,8 @@ class TestCbs:
                   edges)
         inst = MapfInstance(g, [Agent("a1", "v00", "v11"), Agent("a2", "v11", "v00"),
                                 Agent("b1", "w1", b1_goal), Agent("b2", "w5", "w1")])
-        root = Solution.from_paths(inst, [pathing.shortest_path(inst, a.id)
+        distances = Distances(inst.graph)
+        root = Solution.from_paths(inst, [pathing.shortest_path(inst, a.id, distances)
                                           for a in inst.agents])
         first, later = validate_solution(inst, root)
         assert (first.agents, first.location, first.t) == (("a1", "a2"), "v01", 1)
@@ -195,7 +197,9 @@ class TestCbs:
             searched.append((agent_id, avoid))
             return search(instance, agent_id, avoid, *args, **kwargs)
 
-        monkeypatch.setattr(solvers, "constrained_shortest_path", recording)
+        # the root's searches go through pathing.shortest_path
+        for module in (pathing, solvers):
+            monkeypatch.setattr(module, "constrained_shortest_path", recording)
         out = solve_cbs(inst, QUICK)
         assert out.status == SOLVED and validate_solution(inst, out.solution) == []
         # four root searches, then the root's first child
@@ -217,13 +221,13 @@ class TestCbs:
             return MapfInstance(graph, [Agent(i + 1, s, g)
                                         for i, (s, g) in enumerate(zip(starts, goals))])
 
-        def raises_cost(inst, agent_id, avoid, collision, side, cost):
+        def raises_cost(inst, agent_id, avoid, collision, side, cost, distances):
             """No path of the agent's cost avoids its side as well. The search
             looks no further than the later of that cost and the collision,
             since the agent's current path was found within its own budget."""
             bound = max(cost, collision.t)
             avoid = avoid.with_entry(collision.kind, collision.entry(side))
-            path = constrained_shortest_path(inst, agent_id, avoid, bound, bound)
+            path = constrained_shortest_path(inst, agent_id, avoid, bound, bound, distances)
             return path is None or path_cost(path, inst.agent(agent_id).goal) > cost
 
         seen = Counter()
@@ -234,11 +238,17 @@ class TestCbs:
             counts = []
             for c in collisions:
                 costs = [path_cost(paths[a], instance.agent(a).goal) for a in c.agents]
-                counts.append(sum(raises_cost(instance, a, constraints[a], c, side, costs[side])
+                counts.append(sum(raises_cost(instance, a, constraints[a], c, side, costs[side],
+                                              distances)
                                   for side, a in enumerate(c.agents)))
             want = collisions[counts.index(2) if 2 in counts else
                               counts.index(1) if 1 in counts else 0]
             assert chosen == want
+            # each agent's path keeps its own constraints, so no side of a
+            # collision is one already: each child adds a constraint
+            for side, a in enumerate(chosen.agents):
+                own = constraints[a].vertex if chosen.kind == "vertex" else constraints[a].edge
+                assert chosen.entry(side) not in own
             i = collisions.index(chosen)
             seen["cardinal"] += counts[i] == 2
             seen["semi-cardinal"] += counts[i] == 1
@@ -296,6 +306,7 @@ class TestSparseFamily:
                     fix_b, agent.id, it.makespan,
                     bfs_distances(fix_b.graph, agent.start).get(agent.goal)
                     + (it.soc - xi_sum(fix_b)),
+                    Distances(fix_b.graph),
                 )
                 assert it.nodes_per_agent[idx] <= full.node_count
 
@@ -337,21 +348,21 @@ class TestSparseFamily:
 
 class TestHeuristicFixed:
     def test_cycle_at_tight_bounds(self, fix_b):
-        candidates = CandidateSets.initial(fix_b)
+        candidates = CandidateSets.initial(fix_b, Distances(fix_b.graph))
         solution, conflicts = heuristic_fixed(fix_b, candidates, ConflictSet(), 2, 4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
         assert validate_solution(fix_b, solution) == []
 
     def test_spur_below_optimum_is_unsat_after_promotion(self, fix_c):
-        candidates = CandidateSets.initial(fix_c)
+        candidates = CandidateSets.initial(fix_c, Distances(fix_c.graph))
         solution, conflicts = heuristic_fixed(fix_c, candidates, ConflictSet(), 3, 6)
         assert solution is None
         assert all(candidates.is_full(a.id) for a in fix_c.agents)
         assert recorded(conflicts, fix_c) > 0
 
     def test_single_agent_immediate(self, fix_a):
-        candidates = CandidateSets.initial(fix_a)
+        candidates = CandidateSets.initial(fix_a, Distances(fix_a.graph))
         conflicts = ConflictSet()
         solution, conflicts = heuristic_fixed(fix_a, candidates, conflicts, 2, 2)
         assert solution.paths[0].positions == ("v1", "v2", "v3")
@@ -360,7 +371,7 @@ class TestHeuristicFixed:
     def test_unsat_over_sparse_sets_promotes_all_agents(self, fix_b):
         # a pre-recorded conflict makes the single-candidate model UNSAT even
         # though the instance is solvable at these bounds
-        candidates = CandidateSets.initial(fix_b)
+        candidates = CandidateSets.initial(fix_b, Distances(fix_b.graph))
         conflicts = ConflictSet()
         conflicts.add("a1", "vertex", ("v01", 1))
         conflicts.add("a2", "vertex", ("v01", 1))
@@ -377,7 +388,7 @@ class TestHeuristicFixed:
              ("w1", "w2"), ("w2", "w3")],
         )
         inst = MapfInstance(g, [*fix_b.agents, Agent("a3", "w1", "w3")])
-        candidates = CandidateSets.initial(inst)
+        candidates = CandidateSets.initial(inst, Distances(g))
         solution, _ = heuristic_fixed(inst, candidates, ConflictSet(), 2, 6)
         assert sum_of_costs(inst, solution) == 6
         assert not candidates.is_full("a3")
@@ -440,7 +451,7 @@ class TestOptimalityAgreement:
                 assert got == want, (key, algo)
 
     # (soc, conflicts) of cbs on the same instances, pinned for the same reason
-    CBS_PINNED = {"fix_b": (4, 1), "fix_c": (8, 4), 0: (8, 4), 1: (9, 17), 2: (4, 0),
+    CBS_PINNED = {"fix_b": (4, 1), "fix_c": (8, 4), 0: (8, 4), 1: (9, 13), 2: (4, 0),
                   3: (13, 6)}
 
     def test_cbs_keeps_pinned_search(self, fix_b, fix_c):
