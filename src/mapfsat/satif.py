@@ -44,16 +44,28 @@ class CdclSolver:
     `_value` is indexed by encoded literal (1 true, -1 false, 0 unassigned),
     so a literal's value is one list read.
 
-    The decision queue is a `heapq` of `(-activity, var)` entries. `_queued`
-    marks the variables that have a live entry, one whose key equals the
-    variable's current negated activity; every unassigned variable has one.
-    A bump pushes a fresh entry and so turns the old one stale; `_decide`
-    discards stale entries. A variable is pushed again on unassign only when
-    it has no live entry. When the activity rescale fires, every key changes
-    at once, so the heap is rebuilt from the queued variables; without that
-    rebuild their entries would all read as stale and drop out of the queue.
-    Each decision is the unassigned variable of highest activity, ties to
-    the lowest index.
+    A clause of three or more literals is a list whose first two entries are
+    its watched literals. A binary clause (after level-0 filtering, added or
+    learnt) is stored in the watch list of each of its literals as the bare
+    encoded other literal, an `int`; it never moves, and `_propagate` builds
+    the `[implied, false literal]` list that serves as its reason or conflict
+    only when it implies or conflicts.
+
+    The decision queue has two tiers. A `heapq` of `(-activity, var)`
+    entries holds the variables whose activity is positive; `_queued` marks
+    the variables that have a live entry, one whose key equals the
+    variable's current negated activity, and every unassigned variable of
+    positive activity has one. A bump pushes a fresh entry and so turns the
+    old one stale; `_decide` discards stale entries. A variable is pushed
+    again on unassign only when it has no live entry. Variables of activity
+    0 are never queued: once the heap holds no unassigned variable,
+    `_decide` scans the variable indices forward from `_next`, below which
+    every variable of activity 0 is assigned; `_cancel_until` lowers `_next`
+    when it unassigns one. When the activity rescale fires, every key
+    changes at once, so the heap is rebuilt from the positive activities
+    and the scan restarts at index 1, which also covers an activity that
+    underflowed to 0. Each decision is the unassigned variable of highest
+    activity, ties to the lowest index.
 
     `interrupt` is polled every `interrupt_interval` conflicts and every
     `interrupt_interval` decisions; it may raise to abort a long-running
@@ -68,7 +80,8 @@ class CdclSolver:
                  interrupt_interval: int = 2048):
         self._nvars = 0
         self._nclauses = 0
-        self._watches: list[list[list[int]]] = [[], []]  # per encoded literal
+        # per encoded literal: clause lists, or for a binary clause the other literal
+        self._watches: list[list[list[int] | int]] = [[], []]
         self._value = [0, 0]    # per encoded literal: 0 unassigned / 1 true / -1 false
         self._level = [0]
         self._reason: list[Optional[list[int]]] = [None]
@@ -76,6 +89,7 @@ class CdclSolver:
         self._activity = [0.0]
         self._order: list[tuple[float, int]] = []
         self._queued = [False]  # per var: has a live entry in `_order`
+        self._next = 1          # every unassigned var of activity 0 is at or above it
         self._trail: list[int] = []
         self._lim: list[int] = []
         self._qhead = 0
@@ -102,6 +116,8 @@ class CdclSolver:
 
     def new_vars(self, n: int) -> range:
         """Allocate `n` variables at once; returns their indices."""
+        if n < 0:
+            raise ValueError(f"cannot allocate {n} variables")
         first = self._nvars + 1
         self._nvars += n
         self._value += [0] * (2 * n)
@@ -109,10 +125,10 @@ class CdclSolver:
         self._reason += [None] * n
         self._phase += [False] * n
         self._activity += [0.0] * n
-        self._queued += [True] * n
+        self._queued += [False] * n
         self._watches += [[] for _ in range(2 * n)]
-        # each new entry is the largest in the heap, so appending keeps it a heap
-        self._order += [(0.0, v) for v in range(first, self._nvars + 1)]
+        # activity 0 puts the new variables in the index scan, which already
+        # covers them: `_next` never exceeds the first new index
         return range(first, self._nvars + 1)
 
     def add_clause(self, lits: Iterable[int]) -> None:
@@ -137,15 +153,14 @@ class CdclSolver:
                     qb = b << 1 if b > 0 else (-b << 1) | 1
                     if qa >> 1 != qb >> 1 and value[qa] == 0 and value[qb] == 0:
                         self._nclauses += 1
-                        enc = [qa, qb]
-                        watches[qa].append(enc)
-                        watches[qb].append(enc)
+                        watches[qa].append(qb)
+                        watches[qb].append(qa)
                         continue
             seen: set[int] = set()  # encoded literals
             enc = []                # encoded literals not false at level 0
             satisfied = tautology = False
             for lit in lits:
-                if not isinstance(lit, int) or lit == 0:
+                if not isinstance(lit, int) or type(lit) is bool or lit == 0:
                     raise ValueError(f"invalid literal {lit!r}")
                 if lit > 0:
                     if lit > nvars:
@@ -178,6 +193,9 @@ class CdclSolver:
                 self._enqueue(enc[0], None)
                 if self._propagate() is not None:
                     self._unsat = True
+            elif len(enc) == 2:
+                watches[enc[0]].append(enc[1])
+                watches[enc[1]].append(enc[0])
             else:
                 watches[enc[0]].append(enc)
                 watches[enc[1]].append(enc)
@@ -209,6 +227,23 @@ class CdclSolver:
             while i < n:
                 c = ws[i]
                 i += 1
+                if type(c) is int:
+                    # binary clause: c is its other literal, and it stays put
+                    ws[j] = c
+                    j += 1
+                    vf = value[c]
+                    if vf == 1:
+                        continue
+                    if vf == -1:
+                        del ws[j:i]  # conflict: keep the remaining watchers
+                        self._qhead = len(trail)
+                        return [c, fl]
+                    value[c] = 1
+                    value[c ^ 1] = -1
+                    level[c >> 1] = cur_level
+                    reason[c >> 1] = [c, fl]
+                    trail.append(c)
+                    continue
                 first = c[0]
                 if first == fl:
                     first = c[0] = c[1]
@@ -252,9 +287,11 @@ class CdclSolver:
             for v in range(1, self._nvars + 1):
                 activity[v] *= scale
             self._var_inc *= scale
-            queued = self._queued
-            self._order = [(-activity[v], v) for v in range(1, self._nvars + 1) if queued[v]]
+            # an activity that underflowed to 0 leaves the heap for the scan
+            self._order = [(-a, v) for v, a in enumerate(activity) if a > 0.0]
             heapq.heapify(self._order)
+            self._queued = [a > 0.0 for a in activity]
+            self._next = 1
         else:
             heapq.heappush(self._order, (-act, var))
 
@@ -307,13 +344,19 @@ class CdclSolver:
             queued = self._queued
             activity = self._activity
             order = self._order
+            nxt = self._next
             for q in trail[mark:]:
                 var = q >> 1
                 phase[var] = not (q & 1)
                 value[q] = value[q ^ 1] = 0
                 if not queued[var]:
-                    queued[var] = True
-                    heapq.heappush(order, (-activity[var], var))
+                    act = activity[var]
+                    if act > 0.0:
+                        queued[var] = True
+                        heapq.heappush(order, (-act, var))
+                    elif var < nxt:
+                        nxt = var
+            self._next = nxt
             del trail[mark:]
         self._qhead = len(trail)
 
@@ -329,7 +372,15 @@ class CdclSolver:
             queued[var] = False
             if value[var << 1] == 0:
                 return var
-        return 0
+        # every unassigned variable left has activity 0: take the lowest. An
+        # unassigned variable has both encoded literals 0 and an assigned one
+        # neither, so the first 0 from an even index is a positive literal.
+        try:
+            var = value.index(0, self._next << 1) >> 1
+        except ValueError:
+            return 0
+        self._next = var
+        return var
 
     def _poll(self, count: int) -> None:
         if self._interrupt is not None and count % self._interrupt_interval == 0:
@@ -359,6 +410,10 @@ class CdclSolver:
                 self._cancel_until(bt)
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], None)
+                elif len(learnt) == 2:
+                    self._watches[learnt[0]].append(learnt[1])
+                    self._watches[learnt[1]].append(learnt[0])
+                    self._enqueue(learnt[0], learnt)
                 else:
                     # watch the asserting literal and one literal from the
                     # backjump level so the watches stay sound

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from mapfsat import CdclSolver
@@ -369,7 +369,7 @@ def test_add_clauses_equals_repeated_add_clause(seed):
             assert one.model() == batched.model()
 
 
-@pytest.mark.parametrize("bad", [0, 4, -4, 1.0, "1", None])
+@pytest.mark.parametrize("bad", [0, 4, -4, 1.0, "1", None, True])
 def test_add_clauses_rejects_invalid_literals_like_add_clause(bad):
     one, batched = CdclSolver(), CdclSolver()
     one.new_vars(3)
@@ -382,6 +382,18 @@ def test_add_clauses_rejects_invalid_literals_like_add_clause(bad):
     assert str(batch.value) == str(single.value)
     # the clause ahead of the bad one is in, the one behind it is not
     assert batched.num_clauses == one.num_clauses == 1
+
+
+def test_new_vars_rejects_a_negative_count():
+    s = CdclSolver()
+    s.new_vars(3)
+    with pytest.raises(ValueError):
+        s.new_vars(-2)
+    assert s.num_vars == 3
+    assert s.new_vars(0) == range(4, 4)
+    s.add_clause([-3])
+    assert s.solve()
+    assert s.model() == [False, False, False, False]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -402,3 +414,128 @@ def test_new_vars_equals_repeated_new_var(seed):
     assert (one._conflict_count, one._decision_count) == (
         batched._conflict_count, batched._decision_count)
     assert one._conflict_count > 0
+
+
+@pytest.mark.parametrize("patch", [{}, {"_ACT_LIMIT": 4.0}, {"_ACT_DECAY": 1e90}],
+                         ids=["default", "rescale", "underflow"])
+def test_each_decision_takes_highest_activity_then_lowest_index(monkeypatch, patch):
+    # a limit of 4 makes the activity rescale fire every few conflicts; a
+    # decay of 1e90 makes it fire about once per conflict, so an activity left
+    # unbumped for a few conflicts underflows to 0.0 and ranks with the
+    # never-bumped variables again
+    for name, value in patch.items():
+        monkeypatch.setattr(CdclSolver, name, value)
+    decide, bump = CdclSolver._decide, CdclSolver._bump
+    bumped: set[int] = set()  # of the current solver
+    top_inc = [0.0]           # highest `_var_inc` of the current solver
+    seen = {"decisions": 0, "rescaled": 0, "underflowed": 0}
+
+    def recording_bump(self, var):
+        bumped.add(var)
+        bump(self, var)
+
+    def checked_decide(self):
+        free = [v for v in range(1, self.num_vars + 1) if self._value[v << 1] == 0]
+        want = max(free, key=lambda v: (self._activity[v], -v), default=0)
+        got = decide(self)
+        assert got == want
+        seen["decisions"] += 1
+        # only a rescale lowers the increment
+        seen["rescaled"] += self._var_inc < top_inc[0]
+        top_inc[0] = max(top_inc[0], self._var_inc)
+        seen["underflowed"] += want in bumped and self._activity[want] == 0.0
+        return got
+
+    monkeypatch.setattr(CdclSolver, "_bump", recording_bump)
+    monkeypatch.setattr(CdclSolver, "_decide", checked_decide)
+    for seed in range(60):
+        rng = random.Random(seed)
+        s = CdclSolver()
+        bumped.clear()
+        top_inc[0] = 0.0
+        acc: list[list[int]] = []
+        for _ in range(8):
+            # variables and random 3-SAT clauses arrive between solves, the
+            # clauses growing towards the phase transition
+            s.new_vars(rng.randint(0, 3) if s.num_vars else 30)
+            new = [[v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, s.num_vars + 1), 3)]
+                   for _ in range(rng.randint(20, 30))]
+            acc += new
+            s.add_clauses(new)
+            if not s.solve():
+                break
+            assert check_model(acc, s.model())
+    assert seen["decisions"] > 5000
+    if patch:
+        assert seen["rescaled"] > 1000
+    if "_ACT_DECAY" in patch:
+        assert seen["underflowed"] > 20
+
+
+def clause_of(nvars: int, width: int):
+    """Strategy: a clause over `width` distinct variables of 1..nvars."""
+    return st.lists(st.integers(1, nvars), min_size=width, max_size=width, unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from([v, -v]) for v in vs)).map(list))
+
+
+@st.composite
+def incremental_2sat(draw):
+    """Rounds of (new variables, new clauses): binary clauses, a few ternary."""
+    nvars = 0
+    rounds = []
+    for _ in range(draw(st.integers(1, 8))):
+        nvars = min(nvars + draw(st.integers(0 if nvars else 3, 3)), 10)
+        clauses = draw(st.lists(clause_of(nvars, 2), min_size=1, max_size=6))
+        clauses += draw(st.lists(clause_of(nvars, 3), max_size=4))
+        rounds.append((nvars, clauses))
+    return rounds
+
+
+def test_binary_heavy_incremental_cnf_agrees_with_brute_force():
+    # binary clauses live in the watch lists as bare literals; count the draws
+    # where conflict analysis learnt a binary clause and where it resolved on
+    # a binary reason, so that path is known to have been exercised
+    learnt_binary = binary_reason = 0
+
+    class ReasonLog(list):
+        """Reason table that notes whether analysis read a binary reason."""
+
+        def __getitem__(self, i):
+            r = super().__getitem__(i)
+            self.binary_read |= r is not None and len(r) == 2
+            return r
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(incremental_2sat())
+    def run(rounds):
+        nonlocal learnt_binary, binary_reason
+        s = CdclSolver()
+        s._reason = ReasonLog(s._reason)
+        s._reason.binary_read = False
+        analyze = s._analyze
+        learnt_sizes = []
+
+        def recording_analyze(confl):
+            learnt, bt = analyze(confl)
+            learnt_sizes.append(len(learnt))
+            return learnt, bt
+
+        s._analyze = recording_analyze
+        acc: list[list[int]] = []
+        for nvars, clauses in rounds:
+            s.new_vars(nvars - s.num_vars)
+            s.add_clauses(clauses)
+            acc += clauses
+            got = s.solve()
+            assert got == brute_force_sat(nvars, acc)
+            if got:
+                assert check_model(acc, s.model())
+        # steer the draws towards formulas that learn binary clauses
+        target(float(learnt_sizes.count(2)), label="learnt binary clauses")
+        learnt_binary += 2 in learnt_sizes
+        binary_reason += s._reason.binary_read
+
+    run()
+    assert learnt_binary >= 30
+    assert binary_reason >= 70
