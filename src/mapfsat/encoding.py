@@ -7,6 +7,15 @@ from the agent's shortest-path cost up to the horizon, true while the agent
 has not yet settled at its goal. A single global cardinality constraint caps
 the indicator count at the slack above the sum of shortest-path costs.
 
+Each agent's walk is a flow through its diagram: the start node at level 0
+and the goal node at the horizon are units, an occupied node takes exactly
+one outgoing edge, an edge pins both of its endpoints, and an occupied node
+after level 0 needs one of its incoming edges. No clause bounds a level
+directly, since exactly one node per level is implied: by induction from the
+start unit, each occupied node at t + 1 is the head of the single outgoing
+edge of the single occupied node at t. The incoming-edge clauses also let
+unit propagation run backward from the goal unit.
+
 The complete mode adds every pairwise vertex/swap exclusion up front; the
 incomplete mode relies on lazily added collision clauses instead.
 """
@@ -163,17 +172,27 @@ def build_model(
                 outs = [e[(a.id, u, w, t)] for w in mdd.outgoing(u, t)]
                 clauses.append([-xv] + outs)
                 _at_most_one(s, outs, clauses)
-        # an edge pins both of its endpoints
+        # an edge pins both of its endpoints; its head collects it as an
+        # in-edge, indexed from the start node, which opens the agent's
+        # contiguous node variables
+        base = x[(a.id, mdd.start, 0)]
+        ins: list[list[int]] = [[] for _ in range(mdd.node_count)]
         for t in range(horizon):
             for u in mdd.levels[t]:
                 xu = x[(a.id, u, t)]
                 for v in mdd.outgoing(u, t):
                     ev = e[(a.id, u, v, t)]
+                    xv = x[(a.id, v, t + 1)]
                     clauses.append([-ev, xu])
-                    clauses.append([-ev, x[(a.id, v, t + 1)]])
-        # at most one vertex per level
-        for t in range(horizon + 1):
-            _at_most_one(s, [x[(a.id, v, t)] for v in mdd.levels[t]], clauses)
+                    clauses.append([-ev, xv])
+                    ins[xv - base].append(ev)
+        # occupying a node after level 0 needs an incoming edge; with the
+        # start unit and one outgoing edge per node, this implies exactly
+        # one vertex per level
+        for t in range(1, horizon + 1):
+            for v in mdd.levels[t]:
+                xv = x[(a.id, v, t)]
+                clauses.append([-xv] + ins[xv - base])
         # cost indicators: active while not settled at the goal, monotone,
         # and justified so the true count equals the exact excess cost
         for t in range(xi[a.id], horizon):

@@ -76,6 +76,23 @@ class TestBuildModel:
         assert len(model.c) == 0
         assert model.solve() is not None
 
+    def test_no_variables_beyond_nodes_edges_indicators_and_cost_counter(self):
+        # on a 4-connected grid a node has at most five moves, so every
+        # outgoing at-most-one is pairwise and allocates no variable
+        rng = random.Random(31)
+        widest = 0
+        for _ in range(10):
+            inst = random_grid_instance(rng)
+            model = full_model(inst, delta=2)
+            counter = CdclSolver()
+            cardinality_le(counter, list(counter.new_vars(len(model.c))), 2, [])
+            r = counter.num_vars - len(model.c)
+            assert model.solver.num_vars == len(model.x) + len(model.e) + len(model.c) + r
+            widest = max(widest, *(len(level) for mdd in model.diagrams.values()
+                                   for level in mdd.levels))
+        # a per-level at-most-one over more than five nodes would need a counter
+        assert widest > 5
+
     def test_forced_shared_vertex_is_unsat(self, fix_b):
         # single-candidate diagrams push both agents through v01 at step 1
         diagrams = {
@@ -192,6 +209,32 @@ class TestEmissionOrder:
                 pin for (t, u, v) in edges
                 for pin in (((t, u, v), (agent, t, u)), ((t, u, v), (agent, t + 1, v)))
             ]
+
+    def test_incoming_edge_clauses_follow_the_pins_in_canonical_order(self):
+        model = full_model(scrambled_grid_instance(), delta=2, solver=RecordingSolver())
+        node_of = {var: (a, t, v) for (a, v, t), var in model.x.items()}
+        edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.e.items()}
+        last_pin: dict[str, int] = {}
+        incoming: dict[str, list] = {}
+        for i, clause in enumerate(model.solver.clauses):
+            if len(clause) == 2 and -clause[0] in edge_of and clause[1] in node_of:
+                last_pin[edge_of[-clause[0]][0]] = i
+            elif -clause[0] in node_of and all(lit in edge_of for lit in clause[1:]):
+                agent, t, v = node_of[-clause[0]]
+                edges = [edge_of[lit] for lit in clause[1:]]
+                if edges and all(edge == (agent, (t - 1, edge[1][1], v)) for edge in edges):
+                    incoming.setdefault(agent, []).append((i, (t, v), edges))
+        assert set(incoming) == {"a1", "a2", "a3"}
+        for agent, entries in incoming.items():
+            assert entries[0][0] > last_pin[agent]
+            nodes = [node for _, node, _ in entries]
+            assert nodes == sorted((t, v) for (a, v, t) in model.x if a == agent and t >= 1)
+            for _, (t, v), edges in entries:
+                # every in-edge, in the order of the tails' ids
+                assert edges == sorted(edge for edge in edge_of.values()
+                                       if edge[0] == agent and edge[1][0] == t - 1
+                                       and edge[1][2] == v)
+            assert max(len(edges) for _, _, edges in entries) > 1
 
     def test_complete_swap_clauses_are_in_canonical_order(self):
         model = full_model(scrambled_grid_instance(), delta=2, mode=COMPLETE,
@@ -361,3 +404,88 @@ class TestModelDefinitions:
             model = full_model(fix_b, delta=delta, mode=INCOMPLETE)
             assert model.solve() is not None
 
+
+
+def random_walks(mdd, rng, k):
+    """`k` random start-to-goal walks through a full diagram."""
+    walks = []
+    for _ in range(k):
+        pos = [mdd.start]
+        for t in range(mdd.horizon):
+            pos.append(rng.choice(mdd.outgoing(pos[-1], t)))
+        walks.append(Path(mdd.agent, tuple(pos)))
+    return walks
+
+
+def recorded_models(instance, rng, delta=2):
+    """Incomplete models over full diagrams and over sparse diagrams of three
+    random walks per agent, each built on a `RecordingSolver`."""
+    distances = Distances(instance.graph)
+    xi = {a.id: distances.dist(a.goal)[a.start] for a in instance.agents}
+    horizon = max(xi.values()) + delta
+    full = {aid: build_mdd(instance, aid, horizon, xi[aid] + delta, distances)
+            for aid in xi}
+    sparse = {aid: build_smdd(aid, random_walks(mdd, rng, 3), horizon)
+              for aid, mdd in full.items()}
+    # room for every agent to take its full slack
+    soc = sum(xi.values()) + delta * len(xi)
+    return [build_model(instance, diagrams, ConflictSet(), horizon, soc, INCOMPLETE,
+                        distances, solver=RecordingSolver())
+            for diagrams in (full, sparse)]
+
+
+def incoming_edge_clause(model, clause):
+    """True for a clause `[-x(v, t)] + in-edges of (v, t)`."""
+    node_of = {var: (a, v, t) for (a, v, t), var in model.x.items()}
+    head_of = {var: (a, v, t + 1) for (a, u, v, t), var in model.e.items()}
+    node = node_of.get(-clause[0])
+    return node is not None and len(clause) > 1 and all(
+        head_of.get(lit) == node for lit in clause[1:])
+
+
+def satisfiable_level_pairs(model, clauses):
+    """Pairs of one agent's nodes on one level t >= 1 that `clauses` let be
+    occupied together, each checked on a fresh solver."""
+    found = []
+    for a in model.instance.agents:
+        levels = model.diagrams[a.id].levels
+        for t in range(1, model.horizon + 1):
+            for v, w in itertools.combinations(levels[t], 2):
+                pair = [model.x[(a.id, v, t)]], [model.x[(a.id, w, t)]]
+                solver = CdclSolver()
+                solver.new_vars(model.solver.num_vars)
+                solver.add_clauses(clauses + list(pair))
+                if solver.solve():
+                    found.append((a.id, t, v, w))
+    return found
+
+
+class TestImpliedExactlyOne:
+    """No clause bounds a level directly; the start unit, one outgoing edge
+    per occupied node and one incoming edge per occupied node after level 0
+    leave exactly one occupied node per level."""
+
+    def cases(self, fix_a, fix_b, fix_c):
+        rng = random.Random(41)
+        instances = [fix_a, fix_b, fix_c] + [random_grid_instance(rng) for _ in range(6)]
+        return [model for inst in instances for model in recorded_models(inst, rng)]
+
+    def test_two_nodes_of_one_level_are_unsat(self, fix_a, fix_b, fix_c):
+        pairs = 0
+        for model in self.cases(fix_a, fix_b, fix_c):
+            clauses = model.solver.clauses
+            assert model.solve() is not None
+            assert satisfiable_level_pairs(model, clauses) == []
+            pairs += sum(len(level) * (len(level) - 1) // 2
+                         for mdd in model.diagrams.values() for level in mdd.levels)
+        assert pairs > 200
+
+    def test_without_incoming_edge_clauses_a_level_takes_two_nodes(self, fix_a, fix_b,
+                                                                    fix_c):
+        # the same clause stream minus the incoming-edge clauses
+        for model in self.cases(fix_a, fix_b, fix_c):
+            clauses = [c for c in model.solver.clauses if not incoming_edge_clause(model, c)]
+            dropped = len(model.solver.clauses) - len(clauses)
+            assert dropped == sum(mdd.node_count - 1 for mdd in model.diagrams.values())
+            if any(len(level) > 1 for mdd in model.diagrams.values() for level in mdd.levels):
+                assert satisfiable_level_pairs(model, clauses) != []
