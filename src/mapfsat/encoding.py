@@ -188,11 +188,9 @@ def build_model(
                     ins[xv - base].append(ev)
         # occupying a node after level 0 needs an incoming edge; with the
         # start unit and one outgoing edge per node, this implies exactly
-        # one vertex per level
-        for t in range(1, horizon + 1):
-            for v in mdd.levels[t]:
-                xv = x[(a.id, v, t)]
-                clauses.append([-xv] + ins[xv - base])
+        # one vertex per level. Node variables run in (t, v) order.
+        for i in range(1, len(ins)):
+            clauses.append([-(base + i)] + ins[i])
         # cost indicators: active while not settled at the goal, monotone,
         # and justified so the true count equals the exact excess cost
         for t in range(xi[a.id], horizon):

@@ -405,7 +405,6 @@ class TestModelDefinitions:
             assert model.solve() is not None
 
 
-
 def random_walks(mdd, rng, k):
     """`k` random start-to-goal walks through a full diagram."""
     walks = []
@@ -434,13 +433,18 @@ def recorded_models(instance, rng, delta=2):
             for diagrams in (full, sparse)]
 
 
-def incoming_edge_clause(model, clause):
-    """True for a clause `[-x(v, t)] + in-edges of (v, t)`."""
+def without_incoming_edge_clauses(model):
+    """The recorded clauses minus the incoming-edge clauses, those of the
+    form `[-x(v, t)]` plus the edges into `(v, t)`."""
     node_of = {var: (a, v, t) for (a, v, t), var in model.x.items()}
     head_of = {var: (a, v, t + 1) for (a, u, v, t), var in model.e.items()}
-    node = node_of.get(-clause[0])
-    return node is not None and len(clause) > 1 and all(
-        head_of.get(lit) == node for lit in clause[1:])
+
+    def incoming(clause):
+        node = node_of.get(-clause[0])
+        return node is not None and len(clause) > 1 and all(
+            head_of.get(lit) == node for lit in clause[1:])
+
+    return [clause for clause in model.solver.clauses if not incoming(clause)]
 
 
 def satisfiable_level_pairs(model, clauses):
@@ -451,10 +455,10 @@ def satisfiable_level_pairs(model, clauses):
         levels = model.diagrams[a.id].levels
         for t in range(1, model.horizon + 1):
             for v, w in itertools.combinations(levels[t], 2):
-                pair = [model.x[(a.id, v, t)]], [model.x[(a.id, w, t)]]
+                units = [[model.x[(a.id, v, t)]], [model.x[(a.id, w, t)]]]
                 solver = CdclSolver()
                 solver.new_vars(model.solver.num_vars)
-                solver.add_clauses(clauses + list(pair))
+                solver.add_clauses(clauses + units)
                 if solver.solve():
                     found.append((a.id, t, v, w))
     return found
@@ -484,7 +488,7 @@ class TestImpliedExactlyOne:
                                                                     fix_c):
         # the same clause stream minus the incoming-edge clauses
         for model in self.cases(fix_a, fix_b, fix_c):
-            clauses = [c for c in model.solver.clauses if not incoming_edge_clause(model, c)]
+            clauses = without_incoming_edge_clauses(model)
             dropped = len(model.solver.clauses) - len(clauses)
             assert dropped == sum(mdd.node_count - 1 for mdd in model.diagrams.values())
             if any(len(level) > 1 for mdd in model.diagrams.values() for level in mdd.levels):
