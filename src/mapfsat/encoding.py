@@ -173,8 +173,8 @@ def build_model(
                 clauses.append([-xv] + outs)
                 _at_most_one(s, outs, clauses)
         # an edge pins both of its endpoints; its head collects it as an
-        # in-edge, indexed from the start node, which opens the agent's
-        # contiguous node variables
+        # in-edge. The agent's node variables are contiguous from its start
+        # node in (t, v) order, so `ins` is indexed by `xv - base`.
         base = x[(a.id, mdd.start, 0)]
         ins: list[list[int]] = [[] for _ in range(mdd.node_count)]
         for t in range(horizon):
@@ -188,7 +188,7 @@ def build_model(
                     ins[xv - base].append(ev)
         # occupying a node after level 0 needs an incoming edge; with the
         # start unit and one outgoing edge per node, this implies exactly
-        # one vertex per level. Node variables run in (t, v) order.
+        # one vertex per level
         for i in range(1, len(ins)):
             clauses.append([-(base + i)] + ins[i])
         # cost indicators: active while not settled at the goal, monotone,
