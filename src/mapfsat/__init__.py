@@ -54,12 +54,12 @@ from .solvers import (
     INFEASIBLE,
     SOLVED,
     TIMEOUT,
-    CandidateSets,
     SolveOutcome,
     SolveStats,
     SolverConfig,
     brute_force_oracle,
     heuristic_fixed,
+    initial_candidates,
     solution_json,
     solve_cbs,
     solve_heuristic_smt_cbs,

@@ -67,10 +67,6 @@ class BooleanModel:
     def e_var(self, agent: Hashable, u: Vertex, v: Vertex, t: int) -> Optional[int]:
         return self.e.get((agent, u, v, t))
 
-    @property
-    def decision_var_count(self) -> int:
-        return len(self.x) + len(self.e)
-
 
 def _at_most_one(solver: CdclSolver, lits: list[int], clauses: list) -> None:
     # pairwise is smaller up to a handful of literals, counter beyond that
@@ -245,7 +241,7 @@ def _emit_complete_constraints(model: BooleanModel) -> None:
         s.add_clauses(clauses)
 
 
-def add_conflict_clauses(model: BooleanModel, collisions: Iterable[Collision]) -> BooleanModel:
+def add_conflict_clauses(model: BooleanModel, collisions: Iterable[Collision]) -> None:
     """Lazily forbid discovered collisions and record them permanently.
 
     A clause is skipped when either agent's diagram lacks the node or edge;
@@ -257,7 +253,6 @@ def add_conflict_clauses(model: BooleanModel, collisions: Iterable[Collision]) -
         clause = _pair_clause(model, *col.agents, col.kind, col.entry(0))
         if clause is not None:
             model.solver.add_clause(clause)
-    return model
 
 
 def _pair_clause(model: BooleanModel, ai: Hashable, aj: Hashable, kind: str,

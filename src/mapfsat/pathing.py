@@ -81,9 +81,9 @@ class Distances:
 
     The graph is undirected, so a goal's table also holds every start's
     distance to that goal: solvers ask only for goal tables, one per agent.
-    A solver makes one per solve, passes it to every layer it calls, and drops
-    it when the solve returns: no layer makes a memo of its own, and no table
-    outlives the solve that needed it.
+    `solvers._run` makes one per solve and passes it to every layer the solver
+    calls; it is dropped when the solve returns: no layer makes a memo of its
+    own, and no table outlives the solve that needed it.
     """
 
     def __init__(self, graph: Graph):

@@ -67,17 +67,17 @@ class CdclSolver:
     underflowed to 0. Each decision is the unassigned variable of highest
     activity, ties to the lowest index.
 
-    `interrupt` is polled every `interrupt_interval` conflicts and every
-    `interrupt_interval` decisions; it may raise to abort a long-running
+    `interrupt` is polled every `_INTERRUPT_INTERVAL` conflicts and every
+    `_INTERRUPT_INTERVAL` decisions; it may raise to abort a long-running
     solve, leaving the instance reusable.
     """
 
     _RESTART_BASE = 64
+    _INTERRUPT_INTERVAL = 2048
     _ACT_DECAY = 1.0 / 0.95
     _ACT_LIMIT = 1e100
 
-    def __init__(self, interrupt: Optional[Callable[[], None]] = None,
-                 interrupt_interval: int = 2048):
+    def __init__(self, interrupt: Optional[Callable[[], None]] = None):
         self._nvars = 0
         self._nclauses = 0
         # per encoded literal: clause lists, or for a binary clause the other literal
@@ -99,7 +99,6 @@ class CdclSolver:
         self._conflict_count = 0
         self._decision_count = 0
         self._interrupt = interrupt
-        self._interrupt_interval = max(1, interrupt_interval)
 
     # ----- variables and clauses -------------------------------------------------
 
@@ -383,7 +382,7 @@ class CdclSolver:
         return var
 
     def _poll(self, count: int) -> None:
-        if self._interrupt is not None and count % self._interrupt_interval == 0:
+        if self._interrupt is not None and count % self._INTERRUPT_INTERVAL == 0:
             self._interrupt()
 
     def solve(self) -> bool:

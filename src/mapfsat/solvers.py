@@ -10,11 +10,16 @@ Five algorithms share one outcome shape:
 * ``solve_heuristic_smt_cbs``-- lazy clauses over sparse candidate sets,
                                 extended by one all-conflicts-avoiding path.
 
+``_run`` builds each solve's ``Distances`` memo, shortest costs and cost cap
+once, and hands them to ``_cbs`` or ``_lazy_solve``.
+
 The four SAT algorithms run one loop (``_lazy_solve``): raise the cost bound
 from the shortest-path total and run one fixed-bounds round (``_fixed``) per
 bound. Within a round, collisions of a satisfying assignment become clauses
-and may grow the candidate sets; with ``extend`` None every agent is on its
-full diagram from the start. An algorithm is a fixed ``(mode, extend)`` pair:
+and may grow the candidate sets. These are a plain dict: each agent id maps
+to ``{positions: Path}`` in the order added, or to None once the agent is on
+its full diagram. With ``extend`` None every agent is on its full diagram
+from the start. An algorithm is a fixed ``(mode, extend)`` pair:
 
 * mddsat    -- ``(COMPLETE, None)``: a collision in an answer is an encoding
   bug and raises ``EncodingSoundnessError``.
@@ -180,7 +185,10 @@ def _run(solver_fn: Callable[..., tuple[Solution, int]], instance: MapfInstance,
     solution: Solution | None = None
     soc: int | None = None
     try:
-        solution, soc = solver_fn(instance, config, deadline, stats)
+        distances = Distances(instance.graph)
+        xi = _shortest_costs(instance, distances)
+        cap = _resolve_cap(instance, config, sum(xi.values()))
+        solution, soc = solver_fn(instance, deadline, stats, distances, xi, cap)
         if deadline.expired:
             status, solution, soc = TIMEOUT, None, None
     except SolveTimeout:
@@ -210,11 +218,8 @@ def solve_cbs(instance: MapfInstance, config: SolverConfig | None = None) -> Sol
     return _run(_cbs, instance, config)
 
 
-def _cbs(instance, config, deadline, stats):
-    distances = Distances(instance.graph)
-    xi = _shortest_costs(instance, distances)
+def _cbs(instance, deadline, stats, distances, xi, cap):
     soc0 = sum(xi.values())
-    cap = _resolve_cap(instance, config, soc0)
     agent_ids = [a.id for a in instance.agents]
 
     root_constraints = {a: AgentConflicts() for a in agent_ids}
@@ -332,42 +337,6 @@ def child_collisions(instance: MapfInstance, parent: list[Collision],
 # ----------------------------------------------------------------- SAT solvers
 
 
-class CandidateSets:
-    """Per-agent candidate paths, with a per-agent full-diagram mode flag."""
-
-    def __init__(self, instance: MapfInstance):
-        # per agent, positions -> path in the order added; the keys drop repeats
-        self._paths: dict[Hashable, dict[tuple, Path]] = {a.id: {} for a in instance.agents}
-        self._full: dict[Hashable, bool] = {a.id: False for a in instance.agents}
-
-    @classmethod
-    def initial(cls, instance: MapfInstance, distances: Distances) -> "CandidateSets":
-        """Each agent's shortest path; every goal must be reachable."""
-        sets = cls(instance)
-        for a in instance.agents:
-            sets.add(a.id, shortest_path(instance, a.id, distances))
-        return sets
-
-    def add(self, agent_id: Hashable, path: Path) -> bool:
-        paths = self._paths[agent_id]
-        if path.positions in paths:
-            return False
-        paths[path.positions] = path
-        return True
-
-    def paths(self, agent_id: Hashable) -> tuple[Path, ...]:
-        return tuple(self._paths[agent_id].values())
-
-    def promote(self, agent_id: Hashable) -> None:
-        self._full[agent_id] = True
-
-    def is_full(self, agent_id: Hashable) -> bool:
-        return self._full[agent_id]
-
-    def all_full(self) -> bool:
-        return all(self._full.values())
-
-
 def solve_mdd_sat(instance: MapfInstance, config: SolverConfig | None = None) -> SolveOutcome:
     """Complete model over full diagrams; first satisfiable cost bound wins."""
     return _run(partial(_lazy_solve, COMPLETE, None), instance, config)
@@ -388,23 +357,18 @@ def solve_heuristic_smt_cbs(instance: MapfInstance, config: SolverConfig | None 
     return _run(partial(_lazy_solve, INCOMPLETE, "and"), instance, config)
 
 
-def _lazy_solve(mode, extend, instance, config, deadline, stats):
+def _lazy_solve(mode, extend, instance, deadline, stats, distances, xi, cap):
     """Raise the cost bound from the shortest-path total, one round per bound.
 
     Candidate sets and accumulated conflicts carry over from bound to bound.
     With `extend` None every agent starts on its full diagram.
     """
-    distances = Distances(instance.graph)
-    xi = _shortest_costs(instance, distances)
     soc0 = sum(xi.values())
     mu0 = max(xi.values(), default=0)
-    cap = _resolve_cap(instance, config, soc0)
     if extend is None:
-        candidates = CandidateSets(instance)
-        for a in instance.agents:
-            candidates.promote(a.id)
+        candidates = {a.id: None for a in instance.agents}
     else:
-        candidates = CandidateSets.initial(instance, distances)
+        candidates = initial_candidates(instance, distances)
     conflicts = ConflictSet()
     for soc in range(soc0, cap + 1):
         horizon = mu0 + (soc - soc0)
@@ -415,24 +379,33 @@ def _lazy_solve(mode, extend, instance, config, deadline, stats):
     raise _CapExceeded
 
 
+def initial_candidates(instance: MapfInstance,
+                       distances: Distances) -> dict[Hashable, dict[tuple, Path] | None]:
+    """Each agent's candidate set: its shortest path, keyed by its positions."""
+    candidates = {}
+    for a in instance.agents:
+        path = shortest_path(instance, a.id, distances)
+        candidates[a.id] = {path.positions: path}
+    return candidates
+
+
 def heuristic_fixed(
     instance: MapfInstance,
-    candidates: CandidateSets,
+    candidates: dict[Hashable, dict[tuple, Path] | None],
     conflicts: ConflictSet,
     horizon: int,
     soc: int,
-) -> tuple[Solution | None, ConflictSet]:
+) -> Solution | None:
     """One fixed-bounds round of the all-avoiding-path algorithm, under the
     default time limit.
 
-    Returns (solution, conflicts) on success or (None, conflicts) when no
-    solution fits the bounds; `conflicts` accumulates everything discovered.
+    Returns a solution, or None when no solution fits the bounds; `candidates`
+    and `conflicts` grow in place with everything discovered.
     """
     distances = Distances(instance.graph)
     xi = _shortest_costs(instance, distances)
-    solution = _fixed(instance, Deadline(SolverConfig().timeout_s), SolveStats(), candidates,
-                      conflicts, horizon, soc, xi, INCOMPLETE, "and", distances)
-    return solution, conflicts
+    return _fixed(instance, Deadline(SolverConfig().timeout_s), SolveStats(), candidates,
+                  conflicts, horizon, soc, xi, INCOMPLETE, "and", distances)
 
 
 def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
@@ -450,8 +423,8 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
             deadline.check()
             diagrams = {
                 a.id: build_mdd(instance, a.id, horizon, bounds[a.id], distances)
-                if candidates.is_full(a.id)
-                else build_smdd(a.id, candidates.paths(a.id), horizon)
+                if candidates[a.id] is None
+                else build_smdd(a.id, list(candidates[a.id].values()), horizon)
                 for a in instance.agents
             }
             # long single SAT calls poll the deadline between conflicts
@@ -461,17 +434,17 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
                 soc=soc,
                 makespan=horizon,
                 nodes_per_agent=tuple(diagrams[a.id].node_count for a in instance.agents),
-                decision_vars=model.decision_var_count,
-                full_mdd=tuple(candidates.is_full(a.id) for a in instance.agents),
+                decision_vars=len(model.x) + len(model.e),
+                full_mdd=tuple(candidates[a.id] is None for a in instance.agents),
             ))
         deadline.check()
         stats.sat_calls += 1
         assignment = model.solve()
         if assignment is None:
-            if candidates.all_full():
+            if all(paths is None for paths in candidates.values()):
                 return None
-            for a in instance.agents:
-                candidates.promote(a.id)
+            for agent_id in candidates:
+                candidates[agent_id] = None
             model = None
             continue
         solution = extract_solution(model, assignment)
@@ -499,20 +472,22 @@ def _extend(instance, candidates, conflicts, collisions, horizon, bounds, extend
     """
     grown = False
     for agent_id in dict.fromkeys(a for col in collisions for a in col.agents):
-        if candidates.is_full(agent_id):
+        known = candidates[agent_id]
+        if known is None:
             continue
         conf = conflicts.for_agent(agent_id)
         if extend == "and":
-            pi = new_and_path(instance, agent_id, candidates.paths(agent_id), conf,
+            pi = new_and_path(instance, agent_id, known.values(), conf,
                               horizon, bounds[agent_id], distances)
             assert pi is None or _avoids(pi, conf, horizon)
             paths = [] if pi is None else [pi]
         else:
             paths = new_or_paths(instance, agent_id, conf, horizon, bounds[agent_id],
                                  distances)
-        added = [p for p in paths if candidates.add(agent_id, p)]
-        if not added:
-            candidates.promote(agent_id)
+        new = {p.positions: p for p in paths if p.positions not in known}
+        known.update(new)
+        if not new:
+            candidates[agent_id] = None
         grown = True
     return grown
 

@@ -229,7 +229,7 @@ def test_num_clauses_counts_every_added_clause_but_tautologies():
     assert s.num_clauses == 5
 
 
-def test_interrupt_hook_aborts_and_instance_stays_usable():
+def test_interrupt_hook_aborts_and_instance_stays_usable(monkeypatch):
     class Stop(Exception):
         pass
 
@@ -239,7 +239,8 @@ def test_interrupt_hook_aborts_and_instance_stays_usable():
         calls.append(1)
         raise Stop
 
-    s = CdclSolver(interrupt=hook, interrupt_interval=1)
+    monkeypatch.setattr(CdclSolver, "_INTERRUPT_INTERVAL", 1)
+    s = CdclSolver(interrupt=hook)
     for _ in range(30):
         s.new_var()
     rng = random.Random(9)
@@ -256,7 +257,7 @@ def test_interrupt_hook_aborts_and_instance_stays_usable():
         s.solve()  # must not crash after an aborted attempt
 
 
-def test_interrupt_is_polled_on_decisions():
+def test_interrupt_is_polled_on_decisions(monkeypatch):
     class Stop(Exception):
         pass
 
@@ -268,7 +269,8 @@ def test_interrupt_is_polled_on_decisions():
 
     # no clause can conflict, so only the decision poll reaches the hook
     clauses = [[1, 2], [3, 4], [-5, 6]]
-    s = solver_with(6, clauses, interrupt=hook, interrupt_interval=1)
+    monkeypatch.setattr(CdclSolver, "_INTERRUPT_INTERVAL", 1)
+    s = solver_with(6, clauses, interrupt=hook)
     with pytest.raises(Stop):
         s.solve()
     assert calls == [1]
@@ -277,12 +279,13 @@ def test_interrupt_is_polled_on_decisions():
     assert check_model(clauses, s.model())
 
 
-def test_interrupt_at_any_poll_leaves_answers_sound():
+def test_interrupt_at_any_poll_leaves_answers_sound(monkeypatch):
     # abort at the k-th poll for every k, then solve again without the hook:
     # the answer must not depend on where the abort landed
     class Stop(Exception):
         pass
 
+    monkeypatch.setattr(CdclSolver, "_INTERRUPT_INTERVAL", 1)
     for seed in range(30):
         rng = random.Random(seed)
         nv = 8
@@ -299,7 +302,7 @@ def test_interrupt_at_any_poll_leaves_answers_sound():
                 if len(polls) == k:
                     raise Stop
 
-            s = solver_with(nv, clauses, interrupt=hook, interrupt_interval=1)
+            s = solver_with(nv, clauses, interrupt=hook)
             try:
                 got = s.solve()
                 aborted = False

@@ -19,7 +19,6 @@ from mapfsat import (
     TIMEOUT,
     Agent,
     AgentConflicts,
-    CandidateSets,
     CdclSolver,
     Collision,
     ConflictSet,
@@ -36,6 +35,7 @@ from mapfsat import (
     constrained_shortest_path,
     build_mdd,
     heuristic_fixed,
+    initial_candidates,
     parse_map,
     path_cost,
     solution_json,
@@ -49,7 +49,7 @@ from mapfsat import (
 )
 import mapfsat
 from mapfsat import diagrams, encoding, pathing, solvers
-from mapfsat.solvers import SolveStats
+from mapfsat.solvers import INCOMPLETE, Deadline, SolveStats, _fixed
 from conftest import random_grid_instance
 
 QUICK = SolverConfig(timeout_s=30)
@@ -126,7 +126,7 @@ class TestFixtureOptima:
             assert fn(inst, QUICK).status == INFEASIBLE, algo
         assert brute_force_oracle(inst, 10).status == INFEASIBLE
         with pytest.raises(InfeasibleAgentError):
-            heuristic_fixed(inst, CandidateSets(inst), ConflictSet(), 2, 2)
+            heuristic_fixed(inst, {a.id: {} for a in inst.agents}, ConflictSet(), 2, 2)
 
 
 class TestCbs:
@@ -348,37 +348,38 @@ class TestSparseFamily:
 
 class TestHeuristicFixed:
     def test_cycle_at_tight_bounds(self, fix_b):
-        candidates = CandidateSets.initial(fix_b, Distances(fix_b.graph))
-        solution, conflicts = heuristic_fixed(fix_b, candidates, ConflictSet(), 2, 4)
+        candidates = initial_candidates(fix_b, Distances(fix_b.graph))
+        solution = heuristic_fixed(fix_b, candidates, ConflictSet(), 2, 4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
         assert validate_solution(fix_b, solution) == []
 
     def test_spur_below_optimum_is_unsat_after_promotion(self, fix_c):
-        candidates = CandidateSets.initial(fix_c, Distances(fix_c.graph))
-        solution, conflicts = heuristic_fixed(fix_c, candidates, ConflictSet(), 3, 6)
+        candidates = initial_candidates(fix_c, Distances(fix_c.graph))
+        conflicts = ConflictSet()
+        solution = heuristic_fixed(fix_c, candidates, conflicts, 3, 6)
         assert solution is None
-        assert all(candidates.is_full(a.id) for a in fix_c.agents)
+        assert all(candidates[a.id] is None for a in fix_c.agents)
         assert recorded(conflicts, fix_c) > 0
 
     def test_single_agent_immediate(self, fix_a):
-        candidates = CandidateSets.initial(fix_a, Distances(fix_a.graph))
+        candidates = initial_candidates(fix_a, Distances(fix_a.graph))
         conflicts = ConflictSet()
-        solution, conflicts = heuristic_fixed(fix_a, candidates, conflicts, 2, 2)
+        solution = heuristic_fixed(fix_a, candidates, conflicts, 2, 2)
         assert solution.paths[0].positions == ("v1", "v2", "v3")
         assert recorded(conflicts, fix_a) == 0
 
     def test_unsat_over_sparse_sets_promotes_all_agents(self, fix_b):
         # a pre-recorded conflict makes the single-candidate model UNSAT even
         # though the instance is solvable at these bounds
-        candidates = CandidateSets.initial(fix_b, Distances(fix_b.graph))
+        candidates = initial_candidates(fix_b, Distances(fix_b.graph))
         conflicts = ConflictSet()
         conflicts.add("a1", "vertex", ("v01", 1))
         conflicts.add("a2", "vertex", ("v01", 1))
-        solution, _ = heuristic_fixed(fix_b, candidates, conflicts, 2, 4)
+        solution = heuristic_fixed(fix_b, candidates, conflicts, 2, 4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
-        assert all(candidates.is_full(a.id) for a in fix_b.agents)
+        assert all(candidates[a.id] is None for a in fix_b.agents)
 
     def test_only_colliding_agents_grow(self, fix_b):
         # a3 has a road of its own and never collides: it keeps its one path
@@ -388,11 +389,33 @@ class TestHeuristicFixed:
              ("w1", "w2"), ("w2", "w3")],
         )
         inst = MapfInstance(g, [*fix_b.agents, Agent("a3", "w1", "w3")])
-        candidates = CandidateSets.initial(inst, Distances(g))
-        solution, _ = heuristic_fixed(inst, candidates, ConflictSet(), 2, 6)
+        candidates = initial_candidates(inst, Distances(g))
+        solution = heuristic_fixed(inst, candidates, ConflictSet(), 2, 6)
         assert sum_of_costs(inst, solution) == 6
-        assert not candidates.is_full("a3")
-        assert candidates.paths("a3") == (Path("a3", ("w1", "w2", "w3")),)
+        assert candidates["a3"] is not None
+        assert list(candidates["a3"].values()) == [Path("a3", ("w1", "w2", "w3"))]
+
+    @pytest.mark.parametrize("extend", ["and", "or"])
+    def test_only_an_agent_with_nothing_new_moves_to_its_full_diagram(self, extend):
+        # a1 and a2 meet at m at t=1; a1 has no other way at its bound, a2
+        # can go round through w, and a3 is on a road of its own
+        g = Graph(["s1", "m", "g1", "s2", "w", "g2", "x1", "x2"],
+                  [("s1", "m"), ("m", "g1"), ("s2", "m"), ("m", "g2"), ("s2", "w"),
+                   ("w", "g2"), ("x1", "x2")])
+        inst = MapfInstance(g, [Agent("a1", "s1", "g1"), Agent("a2", "s2", "g2"),
+                                Agent("a3", "x1", "x2")])
+        distances = Distances(g)
+        candidates = initial_candidates(inst, distances)
+        assert list(candidates["a2"]) == [("s2", "m", "g2")]
+        stats = SolveStats()
+        solution = _fixed(inst, Deadline(60), stats, candidates, ConflictSet(), 2, 5,
+                          {"a1": 2, "a2": 2, "a3": 1}, INCOMPLETE, extend, distances)
+        assert validate_solution(inst, solution) == []
+        assert candidates["a1"] is None
+        assert list(candidates["a2"]) == [("s2", "m", "g2"), ("s2", "w", "g2")]
+        assert list(candidates["a3"]) == [("x1", "x2")]
+        assert [it.full_mdd for it in stats.iterations] == [(False, False, False),
+                                                           (True, False, False)]
 
 
 class TestOptimalityAgreement:
