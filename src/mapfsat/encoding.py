@@ -1,23 +1,25 @@
 """Compile per-agent diagrams plus accumulated conflicts into a SAT model.
 
-Decision variables: one per diagram node (agent at vertex v at step t) and
-one per diagram edge (agent traversing u->v between t and t+1). Cost is
+Decision variables: one per diagram node (agent at vertex v at step t); a
+move is the pair of nodes it joins, so there are no edge variables. Cost is
 tracked by per-agent "still active" indicators: one indicator per timestep
 from the agent's shortest-path cost up to the horizon, true while the agent
 has not yet settled at its goal. A single global cardinality constraint caps
 the indicator count at the slack above the sum of shortest-path costs.
 
-Each agent's walk is a flow through its diagram: the start node at level 0
-and the goal node at the horizon are units, an occupied node takes exactly
-one outgoing edge, an edge pins both of its endpoints, and an occupied node
-after level 0 needs one of its incoming edges. No clause bounds a level
-directly, since exactly one node per level is implied: by induction from the
-start unit, each occupied node at t + 1 is the head of the single outgoing
-edge of the single occupied node at t. The incoming-edge clauses also let
-unit propagation run backward from the goal unit.
+Each agent's walk is a chain of nodes: the start node at level 0 and the
+goal node at the horizon are units, an occupied node below the horizon needs
+one of its successors occupied, and each level holds at most one occupied
+node. Exactly one node per level follows by induction from the start unit:
+the successor clause puts at least one node on level t + 1, and the level's
+at-most-one leaves only that one, so consecutive occupied nodes are joined
+by a diagram edge. An occupied node after level 0 also needs one of its
+predecessors; implied by the rest, these clauses let unit propagation run
+backward from the goal unit.
 
 The complete mode adds every pairwise vertex/swap exclusion up front; the
-incomplete mode relies on lazily added collision clauses instead.
+incomplete mode relies on lazily added collision clauses instead. A swap
+clause forbids the four nodes of two opposing moves together.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ class EncodingSoundnessError(RuntimeError):
 @dataclass
 class BooleanModel:
     """One solver instance, the horizon it was built for, and the bijection
-    between diagram nodes (`x`), diagram edges (`e`), cost indicators (`c`)
-    and its SAT variables."""
+    between diagram nodes (`x`), cost indicators (`c`) and its SAT variables;
+    nodes are the only decision variables."""
 
     solver: CdclSolver
     horizon: int
@@ -52,7 +54,6 @@ class BooleanModel:
     instance: MapfInstance
     diagrams: Mapping[Hashable, Mdd]
     x: dict[tuple[Hashable, Vertex, int], int] = field(default_factory=dict)
-    e: dict[tuple[Hashable, Vertex, Vertex, int], int] = field(default_factory=dict)
     c: dict[tuple[Hashable, int], int] = field(default_factory=dict)
 
     def solve(self) -> Optional[list[bool]]:
@@ -63,9 +64,6 @@ class BooleanModel:
 
     def x_var(self, agent: Hashable, v: Vertex, t: int) -> Optional[int]:
         return self.x.get((agent, v, t))
-
-    def e_var(self, agent: Hashable, u: Vertex, v: Vertex, t: int) -> Optional[int]:
-        return self.e.get((agent, u, v, t))
 
 
 def _at_most_one(solver: CdclSolver, lits: list[int], clauses: list) -> None:
@@ -143,15 +141,12 @@ def build_model(
 
     s = solver if solver is not None else CdclSolver()
     model = BooleanModel(s, horizon, conflicts, instance, diagrams)
-    x, e, c = model.x, model.e, model.c
+    x, c = model.x, model.c
 
     for a in agents:
         mdd = diagrams[a.id]
         nodes = [(a.id, v, t) for t in range(horizon + 1) for v in mdd.levels[t]]
         x.update(zip(nodes, s.new_vars(len(nodes))))
-        edges = [(a.id, u, w, t) for t in range(horizon) for u in mdd.levels[t]
-                 for w in mdd.outgoing(u, t)]
-        e.update(zip(edges, s.new_vars(len(edges))))
         steps = [(a.id, t) for t in range(xi[a.id], horizon)]
         c.update(zip(steps, s.new_vars(len(steps))))
 
@@ -161,32 +156,26 @@ def build_model(
         # endpoints
         clauses.append([x[(a.id, mdd.start, 0)]])
         clauses.append([x[(a.id, mdd.goal, horizon)]])
-        # occupying a node forces exactly one outgoing edge
-        for t in range(horizon):
-            for u in mdd.levels[t]:
-                xv = x[(a.id, u, t)]
-                outs = [e[(a.id, u, w, t)] for w in mdd.outgoing(u, t)]
-                clauses.append([-xv] + outs)
-                _at_most_one(s, outs, clauses)
-        # an edge pins both of its endpoints; its head collects it as an
-        # in-edge. The agent's node variables are contiguous from its start
-        # node in (t, v) order, so `ins` is indexed by `xv - base`.
+        # an occupied node below the horizon needs a successor; each node
+        # collects its predecessors. The agent's node variables are
+        # contiguous from its start node in (t, v) order, so `ins` is
+        # indexed by `xv - base`.
         base = x[(a.id, mdd.start, 0)]
         ins: list[list[int]] = [[] for _ in range(mdd.node_count)]
         for t in range(horizon):
             for u in mdd.levels[t]:
                 xu = x[(a.id, u, t)]
-                for v in mdd.outgoing(u, t):
-                    ev = e[(a.id, u, v, t)]
-                    xv = x[(a.id, v, t + 1)]
-                    clauses.append([-ev, xu])
-                    clauses.append([-ev, xv])
-                    ins[xv - base].append(ev)
-        # occupying a node after level 0 needs an incoming edge; with the
-        # start unit and one outgoing edge per node, this implies exactly
-        # one vertex per level
+                succ = [x[(a.id, w, t + 1)] for w in mdd.outgoing(u, t)]
+                clauses.append([-xu] + succ)
+                for xw in succ:
+                    ins[xw - base].append(xu)
+        # an occupied node after level 0 needs a predecessor
         for i in range(1, len(ins)):
             clauses.append([-(base + i)] + ins[i])
+        # at most one node per level; with the start unit and the successor
+        # clauses, exactly one
+        for t in range(1, horizon):
+            _at_most_one(s, [x[(a.id, v, t)] for v in mdd.levels[t]], clauses)
         # cost indicators: active while not settled at the goal, monotone,
         # and justified so the true count equals the exact excess cost
         for t in range(xi[a.id], horizon):
@@ -228,23 +217,35 @@ def _emit_complete_constraints(model: BooleanModel) -> None:
     s.add_clauses(clauses)
     # no pair of agents may swap across one edge
     for i in range(len(agents)):
-        mdd = model.diagrams[agents[i].id]
+        ai = agents[i].id
+        mdd = model.diagrams[ai]
         clauses = []
         for j in range(i + 1, len(agents)):
-            ai, aj = agents[i].id, agents[j].id
+            aj = agents[j].id
             for t in range(model.horizon):
                 for u in mdd.levels[t]:
                     for v in mdd.outgoing(u, t):
-                        opposite = model.e_var(aj, v, u, t)
-                        if opposite is not None:
-                            clauses.append([-model.e[(ai, u, v, t)], -opposite])
+                        if v != u:  # two waits at u are a vertex collision
+                            clause = _swap_clause(model, ai, aj, u, v, t)
+                            if clause is not None:
+                                clauses.append(clause)
         s.add_clauses(clauses)
+
+
+def _swap_clause(model: BooleanModel, ai: Hashable, aj: Hashable, u: Vertex, v: Vertex,
+                 t: int) -> Optional[tuple[int, ...]]:
+    """Clause keeping `ai` off u -> v or `aj` off v -> u between t and t + 1;
+    None when either diagram lacks its move."""
+    if u not in model.diagrams[aj].outgoing(v, t) or v not in model.diagrams[ai].outgoing(u, t):
+        return None
+    x = model.x
+    return (-x[(ai, u, t)], -x[(ai, v, t + 1)], -x[(aj, v, t)], -x[(aj, u, t + 1)])
 
 
 def add_conflict_clauses(model: BooleanModel, collisions: Iterable[Collision]) -> None:
     """Lazily forbid discovered collisions and record them permanently.
 
-    A clause is skipped when either agent's diagram lacks the node or edge;
+    A clause is skipped when either agent's diagram lacks the node or move;
     the rule is then vacuously enforced for the missing side. The conflict is
     recorded either way so later models re-emit it.
     """
@@ -256,11 +257,11 @@ def add_conflict_clauses(model: BooleanModel, collisions: Iterable[Collision]) -
 
 
 def _pair_clause(model: BooleanModel, ai: Hashable, aj: Hashable, kind: str,
-                 entry: tuple) -> Optional[tuple[int, int]]:
+                 entry: tuple) -> Optional[tuple[int, ...]]:
     """Clause keeping `ai` off its conflict `entry` and `aj` off the counterpart.
 
     None when `aj` does not carry the counterpart, or when either agent's
-    diagram lacks the node or edge.
+    diagram lacks the node or move.
     """
     theirs = model.conflicts.for_agent(aj)
     if kind == "vertex":
@@ -268,14 +269,13 @@ def _pair_clause(model: BooleanModel, ai: Hashable, aj: Hashable, kind: str,
         if entry not in theirs.vertex:
             return None
         li, lj = model.x_var(ai, v, t), model.x_var(aj, v, t)
-    else:
-        (u, v), t = entry
-        if ((v, u), t) not in theirs.edge:
+        if li is None or lj is None:
             return None
-        li, lj = model.e_var(ai, u, v, t), model.e_var(aj, v, u, t)
-    if li is None or lj is None:
+        return (-li, -lj)
+    (u, v), t = entry
+    if ((v, u), t) not in theirs.edge:
         return None
-    return (-li, -lj)
+    return _swap_clause(model, ai, aj, u, v, t)
 
 
 def _emit_recorded_conflicts(model: BooleanModel) -> None:

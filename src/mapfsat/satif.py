@@ -144,16 +144,27 @@ class CdclSolver:
         watches = self._watches
         for lits in clauses:
             if len(lits) == 2:
-                # short path: two distinct variables, both valid and unassigned
+                # short path: two distinct valid variables, settled by their
+                # level-0 values as the general path would settle them
                 a, b = lits
                 if (type(a) is int and type(b) is int and a and b
                         and -nvars <= a <= nvars and -nvars <= b <= nvars):
                     qa = a << 1 if a > 0 else (-a << 1) | 1
                     qb = b << 1 if b > 0 else (-b << 1) | 1
-                    if qa >> 1 != qb >> 1 and value[qa] == 0 and value[qb] == 0:
+                    if qa >> 1 != qb >> 1:
                         self._nclauses += 1
-                        watches[qa].append(qb)
-                        watches[qb].append(qa)
+                        va, vb = value[qa], value[qb]
+                        if self._unsat or va == 1 or vb == 1:
+                            continue  # already unsat, or satisfied for good at level 0
+                        if va == 0 and vb == 0:
+                            watches[qa].append(qb)
+                            watches[qb].append(qa)
+                        elif va == vb:
+                            self._unsat = True  # both false
+                        else:
+                            self._enqueue(qa if va == 0 else qb, None)
+                            if self._propagate() is not None:
+                                self._unsat = True
                         continue
             seen: set[int] = set()  # encoded literals
             enc = []                # encoded literals not false at level 0

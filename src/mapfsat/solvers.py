@@ -123,7 +123,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationStat:
-    """One low-level model build: bounds, per-agent diagram sizes, var count."""
+    """One low-level model build: bounds, per-agent diagram sizes, and its
+    decision variables, which are the diagram nodes only."""
 
     soc: int
     makespan: int
@@ -434,7 +435,7 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
                 soc=soc,
                 makespan=horizon,
                 nodes_per_agent=tuple(diagrams[a.id].node_count for a in instance.agents),
-                decision_vars=len(model.x) + len(model.e),
+                decision_vars=len(model.x),
                 full_mdd=tuple(candidates[a.id] is None for a in instance.agents),
             ))
         deadline.check()

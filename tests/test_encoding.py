@@ -24,6 +24,7 @@ from mapfsat import (
     build_model,
     build_smdd,
     cardinality_le,
+    count_represented_paths,
     extract_solution,
     path_cost,
     sum_of_costs,
@@ -70,15 +71,13 @@ def full_model(instance, delta=0, mode=INCOMPLETE, conflicts=None, solver=None):
 class TestBuildModel:
     def test_single_agent_variable_counts(self, fix_a):
         model = full_model(fix_a)
-        # one vertex per level, two move edges, no slack indicators
+        # one vertex per level, no slack indicators, and nothing else
         assert len(model.x) == 3
-        assert len(model.e) == 2
         assert len(model.c) == 0
+        assert model.solver.num_vars == 3
         assert model.solve() is not None
 
-    def test_no_variables_beyond_nodes_edges_indicators_and_cost_counter(self):
-        # on a 4-connected grid a node has at most five moves, so every
-        # outgoing at-most-one is pairwise and allocates no variable
+    def test_no_variables_beyond_nodes_indicators_and_counters(self):
         rng = random.Random(31)
         widest = 0
         for _ in range(10):
@@ -87,10 +86,13 @@ class TestBuildModel:
             counter = CdclSolver()
             cardinality_le(counter, list(counter.new_vars(len(model.c))), 2, [])
             r = counter.num_vars - len(model.c)
-            assert model.solver.num_vars == len(model.x) + len(model.e) + len(model.c) + r
-            widest = max(widest, *(len(level) for mdd in model.diagrams.values()
-                                   for level in mdd.levels))
-        # a per-level at-most-one over more than five nodes would need a counter
+            # a level of up to five nodes is bounded pairwise; a wider one
+            # takes a sequential counter of one register per node but one
+            wide = [len(level) for mdd in model.diagrams.values() for level in mdd.levels
+                    if len(level) > 5]
+            levels = sum(width - 1 for width in wide)
+            assert model.solver.num_vars == len(model.x) + len(model.c) + r + levels
+            widest = max(widest, *wide, 0)
         assert widest > 5
 
     def test_forced_shared_vertex_is_unsat(self, fix_b):
@@ -141,14 +143,15 @@ class TestAddConflictClauses:
         x2 = model.x_var("a2", "v10", 1)
         assert sorted(model.solver.clauses[-1]) == sorted((-x1, -x2))
 
-    def test_edge_collision_uses_opposing_edge_variables(self):
+    def test_edge_collision_forbids_both_moves(self):
         g = Graph(["v1", "v2"], [("v1", "v2")])
         inst = MapfInstance(g, [Agent("a1", "v1", "v2"), Agent("a2", "v2", "v1")])
         model = full_model(inst, solver=RecordingSolver())
         add_conflict_clauses(model, [Collision("edge", ("a1", "a2"), ("v1", "v2"), 0)])
-        e1 = model.e_var("a1", "v1", "v2", 0)
-        e2 = model.e_var("a2", "v2", "v1", 0)
-        assert sorted(model.solver.clauses[-1]) == sorted((-e1, -e2))
+        # a1 at v1 then v2, and a2 at v2 then v1, are not all occupied
+        nodes = [("a1", "v1", 0), ("a1", "v2", 1), ("a2", "v2", 0), ("a2", "v1", 1)]
+        assert sorted(model.solver.clauses[-1]) == sorted(-model.x_var(*n) for n in nodes)
+        assert model.solve() is None
 
     def test_missing_node_skips_clause_but_records_conflict(self, fix_b):
         model = full_model(fix_b)
@@ -176,79 +179,105 @@ def canonical(entries):
 
 
 class TestEmissionOrder:
-    """Edge variables and clauses follow (t, u, v) order."""
+    """Node variables and clauses follow (t, u, v) order."""
 
-    def test_edge_variables_are_allocated_in_canonical_order(self):
+    def test_node_variables_are_allocated_in_canonical_order(self):
         inst = scrambled_grid_instance()
         ordered = sorted(inst.graph.vertices)
         assert list(inst.graph.vertices) != ordered
         assert list(bfs_distances(inst.graph, "q")) != ordered
         model = full_model(inst, delta=2, solver=RecordingSolver())
         for agent in ("a1", "a2", "a3"):
-            by_var = sorted((var, (t, u, v)) for (a, u, v, t), var in model.e.items()
-                            if a == agent)
+            by_var = sorted((var, (t, v)) for (a, v, t), var in model.x.items() if a == agent)
             assert len(by_var) > 10
             assert canonical([key for _, key in by_var])
+            # contiguous from the start node
+            assert [var for var, _ in by_var] == list(range(by_var[0][0],
+                                                            by_var[0][0] + len(by_var)))
 
-    def test_pin_clauses_are_in_canonical_order(self):
-        model = full_model(scrambled_grid_instance(), delta=2, solver=RecordingSolver())
+    @staticmethod
+    def chain_clauses(model):
+        """Per agent, the clauses `[-x(u, t)]` plus nodes of the same agent,
+        all one level after `t` (successor) or all one before (predecessor):
+        `(index, kind, (t, u), [(t', w), ...])`."""
         node_of = {var: (a, t, v) for (a, v, t), var in model.x.items()}
-        edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.e.items()}
-        pins: dict[str, list] = {}
-        for clause in model.solver.clauses:
-            if len(clause) == 2 and -clause[0] in edge_of and clause[1] in node_of:
-                agent, edge = edge_of[-clause[0]]
-                pins.setdefault(agent, []).append((edge, node_of[clause[1]]))
-        assert set(pins) == {"a1", "a2", "a3"}
-        for agent, entries in pins.items():
-            edges = [edge for edge, _ in entries[0::2]]
-            assert len(edges) == sum(1 for a, _ in edge_of.values() if a == agent)
-            assert canonical(edges)
-            # each edge pins its tail at t, then its head at t + 1
-            assert entries == [
-                pin for (t, u, v) in edges
-                for pin in (((t, u, v), (agent, t, u)), ((t, u, v), (agent, t + 1, v)))
-            ]
-
-    def test_incoming_edge_clauses_follow_the_pins_in_canonical_order(self):
-        model = full_model(scrambled_grid_instance(), delta=2, solver=RecordingSolver())
-        node_of = {var: (a, t, v) for (a, v, t), var in model.x.items()}
-        edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.e.items()}
-        last_pin: dict[str, int] = {}
-        incoming: dict[str, list] = {}
+        found: dict[str, list] = {}
         for i, clause in enumerate(model.solver.clauses):
-            if len(clause) == 2 and -clause[0] in edge_of and clause[1] in node_of:
-                last_pin[edge_of[-clause[0]][0]] = i
-            elif -clause[0] in node_of and all(lit in edge_of for lit in clause[1:]):
-                agent, t, v = node_of[-clause[0]]
-                edges = [edge_of[lit] for lit in clause[1:]]
-                if edges and all(edge == (agent, (t - 1, edge[1][1], v)) for edge in edges):
-                    incoming.setdefault(agent, []).append((i, (t, v), edges))
-        assert set(incoming) == {"a1", "a2", "a3"}
-        for agent, entries in incoming.items():
-            assert entries[0][0] > last_pin[agent]
-            nodes = [node for _, node, _ in entries]
-            assert nodes == sorted((t, v) for (a, v, t) in model.x if a == agent and t >= 1)
-            for _, (t, v), edges in entries:
-                # every in-edge, in the order of the tails' ids
-                assert edges == sorted(edge for edge in edge_of.values()
-                                       if edge[0] == agent and edge[1][0] == t - 1
-                                       and edge[1][2] == v)
-            assert max(len(edges) for _, _, edges in entries) > 1
+            head = node_of.get(-clause[0])
+            rest = [node_of.get(lit) for lit in clause[1:]]
+            if head is None or not rest or None in rest:
+                continue
+            agent, t, u = head
+            for kind, step in (("successor", 1), ("predecessor", -1)):
+                if all(a == agent and tw == t + step for a, tw, _ in rest):
+                    found.setdefault(agent, []).append(
+                        (i, kind, (t, u), [(tw, w) for _, tw, w in rest]))
+        return found
+
+    def test_successor_clauses_are_in_canonical_order(self):
+        model = full_model(scrambled_grid_instance(), delta=2, solver=RecordingSolver())
+        found = self.chain_clauses(model)
+        assert set(found) == {"a1", "a2", "a3"}
+        for agent, entries in found.items():
+            mdd = model.diagrams[agent]
+            succ = [(node, heads) for _, kind, node, heads in entries if kind == "successor"]
+            # one per node below the horizon, each with every move in the
+            # heads' order
+            assert [node for node, _ in succ] == sorted(
+                (t, v) for (a, v, t) in model.x if a == agent and t < model.horizon)
+            for (t, u), heads in succ:
+                assert heads == [(t + 1, w) for w in mdd.outgoing(u, t)]
+                assert canonical(heads)
+            assert max(len(heads) for _, heads in succ) > 1
+
+    def test_predecessor_clauses_follow_in_canonical_order(self):
+        model = full_model(scrambled_grid_instance(), delta=2, solver=RecordingSolver())
+        found = self.chain_clauses(model)
+        assert set(found) == {"a1", "a2", "a3"}
+        for agent, entries in found.items():
+            mdd = model.diagrams[agent]
+            last_succ = max(i for i, kind, _, _ in entries if kind == "successor")
+            pred = [(i, node, tails) for i, kind, node, tails in entries
+                    if kind == "predecessor"]
+            assert pred[0][0] > last_succ
+            assert [node for _, node, _ in pred] == sorted(
+                (t, v) for (a, v, t) in model.x if a == agent and t >= 1)
+            for _, (t, w), tails in pred:
+                # every node with a move into (w, t), in the tails' order
+                assert tails == [(t - 1, u) for u in mdd.levels[t - 1]
+                                 if w in mdd.outgoing(u, t - 1)]
+            assert max(len(tails) for _, _, tails in pred) > 1
+
+    @staticmethod
+    def swaps(model, clause):
+        """`(ai, aj, (t, u, v))` when `clause` forbids ai's move u -> v and
+        aj's move v -> u between t and t + 1, in that literal order, else None."""
+        node_of = {var: (a, t, v) for (a, v, t), var in model.x.items()}
+        if len(clause) != 4 or any(-lit not in node_of for lit in clause):
+            return None
+        (ai, t, u), (ai2, t2, v), (aj, t3, v2), (aj2, t4, u2) = (node_of[-lit] for lit in clause)
+        if (ai, aj, t2, t3, t4, v2, u2) != (ai2, aj2, t + 1, t, t + 1, v, u) or ai == aj:
+            return None
+        return ai, aj, (t, u, v)
 
     def test_complete_swap_clauses_are_in_canonical_order(self):
         model = full_model(scrambled_grid_instance(), delta=2, mode=COMPLETE,
                            solver=RecordingSolver())
-        edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.e.items()}
         swaps: dict[tuple, list] = {}
         for clause in model.solver.clauses:
-            if len(clause) == 2 and all(-lit in edge_of for lit in clause):
-                (ai, ei), (aj, _) = (edge_of[-lit] for lit in clause)
-                if ai != aj:
-                    swaps.setdefault((ai, aj), []).append(ei)
+            swap = self.swaps(model, clause)
+            if swap is not None:
+                ai, aj, move = swap
+                assert move[1] != move[2]  # two waits are a vertex collision
+                swaps.setdefault((ai, aj), []).append(move)
         assert set(swaps) == {("a1", "a2"), ("a1", "a3"), ("a2", "a3")}
-        for entries in swaps.values():
+        for (ai, aj), entries in swaps.items():
             assert len(entries) > 1 and canonical(entries)
+            # one for each move of ai that aj can take the other way
+            mi, mj = model.diagrams[ai], model.diagrams[aj]
+            assert entries == [(t, u, v) for t in range(model.horizon) for u in mi.levels[t]
+                               for v in mi.outgoing(u, t)
+                               if v != u and u in mj.outgoing(v, t)]
 
     def test_recorded_conflict_clauses_are_in_canonical_order(self):
         inst = scrambled_grid_instance()
@@ -263,16 +292,16 @@ class TestEmissionOrder:
                     conflicts.add(a, "edge", ((v, u), t))
         model = full_model(inst, delta=2, conflicts=conflicts, solver=RecordingSolver())
         node_of = {var: (a, (t, v)) for (a, v, t), var in model.x.items()}
-        edge_of = {var: (a, (t, u, v)) for (a, u, v, t), var in model.e.items()}
         emitted: dict[tuple, list] = {}
         for clause in model.solver.clauses:
-            if len(clause) != 2:
-                continue
-            for kind, table in (("vertex", node_of), ("edge", edge_of)):
-                if all(-lit in table for lit in clause):
-                    (ai, ei), (aj, _) = (table[-lit] for lit in clause)
-                    if ai != aj:
-                        emitted.setdefault((ai, aj), []).append((kind, ei))
+            swap = self.swaps(model, clause)
+            if swap is not None:
+                ai, aj, move = swap
+                emitted.setdefault((ai, aj), []).append(("edge", move))
+            elif len(clause) == 2 and all(-lit in node_of for lit in clause):
+                (ai, ei), (aj, _) = (node_of[-lit] for lit in clause)
+                if ai != aj:
+                    emitted.setdefault((ai, aj), []).append(("vertex", ei))
         assert set(emitted) == {("a1", "a2"), ("a1", "a3"), ("a2", "a3")}
         for entries in emitted.values():
             kinds = [kind for kind, _ in entries]
@@ -433,18 +462,23 @@ def recorded_models(instance, rng, delta=2):
             for diagrams in (full, sparse)]
 
 
-def without_incoming_edge_clauses(model):
-    """The recorded clauses minus the incoming-edge clauses, those of the
-    form `[-x(v, t)]` plus the edges into `(v, t)`."""
-    node_of = {var: (a, v, t) for (a, v, t), var in model.x.items()}
-    head_of = {var: (a, v, t + 1) for (a, u, v, t), var in model.e.items()}
+def without_level_at_most_one(model):
+    """The recorded clauses minus each level's at-most-one: the pairwise
+    clauses `[-x(v, t), -x(w, t)]` of one agent, and every clause of a
+    sequential counter whose registers meet a node literal."""
+    node_of = {var: (a, t) for (a, v, t), var in model.x.items()}
+    named = set(model.x.values()) | set(model.c.values())
+    registers = {abs(lit) for clause in model.solver.clauses
+                 if any(abs(lit) in node_of for lit in clause)
+                 for lit in clause if abs(lit) not in named}
 
-    def incoming(clause):
-        node = node_of.get(-clause[0])
-        return node is not None and len(clause) > 1 and all(
-            head_of.get(lit) == node for lit in clause[1:])
+    def at_most_one(clause):
+        if any(abs(lit) in registers for lit in clause):
+            return True
+        return (len(clause) == 2 and all(-lit in node_of for lit in clause)
+                and node_of[-clause[0]] == node_of[-clause[1]])
 
-    return [clause for clause in model.solver.clauses if not incoming(clause)]
+    return [clause for clause in model.solver.clauses if not at_most_one(clause)]
 
 
 def satisfiable_level_pairs(model, clauses):
@@ -465,9 +499,8 @@ def satisfiable_level_pairs(model, clauses):
 
 
 class TestImpliedExactlyOne:
-    """No clause bounds a level directly; the start unit, one outgoing edge
-    per occupied node and one incoming edge per occupied node after level 0
-    leave exactly one occupied node per level."""
+    """The start unit, one successor per occupied node below the horizon and
+    each level's at-most-one leave exactly one occupied node per level."""
 
     def cases(self, fix_a, fix_b, fix_c):
         rng = random.Random(41)
@@ -484,12 +517,68 @@ class TestImpliedExactlyOne:
                          for mdd in model.diagrams.values() for level in mdd.levels)
         assert pairs > 200
 
-    def test_without_incoming_edge_clauses_a_level_takes_two_nodes(self, fix_a, fix_b,
+    def test_without_level_at_most_one_a_level_takes_two_nodes(self, fix_a, fix_b,
                                                                     fix_c):
-        # the same clause stream minus the incoming-edge clauses
+        # the same clause stream minus each level's at-most-one
+        wide = 0
         for model in self.cases(fix_a, fix_b, fix_c):
-            clauses = without_incoming_edge_clauses(model)
-            dropped = len(model.solver.clauses) - len(clauses)
-            assert dropped == sum(mdd.node_count - 1 for mdd in model.diagrams.values())
-            if any(len(level) > 1 for mdd in model.diagrams.values() for level in mdd.levels):
+            clauses = without_level_at_most_one(model)
+            widths = [len(level) for mdd in model.diagrams.values() for level in mdd.levels]
+            # pairwise up to five nodes, else a counter of 3n - 4 clauses
+            assert len(model.solver.clauses) - len(clauses) == sum(
+                n * (n - 1) // 2 if n <= 5 else 3 * n - 4 for n in widths if n > 1)
+            wide += sum(n > 5 for n in widths)
+            if max(widths) > 1:
                 assert satisfiable_level_pairs(model, clauses) != []
+        assert wide > 0
+
+
+def diagram_walks(mdd, soc):
+    """Every start->goal walk of the diagram of cost at most `soc`, enumerated
+    directly."""
+    walks = [(mdd.start,)]
+    for t in range(mdd.horizon):
+        walks = [walk + (w,) for walk in walks for w in mdd.outgoing(walk[-1], t)]
+    return {walk for walk in walks if walk[-1] == mdd.goal
+            and path_cost(Path(mdd.agent, walk), mdd.goal) <= soc}
+
+
+def model_walks(model, agent):
+    """Every node set a single-agent model admits, each read as the sequence
+    of its vertices by level; found by blocking each set in turn."""
+    nodes = {var: (t, v) for (a, v, t), var in model.x.items() if a == agent}
+    found = set()
+    while (assignment := model.solve()) is not None:
+        occupied = sorted(node for var, node in nodes.items() if assignment[var])
+        found.add(tuple(v for _, v in occupied))
+        model.solver.add_clause([-var for var in nodes if assignment[var]])
+    return found
+
+
+class TestAdmittedWalks:
+    """A single-agent model admits exactly its diagram's start->goal walks
+    within the cost bound, no more and no fewer."""
+
+    def test_models_admit_exactly_the_diagram_walks(self, fix_a, fix_b, fix_c):
+        rng = random.Random(53)
+        instances = [fix_a, fix_b, fix_c] + [random_grid_instance(rng) for _ in range(12)]
+        checked = tight = 0
+        for inst in instances:
+            distances = Distances(inst.graph)
+            for a in inst.agents:
+                xi = distances.dist(a.goal)[a.start]
+                delta = rng.randint(1, 2)
+                horizon = xi + delta + rng.randint(0, 1)
+                full = build_mdd(inst, a.id, horizon, xi + delta, distances)
+                sparse = build_smdd(a.id, random_walks(full, rng, 3), horizon)
+                assert len(diagram_walks(full, xi + delta)) == count_represented_paths(full)
+                single = MapfInstance(inst.graph, [a])
+                for mdd in (full, sparse):
+                    for soc in range(xi, xi + delta + 1):
+                        model = build_model(single, {a.id: mdd}, ConflictSet(), horizon, soc,
+                                            INCOMPLETE, distances)
+                        walks = diagram_walks(mdd, soc)
+                        assert model_walks(model, a.id) == walks
+                        checked += len(walks)
+                        tight += soc < xi + delta and walks != diagram_walks(mdd, xi + delta)
+        assert checked > 500 and tight > 0

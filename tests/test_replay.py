@@ -67,6 +67,21 @@ def test_answer_difference_exits_1(tmp_path, field, value):
     assert f"{field} {reference[key][field]} -> {value}" in out.getvalue()
 
 
+def test_counter_deltas_come_with_the_first_files_totals(tmp_path):
+    reference = replayed(tmp_path, "a.jsonl")
+    changed = {k: dict(rec) for k, rec in reference.items()}
+    key = next(k for k, rec in changed.items() if rec["algo"] == "smtcbs")
+    changed[key]["conflicts"] += 3
+    out = io.StringIO()
+    assert replay.diff(reference, changed, out) == 0
+    base = sum(rec["conflicts"] for k, rec in reference.items()
+               if (k[0], k[3]) == (key[0], key[3]))
+    assert base > 0
+    line = next(line for line in out.getvalue().splitlines()
+                if line.startswith(f"{key[0]} smtcbs: "))
+    assert line.endswith(f"1 differences over 6 runs; conflicts {base} +3")
+
+
 def test_missing_run_exits_1(tmp_path):
     reference = replayed(tmp_path, "a.jsonl")
     fewer = dict(list(reference.items())[1:])

@@ -364,6 +364,9 @@ def test_add_clauses_equals_repeated_add_clause(seed):
         for batch in in_batches(rng, stream):
             batched.add_clauses(batch)
         assert one.num_clauses == batched.num_clauses
+        # a clause dropped on one path is dropped on the other, watchers included
+        assert one._trail == batched._trail
+        assert one._watches == batched._watches
         got = one.solve()
         assert batched.solve() == got
         assert (one._conflict_count, one._decision_count) == (

@@ -453,8 +453,8 @@ class TestOptimalityAgreement:
                   "sparse": (8, 6, 3, 4), "heuristic": (8, 6, 3, 4)},
         0: {"mddsat": (8, 3, 0, 3), "smtcbs": (8, 7, 4, 3),
             "sparse": (8, 8, 4, 5), "heuristic": (8, 8, 4, 5)},
-        1: {"mddsat": (9, 4, 0, 4), "smtcbs": (9, 19, 16, 4),
-            "sparse": (9, 19, 16, 6), "heuristic": (9, 19, 16, 6)},
+        1: {"mddsat": (9, 4, 0, 4), "smtcbs": (9, 17, 13, 4),
+            "sparse": (9, 17, 13, 6), "heuristic": (9, 17, 13, 6)},
         2: {"mddsat": (4, 1, 0, 1), "smtcbs": (4, 1, 0, 1),
             "sparse": (4, 1, 0, 1), "heuristic": (4, 1, 0, 1)},
         3: {"mddsat": (13, 3, 0, 3), "smtcbs": (13, 7, 5, 3),

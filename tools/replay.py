@@ -14,10 +14,12 @@ The runs are the four SAT algorithms on every draw of dense-sat seeds 3 and
 file into that tree's `tools/` and run it there.
 
 `--diff` prints, per run, the fields that differ between two such files,
-then per workload and algorithm the number of differing runs and the summed
-counter deltas (second file minus first), and a last line "N differences
-over M runs". It exits 1 when a run's status or SOC differs or a run is in
-only one file, else 0. A change that keeps the search shows 0 differences.
+then per workload and algorithm the number of differing runs and, for each
+summed counter that moved, the first file's total beside the delta (second
+file minus first), as in "num_clauses 19860836 -9995343", and a last line
+"N differences over M runs". It exits 1 when a run's status or SOC differs
+or a run is in only one file, else 0. A change that keeps the search shows
+0 differences.
 """
 
 from __future__ import annotations
@@ -136,10 +138,12 @@ def diff(a: dict[tuple, dict], b: dict[tuple, dict], out=None) -> int:
         ra, rb = a[key], b[key]
         fields = [f for f in ra if f not in KEY and ra[f] != rb.get(f)]
         group = groups.setdefault((key[0], key[3]), {
-            "runs": 0, "differ": 0, **dict.fromkeys(COUNTERS, 0)})
+            "runs": 0, "differ": 0, "base": dict.fromkeys(COUNTERS, 0),
+            "delta": dict.fromkeys(COUNTERS, 0)})
         group["runs"] += 1
         for name, count in COUNTERS.items():
-            group[name] += count(rb) - count(ra)
+            group["base"][name] += count(ra)
+            group["delta"][name] += count(rb) - count(ra)
         if not fields:
             continue
         group["differ"] += 1
@@ -149,7 +153,8 @@ def diff(a: dict[tuple, dict], b: dict[tuple, dict], out=None) -> int:
         if "status" in fields or "soc" in fields:
             code = 1
     for (workload, algo), group in sorted(groups.items()):
-        deltas = ", ".join(f"{name} {group[name]:+d}" for name in COUNTERS if group[name])
+        deltas = ", ".join(f"{name} {group['base'][name]} {group['delta'][name]:+d}"
+                           for name in COUNTERS if group["delta"][name])
         print(f"{workload} {algo}: {group['differ']} differences over {group['runs']} runs"
               + (f"; {deltas}" if deltas else ""), file=out)
     differ = sum(g["differ"] for g in groups.values()) + len(a.keys() ^ b.keys())
