@@ -30,7 +30,7 @@ from typing import Hashable, Iterable, Mapping, Optional
 
 from .diagrams import Mdd
 from .instance import Collision, MapfInstance, Path, Solution, Vertex
-from .pathing import ConflictSet, Distances
+from .pathing import ConflictSet
 from .pathing import bfs_distances  # noqa: F401  the layer tracer wraps this name here
 from .satif import CdclSolver
 
@@ -115,10 +115,11 @@ def build_model(
     horizon: int,
     soc: int,
     mode: str,
-    distances: Distances,
+    xi: Mapping[Hashable, int],
     solver: CdclSolver | None = None,
 ) -> BooleanModel:
-    """Fresh solver instance encoding the diagrams under the given bounds.
+    """Fresh solver instance encoding the diagrams under the given bounds;
+    `xi` maps each agent id to its shortest-path cost.
 
     Variables are allocated agent by agent. Clauses reach the solver in
     emission order, in batches no larger than one agent's clauses or one
@@ -132,9 +133,6 @@ def build_model(
     for a in agents:
         if diagrams[a.id].horizon != horizon:
             raise ValueError(f"diagram of agent {a.id!r} has mismatched horizon")
-    xi = {a.id: distances.dist(a.goal).get(a.start) for a in agents}
-    if any(d is None for d in xi.values()):
-        raise ValueError("some agent cannot reach its goal")
     delta = soc - sum(xi.values())
     if delta < 0:
         raise ValueError(f"sum-of-costs {soc} below the shortest-path total")

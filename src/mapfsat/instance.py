@@ -272,45 +272,63 @@ class Collision:
 
 
 def validate_solution(instance: MapfInstance, solution: Solution) -> list[Collision]:
-    """All vertex and edge collisions, ordered by timestep then agent indices."""
+    """All vertex and edge collisions, ordered by timestep, then the agents'
+    instance indices, then vertex before edge."""
     paths = solution.paths
     if len({p.length for p in paths}) > 1:
         raise InstanceError("solution paths are not padded to a common horizon")
-    horizon = solution.horizon
     out: list[Collision] = []
-    for t in range(horizon + 1):
-        occupied: dict[Vertex, list[int]] = {}
-        for i, p in enumerate(paths):
-            occupied.setdefault(p.positions[t], []).append(i)
-        for v, idxs in occupied.items():
-            for ai in range(len(idxs)):
-                for aj in range(ai + 1, len(idxs)):
-                    i, j = idxs[ai], idxs[aj]
-                    out.append(Collision("vertex", (paths[i].agent, paths[j].agent), v, t))
-        if t == horizon:
-            break
-        moving: dict[tuple[Vertex, Vertex], list[int]] = {}
-        for i, p in enumerate(paths):
-            u, v = p.positions[t], p.positions[t + 1]
-            if u != v:
-                moving.setdefault((u, v), []).append(i)
-        for (u, v), idxs in moving.items():
-            opposite = moving.get((v, u))
-            if not opposite:
-                continue
-            for i in idxs:
-                for j in opposite:
-                    if i < j:
-                        out.append(Collision("edge", (paths[i].agent, paths[j].agent), (u, v), t))
-
+    for i, a in enumerate(paths):
+        for b in paths[i + 1:]:
+            out += _pair_collisions(a, b)
     out.sort(key=lambda c: collision_key(instance, c))
+    return out
+
+
+def child_collisions(instance: MapfInstance, parent: list[Collision],
+                     paths: dict[Hashable, Path], replanned: Hashable) -> list[Collision]:
+    """`validate_solution`'s list for `paths` (agent id -> path), where
+    `parent` is that list before `replanned` got its current path.
+
+    Only pairs with `replanned` can change. The parent's other collisions stay
+    as they are even when the common horizon grows or shrinks: past their own
+    lengths, agents wait at distinct goals and cannot collide with each other.
+    """
+    out = [c for c in parent if replanned not in c.agents]
+    horizon = max(p.length for p in paths.values())
+    mine = paths[replanned].padded(horizon)
+    i = instance.agent_index(replanned)
+    for j, agent in enumerate(instance.agents):
+        if j != i:
+            theirs = paths[agent.id].padded(horizon)
+            out += _pair_collisions(mine, theirs) if i < j else _pair_collisions(theirs, mine)
+    out.sort(key=lambda c: collision_key(instance, c))
+    return out
+
+
+def _pair_collisions(a: Path, b: Path) -> list[Collision]:
+    """Collisions of two paths padded to one horizon, in timestep order.
+
+    `a` is the lower-index agent's path, so an edge collision's location is
+    `a`'s move. A pair collides at most once per timestep: a swap needs both
+    agents to move, and then they are apart at that step.
+    """
+    pa, pb = a.positions, b.positions
+    pair = (a.agent, b.agent)
+    last = len(pa) - 1
+    out = []
+    for t, u in enumerate(pa):
+        w = pb[t]
+        if u == w:
+            out.append(Collision("vertex", pair, u, t))
+        elif t < last and u == pb[t + 1] and pa[t + 1] == w:
+            out.append(Collision("edge", pair, (u, w), t))
     return out
 
 
 def collision_key(instance: MapfInstance, c: Collision) -> tuple[int, int, int, int]:
     """Sort key of `validate_solution`'s list: timestep, then the agents'
     instance indices, then vertex before edge."""
-    # a pair of agents collides at most once per kind and timestep
     i = instance.agent_index(c.agents[0])
     j = instance.agent_index(c.agents[1])
     return (c.t, i, j, 0 if c.kind == "vertex" else 1)

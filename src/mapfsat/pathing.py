@@ -143,13 +143,10 @@ def constrained_shortest_path(
     f0 = 0 if start == goal else dist_goal[start]
     heap = [(f0, 0, start, (start, None))]
     best = {(start, 0): f0}
-    settled: set[tuple[Vertex, int]] = set()
     while heap:
         f, t, v, node = heapq.heappop(heap)
-        key = (v, t)
-        if key in settled:
+        if f != best[(v, t)]:  # stale: the state was pushed again at a lower f
             continue
-        settled.add(key)
         if v == goal and t >= earliest_stop:
             positions = []
             cur = node
@@ -176,7 +173,8 @@ def constrained_shortest_path(
                 f2 = t1
             if f2 > cost_bound:
                 continue
-            # f never drops along a move, so a settled state's best is <= f2
+            # f never drops along a move, so a popped state's best is <= f2
+            # and it is never pushed again
             state = (w, t1)
             if best.get(state, f2 + 1) <= f2:
                 continue

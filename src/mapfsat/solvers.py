@@ -55,7 +55,7 @@ from .instance import (
     MapfInstance,
     Path,
     Solution,
-    collision_key,
+    child_collisions,
     path_cost,
     sum_of_costs,
     validate_solution,
@@ -88,7 +88,8 @@ class _CapExceeded(Exception):
 
 class ConfigError(ValueError):
     """An unusable setting: a time limit that is not positive, a cost cap below
-    the shortest-path total, an unknown algorithm, or a bench count below 1."""
+    the shortest-path total, an unknown algorithm, a bench count below 1, or a
+    bench suite that is not a directory."""
 
 
 class Deadline:
@@ -306,35 +307,6 @@ def _branch_on(instance: MapfInstance, collisions: list[Collision],
     return semi or collisions[0]
 
 
-def child_collisions(instance: MapfInstance, parent: list[Collision],
-                     paths: dict[Hashable, Path], replanned: Hashable) -> list[Collision]:
-    """`validate_solution`'s list for `paths` (agent id -> path), where
-    `parent` is that list before `replanned` got its current path.
-
-    Only pairs with `replanned` can change. The parent's other collisions stay
-    as they are even when the common horizon grows or shrinks: past their own
-    lengths, agents wait at distinct goals and cannot collide with each other.
-    """
-    out = [c for c in parent if replanned not in c.agents]
-    horizon = max(p.length for p in paths.values())
-    mine = paths[replanned].padded(horizon).positions
-    i = instance.agent_index(replanned)
-    for j, agent in enumerate(instance.agents):
-        if j == i:
-            continue
-        theirs = paths[agent.id].padded(horizon).positions
-        # an edge collision's location is the lower-index agent's direction
-        pair, first = ((replanned, agent.id), mine) if i < j else ((agent.id, replanned), theirs)
-        for t in range(horizon + 1):
-            v = mine[t]
-            if v == theirs[t]:
-                out.append(Collision("vertex", pair, v, t))
-            elif t < horizon and v == theirs[t + 1] and mine[t + 1] == theirs[t]:
-                out.append(Collision("edge", pair, (first[t], first[t + 1]), t))
-    out.sort(key=lambda c: collision_key(instance, c))
-    return out
-
-
 # ----------------------------------------------------------------- SAT solvers
 
 
@@ -429,7 +401,7 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
                 for a in instance.agents
             }
             # long single SAT calls poll the deadline between conflicts
-            model = build_model(instance, diagrams, conflicts, horizon, soc, mode, distances,
+            model = build_model(instance, diagrams, conflicts, horizon, soc, mode, xi,
                                 solver=CdclSolver(interrupt=deadline.check))
             stats.iterations.append(IterationStat(
                 soc=soc,

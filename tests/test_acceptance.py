@@ -214,6 +214,7 @@ def test_criterion_5_model_definitions():
                 xi = [bfs_distances(g, a.start).get(a.goal) for a in inst.agents]
                 if any(x is None for x in xi):
                     continue
+                costs = {a.id: x for a, x in zip(inst.agents, xi)}
                 soc0, mu0 = sum(xi), max(xi)
                 oracle = brute_force_oracle(inst, soc0 + 2)
                 opt = oracle.soc if oracle.solved else None
@@ -225,7 +226,7 @@ def test_criterion_5_model_definitions():
                         for i, a in enumerate(inst.agents)
                     }
                     complete = build_model(
-                        inst, diagrams, ConflictSet(), mu, soc, COMPLETE, distances
+                        inst, diagrams, ConflictSet(), mu, soc, COMPLETE, costs
                     )
                     sat = complete.solve() is not None
                     solvable = opt is not None and opt <= soc
@@ -233,7 +234,7 @@ def test_criterion_5_model_definitions():
                         mismatches += 1
                     if solvable:
                         incomplete = build_model(
-                            inst, diagrams, ConflictSet(), mu, soc, INCOMPLETE, distances
+                            inst, diagrams, ConflictSet(), mu, soc, INCOMPLETE, costs
                         )
                         if incomplete.solve() is None:
                             mismatches += 1

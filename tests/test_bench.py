@@ -82,6 +82,12 @@ class TestRunBenchmark:
     def test_empty_suite(self, tmp_path):
         assert run_benchmark(tmp_path, ["cbs"], [2]) == []
 
+    @pytest.mark.parametrize("name", ["no-such-dir", "open8-01.scen"])
+    def test_suite_that_is_not_a_directory_raises(self, name, tmp_path):
+        (tmp_path / "open8-01.scen").write_text((SUITE / "open8-01.scen").read_text())
+        with pytest.raises(ConfigError, match="is not a directory"):
+            run_benchmark(tmp_path / name, ["cbs"], [2])
+
     def test_missing_map_gives_error_record_and_continues(self, tmp_path):
         (tmp_path / "a.scen").write_text(
             "version 1\n0\tmissing.map\t8\t8\t0\t0\t3\t0\t3\n0\tmissing.map\t8\t8\t1\t1\t4\t1\t3\n"

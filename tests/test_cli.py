@@ -213,6 +213,14 @@ def test_bench_unknown_algorithm_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_missing_suite_exits_2(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    suite = tmp_path / "no-such-suite"
+    assert main(bench_args(suite, out)) == 2
+    assert capsys.readouterr().err == f"mapf: suite {str(suite)!r} is not a directory\n"
+    assert not out.exists()
+
+
 def test_bench_bad_timeout_exits_2(tmp_path, capsys):
     out = tmp_path / "records.csv"
     for timeout in ("0", "nan"):

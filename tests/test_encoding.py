@@ -50,11 +50,12 @@ class RecordingSolver(CdclSolver):
         super().add_clauses(clauses)
 
 
+def shortest_costs(instance):
+    return {a.id: bfs_distances(instance.graph, a.start).get(a.goal) for a in instance.agents}
+
+
 def full_model(instance, delta=0, mode=INCOMPLETE, conflicts=None, solver=None):
-    xi = {
-        a.id: bfs_distances(instance.graph, a.start).get(a.goal)
-        for a in instance.agents
-    }
+    xi = shortest_costs(instance)
     soc = sum(xi.values()) + delta
     horizon = max(xi.values()) + delta
     distances = Distances(instance.graph)
@@ -64,7 +65,7 @@ def full_model(instance, delta=0, mode=INCOMPLETE, conflicts=None, solver=None):
     }
     return build_model(
         instance, diagrams, conflicts if conflicts is not None else ConflictSet(),
-        horizon, soc, mode, distances, solver=solver,
+        horizon, soc, mode, xi, solver=solver,
     )
 
 
@@ -102,7 +103,7 @@ class TestBuildModel:
             "a2": build_smdd("a2", [Path("a2", ("v11", "v01", "v00"))], 2),
         }
         model = build_model(fix_b, diagrams, ConflictSet(), 2, 4, INCOMPLETE,
-                            Distances(fix_b.graph))
+                            shortest_costs(fix_b))
         assert model.solve() is not None  # no collision clause yet
         add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v01", 1)])
         assert model.solve() is None
@@ -124,13 +125,13 @@ class TestBuildModel:
             "a2": build_mdd(fix_b, "a2", 3, 3, distances),
         }
         with pytest.raises(ValueError):
-            build_model(fix_b, diagrams, ConflictSet(), 2, 4, INCOMPLETE, distances)
+            build_model(fix_b, diagrams, ConflictSet(), 2, 4, INCOMPLETE, shortest_costs(fix_b))
 
     def test_negative_slack_rejected(self, fix_b):
         distances = Distances(fix_b.graph)
         diagrams = {a.id: build_mdd(fix_b, a.id, 2, 2, distances) for a in fix_b.agents}
         with pytest.raises(ValueError):
-            build_model(fix_b, diagrams, ConflictSet(), 2, 3, INCOMPLETE, distances)
+            build_model(fix_b, diagrams, ConflictSet(), 2, 3, INCOMPLETE, shortest_costs(fix_b))
 
 
 class TestAddConflictClauses:
@@ -458,7 +459,7 @@ def recorded_models(instance, rng, delta=2):
     # room for every agent to take its full slack
     soc = sum(xi.values()) + delta * len(xi)
     return [build_model(instance, diagrams, ConflictSet(), horizon, soc, INCOMPLETE,
-                        distances, solver=RecordingSolver())
+                        xi, solver=RecordingSolver())
             for diagrams in (full, sparse)]
 
 
@@ -576,7 +577,7 @@ class TestAdmittedWalks:
                 for mdd in (full, sparse):
                     for soc in range(xi, xi + delta + 1):
                         model = build_model(single, {a.id: mdd}, ConflictSet(), horizon, soc,
-                                            INCOMPLETE, distances)
+                                            INCOMPLETE, {a.id: xi})
                         walks = diagram_walks(mdd, soc)
                         assert model_walks(model, a.id) == walks
                         checked += len(walks)

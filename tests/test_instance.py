@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from mapfsat import (
     Path,
     ScenParseError,
     Solution,
+    bfs_distances,
     build_instance,
     parse_map,
     parse_scen,
@@ -24,6 +26,8 @@ from mapfsat import (
     sum_of_costs,
     validate_solution,
 )
+
+from conftest import random_grid_instance
 
 
 def map_text(rows: list[str]) -> str:
@@ -260,45 +264,45 @@ class TestValidateSolution:
         assert validate_solution(fix_b, sol) == []
 
     def test_matches_naive_double_loop(self, fix_b):
+        def walk(inst, agent):
+            # up to six random moves, then a shortest way to the goal
+            dist = bfs_distances(inst.graph, agent.goal)
+            pos = [agent.start]
+            for _ in range(rng.randint(0, 6)):
+                pos.append(rng.choice(inst.graph.moves(pos[-1])))
+            while pos[-1] != agent.goal:
+                pos.append(min(inst.graph.neighbors(pos[-1]), key=dist.__getitem__))
+            return Path(agent.id, tuple(pos))
+
         rng = random.Random(11)
-        graph = fix_b.graph
-        for _ in range(80):
-            paths = []
-            for a in fix_b.agents:
-                pos = [a.start]
-                for _ in range(4):
-                    pos.append(rng.choice((pos[-1], *graph.neighbors(pos[-1]))))
-                # steer the tail to the goal so Solution construction accepts it
-                while pos[-1] != a.goal:
-                    here = pos[-1]
-                    step = min(
-                        (here, *graph.neighbors(here)),
-                        key=lambda v: (v != a.goal, v),
-                    )
-                    if step == here:
-                        step = graph.neighbors(here)[0]
-                    pos.append(step)
-                paths.append(Path(a.id, tuple(pos)))
-            sol = Solution.from_paths(fix_b, paths)
-            got = {
-                (c.kind, c.agents, str(c.location), c.t)
-                for c in validate_solution(fix_b, sol)
-            }
-            naive = set()
+        instances = [fix_b] * 80 + [random_grid_instance(rng, agents=(3, 6)) for _ in range(300)]
+        seen = Counter()
+        for inst in instances:
+            sol = Solution.from_paths(inst, [walk(inst, a) for a in inst.agents])
+            got = [(c.kind, c.agents, c.location, c.t) for c in validate_solution(inst, sol)]
+            # every pair at every step, ordered by (t, i, j, vertex before edge)
+            naive = []
             ps = sol.paths
             for i in range(len(ps)):
                 for j in range(i + 1, len(ps)):
                     for t in range(sol.horizon + 1):
                         if ps[i].positions[t] == ps[j].positions[t]:
-                            naive.add(("vertex", (ps[i].agent, ps[j].agent),
-                                       str(ps[i].positions[t]), t))
+                            naive.append(((t, i, j, 0), ("vertex", (ps[i].agent, ps[j].agent),
+                                                         ps[i].positions[t], t)))
                         if t < sol.horizon:
                             ui, vi = ps[i].positions[t], ps[i].positions[t + 1]
                             uj, vj = ps[j].positions[t], ps[j].positions[t + 1]
                             if ui != vi and ui == vj and vi == uj:
-                                naive.add(("edge", (ps[i].agent, ps[j].agent),
-                                           str((ui, vi)), t))
-            assert got == naive
+                                naive.append(((t, i, j, 1), ("edge", (ps[i].agent, ps[j].agent),
+                                                             (ui, vi), t)))
+            naive.sort(key=lambda n: n[0])
+            assert got == [entry for _, entry in naive]
+            seen["shared by three"] += any(
+                max(Counter(p.positions[t] for p in ps).values()) >= 3
+                for t in range(sol.horizon + 1)
+            )
+            seen["swap"] += any(kind == "edge" for kind, *_ in got)
+        assert seen["shared by three"] > 0 and seen["swap"] > 0, seen
 
 
 class TestSolution:
