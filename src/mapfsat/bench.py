@@ -118,12 +118,16 @@ def run_benchmark(
     """One record per (scenario, agent count, algorithm), in stable order.
 
     Raises ConfigError, before any run starts, on a `suite_dir` that is not a
-    directory, an unknown algorithm, an agent count, per-count or worker
-    count below 1, or a time limit that is not positive. A directory without
-    scenario files gives no records.
+    directory, no algorithm or agent count, an unknown algorithm, an agent
+    count, per-count or worker count below 1, or a time limit that is not
+    positive. A directory without scenario files gives no records.
     """
     if not FsPath(suite_dir).is_dir():
         raise ConfigError(f"suite {str(suite_dir)!r} is not a directory")
+    if not algorithms:
+        raise ConfigError("no algorithm given")
+    if not agent_counts:
+        raise ConfigError("no agent count given")
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")

@@ -6,12 +6,13 @@ or scenario file that is missing, unreadable or fails to parse, an agent
 count below 1 or beyond the scenario, a start or goal on a blocked cell, a
 `--timeout` that is not positive (NaN included), a `--cost-cap` below the
 sum of shortest-path costs, or an `--out` path that cannot be opened for
-writing. For `bench` it is a `--suite` that is not a directory, an unknown
-name in `--algos`, an `--agents` entry that is not an integer or is below 1,
-a `--per-count` or `--workers` below 1, a `--timeout` that is not positive
-(NaN included), a `--csv` path that cannot be opened for writing, or a map
-or scenario file that fails to parse; other unusable inputs become `error`
-records with a reason and leave the exit code at 0. Both commands check that
+writing. For `bench` it is a `--suite` that is not a directory, an
+`--algos` or `--agents` list with no entry (`--algos ,`, `--agents ""`), an
+unknown name in `--algos`, an `--agents` entry that is not an integer or is
+below 1, a `--per-count` or `--workers` below 1, a `--timeout` that is not
+positive (NaN included), a `--csv` path that cannot be opened for writing,
+or a map or scenario file that fails to parse; other unusable inputs become
+`error` records with a reason and leave the exit code at 0. Both commands check that
 their output file can be written before they solve, without truncating it,
 so an unwritable path costs no run; the output is written when the command
 is done. Bad input found after that check leaves a file that was already

@@ -10,7 +10,8 @@ representable as a side effect.
 A diagram keeps its levels and out-edge lists in the ids' order, as its
 builder hands them over: the full build sweeps forward from the start, sorts
 each level and filters `Graph.moves`; the sparse build, whose paths arrive in
-any order, sorts both.
+any order, sorts both. CBS runs the same forward sweep (`walk_levels`) under
+an agent's constraints and reads only the level widths.
 """
 
 from __future__ import annotations
@@ -18,8 +19,12 @@ from __future__ import annotations
 from typing import Hashable, Sequence
 
 from .instance import MapfInstance, Path, Vertex
-from .pathing import Distances
+from .pathing import AgentConflicts, Distances
 from .pathing import bfs_distances  # noqa: F401  the layer tracer wraps this name here
+
+
+Levels = tuple[tuple[Vertex, ...], ...]
+OutEdges = dict[tuple[int, Vertex], tuple[Vertex, ...]]  # (t, u) -> heads at t + 1
 
 
 class InfeasibleAgentError(ValueError):
@@ -30,8 +35,7 @@ class Mdd:
     """Per-agent leveled DAG of time-expanded nodes, kept as its builder orders it."""
 
     def __init__(self, agent: Hashable, horizon: int,
-                 levels: tuple[tuple[Vertex, ...], ...],
-                 out: dict[tuple[int, Vertex], tuple[Vertex, ...]]):
+                 levels: Levels, out: OutEdges):
         if len(levels) != horizon + 1:
             raise ValueError(f"expected {horizon + 1} levels, got {len(levels)}")
         if len(levels[0]) != 1:
@@ -67,17 +71,11 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
               cost_bound: int, distances: Distances) -> Mdd:
     """Full diagram of every start->goal path within the horizon and cost bound.
 
-    The levels are swept forward from the start: level t + 1 holds the moves
-    of level-t nodes that are the goal or can still reach it within the
-    bound. That is the vertex set with dist(start, v) <= t <= bound -
-    dist(v, goal), and only the goal's distance table is read. The goal node
-    persists at every level from the earliest arrival onward, so trailing
-    goal waits stay representable and free.
+    The goal node persists at every level from the earliest arrival onward,
+    so trailing goal waits stay representable and free.
     """
     agent = instance.agent(agent_id)
-    goal = agent.goal
-    dist_goal = distances.dist(goal)
-    xi = dist_goal.get(agent.start)
+    xi = distances.dist(agent.goal).get(agent.start)
     if xi is None:
         raise InfeasibleAgentError(f"goal of agent {agent_id!r} is unreachable")
     if cost_bound < xi:
@@ -86,24 +84,62 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
         raise InfeasibleAgentError(
             f"agent {agent_id!r} cannot reach its goal within horizon {horizon}"
         )
+    levels, out = walk_levels(instance, agent_id, horizon, cost_bound, distances,
+                              AgentConflicts())
+    return Mdd(agent_id, horizon, levels, out)
+
+
+def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_bound: int,
+                distances: Distances, avoid: AgentConflicts) -> tuple[Levels, OutEdges]:
+    """Levels and out-edges of the agent's start->goal walks of `horizon`
+    steps that cost at most `cost_bound` and keep clear of `avoid`.
+
+    Level t + 1 holds the moves of level-t nodes that are the goal or can
+    still reach it within the bound, less what `avoid` bans at t + 1 or cuts
+    at t. Entries can leave a node with no move onward, so only then are the
+    levels pruned backward from the goal. With no such walk, every level is
+    empty and there are no out-edges.
+    """
+    agent = instance.agent(agent_id)
+    start, goal = agent.start, agent.goal
+    dist_goal = distances.dist(goal)
     bound = min(cost_bound, horizon)
+    # `avoid` indexed once: banned vertices per level, cut moves per step
+    banned: dict[int, set[Vertex]] = {}
+    for v, t in avoid.vertex:
+        banned.setdefault(t, set()).add(v)
+    cut: dict[int, set[tuple[Vertex, Vertex]]] = {}
+    for move, t in avoid.edge:
+        cut.setdefault(t, set()).add(move)
+    if dist_goal.get(start, bound + 1) > bound or start in banned.get(0, ()):
+        return ((),) * (horizon + 1), {}
 
     # Graph.moves(u) is in the ids' order, so each out-edge list is as well.
-    # No pruning pass: on an undirected graph where agents may wait, every
-    # node swept here lies on a start->goal walk within the bound (checked by
-    # test_matches_brute_force_expansion).
+    # Without entries there is no pruning pass: on an undirected graph where
+    # agents may wait, every node swept here lies on a start->goal walk within
+    # the bound (checked by test_matches_brute_force_expansion).
     moves = instance.graph.moves
-    levels = [(agent.start,)]
+    levels = [(start,)]
     out = {}
     for t in range(horizon):
         slack = bound - (t + 1)
+        ban, cuts = banned.get(t + 1, ()), cut.get(t, ())
         reached: set[Vertex] = set()
         for u in levels[t]:
-            heads = tuple([w for w in moves(u) if w == goal or dist_goal[w] <= slack])
-            out[(t, u)] = heads
+            heads = [w for w in moves(u) if w == goal or dist_goal[w] <= slack]
+            if ban or cuts:
+                heads = [w for w in heads if w not in ban and (u, w) not in cuts]
+            out[(t, u)] = tuple(heads)
             reached.update(heads)
         levels.append(tuple(sorted(reached)))
-    return Mdd(agent_id, horizon, tuple(levels), out)
+    if banned or cut:
+        for t in range(horizon - 1, -1, -1):
+            later = set(levels[t + 1])
+            for u in levels[t]:
+                out[(t, u)] = tuple([w for w in out[(t, u)] if w in later])
+            levels[t] = tuple([u for u in levels[t] if out[(t, u)]])
+        out = {key: heads for key, heads in out.items() if heads}
+    return tuple(levels), out
 
 
 def build_smdd(agent_id: Hashable, paths: Sequence[Path], horizon: int) -> Mdd:

@@ -295,25 +295,29 @@ def child_collisions(instance: MapfInstance, parent: list[Collision],
     lengths, agents wait at distinct goals and cannot collide with each other.
     """
     out = [c for c in parent if replanned not in c.agents]
-    horizon = max(p.length for p in paths.values())
-    mine = paths[replanned].padded(horizon)
+    mine = paths[replanned]
     i = instance.agent_index(replanned)
     for j, agent in enumerate(instance.agents):
         if j != i:
-            theirs = paths[agent.id].padded(horizon)
+            theirs = paths[agent.id]
             out += _pair_collisions(mine, theirs) if i < j else _pair_collisions(theirs, mine)
     out.sort(key=lambda c: collision_key(instance, c))
     return out
 
 
 def _pair_collisions(a: Path, b: Path) -> list[Collision]:
-    """Collisions of two paths padded to one horizon, in timestep order.
+    """Collisions of two paths in timestep order; each waits past its end.
 
     `a` is the lower-index agent's path, so an edge collision's location is
     `a`'s move. A pair collides at most once per timestep: a swap needs both
     agents to move, and then they are apart at that step.
     """
     pa, pb = a.positions, b.positions
+    if len(pa) != len(pb):
+        # the shorter one waits at its last position up to the pair's horizon
+        n = max(len(pa), len(pb))
+        pa = pa + pa[-1:] * (n - len(pa))
+        pb = pb + pb[-1:] * (n - len(pb))
     pair = (a.agent, b.agent)
     last = len(pa) - 1
     out = []

@@ -11,9 +11,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from typing import TYPE_CHECKING, Hashable, Optional
 
 from .instance import Collision, Graph, MapfInstance, Path, Vertex
+
+if TYPE_CHECKING:
+    from .diagrams import Mdd
 
 VertexConflict = tuple[Vertex, int]          # agent must not occupy v at t
 EdgeConflict = tuple[tuple[Vertex, Vertex], int]  # agent must not traverse u->v at t
@@ -183,45 +186,6 @@ def constrained_shortest_path(
     return None
 
 
-def level_widths(instance: MapfInstance, agent_id: Hashable, avoid: AgentConflicts,
-                 cost: int, distances: Distances) -> list[int]:
-    """Width of each level 0..cost of the diagram of the agent's start->goal
-    walks of length `cost` that keep clear of `avoid`.
-
-    Levels are swept forward from `(start, 0)` under the filter of
-    `constrained_shortest_path` and the bound `t + dist(v, goal) <= cost`,
-    then pruned backward from `(goal, cost)`. When `cost` is the agent's
-    least cost under `avoid`, these walks are its minimum-cost paths, and a
-    level of width 1 is a vertex every one of them occupies. All zeros when
-    no such walk exists.
-    """
-    agent = instance.agent(agent_id)
-    start = agent.start
-    dist_goal = distances.dist(agent.goal)
-    avoid_vertex, avoid_edge, moves = avoid.vertex, avoid.edge, instance.graph.moves
-
-    ok = (start, 0) not in avoid_vertex and dist_goal.get(start, cost + 1) <= cost
-    levels = [{start} if ok else set()]
-    for t in range(cost):
-        t1 = t + 1
-        level = set()
-        for v in levels[t]:
-            for w in moves(v):
-                if (w in level or t1 + dist_goal.get(w, cost) > cost or (w, t1) in avoid_vertex
-                        or (w != v and ((v, w), t) in avoid_edge)):
-                    continue
-                level.add(w)
-        levels.append(level)
-    # a kept vertex keeps a move into the next level: its vertex entries held
-    # on the way forward, so only the edge entries are checked again
-    for t in range(cost - 1, -1, -1):
-        later = levels[t + 1]
-        levels[t] = {v for v in levels[t]
-                     if any(w in later and (w == v or ((v, w), t) not in avoid_edge)
-                            for w in moves(v))}
-    return [len(level) for level in levels]
-
-
 def shortest_path(instance: MapfInstance, agent_id: Hashable,
                   distances: Distances) -> Optional[Path]:
     """Deterministic unconstrained shortest path for one agent."""
@@ -233,18 +197,10 @@ def shortest_path(instance: MapfInstance, agent_id: Hashable,
                                      distances)
 
 
-def _padded_steps(paths: Iterable[Path], horizon: int) -> set[tuple[int, Vertex, Vertex]]:
-    steps = set()
-    for p in paths:
-        pos = p.padded(horizon).positions
-        steps.update((t, pos[t], pos[t + 1]) for t in range(horizon))
-    return steps
-
-
 def new_and_path(
     instance: MapfInstance,
     agent_id: Hashable,
-    candidate_paths: Iterable[Path],
+    mdd: Mdd,
     conflicts: AgentConflicts,
     horizon: int,
     cost_bound: int,
@@ -253,19 +209,17 @@ def new_and_path(
     """Shortest path avoiding every conflict of the agent at once.
 
     Returns None when no such path exists within the bounds, or when the
-    found path is already represented by the sparse diagram of the candidate
-    set (adding it again would change nothing).
+    found path is already represented by `mdd`, the agent's current sparse
+    diagram: every step of the path padded to `horizon` is one of its
+    out-edges (adding the path would change nothing).
     """
     path = constrained_shortest_path(instance, agent_id, conflicts, horizon, cost_bound,
                                      distances)
     if path is None:
         return None
-    candidates = list(candidate_paths)
-    if candidates:
-        represented = _padded_steps(candidates, horizon)
-        pos = path.padded(horizon).positions
-        if all((t, pos[t], pos[t + 1]) in represented for t in range(horizon)):
-            return None
+    pos = path.padded(horizon).positions
+    if all(pos[t + 1] in mdd.outgoing(pos[t], t) for t in range(horizon)):
+        return None
     return path
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Hashable
 
-from .diagrams import InfeasibleAgentError, build_mdd, build_smdd
+from .diagrams import InfeasibleAgentError, build_mdd, build_smdd, walk_levels
 from .encoding import (
     COMPLETE,
     INCOMPLETE,
@@ -66,7 +66,6 @@ from .pathing import (
     Distances,
     bfs_distances,  # noqa: F401  the layer tracer wraps this name here
     constrained_shortest_path,
-    level_widths,
     new_and_path,
     new_or_paths,
     shortest_path,
@@ -88,8 +87,8 @@ class _CapExceeded(Exception):
 
 class ConfigError(ValueError):
     """An unusable setting: a time limit that is not positive, a cost cap below
-    the shortest-path total, an unknown algorithm, a bench count below 1, or a
-    bench suite that is not a directory."""
+    the shortest-path total, an unknown algorithm, an empty bench list, a bench
+    count below 1, or a bench suite that is not a directory."""
 
 
 class Deadline:
@@ -124,13 +123,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationStat:
-    """One low-level model build: bounds, per-agent diagram sizes, and its
-    decision variables, which are the diagram nodes only."""
+    """One low-level model build: bounds and per-agent diagram sizes. The
+    diagram nodes are the model's only decision variables."""
 
     soc: int
     makespan: int
     nodes_per_agent: tuple[int, ...]
-    decision_vars: int
     full_mdd: tuple[bool, ...]
 
 
@@ -236,7 +234,7 @@ def _cbs(instance, deadline, stats, distances, xi, cap):
     heap = [(soc0, len(root_collisions), next(counter), root_constraints, root_paths,
              root_collisions)]
     expanded: set = set()
-    widths: dict = {}  # (agent, constraints, cost) -> level_widths, for this solve
+    widths: dict = {}  # (agent, constraints, cost) -> level widths, for this solve
     while heap:
         deadline.check()
         soc, _, _, constraints, paths, collisions = heapq.heappop(heap)
@@ -284,7 +282,8 @@ def _branch_on(instance: MapfInstance, collisions: list[Collision],
     constraints makes the same move, so that avoiding the collision raises
     the agent's cost: a vertex collision at a level of width 1 or at or after
     the agent's arrival, an edge collision between two levels of width 1.
-    `widths` caches `level_widths` per agent, constraints and cost.
+    `widths` caches `walk_levels`' level widths per agent, constraints and
+    cost; the sweep is called directly, so that CBS counts no diagram build.
     """
     def cardinal(agent_id, c):
         cost = path_cost(paths[agent_id], instance.agent(agent_id).goal)
@@ -293,8 +292,9 @@ def _branch_on(instance: MapfInstance, collisions: list[Collision],
         key = (agent_id, constraints[agent_id], cost)
         w = widths.get(key)
         if w is None:
-            w = widths[key] = level_widths(instance, agent_id, constraints[agent_id], cost,
-                                           distances)
+            levels, _ = walk_levels(instance, agent_id, cost, cost, distances,
+                                    constraints[agent_id])
+            w = widths[key] = [len(level) for level in levels]
         return w[c.t] == 1 and (c.kind == "vertex" or w[c.t + 1] == 1)
 
     semi = None
@@ -407,7 +407,6 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
                 soc=soc,
                 makespan=horizon,
                 nodes_per_agent=tuple(diagrams[a.id].node_count for a in instance.agents),
-                decision_vars=len(model.x),
                 full_mdd=tuple(candidates[a.id] is None for a in instance.agents),
             ))
         deadline.check()
@@ -430,18 +429,18 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
             )
         stats.conflicts += len(collisions)
         add_conflict_clauses(model, collisions)
-        if _extend(instance, candidates, conflicts, collisions, horizon, bounds, extend,
-                   distances):
+        if _extend(instance, candidates, diagrams, conflicts, collisions, horizon, bounds,
+                   extend, distances):
             model = None  # diagrams changed shape: rebuild on the next pass
 
 
-def _extend(instance, candidates, conflicts, collisions, horizon, bounds, extend,
+def _extend(instance, candidates, diagrams, conflicts, collisions, horizon, bounds, extend,
             distances):
     """Grow the sparse candidate sets of the colliding agents; True if any changed.
 
-    "and" adds one path avoiding all of an agent's conflicts; "or" adds one
-    path per conflict subset. An agent with nothing new to add is promoted to
-    its full diagram.
+    "and" adds one path avoiding all of an agent's conflicts, unless its
+    current diagram represents it; "or" adds one path per conflict subset. An
+    agent with nothing new to add is promoted to its full diagram.
     """
     grown = False
     for agent_id in dict.fromkeys(a for col in collisions for a in col.agents):
@@ -450,7 +449,7 @@ def _extend(instance, candidates, conflicts, collisions, horizon, bounds, extend
             continue
         conf = conflicts.for_agent(agent_id)
         if extend == "and":
-            pi = new_and_path(instance, agent_id, known.values(), conf,
+            pi = new_and_path(instance, agent_id, diagrams[agent_id], conf,
                               horizon, bounds[agent_id], distances)
             assert pi is None or _avoids(pi, conf, horizon)
             paths = [] if pi is None else [pi]

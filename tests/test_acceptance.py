@@ -158,8 +158,8 @@ def test_criterion_4_sparsification(random_batch):
                 if it.nodes_per_agent[idx] > full.node_count:
                     violations += 1
         if (
-            sparse.stats.iterations[0].decision_vars
-            > eager.stats.iterations[0].decision_vars
+            sum(sparse.stats.iterations[0].nodes_per_agent)
+            > sum(eager.stats.iterations[0].nodes_per_agent)
         ):
             violations += 1
     check(

@@ -115,6 +115,12 @@ class TestRunBenchmark:
         with pytest.raises(ConfigError, match="per-count must be at least 1"):
             run_benchmark(SUITE, ["cbs"], [2], per_count=per_count, timeout_s=30)
 
+    @pytest.mark.parametrize("algos, counts, message", [
+        ([], [2], "no algorithm given"), (["cbs"], [], "no agent count given")])
+    def test_empty_list_rejected(self, algos, counts, message):
+        with pytest.raises(ConfigError, match=message):
+            run_benchmark(SUITE, algos, counts)
+
     def test_unknown_algorithm_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_benchmark(tmp_path, ["nope"], [2])

@@ -213,6 +213,24 @@ def test_bench_unknown_algorithm_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("algos", [",", "", " , "])
+def test_bench_empty_algorithm_list_exits_2(algos, tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    assert main(bench_args(SUITE, out, algos=algos)) == 2
+    assert capsys.readouterr().err == "mapf: no algorithm given\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("agents", ["", ",", " , "])
+def test_bench_empty_agent_count_list_exits_2(agents, tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    args = bench_args(SUITE, out)
+    args[args.index("--agents") + 1] = agents
+    assert main(args) == 2
+    assert capsys.readouterr().err == "mapf: no agent count given\n"
+    assert not out.exists()
+
+
 def test_bench_missing_suite_exits_2(tmp_path, capsys):
     out = tmp_path / "records.csv"
     suite = tmp_path / "no-such-suite"

@@ -3,9 +3,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapfsat import (
     Agent,
+    AgentConflicts,
     Graph,
     InfeasibleAgentError,
     Distances,
@@ -16,6 +19,7 @@ from mapfsat import (
     build_smdd,
     count_represented_paths,
 )
+from mapfsat.diagrams import walk_levels
 from conftest import contains_path, random_grid_instance, scrambled_grid_instance
 
 
@@ -154,6 +158,60 @@ class TestBuildMdd:
                         assert mdd.edge_count == sum(map(len, out.values()))
             checked += 1
         assert above_bound >= 500
+
+
+class TestWalkLevels:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_enumerated_walks(self, data):
+        inst = random_grid_instance(random.Random(data.draw(st.integers(0, 2**32))),
+                                    max_side=5)
+        graph = inst.graph
+        agent = data.draw(st.sampled_from(inst.agents))
+        goal = agent.goal
+        dist = bfs_distances(graph, goal)
+        xi = dist[agent.start]
+        cost = data.draw(st.integers(max(xi - 1, 0), xi + 3))
+        # CBS asks for walks of exactly `cost` steps; longer ones wait at the goal
+        horizon = data.draw(st.integers(cost, cost + 2))
+        times = st.integers(0, horizon)
+        vertex = data.draw(st.frozensets(st.tuples(st.sampled_from(graph.vertices), times),
+                                         max_size=6))
+        pairs = [(u, w) for u in graph.vertices for w in graph.neighbors(u)]
+        edge = data.draw(st.frozensets(st.tuples(st.sampled_from(pairs), times), max_size=6))
+
+        # every walk of `horizon` steps from the start that keeps clear of the
+        # entries, stands on the goal at the end and costs at most `cost`: off
+        # the goal at t, a walk costs at least t + dist(v, goal). A walk that
+        # can no longer meet this is cut short, which drops no such walk.
+        nodes = [set() for _ in range(horizon + 1)]
+        moves = set()
+
+        def extend(walk):
+            t, v = len(walk) - 1, walk[-1]
+            if (v, t) in vertex or t + dist[v] > horizon or (v != goal and t + dist[v] > cost):
+                return
+            if t == horizon:
+                for i, u in enumerate(walk):
+                    nodes[i].add(u)
+                moves.update((i, walk[i], walk[i + 1]) for i in range(horizon))
+                return
+            for w in graph.moves(v):
+                if w == v or ((v, w), t) not in edge:
+                    extend(walk + [w])
+
+        extend([agent.start])
+        levels, out = walk_levels(inst, agent.id, horizon, cost, Distances(graph),
+                                  AgentConflicts(vertex, edge))
+        # each level is the vertex set the walks occupy there, in the ids' order,
+        # and each of its nodes below the horizon lists the walks' moves out of it
+        assert levels == tuple(tuple(sorted(level)) for level in nodes)
+        assert set(out) == {(t, u) for t in range(horizon) for u in levels[t]}
+        assert {(t, u, w) for (t, u), heads in out.items() for w in heads} == moves
+        if not nodes[0]:
+            # no walk remains: every level is empty, and there are no out-edges
+            assert levels == ((),) * (horizon + 1)
+            assert out == {}
 
 
 class TestBuildSmdd:

@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapfsat import (
+    Agent,
     AgentConflicts,
     ConflictSet,
     Distances,
+    MapfInstance,
     Path,
     bfs_distances,
+    build_smdd,
     constrained_shortest_path,
     new_and_path,
     new_or_paths,
@@ -219,71 +222,53 @@ class TestConstrainedShortestPath:
         assert (constrained_shortest_path(*args, Distances(graph), min_length)
                 == counter_search(*args, min_length))
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_level_widths_match_enumerated_walks(self, data):
-        inst = random_grid_instance(random.Random(data.draw(st.integers(0, 2**32))),
-                                    max_side=5)
-        graph = inst.graph
-        agent = data.draw(st.sampled_from(inst.agents))
-        xi = bfs_distances(graph, agent.goal)[agent.start]
-        cost = data.draw(st.integers(max(xi - 1, 0), xi + 3))
-        times = st.integers(0, cost)
-        vertex = data.draw(st.frozensets(st.tuples(st.sampled_from(graph.vertices), times),
-                                         max_size=6))
-        steps = [(u, w) for u in graph.vertices for w in graph.neighbors(u)]
-        edge = data.draw(st.frozensets(st.tuples(st.sampled_from(steps), times), max_size=6))
-
-        # every walk of `cost` steps from the start that keeps clear of the
-        # entries and stands on the goal at the end; a walk whose remaining
-        # steps cannot reach the goal is cut short, which drops no such walk
-        dist = bfs_distances(graph, agent.goal)
-        seen = [set() for _ in range(cost + 1)]
-
-        def extend(walk):
-            t, v = len(walk) - 1, walk[-1]
-            if (v, t) in vertex or dist[v] > cost - t:
-                return
-            if t == cost:
-                for i, u in enumerate(walk):
-                    seen[i].add(u)
-                return
-            for w in graph.moves(v):
-                if w == v or ((v, w), t) not in edge:
-                    extend(walk + [w])
-
-        extend([agent.start])
-        widths = pathing.level_widths(inst, agent.id, AgentConflicts(vertex, edge), cost,
-                                      Distances(graph))
-        assert widths == [len(level) for level in seen]
-
 
 class TestNewAndPath:
+    @staticmethod
+    def shortest_diagram(instance, horizon):
+        """The sparse diagram of a1's candidate set {its shortest path}."""
+        return build_smdd("a1", [shortest_path(instance, "a1", Distances(instance.graph))],
+                          horizon)
+
     def test_single_conflict(self, fix_a):
-        p = new_and_path(fix_a, "a1", [], vconf(("v2", 1)), 3, 3, Distances(fix_a.graph))
+        p = new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 3), vconf(("v2", 1)), 3, 3,
+                         Distances(fix_a.graph))
         assert p.positions == ("v1", "v1", "v2", "v3")
 
     def test_unavoidable_pair_gives_empty(self, fix_a):
         conf = vconf(("v2", 1), ("v2", 2))
-        assert new_and_path(fix_a, "a1", [], conf, 3, 3, Distances(fix_a.graph)) is None
+        assert new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 3), conf, 3, 3,
+                            Distances(fix_a.graph)) is None
 
     def test_vacuous_avoidance_is_the_shortest_path(self, fix_a):
-        p = new_and_path(fix_a, "a1", [], AgentConflicts(), 2, 2, Distances(fix_a.graph))
+        waits_first = build_smdd("a1", [Path("a1", ("v1", "v1", "v2", "v3"))], 3)
+        p = new_and_path(fix_a, "a1", waits_first, AgentConflicts(), 3, 3,
+                         Distances(fix_a.graph))
         assert p.positions == shortest_path(fix_a, "a1", Distances(fix_a.graph)).positions
 
     def test_path_already_represented_gives_empty(self, fix_a):
-        existing = shortest_path(fix_a, "a1", Distances(fix_a.graph))
         assert (
-            new_and_path(fix_a, "a1", [existing], AgentConflicts(), 2, 2,
+            new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 2), AgentConflicts(), 2, 2,
                          Distances(fix_a.graph)) is None
         )
+
+    def test_path_combined_from_candidate_steps_gives_empty(self, fix_d_graph, fix_d_paths):
+        # the only cost-4 path off v6 at 1 and v4 at 3 is v1 v2 v3 v7 v5: no
+        # candidate, but every step of it is one of the sparse diagram's moves
+        inst = MapfInstance(fix_d_graph, [Agent("ax", "v1", "v5")])
+        conf = vconf(("v6", 1), ("v4", 3))
+        found = constrained_shortest_path(inst, "ax", conf, 4, 4, Distances(fix_d_graph))
+        assert found.positions == ("v1", "v2", "v3", "v7", "v5")
+        assert new_and_path(inst, "ax", build_smdd("ax", fix_d_paths, 4), conf, 4, 4,
+                            Distances(fix_d_graph)) is None
 
     def test_avoids_every_conflict(self, fix_c):
         conf = AgentConflicts(
             frozenset({("v2", 1), ("v3", 2)}),
             frozenset({(("v1", "v2"), 0)}),
         )
-        p = new_and_path(fix_c, "a1", [], conf, 7, 7, Distances(fix_c.graph))
+        p = new_and_path(fix_c, "a1", self.shortest_diagram(fix_c, 7), conf, 7, 7,
+                         Distances(fix_c.graph))
         assert p is not None
         padded = p.padded(7).positions
         assert all((v, t) not in conf.vertex for t, v in enumerate(padded))

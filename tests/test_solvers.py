@@ -341,8 +341,8 @@ class TestSparseFamily:
             sparse = solve_heuristic_smt_cbs(inst, QUICK)
             eager = solve_smt_cbs(inst, QUICK)
             assert (
-                sparse.stats.iterations[0].decision_vars
-                <= eager.stats.iterations[0].decision_vars
+                sum(sparse.stats.iterations[0].nodes_per_agent)
+                <= sum(eager.stats.iterations[0].nodes_per_agent)
             )
 
 

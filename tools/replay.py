@@ -49,7 +49,6 @@ COUNTERS = {
     "conflicts": lambda r: r["conflicts"],
     "iterations": lambda r: len(r["iterations"]),
     "diagram_nodes": lambda r: sum(sum(it["nodes_per_agent"]) for it in r["iterations"]),
-    "decision_vars": lambda r: sum(it["decision_vars"] for it in r["iterations"]),
     "num_vars": lambda r: sum(c["num_vars"] for c in r["solve_calls"]),
     "num_clauses": lambda r: sum(c["num_clauses"] for c in r["solve_calls"]),
     "cdcl_conflicts": lambda r: sum(c["conflicts"] for c in r["solve_calls"]),
@@ -103,7 +102,7 @@ def fingerprint(key, instance, algo: str, limit_s: float) -> dict:
         "iterations": [
             {"soc": it.soc, "makespan": it.makespan,
              "nodes_per_agent": list(it.nodes_per_agent),
-             "decision_vars": it.decision_vars, "full_mdd": list(it.full_mdd)}
+             "full_mdd": list(it.full_mdd)}
             for it in out.stats.iterations
         ],
         "paths": (None if out.solution is None
