@@ -186,11 +186,15 @@ def read_csv(src) -> list[BenchRecord]:
         with open(src, newline="") as fh:
             return read_csv(fh)
     reader = csv.reader(src)
-    header = next(reader)
+    header = next(reader, None)
     if header != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header {header!r}")
+        raise ValueError("empty CSV, no header" if header is None
+                         else f"unexpected CSV header {header!r}")
     out = []
     for row in reader:
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"CSV line {reader.line_num} has {len(row)} columns, "
+                             f"expected {len(CSV_COLUMNS)}")
         out.append(BenchRecord(
             map_name=row[0],
             scen_name=row[1],

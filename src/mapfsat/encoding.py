@@ -7,15 +7,16 @@ from the agent's shortest-path cost up to the horizon, true while the agent
 has not yet settled at its goal. A single global cardinality constraint caps
 the indicator count at the slack above the sum of shortest-path costs.
 
-Each agent's walk is a chain of nodes: the start node at level 0 and the
-goal node at the horizon are units, an occupied node below the horizon needs
-one of its successors occupied, and each level holds at most one occupied
-node. Exactly one node per level follows by induction from the start unit:
-the successor clause puts at least one node on level t + 1, and the level's
-at-most-one leaves only that one, so consecutive occupied nodes are joined
-by a diagram edge. An occupied node after level 0 also needs one of its
-predecessors; implied by the rest, these clauses let unit propagation run
-backward from the goal unit.
+Each agent's path is a walk of occupied nodes; a level may hold several.
+The start and goal nodes are units and an occupied node below the horizon
+needs an occupied successor, so taking the first occupied successor in
+out-edge order leads from the start to the goal. The walk is off its goal
+at step t only if a non-goal node of level t is occupied, which forces that
+step's indicator and all before it: its excess cost is within the slack.
+Collision clauses bind all occupied nodes, so the walks too, and a
+collision-free solution's one-node-per-level answer satisfies every clause.
+An occupied node after level 0 also needs an occupied predecessor; implied
+by the rest, these let unit propagation run backward from the goal unit.
 
 The complete mode adds every pairwise vertex/swap exclusion up front; the
 incomplete mode relies on lazily added collision clauses instead. A swap
@@ -29,7 +30,7 @@ from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .diagrams import Mdd
-from .instance import Collision, MapfInstance, Path, Solution, Vertex
+from .instance import Collision, MapfInstance, Path, Solution, Vertex, sum_of_costs
 from .pathing import ConflictSet
 from .pathing import bfs_distances  # noqa: F401  the layer tracer wraps this name here
 from .satif import CdclSolver
@@ -44,12 +45,13 @@ class EncodingSoundnessError(RuntimeError):
 
 @dataclass
 class BooleanModel:
-    """One solver instance, the horizon it was built for, and the bijection
-    between diagram nodes (`x`), cost indicators (`c`) and its SAT variables;
-    nodes are the only decision variables."""
+    """One solver instance, the horizon and SOC bound it was built for, and
+    the bijection between diagram nodes (`x`), cost indicators (`c`) and its
+    SAT variables; nodes are the only decision variables."""
 
     solver: CdclSolver
     horizon: int
+    soc: int
     conflicts: ConflictSet
     instance: MapfInstance
     diagrams: Mapping[Hashable, Mdd]
@@ -69,8 +71,6 @@ class BooleanModel:
 def _at_most_one(solver: CdclSolver, lits: list[int], clauses: list) -> None:
     # pairwise is smaller up to a handful of literals, counter beyond that
     n = len(lits)
-    if n <= 1:
-        return
     if n <= 5:
         for i in range(n):
             for j in range(i + 1, n):
@@ -138,7 +138,7 @@ def build_model(
         raise ValueError(f"sum-of-costs {soc} below the shortest-path total")
 
     s = solver if solver is not None else CdclSolver()
-    model = BooleanModel(s, horizon, conflicts, instance, diagrams)
+    model = BooleanModel(s, horizon, soc, conflicts, instance, diagrams)
     x, c = model.x, model.c
 
     for a in agents:
@@ -170,12 +170,8 @@ def build_model(
         # an occupied node after level 0 needs a predecessor
         for i in range(1, len(ins)):
             clauses.append([-(base + i)] + ins[i])
-        # at most one node per level; with the start unit and the successor
-        # clauses, exactly one
-        for t in range(1, horizon):
-            _at_most_one(s, [x[(a.id, v, t)] for v in mdd.levels[t]], clauses)
-        # cost indicators: active while not settled at the goal, monotone,
-        # and justified so the true count equals the exact excess cost
+        # cost indicators: forced by an occupied non-goal node, monotone, and
+        # true only with an occupied non-goal node at their step or later
         for t in range(xi[a.id], horizon):
             ct = c[(a.id, t)]
             support = [
@@ -298,21 +294,27 @@ def _emit_recorded_conflicts(model: BooleanModel) -> None:
 
 
 def extract_solution(model: BooleanModel, assignment: list[bool]) -> Solution:
-    """Read the unique true vertex variable per agent and level into paths."""
-    instance = model.instance
+    """Each agent's path: the walk from its start node through the first
+    occupied head in out-edge order. `EncodingSoundnessError` if a walk
+    breaks off or the walks cost more than `model.soc`."""
+    instance, x = model.instance, model.x
     paths = []
     for a in instance.agents:
         mdd = model.diagrams[a.id]
-        positions = []
+        positions, heads = [], (mdd.start,)
         for t in range(model.horizon + 1):
-            trues = [v for v in mdd.levels[t] if assignment[model.x[(a.id, v, t)]]]
-            if len(trues) != 1:
+            cur = next((v for v in heads if assignment[x[(a.id, v, t)]]), None)
+            if cur is None:
                 raise EncodingSoundnessError(
-                    f"agent {a.id!r} occupies {len(trues)} vertices at step {t}"
+                    f"agent {a.id!r} occupies none of {heads!r} at step {t}"
                 )
-            positions.append(trues[0])
+            positions.append(cur)
+            heads = mdd.outgoing(cur, t)
         paths.append(Path(a.id, tuple(positions)))
     try:
-        return Solution.from_paths(instance, paths)
+        solution = Solution.from_paths(instance, paths)
     except Exception as exc:  # endpoint/adjacency breakage is an encoding bug
         raise EncodingSoundnessError(f"extracted paths are inconsistent: {exc}") from exc
+    if sum_of_costs(instance, solution) > model.soc:
+        raise EncodingSoundnessError(f"extracted walks cost more than {model.soc}")
+    return solution

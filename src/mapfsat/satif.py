@@ -73,7 +73,7 @@ class CdclSolver:
     """
 
     _RESTART_BASE = 64
-    _INTERRUPT_INTERVAL = 2048
+    _INTERRUPT_INTERVAL = 64
     _ACT_DECAY = 1.0 / 0.95
     _ACT_LIMIT = 1e100
 

@@ -169,6 +169,20 @@ class TestCsvRoundTrip:
             "map,scen,agents,algo,status,runtime_s,soc,sat_calls,conflicts,reason"
         )
 
+    def test_empty_file_rejected(self, tmp_path):
+        out = tmp_path / "records.csv"
+        out.write_text("")
+        with pytest.raises(ValueError, match="empty CSV, no header"):
+            read_csv(out)
+
+    def test_short_row_rejected(self):
+        buf = io.StringIO()
+        write_csv([record()], buf)
+        # the record's line loses its last column, the empty reason
+        buf = io.StringIO(buf.getvalue().rstrip("\r\n").rsplit(",", 1)[0] + "\r\n")
+        with pytest.raises(ValueError, match="CSV line 2 has 9 columns, expected 10"):
+            read_csv(buf)
+
     def test_file_path_round_trip(self, tmp_path):
         records = [record()]
         out = tmp_path / "records.csv"

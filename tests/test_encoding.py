@@ -87,13 +87,10 @@ class TestBuildModel:
             counter = CdclSolver()
             cardinality_le(counter, list(counter.new_vars(len(model.c))), 2, [])
             r = counter.num_vars - len(model.c)
-            # a level of up to five nodes is bounded pairwise; a wider one
-            # takes a sequential counter of one register per node but one
-            wide = [len(level) for mdd in model.diagrams.values() for level in mdd.levels
-                    if len(level) > 5]
-            levels = sum(width - 1 for width in wide)
-            assert model.solver.num_vars == len(model.x) + len(model.c) + r + levels
-            widest = max(widest, *wide, 0)
+            # no level takes a counter of its own, however wide
+            assert model.solver.num_vars == len(model.x) + len(model.c) + r
+            widest = max(widest, *(len(level) for mdd in model.diagrams.values()
+                                   for level in mdd.levels))
         assert widest > 5
 
     def test_forced_shared_vertex_is_unsat(self, fix_b):
@@ -379,6 +376,45 @@ class TestExtractSolution:
         with pytest.raises(EncodingSoundnessError):
             extract_solution(model, assignment)
 
+    @staticmethod
+    def slack_model(fix_a, soc):
+        """a1 over its diagram of cost bound 3 at horizon 3, under `soc`."""
+        diagrams = {"a1": build_mdd(fix_a, "a1", 3, 3, Distances(fix_a.graph))}
+        return build_model(fix_a, diagrams, ConflictSet(), 3, soc, INCOMPLETE, {"a1": 2})
+
+    @pytest.mark.parametrize("clear, occupy, match", [
+        ([("v1", 0)], [], "occupies none of"),  # the start node
+        ([], [("v1", 1)], "occupies none of"),  # the first head of the start, with no head
+        # the walk v1 v1 v2 v3 of cost 3 under a bound of 2
+        ([("v2", 1), ("v3", 2)], [("v1", 1), ("v2", 2)], "cost more than 2"),
+    ])
+    def test_broken_walk_raises_soundness_fault(self, fix_a, clear, occupy, match):
+        model = self.slack_model(fix_a, soc=2)
+        assignment = model.solve()
+        walk = ("v1", "v2", "v3", "v3")
+        assert [n for n, var in model.x.items() if assignment[var]] == [
+            ("a1", v, t) for t, v in enumerate(walk)]
+        assert not assignment[model.c[("a1", 2)]]
+        for v, t in clear:
+            assignment[model.x_var("a1", v, t)] = False
+        for v, t in occupy:
+            assignment[model.x_var("a1", v, t)] = True
+        with pytest.raises(EncodingSoundnessError, match=match):
+            extract_solution(model, assignment)
+
+    def test_read_out_takes_the_first_occupied_head(self, fix_a):
+        model = self.slack_model(fix_a, soc=3)
+        assignment = model.solve()
+        # both nodes of levels 1 and 2; the start's heads are (v1, v2)
+        for v, t in (("v1", 1), ("v2", 1), ("v2", 2), ("v3", 2)):
+            assignment[model.x_var("a1", v, t)] = True
+        assert model.diagrams["a1"].outgoing("v1", 0) == ("v1", "v2")
+        solution = extract_solution(model, assignment)
+        assert solution.paths[0].positions == ("v1", "v1", "v2", "v3")
+        assignment[model.x_var("a1", "v1", 1)] = False
+        solution = extract_solution(model, assignment)
+        assert solution.paths[0].positions == ("v1", "v2", "v2", "v3")
+
     def test_extracted_paths_fit_diagrams_and_bounds(self):
         rng = random.Random(17)
         for _ in range(15):
@@ -446,9 +482,9 @@ def random_walks(mdd, rng, k):
     return walks
 
 
-def recorded_models(instance, rng, delta=2):
-    """Incomplete models over full diagrams and over sparse diagrams of three
-    random walks per agent, each built on a `RecordingSolver`."""
+def recorded_models(instance, rng, delta=2, mode=INCOMPLETE):
+    """Models over full diagrams and over sparse diagrams of three random
+    walks per agent, each built on a `RecordingSolver`."""
     distances = Distances(instance.graph)
     xi = {a.id: distances.dist(a.goal)[a.start] for a in instance.agents}
     horizon = max(xi.values()) + delta
@@ -458,80 +494,91 @@ def recorded_models(instance, rng, delta=2):
               for aid, mdd in full.items()}
     # room for every agent to take its full slack
     soc = sum(xi.values()) + delta * len(xi)
-    return [build_model(instance, diagrams, ConflictSet(), horizon, soc, INCOMPLETE,
+    return [build_model(instance, diagrams, ConflictSet(), horizon, soc, mode,
                         xi, solver=RecordingSolver())
             for diagrams in (full, sparse)]
 
 
-def without_level_at_most_one(model):
-    """The recorded clauses minus each level's at-most-one: the pairwise
-    clauses `[-x(v, t), -x(w, t)]` of one agent, and every clause of a
-    sequential counter whose registers meet a node literal."""
-    node_of = {var: (a, t) for (a, v, t), var in model.x.items()}
-    named = set(model.x.values()) | set(model.c.values())
-    registers = {abs(lit) for clause in model.solver.clauses
-                 if any(abs(lit) in node_of for lit in clause)
-                 for lit in clause if abs(lit) not in named}
-
-    def at_most_one(clause):
-        if any(abs(lit) in registers for lit in clause):
-            return True
-        return (len(clause) == 2 and all(-lit in node_of for lit in clause)
-                and node_of[-clause[0]] == node_of[-clause[1]])
-
-    return [clause for clause in model.solver.clauses if not at_most_one(clause)]
+def answer_with(model, lits):
+    """An answer of the recorded clause stream with every literal of `lits`
+    true, solved on a fresh solver, or None."""
+    solver = CdclSolver()
+    solver.new_vars(model.solver.num_vars)
+    solver.add_clauses(model.solver.clauses + [[lit] for lit in lits])
+    return solver.model() if solver.solve() else None
 
 
-def satisfiable_level_pairs(model, clauses):
-    """Pairs of one agent's nodes on one level t >= 1 that `clauses` let be
-    occupied together, each checked on a fresh solver."""
-    found = []
+def forced_answers(model):
+    """`answer_with` one node occupied, for each node, and two nodes of one
+    agent's level occupied, for each pair."""
+    forced = [[var] for var in model.x.values()]
     for a in model.instance.agents:
-        levels = model.diagrams[a.id].levels
-        for t in range(1, model.horizon + 1):
-            for v, w in itertools.combinations(levels[t], 2):
-                units = [[model.x[(a.id, v, t)]], [model.x[(a.id, w, t)]]]
-                solver = CdclSolver()
-                solver.new_vars(model.solver.num_vars)
-                solver.add_clauses(clauses + units)
-                if solver.solve():
-                    found.append((a.id, t, v, w))
-    return found
+        for t, level in enumerate(model.diagrams[a.id].levels):
+            forced += [[model.x[(a.id, v, t)], model.x[(a.id, w, t)]]
+                       for v, w in itertools.combinations(level, 2)]
+    for lits in forced:
+        yield answer_with(model, lits)
 
 
-class TestImpliedExactlyOne:
-    """The start unit, one successor per occupied node below the horizon and
-    each level's at-most-one leave exactly one occupied node per level."""
+class TestReadOut:
+    """An answer may occupy several nodes of one level; each agent's path is
+    read as the walk of first occupied heads from its start node."""
 
-    def cases(self, fix_a, fix_b, fix_c):
+    def cases(self, fix_a, fix_b, fix_c, mode=INCOMPLETE):
         rng = random.Random(41)
         instances = [fix_a, fix_b, fix_c] + [random_grid_instance(rng) for _ in range(6)]
-        return [model for inst in instances for model in recorded_models(inst, rng)]
+        return [model for inst in instances for model in recorded_models(inst, rng, mode=mode)]
 
-    def test_two_nodes_of_one_level_are_unsat(self, fix_a, fix_b, fix_c):
-        pairs = 0
-        for model in self.cases(fix_a, fix_b, fix_c):
-            clauses = model.solver.clauses
-            assert model.solve() is not None
-            assert satisfiable_level_pairs(model, clauses) == []
-            pairs += sum(len(level) * (len(level) - 1) // 2
-                         for mdd in model.diagrams.values() for level in mdd.levels)
-        assert pairs > 200
+    @pytest.mark.parametrize("mode", [INCOMPLETE, COMPLETE])
+    def test_every_answer_reads_out_as_a_diagram_walk_within_the_bound(self, fix_a, fix_b,
+                                                                        fix_c, mode):
+        answers = crowded = 0
+        for model in self.cases(fix_a, fix_b, fix_c, mode):
+            inst = model.instance
+            for assignment in forced_answers(model):
+                if assignment is None:
+                    continue
+                solution = extract_solution(model, assignment)
+                for a, p in zip(inst.agents, solution.paths):
+                    assert contains_path(model.diagrams[a.id], p)
+                assert sum_of_costs(inst, solution) <= model.soc
+                if mode == COMPLETE:
+                    assert validate_solution(inst, solution) == []
+                answers += 1
+                occupied = [(a, t) for (a, _, t), var in model.x.items() if assignment[var]]
+                crowded += len(occupied) != len(set(occupied))
+        # some answers occupy two nodes of one level, so the read-out matters
+        assert answers > 500 and crowded > 200
 
-    def test_without_level_at_most_one_a_level_takes_two_nodes(self, fix_a, fix_b,
-                                                                    fix_c):
-        # the same clause stream minus each level's at-most-one
-        wide = 0
+    def test_an_occupied_node_forces_an_occupied_head(self, fix_a, fix_b, fix_c):
+        checked = 0
         for model in self.cases(fix_a, fix_b, fix_c):
-            clauses = without_level_at_most_one(model)
-            widths = [len(level) for mdd in model.diagrams.values() for level in mdd.levels]
-            # pairwise up to five nodes, else a counter of 3n - 4 clauses
-            assert len(model.solver.clauses) - len(clauses) == sum(
-                n * (n - 1) // 2 if n <= 5 else 3 * n - 4 for n in widths if n > 1)
-            wide += sum(n > 5 for n in widths)
-            if max(widths) > 1:
-                assert satisfiable_level_pairs(model, clauses) != []
-        assert wide > 0
+            for (agent, v, t), var in model.x.items():
+                if t < model.horizon:
+                    heads = model.diagrams[agent].outgoing(v, t)
+                    cleared = [-model.x[(agent, w, t + 1)] for w in heads]
+                    assert answer_with(model, [var] + cleared) is None
+                    checked += 1
+        assert checked > 300
+
+    def test_an_occupied_non_goal_node_forces_its_indicator(self, fix_a, fix_b, fix_c):
+        checked = 0
+        for model in self.cases(fix_a, fix_b, fix_c):
+            goals = {a.id: a.goal for a in model.instance.agents}
+            for (agent, v, t), var in model.x.items():
+                ct = model.c.get((agent, t))
+                if v != goals[agent] and ct is not None:
+                    assert answer_with(model, [var, -ct]) is None
+                    checked += 1
+        assert checked > 100
+
+    def test_endpoints_are_units(self, fix_a, fix_b, fix_c):
+        # implied by the rest; the goal unit lets propagation run backward
+        for model in self.cases(fix_a, fix_b, fix_c):
+            for a in model.instance.agents:
+                mdd = model.diagrams[a.id]
+                assert [model.x[(a.id, mdd.start, 0)]] in model.solver.clauses
+                assert [model.x[(a.id, mdd.goal, model.horizon)]] in model.solver.clauses
 
 
 def diagram_walks(mdd, soc):
@@ -545,14 +592,14 @@ def diagram_walks(mdd, soc):
 
 
 def model_walks(model, agent):
-    """Every node set a single-agent model admits, each read as the sequence
-    of its vertices by level; found by blocking each set in turn."""
-    nodes = {var: (t, v) for (a, v, t), var in model.x.items() if a == agent}
+    """Every walk a single-agent model reads out, found by blocking the nodes
+    of each read-out walk together in turn. The one-node-per-level answer of
+    a walk survives until that walk itself is blocked."""
     found = set()
     while (assignment := model.solve()) is not None:
-        occupied = sorted(node for var, node in nodes.items() if assignment[var])
-        found.add(tuple(v for _, v in occupied))
-        model.solver.add_clause([-var for var in nodes if assignment[var]])
+        walk = extract_solution(model, assignment).paths[0].positions
+        found.add(walk)
+        model.solver.add_clause([-model.x[(agent, v, t)] for t, v in enumerate(walk)])
     return found
 
 
