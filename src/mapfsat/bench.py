@@ -14,10 +14,9 @@ from pathlib import Path as FsPath
 from typing import Iterable, Sequence
 
 from .encoding import EncodingSoundnessError
-from .instance import (InstanceError, MapfInstance, ParseError, Solution, build_instance,
-                       parse_map, parse_scen, sum_of_costs, validate_solution)
+from .instance import ParseError, build_instance, parse_map, parse_scen
 from .satif import SatBackendError
-from .solvers import ALGORITHMS, ConfigError, SolveOutcome, SolverConfig
+from .solvers import ALGORITHMS, ConfigError, SolverConfig, revalidate
 
 ERROR = "error"
 PARSE_ERROR = "parse error"  # reason prefix: a map or scenario failed to parse
@@ -76,7 +75,7 @@ def _run_one(scen_path: FsPath, agents: int, algo: str, config: SolverConfig) ->
     try:
         outcome = ALGORITHMS[algo](instance, config)
         if outcome.solved:
-            _revalidate(instance, outcome)
+            revalidate(instance, outcome)
     except SOLVER_FAULTS as exc:
         return err(f"{type(exc).__name__}: {exc}", map_name)
     return BenchRecord(
@@ -90,21 +89,6 @@ def _run_one(scen_path: FsPath, agents: int, algo: str, config: SolverConfig) ->
         sat_calls=outcome.stats.sat_calls,
         conflicts=outcome.stats.conflicts,
     )
-
-
-def _revalidate(instance: MapfInstance, outcome: SolveOutcome) -> None:
-    """Re-check a solved outcome: every path a walk from its start to its goal,
-    no collision, the reported sum of costs. Raises EncodingSoundnessError."""
-    try:
-        solution = Solution.from_paths(instance, outcome.solution.paths)
-    except InstanceError as exc:
-        raise EncodingSoundnessError(f"solved paths are not valid walks: {exc}") from exc
-    collisions = validate_solution(instance, solution)
-    if collisions:
-        raise EncodingSoundnessError(f"solved paths collide: {collisions[0]}")
-    soc = sum_of_costs(instance, solution)
-    if soc != outcome.soc:
-        raise EncodingSoundnessError(f"reported sum of costs {outcome.soc}, paths cost {soc}")
 
 
 def run_benchmark(

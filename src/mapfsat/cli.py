@@ -16,9 +16,14 @@ or a map or scenario file that fails to parse; other unusable inputs become
 their output file can be written before they solve, without truncating it,
 so an unwritable path costs no run; the output is written when the command
 is done. Bad input found after that check leaves a file that was already
-there unchanged and removes one that the check created. `bench` exits 1,
-ahead of bad input, when a run raised one of `bench.SOLVER_FAULTS` (a
-`solved` run that fails re-validation raises `EncodingSoundnessError`); that
+there unchanged and removes one that the check created.
+
+Exit code 1 means a solver fault: a run raised one of `bench.SOLVER_FAULTS`.
+Both commands re-check every `solved` outcome independently
+(`solvers.revalidate`: walks, collisions, sum of costs), and one that fails
+raises `EncodingSoundnessError`. `solve` then prints one `mapf: <class>:
+<message>` line, writes no solution, and removes an output file that its
+writability check created. `bench` exits 1 ahead of bad input; the faulty
 run is one `error` record with one `mapf: <reason>` line, and the other runs
 complete.
 
@@ -37,7 +42,7 @@ from pathlib import Path as FsPath
 
 from .bench import PARSE_ERROR, SOLVER_FAULTS, run_benchmark, write_csv
 from .instance import InstanceError, ParseError, build_instance, parse_map, parse_scen
-from .solvers import ALGORITHMS, ConfigError, SolverConfig, solution_json
+from .solvers import ALGORITHMS, ConfigError, SolverConfig, revalidate, solution_json
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,10 +113,15 @@ def _cmd_solve(args) -> int:
         return _bad_input(exc)
     try:
         outcome = ALGORITHMS[args.algo](instance, config)
-    except ConfigError as exc:
+        if outcome.solved:
+            revalidate(instance, outcome)
+    except (ConfigError, *SOLVER_FAULTS) as exc:
         if created:
             os.unlink(args.out)
-        return _bad_input(exc)
+        if isinstance(exc, ConfigError):
+            return _bad_input(exc)
+        print(f"mapf: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     instance_id = f"{FsPath(args.map).name}:{FsPath(args.scen).name}:{args.agents}"
     payload = json.dumps(solution_json(instance_id, args.algo, outcome), indent=2)
     if args.out:

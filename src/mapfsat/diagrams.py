@@ -97,20 +97,15 @@ def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_b
     Level t + 1 holds the moves of level-t nodes that are the goal or can
     still reach it within the bound, less what `avoid` bans at t + 1 or cuts
     at t. Entries can leave a node with no move onward, so only then are the
-    levels pruned backward from the goal. With no such walk, every level is
-    empty and there are no out-edges.
+    levels pruned backward, from the last constrained step: past it the sweep
+    is unconstrained, and every node there already lies on a walk. With no
+    such walk, every level is empty and there are no out-edges.
     """
     agent = instance.agent(agent_id)
     start, goal = agent.start, agent.goal
     dist_goal = distances.dist(goal)
     bound = min(cost_bound, horizon)
-    # `avoid` indexed once: banned vertices per level, cut moves per step
-    banned: dict[int, set[Vertex]] = {}
-    for v, t in avoid.vertex:
-        banned.setdefault(t, set()).add(v)
-    cut: dict[int, set[tuple[Vertex, Vertex]]] = {}
-    for move, t in avoid.edge:
-        cut.setdefault(t, set()).add(move)
+    banned, cut = avoid.by_step()
     if dist_goal.get(start, bound + 1) > bound or start in banned.get(0, ()):
         return ((),) * (horizon + 1), {}
 
@@ -133,7 +128,8 @@ def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_b
             reached.update(heads)
         levels.append(tuple(sorted(reached)))
     if banned or cut:
-        for t in range(horizon - 1, -1, -1):
+        last = max(max(banned, default=0), max(cut, default=-1) + 1)
+        for t in range(min(last, horizon) - 1, -1, -1):
             later = set(levels[t + 1])
             for u in levels[t]:
                 out[(t, u)] = tuple([w for w in out[(t, u)] if w in later])

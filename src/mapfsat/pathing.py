@@ -37,6 +37,17 @@ class AgentConflicts:
             return AgentConflicts(self.vertex | {entry}, self.edge)
         return AgentConflicts(self.vertex, self.edge | {entry})
 
+    def by_step(self) -> tuple[dict[int, set[Vertex]], dict[int, set[tuple[Vertex, Vertex]]]]:
+        """The entries indexed by timestep: the vertices banned at each step,
+        and the moves cut between each step and the next."""
+        banned: dict[int, set[Vertex]] = {}
+        for v, t in self.vertex:
+            banned.setdefault(t, set()).add(v)
+        cut: dict[int, set[tuple[Vertex, Vertex]]] = {}
+        for move, t in self.edge:
+            cut.setdefault(t, set()).add(move)
+        return banned, cut
+
 
 class ConflictSet:
     """Accumulated conflicts: one `AgentConflicts` per agent."""
@@ -115,9 +126,13 @@ def constrained_shortest_path(
     a conflicted directed edge. Its implicit goal-wait padding stays clear of
     every vertex conflict on the goal, also of those past the horizon: the
     path arrives after the goal's last one, so when that falls at or past the
-    horizon there is no path. Ties break on lower f, then lower timestep, then
-    smaller vertex id, then the first push. Returns None when no such path
-    exists.
+    horizon there is no path. Returns None when no such path exists.
+
+    The heap pops the state of lower f, then of higher timestep, then of
+    smaller vertex id, then the first push. Among states of equal f it thus
+    dives to the goal rather than sweep each level; f never drops along a
+    move, so every state of f below the optimum is still popped first and the
+    cost stays optimal.
 
     Each space-time state `(v, t)` is pushed only when its f is strictly lower
     than at its last push. Off the goal f is `t + dist(v, goal)` whatever the
@@ -127,27 +142,28 @@ def constrained_shortest_path(
     """
     if cost_bound < 0:
         raise ValueError("negative cost bound")
-    graph = instance.graph
     agent = instance.agent(agent_id)
     start, goal = agent.start, agent.goal
     dist_goal = distances.dist(goal)
     if start not in dist_goal:
         return None
-    avoid_vertex, avoid_edge, moves = avoid.vertex, avoid.edge, graph.moves
+    banned, cut = avoid.by_step()
+    moves = instance.graph.moves
 
     # Terminal states must keep the implicit goal-wait padding conflict-free.
-    last_goal_conflict = max((s for (v, s) in avoid_vertex if v == goal), default=-1)
+    last_goal_conflict = max((t for t, vs in banned.items() if goal in vs), default=-1)
     earliest_stop = max(min_length, last_goal_conflict + 1)
 
-    if earliest_stop > horizon or (start, 0) in avoid_vertex:
+    if earliest_stop > horizon or start in banned.get(0, ()):
         return None
     # f bounds the cost from below: t + dist(v, goal) off the goal, and the
-    # last arrival time at it
+    # last arrival time at it; the heap holds -t, so that ties go deeper
     f0 = 0 if start == goal else dist_goal[start]
     heap = [(f0, 0, start, (start, None))]
     best = {(start, 0): f0}
     while heap:
-        f, t, v, node = heapq.heappop(heap)
+        f, neg_t, v, node = heapq.heappop(heap)
+        t = -neg_t
         if f != best[(v, t)]:  # stale: the state was pushed again at a lower f
             continue
         if v == goal and t >= earliest_stop:
@@ -160,10 +176,9 @@ def constrained_shortest_path(
         if t == horizon:
             continue
         t1 = t + 1
+        ban, cuts = banned.get(t1, ()), cut.get(t, ())
         for w in moves(v):
-            if (w, t1) in avoid_vertex:
-                continue
-            if w != v and ((v, w), t) in avoid_edge:
+            if w in ban or (cuts and w != v and (v, w) in cuts):
                 continue
             dg = dist_goal.get(w)
             if dg is None or t1 + dg > horizon:
@@ -182,7 +197,7 @@ def constrained_shortest_path(
             if best.get(state, f2 + 1) <= f2:
                 continue
             best[state] = f2
-            heapq.heappush(heap, (f2, t1, w, (w, node)))
+            heapq.heappush(heap, (f2, -t1, w, (w, node)))
     return None
 
 

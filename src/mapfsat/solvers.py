@@ -52,6 +52,7 @@ from .encoding import (
 )
 from .instance import (
     Collision,
+    InstanceError,
     MapfInstance,
     Path,
     Solution,
@@ -155,6 +156,21 @@ class SolveOutcome:
     @property
     def solved(self) -> bool:
         return self.status == SOLVED
+
+
+def revalidate(instance: MapfInstance, outcome: SolveOutcome) -> None:
+    """Re-check a solved outcome: every path a walk from its start to its goal,
+    no collision, the reported sum of costs. Raises EncodingSoundnessError."""
+    try:
+        solution = Solution.from_paths(instance, outcome.solution.paths)
+    except InstanceError as exc:
+        raise EncodingSoundnessError(f"solved paths are not valid walks: {exc}") from exc
+    collisions = validate_solution(instance, solution)
+    if collisions:
+        raise EncodingSoundnessError(f"solved paths collide: {collisions[0]}")
+    soc = sum_of_costs(instance, solution)
+    if soc != outcome.soc:
+        raise EncodingSoundnessError(f"reported sum of costs {outcome.soc}, paths cost {soc}")
 
 
 def _shortest_costs(instance: MapfInstance, distances: Distances) -> dict[Hashable, int]:

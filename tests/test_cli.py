@@ -332,29 +332,64 @@ def test_bench_solver_fault_is_one_error_record_and_exits_1(tmp_path, capsys, mo
     ] * 2
 
 
-@pytest.mark.parametrize("second, soc, problem", [
-    ((3, 1, 0), 4,
-     "solved paths collide: Collision(kind='vertex', agents=(1, 2), location=1, t=1)"),
-    ((3, 2, 0), 5, "reported sum of costs 5, paths cost 4"),
-])
-def test_bench_revalidates_solved_records(second, soc, problem, tmp_path, capsys,
-                                          monkeypatch):
-    # 2x2 open grid, cells 0 1 / 2 3; the agents cross from corner to corner
-    suite = tmp_path / "suite"
-    suite.mkdir()
-    (suite / "square.map").write_text("type octile\nheight 2\nwidth 2\nmap\n..\n..\n")
-    (suite / "square.scen").write_text(
+def square_suite(directory):
+    """A suite of one 2x2 open grid, cells 0 1 / 2 3, where two agents cross
+    from corner to corner."""
+    directory.mkdir()
+    (directory / "square.map").write_text("type octile\nheight 2\nwidth 2\nmap\n..\n..\n")
+    (directory / "square.scen").write_text(
         "version 1\n0\tsquare.map\t2\t2\t0\t0\t1\t1\t2\n"
         "0\tsquare.map\t2\t2\t1\t1\t0\t0\t2\n"
     )
+    return directory
 
+
+def claims_solved(second, soc):
+    """An algorithm that reports agent 1 on 0 1 3 and agent 2 on `second` as
+    a solution of sum of costs `soc`."""
     def wrong(instance, config):
         a1, a2 = instance.agents
         paths = [AgentPath(a1.id, (0, 1, 3)), AgentPath(a2.id, second)]
         solution = Solution.from_paths(instance, paths)
         return SolveOutcome(SOLVED, solution, soc, solution.horizon)
+    return wrong
 
-    monkeypatch.setitem(ALGORITHMS, "cbs", wrong)
+
+COLLIDE = "solved paths collide: Collision(kind='vertex', agents=(1, 2), location=1, t=1)"
+
+
+@pytest.mark.parametrize("earlier", [None, EARLIER])
+def test_solve_revalidates_a_solved_outcome(earlier, tmp_path, capsys, monkeypatch):
+    suite = square_suite(tmp_path / "suite")
+    monkeypatch.setitem(ALGORITHMS, "cbs", claims_solved((3, 1, 0), 4))
+    out = tmp_path / "solution.json"
+    if earlier is not None:
+        out.write_text(earlier)
+    args = solve_args(suite / "square.map", suite / "square.scen") + ["--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", f"mapf: EncodingSoundnessError: {COLLIDE}\n")
+    if earlier is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == earlier
+
+
+def test_solve_to_stdout_prints_no_unsound_solution(tmp_path, capsys, monkeypatch):
+    suite = square_suite(tmp_path / "suite")
+    monkeypatch.setitem(ALGORITHMS, "cbs", claims_solved((3, 2, 0), 5))
+    assert main(solve_args(suite / "square.map", suite / "square.scen")) == 1
+    problem = "reported sum of costs 5, paths cost 4"
+    assert capsys.readouterr() == ("", f"mapf: EncodingSoundnessError: {problem}\n")
+
+
+@pytest.mark.parametrize("second, soc, problem", [
+    ((3, 1, 0), 4, COLLIDE),
+    ((3, 2, 0), 5, "reported sum of costs 5, paths cost 4"),
+])
+def test_bench_revalidates_solved_records(second, soc, problem, tmp_path, capsys,
+                                          monkeypatch):
+    suite = square_suite(tmp_path / "suite")
+    monkeypatch.setitem(ALGORITHMS, "cbs", claims_solved(second, soc))
     out = tmp_path / "records.csv"
     assert main(bench_args(suite, out, algos="cbs") + ["--workers", "1"]) == 1
     reason = f"EncodingSoundnessError: {problem}"

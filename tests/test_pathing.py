@@ -20,6 +20,7 @@ from mapfsat import (
     constrained_shortest_path,
     new_and_path,
     new_or_paths,
+    parse_map,
     path_cost,
     shortest_path,
 )
@@ -31,10 +32,31 @@ def vconf(*entries) -> AgentConflicts:
     return AgentConflicts(frozenset(entries), frozenset())
 
 
+def open_grid(width, height):
+    """Obstacle-free grid; cell (x, y) is vertex y * width + x."""
+    rows = ["." * width] * height
+    return parse_map("\n".join(["type octile", f"height {height}", f"width {width}", "map",
+                                *rows]))
+
+
+class CountingHeapq:
+    """Stands in for `pathing.heapq` and counts the search's heap pops."""
+
+    heappush = staticmethod(heapq.heappush)
+
+    def __init__(self):
+        self.pops = 0
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
 def counter_search(instance, agent_id, avoid, horizon, cost_bound, min_length=0):
-    """The space-time search as it was before it pushed each state once: a
-    state is pushed from every predecessor, copies are dropped when popped,
-    and a push counter breaks ties among equal (f, t, vertex)."""
+    """The space-time search without the push-once rule: a state is pushed
+    from every predecessor, copies are dropped when popped, and a push
+    counter breaks ties among equal (f, -t, vertex), so that the deeper state
+    goes first among equal f."""
     graph = instance.graph
     agent = instance.agent(agent_id)
     start, goal = agent.start, agent.goal
@@ -57,8 +79,8 @@ def counter_search(instance, agent_id, avoid, horizon, cost_bound, min_length=0)
     heap = [(g0 + h(start), 0, start, next(counter), g0, root)]
     settled = set()
     while heap:
-        f, t, _, _, g, node = heapq.heappop(heap)
-        v = node[0]
+        f, _, _, _, g, node = heapq.heappop(heap)
+        v, t = node[0], node[1]
         key = (v, t)
         if key in settled:
             continue
@@ -87,7 +109,7 @@ def counter_search(instance, agent_id, avoid, horizon, cost_bound, min_length=0)
             if (w, t + 1) in settled:
                 continue
             heapq.heappush(
-                heap, (f2, t + 1, w, next(counter), g2, (w, t + 1, node))
+                heap, (f2, -(t + 1), w, next(counter), g2, (w, t + 1, node))
             )
     return None
 
@@ -197,6 +219,14 @@ class TestConstrainedShortestPath:
             for t, v in enumerate(padded):
                 assert (v, t) not in avoid.vertex
 
+    def test_ties_go_to_the_deeper_state(self):
+        # cells 0 1 2 / 3 4 5; (0, 0, 1, 4) and (0, 3, 3, 4) both cost 3. After
+        # 3 at step 1, the f = 3 states are 0 at step 1 and 3 at step 2: the
+        # search expands the deeper one, and so waits at 3 rather than at 0
+        graph = open_grid(3, 2)
+        inst = MapfInstance(graph, [Agent(1, 0, 4)])
+        p = constrained_shortest_path(inst, 1, vconf((1, 1), (4, 2)), 3, 3, Distances(graph))
+        assert p.positions == (0, 3, 3, 4)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -221,6 +251,40 @@ class TestConstrainedShortestPath:
                 cost_bound)
         assert (constrained_shortest_path(*args, Distances(graph), min_length)
                 == counter_search(*args, min_length))
+
+
+class TestSearchEffort:
+    """Among equal-f states the search dives to the goal, so on an open grid
+    it pops little beyond the path it returns."""
+
+    PAIRS = [(0, 35), (35, 0), (5, 30), (7, 22), (12, 17), (14, 14)]
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        counting = CountingHeapq()
+        monkeypatch.setattr(pathing, "heapq", counting)
+        return counting
+
+    @pytest.mark.parametrize("start, goal", PAIRS)
+    def test_unconstrained_pops_only_the_path(self, counter, start, goal):
+        graph = open_grid(6, 6)
+        inst = MapfInstance(graph, [Agent(1, start, goal)])
+        p = shortest_path(inst, 1, Distances(graph))
+        assert counter.pops <= p.length + 1
+
+    @pytest.mark.parametrize("start, goal", [pair for pair in PAIRS if pair[0] != pair[1]])
+    def test_one_entry_on_the_path_pops_at_most_one_state_more(self, counter, start, goal):
+        graph = open_grid(6, 6)
+        inst = MapfInstance(graph, [Agent(1, start, goal)])
+        distances = Distances(graph)
+        free = shortest_path(inst, 1, distances)
+        k = free.length // 2
+        horizon = free.length + 2
+        counter.pops = 0
+        p = constrained_shortest_path(inst, 1, vconf((free.positions[k], k)), horizon, horizon,
+                                      distances)
+        assert p.positions[k] != free.positions[k]
+        assert counter.pops <= p.length + 2
 
 
 class TestNewAndPath:

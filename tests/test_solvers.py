@@ -487,7 +487,7 @@ class TestOptimalityAgreement:
 
     # (soc, conflicts) of cbs on the same instances, pinned for the same reason
     CBS_PINNED = {"fix_b": (4, 1), "fix_c": (8, 4), 0: (8, 4), 1: (9, 13), 2: (4, 0),
-                  3: (13, 6)}
+                  3: (13, 5)}
 
     def test_cbs_keeps_pinned_search(self, fix_b, fix_c):
         rng = random.Random(606)
