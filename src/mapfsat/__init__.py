@@ -22,6 +22,7 @@ from .instance import (
     validate_solution,
 )
 from .pathing import (
+    UNREACHED,
     AgentConflicts,
     ConflictSet,
     Distances,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Hashable, Sequence
 
 from .instance import MapfInstance, Path, Vertex
-from .pathing import AgentConflicts, Distances
+from .pathing import UNREACHED, AgentConflicts, Distances
 from .pathing import bfs_distances  # noqa: F401  the layer tracer wraps this name here
 
 
@@ -75,8 +75,8 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
     so trailing goal waits stay representable and free.
     """
     agent = instance.agent(agent_id)
-    xi = distances.dist(agent.goal).get(agent.start)
-    if xi is None:
+    xi = distances.dist(agent.goal)[agent.start]
+    if xi is UNREACHED:
         raise InfeasibleAgentError(f"goal of agent {agent_id!r} is unreachable")
     if cost_bound < xi:
         raise ValueError(f"cost bound {cost_bound} below shortest-path cost {xi}")
@@ -106,14 +106,15 @@ def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_b
     dist_goal = distances.dist(goal)
     bound = min(cost_bound, horizon)
     banned, cut = avoid.by_step()
-    if dist_goal.get(start, bound + 1) > bound or start in banned.get(0, ()):
+    xi = dist_goal[start]
+    if xi is UNREACHED or xi > bound or start in banned.get(0, ()):
         return ((),) * (horizon + 1), {}
 
-    # Graph.moves(u) is in the ids' order, so each out-edge list is as well.
+    # moves[u] is in the ids' order, so each out-edge list is as well.
     # Without entries there is no pruning pass: on an undirected graph where
     # agents may wait, every node swept here lies on a start->goal walk within
     # the bound (checked by test_matches_brute_force_expansion).
-    moves = instance.graph.moves
+    moves = instance.graph.move_table
     levels = [(start,)]
     out = {}
     for t in range(horizon):
@@ -121,7 +122,7 @@ def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_b
         ban, cuts = banned.get(t + 1, ()), cut.get(t, ())
         reached: set[Vertex] = set()
         for u in levels[t]:
-            heads = [w for w in moves(u) if w == goal or dist_goal[w] <= slack]
+            heads = [w for w in moves[u] if w == goal or dist_goal[w] <= slack]
             if ban or cuts:
                 heads = [w for w in heads if w not in ban and (u, w) not in cuts]
             out[(t, u)] = tuple(heads)

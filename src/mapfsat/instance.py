@@ -63,18 +63,30 @@ class GridMeta:
 
 
 class Graph:
-    """Undirected graph without self-loops, kept as adjacency in the ids' order."""
+    """Undirected graph without self-loops, kept as adjacency in the ids' order.
+
+    Per-vertex tables (neighbours, moves, and the distance tables that
+    `table` makes) are read as `table[v]` in either of two storages. A grid
+    graph, one with `grid` metadata, keeps them in lists indexed by cell id,
+    `width * height` long; every other graph keeps them in dicts keyed by id.
+    """
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]],
                  grid: GridMeta | None = None):
         self.vertices: tuple[Vertex, ...] = tuple(vertices)
-        vset = set(self.vertices)
+        self._vertex_set = vset = frozenset(self.vertices)
         if len(vset) != len(self.vertices):
             raise InstanceError("duplicate vertex ids")
         try:
             sorted(self.vertices)
         except TypeError:
             raise InstanceError("vertex ids are not mutually orderable") from None
+        if grid is not None:
+            size = grid.width * grid.height
+            for v in self.vertices:
+                if type(v) is not int or not 0 <= v < size:
+                    raise InstanceError(f"vertex {v!r} is not a cell index below {size}")
+        self.grid = grid
         adj: dict[Vertex, set[Vertex]] = {v: set() for v in self.vertices}
         for e in edges:
             u, v = e
@@ -84,23 +96,39 @@ class Graph:
                 raise InstanceError(f"edge ({u!r}, {v!r}) references an undeclared vertex")
             adj[u].add(v)
             adj[v].add(u)
-        # vertex -> its neighbours in the ids' order; read-only
-        self.adjacency = {v: tuple(sorted(adj[v])) for v in self.vertices}
-        self._moves = {v: tuple(sorted((v, *adj[v]))) for v in self.vertices}
-        self.grid = grid
+        # vertex -> its neighbours, and vertex -> `moves(v)`, in the ids'
+        # order; None at a grid's blocked cells; read-only
+        self.adjacency = self.table(None)
+        self.move_table = self.table(None)
+        for v in self.vertices:
+            self.adjacency[v] = tuple(sorted(adj[v]))
+            self.move_table[v] = tuple(sorted((v, *adj[v])))
+
+    def table(self, fill: object) -> list | dict:
+        """A per-vertex table in this graph's storage, `fill` at every entry.
+
+        A grid's list also holds `fill` at its blocked cells.
+        """
+        if self.grid is None:
+            return dict.fromkeys(self.vertices, fill)
+        return [fill] * (self.grid.width * self.grid.height)
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self.adjacency
+        return v in self._vertex_set
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
+        if v not in self:
+            raise KeyError(v)
         return self.adjacency[v]
 
     def moves(self, v: Vertex) -> tuple[Vertex, ...]:
         """`v` itself (a wait) and its neighbours, in the ids' order."""
-        return self._moves[v]
+        if v not in self:
+            raise KeyError(v)
+        return self.move_table[v]
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return u in self.adjacency and v in self.adjacency[u]
+        return u in self._vertex_set and v in self.adjacency[u]
 
     @property
     def vertex_count(self) -> int:
@@ -108,7 +136,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(ns) for ns in self.adjacency.values()) // 2
+        return sum(len(self.adjacency[v]) for v in self.vertices) // 2
 
     def cell_vertex(self, x: int, y: int) -> Optional[int]:
         """Vertex id for a grid cell, or None if blocked/out of bounds."""

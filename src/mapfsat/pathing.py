@@ -18,6 +18,8 @@ from .instance import Collision, Graph, MapfInstance, Path, Vertex
 if TYPE_CHECKING:
     from .diagrams import Mdd
 
+# vertex -> hop distance: a list indexed by cell id on grids, else a dict
+DistTable = list | dict
 VertexConflict = tuple[Vertex, int]          # agent must not occupy v at t
 EdgeConflict = tuple[tuple[Vertex, Vertex], int]  # agent must not traverse u->v at t
 
@@ -70,12 +72,18 @@ class ConflictSet:
         return self._by_agent.get(agent_id, AgentConflicts())
 
 
-def bfs_distances(graph: Graph, source: Vertex) -> dict[Vertex, int]:
-    """Exact hop distances from `source`; unreachable vertices are absent."""
+UNREACHED = None  # a distance table's entry where no walk from the source leads
+
+
+def bfs_distances(graph: Graph, source: Vertex) -> DistTable:
+    """Exact hop distances from `source`, as a `Graph.table`: `dist[v]` for
+    every vertex v, UNREACHED where no walk leads (and at a grid's blocked
+    cells)."""
     if source not in graph:
         raise ValueError(f"source {source!r} not in graph")
     adj = graph.adjacency
-    dist = {source: 0}
+    dist = graph.table(UNREACHED)
+    dist[source] = 0
     frontier = [source]
     d = 0
     while frontier:
@@ -83,7 +91,7 @@ def bfs_distances(graph: Graph, source: Vertex) -> dict[Vertex, int]:
         reached = []
         for u in frontier:
             for w in adj[u]:
-                if w not in dist:
+                if dist[w] is UNREACHED:
                     dist[w] = d
                     reached.append(w)
         frontier = reached
@@ -91,7 +99,8 @@ def bfs_distances(graph: Graph, source: Vertex) -> dict[Vertex, int]:
 
 
 class Distances:
-    """BFS tables of one graph, each computed the first time it is asked for.
+    """BFS tables of one graph (`bfs_distances`: each a `Graph.table`), each
+    computed the first time it is asked for.
 
     The graph is undirected, so a goal's table also holds every start's
     distance to that goal: solvers ask only for goal tables, one per agent.
@@ -102,9 +111,9 @@ class Distances:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self._tables: dict[Vertex, dict[Vertex, int]] = {}
+        self._tables: dict[Vertex, DistTable] = {}
 
-    def dist(self, source: Vertex) -> dict[Vertex, int]:
+    def dist(self, source: Vertex) -> DistTable:
         table = self._tables.get(source)
         if table is None:
             table = self._tables[source] = bfs_distances(self.graph, source)
@@ -145,10 +154,10 @@ def constrained_shortest_path(
     agent = instance.agent(agent_id)
     start, goal = agent.start, agent.goal
     dist_goal = distances.dist(goal)
-    if start not in dist_goal:
+    if dist_goal[start] is UNREACHED:
         return None
     banned, cut = avoid.by_step()
-    moves = instance.graph.moves
+    moves = instance.graph.move_table
 
     # Terminal states must keep the implicit goal-wait padding conflict-free.
     last_goal_conflict = max((t for t, vs in banned.items() if goal in vs), default=-1)
@@ -177,11 +186,12 @@ def constrained_shortest_path(
             continue
         t1 = t + 1
         ban, cuts = banned.get(t1, ()), cut.get(t, ())
-        for w in moves(v):
+        for w in moves[v]:
             if w in ban or (cuts and w != v and (v, w) in cuts):
                 continue
-            dg = dist_goal.get(w)
-            if dg is None or t1 + dg > horizon:
+            # w shares v's component, so it reaches the goal too
+            dg = dist_goal[w]
+            if t1 + dg > horizon:
                 continue
             if w != goal:
                 f2 = t1 + dg
@@ -205,8 +215,8 @@ def shortest_path(instance: MapfInstance, agent_id: Hashable,
                   distances: Distances) -> Optional[Path]:
     """Deterministic unconstrained shortest path for one agent."""
     agent = instance.agent(agent_id)
-    dist = distances.dist(agent.goal).get(agent.start)
-    if dist is None:
+    dist = distances.dist(agent.goal)[agent.start]
+    if dist is UNREACHED:
         return None
     return constrained_shortest_path(instance, agent_id, AgentConflicts(), dist, dist,
                                      distances)

@@ -62,6 +62,7 @@ from .instance import (
     validate_solution,
 )
 from .pathing import (
+    UNREACHED,
     AgentConflicts,
     ConflictSet,
     Distances,
@@ -177,8 +178,8 @@ def _shortest_costs(instance: MapfInstance, distances: Distances) -> dict[Hashab
     """Each agent's shortest-path cost; InfeasibleAgentError if one has none."""
     xi = {}
     for a in instance.agents:
-        d = distances.dist(a.goal).get(a.start)
-        if d is None:
+        d = distances.dist(a.goal)[a.start]
+        if d is UNREACHED:
             raise InfeasibleAgentError(f"goal of agent {a.id!r} is unreachable")
         xi[a.id] = d
     return xi

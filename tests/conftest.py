@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mapfsat import Agent, Graph, MapfInstance, Path, bfs_distances, parse_map
+from mapfsat import UNREACHED, Agent, Graph, MapfInstance, Path, bfs_distances, parse_map
 
 
 @pytest.fixture
@@ -73,7 +73,8 @@ def random_grid_instance(rng: random.Random, max_side: int = 4,
         graph = parse_map("\n".join(["type octile", f"height {h}", f"width {w}", "map", *rows]))
         if graph.vertex_count < 4:
             continue
-        if len(bfs_distances(graph, graph.vertices[0])) != graph.vertex_count:
+        dist = bfs_distances(graph, graph.vertices[0])
+        if any(dist[v] == UNREACHED for v in graph.vertices):
             continue
         k = rng.randint(*agents)
         if graph.vertex_count < 2 * k:

@@ -14,6 +14,7 @@ import pytest
 
 from mapfsat import (
     ALGORITHMS,
+    UNREACHED,
     COMPLETE,
     INCOMPLETE,
     Agent,
@@ -55,7 +56,7 @@ def random_batch():
     while len(batch) < 100:
         inst = random_grid_instance(rng, max_side=4, max_obstacle_share=0.3, agents=(2, 3))
         cap = sum(
-            bfs_distances(inst.graph, a.start).get(a.goal) for a in inst.agents
+            bfs_distances(inst.graph, a.start)[a.goal] for a in inst.agents
         ) + 4
         oracle = brute_force_oracle(inst, cap)
         if not oracle.solved:
@@ -138,7 +139,7 @@ def test_criterion_3_fixture_optima():
 
 def test_criterion_4_sparsification(random_batch):
     soc_floor = lambda inst: sum(
-        bfs_distances(inst.graph, a.start).get(a.goal) for a in inst.agents
+        bfs_distances(inst.graph, a.start)[a.goal] for a in inst.agents
     )
     violations = 0
     compared = 0
@@ -153,7 +154,7 @@ def test_criterion_4_sparsification(random_batch):
                 if it.full_mdd[idx]:
                     continue
                 compared += 1
-                xi = bfs_distances(inst.graph, agent.start).get(agent.goal)
+                xi = bfs_distances(inst.graph, agent.start)[agent.goal]
                 full = build_mdd(inst, agent.id, it.makespan, xi + delta, distances)
                 if it.nodes_per_agent[idx] > full.node_count:
                     violations += 1
@@ -178,7 +179,8 @@ def connected_graphs(n: int) -> list[Graph]:
     for mask in range(1 << len(all_edges)):
         edges = [e for i, e in enumerate(all_edges) if mask >> i & 1]
         g = Graph(verts, edges)
-        if len(bfs_distances(g, 0)) == n:
+        dist = bfs_distances(g, 0)
+        if all(dist[v] != UNREACHED for v in verts):
             out.append(g)
     return out
 
@@ -211,8 +213,8 @@ def test_criterion_5_model_definitions():
         for s1, s2 in itertools.permutations(range(n), 2):
             for g1, g2 in itertools.permutations(range(n), 2):
                 inst = MapfInstance(g, [Agent(1, s1, g1), Agent(2, s2, g2)])
-                xi = [bfs_distances(g, a.start).get(a.goal) for a in inst.agents]
-                if any(x is None for x in xi):
+                xi = [bfs_distances(g, a.start)[a.goal] for a in inst.agents]
+                if any(x == UNREACHED for x in xi):
                     continue
                 costs = {a.id: x for a, x in zip(inst.agents, xi)}
                 soc0, mu0 = sum(xi), max(xi)

@@ -15,6 +15,8 @@ from mapfsat.instance import Path as AgentPath, Solution
 from mapfsat.solvers import ALGORITHMS, SOLVED, SolveOutcome
 
 SUITE = Path(__file__).parent / "data" / "suite8x8"
+# agent 2's goal, cell (2, 2), is walled in on all four sides
+WALLED = Path(__file__).parent / "data" / "walled"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -50,6 +52,23 @@ def test_solve_to_stdout(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["soc"] is not None
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_solve_unreachable_goal_on_a_grid_is_infeasible_at_cap(algo, tmp_path):
+    out = tmp_path / "solution.json"
+    code = main([
+        "solve",
+        "--map", str(WALLED / "walled.map"),
+        "--scen", str(WALLED / "walled.scen"),
+        "--agents", "2",
+        "--algo", algo,
+        "--out", str(out),
+    ])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["status"] == "infeasible-at-cap"
+    assert payload["soc"] is None and payload["paths"] is None
 
 
 def test_solve_parse_error_exits_2(tmp_path, capsys):

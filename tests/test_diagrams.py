@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapfsat import (
+    UNREACHED,
     Agent,
     AgentConflicts,
     Graph,
@@ -101,7 +102,7 @@ class TestBuildMdd:
                 continue
             agent = inst.agents[0]
             distances = Distances(inst.graph)
-            xi = bfs_distances(inst.graph, agent.start).get(agent.goal)
+            xi = bfs_distances(inst.graph, agent.start)[agent.goal]
             for slack in (0, 1, 2):
                 bound = xi + slack
                 for horizon in sorted({min(bound, 6), bound + 1, bound + 2}):
@@ -128,7 +129,10 @@ class TestBuildMdd:
             dist_start = bfs_distances(graph, start)
             dist_goal = bfs_distances(graph, goal)
             members = [set() for _ in range(horizon + 1)]
-            for v, ds in dist_start.items():
+            for v in graph.vertices:
+                ds = dist_start[v]
+                if ds == UNREACHED:
+                    continue
                 last = horizon if v == goal else bound - dist_goal[v]
                 for t in range(ds, last + 1):
                     members[t].add(v)
@@ -336,7 +340,7 @@ class TestSparseVersusFull:
             inst = random_grid_instance(rng)
             agent = inst.agents[0]
             distances = Distances(inst.graph)
-            xi = bfs_distances(inst.graph, agent.start).get(agent.goal)
+            xi = bfs_distances(inst.graph, agent.start)[agent.goal]
             horizon, bound = xi + 2, xi + 2
             paths = []
             verts = list(inst.graph.vertices)

@@ -51,7 +51,7 @@ class RecordingSolver(CdclSolver):
 
 
 def shortest_costs(instance):
-    return {a.id: bfs_distances(instance.graph, a.start).get(a.goal) for a in instance.agents}
+    return {a.id: bfs_distances(instance.graph, a.start)[a.goal] for a in instance.agents}
 
 
 def full_model(instance, delta=0, mode=INCOMPLETE, conflicts=None, solver=None):
@@ -183,7 +183,8 @@ class TestEmissionOrder:
         inst = scrambled_grid_instance()
         ordered = sorted(inst.graph.vertices)
         assert list(inst.graph.vertices) != ordered
-        assert list(bfs_distances(inst.graph, "q")) != ordered
+        dist = bfs_distances(inst.graph, "q")
+        assert sorted(inst.graph.vertices, key=lambda v: dist[v]) != ordered
         model = full_model(inst, delta=2, solver=RecordingSolver())
         for agent in ("a1", "a2", "a3"):
             by_var = sorted((var, (t, v)) for (a, v, t), var in model.x.items() if a == agent)
@@ -440,7 +441,7 @@ class TestCostIndicators:
             assignment = model.solve()
             solution = extract_solution(model, assignment)
             for a, p in zip(inst.agents, solution.paths):
-                xi = bfs_distances(inst.graph, a.start).get(a.goal)
+                xi = bfs_distances(inst.graph, a.start)[a.goal]
                 true_c = sum(
                     1
                     for (agent_id, _t), var in model.c.items()
@@ -453,7 +454,7 @@ class TestModelDefinitions:
     def test_complete_equivalence_on_fixtures(self, fix_b, fix_c):
         for inst in (fix_b, fix_c):
             xi_sum = sum(
-                bfs_distances(inst.graph, a.start).get(a.goal) for a in inst.agents
+                bfs_distances(inst.graph, a.start)[a.goal] for a in inst.agents
             )
             oracle = brute_force_oracle(inst, xi_sum + 2)
             for delta in (0, 1, 2):

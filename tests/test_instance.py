@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mapfsat import (
     Agent,
     Graph,
+    GridMeta,
     InstanceError,
     MapParseError,
     MapfInstance,
@@ -203,6 +204,21 @@ class TestGraphInvariants:
     def test_undeclared_endpoint_rejected(self):
         with pytest.raises(InstanceError):
             Graph(["a"], [("a", "b")])
+
+    @pytest.mark.parametrize("ids", [[0, 4], [0, -1], ["a", "b"], [0.0, 1]])
+    def test_grid_ids_must_be_cell_indices(self, ids):
+        grid = GridMeta(2, 2, ((True, True), (True, True)))
+        with pytest.raises(InstanceError, match="cell index"):
+            Graph(ids, [], grid=grid)
+
+    def test_grid_tables_are_lists_over_every_cell(self):
+        graph = parse_map("type octile\nheight 2\nwidth 3\nmap\n.@.\n...\n")
+        assert graph.adjacency == [(3,), None, (5,), (0, 4), (3, 5), (2, 4)]
+        assert graph.move_table[4] == graph.moves(4) == (3, 4, 5)
+        assert 1 not in graph and -1 not in graph and 6 not in graph
+        with pytest.raises(KeyError):
+            graph.neighbors(1)
+        assert not graph.has_edge(1, 0) and not graph.has_edge(0, 1)
 
     def test_unorderable_ids_rejected(self):
         with pytest.raises(InstanceError, match="orderable"):

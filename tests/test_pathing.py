@@ -3,16 +3,19 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mapfsat import (
+    UNREACHED,
     Agent,
     AgentConflicts,
     ConflictSet,
     Distances,
+    Graph,
     MapfInstance,
     Path,
     bfs_distances,
@@ -39,6 +42,39 @@ def open_grid(width, height):
                                 *rows]))
 
 
+def reference_distances(vertices, edges, source):
+    """Hop distances from `source` by a queue over an explicit edge list;
+    a vertex no walk reaches is absent."""
+    adj = {v: [] for v in vertices}
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+@st.composite
+def split_grids(draw):
+    """Map rows with a wall column between two random halves, and one passable
+    cell walled in on all four sides (a vertex with no neighbours)."""
+    w, h = draw(st.integers(3, 7)), draw(st.integers(1, 5))
+    open_cells = draw(st.lists(st.booleans(), min_size=w * h, max_size=w * h))
+    wall = draw(st.integers(1, w - 2))
+    lone = (draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1)))
+    walled = {(lone[0] + dx, lone[1] + dy) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+    cells = [[open_cells[y * w + x] and x != wall and (x, y) not in walled
+              for x in range(w)] for y in range(h)]
+    cells[lone[1]][lone[0]] = True
+    return w, h, cells
+
+
 class CountingHeapq:
     """Stands in for `pathing.heapq` and counts the search's heap pops."""
 
@@ -61,7 +97,7 @@ def counter_search(instance, agent_id, avoid, horizon, cost_bound, min_length=0)
     agent = instance.agent(agent_id)
     start, goal = agent.start, agent.goal
     dist_goal = bfs_distances(graph, goal)
-    if start not in dist_goal:
+    if dist_goal[start] == UNREACHED:
         return None
 
     def h(v):
@@ -99,8 +135,8 @@ def counter_search(instance, agent_id, avoid, horizon, cost_bound, min_length=0)
                 continue
             if w != v and ((v, w), t) in avoid.edge:
                 continue
-            dg = dist_goal.get(w)
-            if dg is None or t + 1 + dg > horizon:
+            dg = dist_goal[w]
+            if dg == UNREACHED or t + 1 + dg > horizon:
                 continue
             g2 = g if w == goal else t + 2
             f2 = g2 + h(w)
@@ -123,13 +159,53 @@ class TestBfsDistances:
         d = bfs_distances(fix_b.graph, "v00")
         assert d == {"v00": 0, "v01": 1, "v10": 1, "v11": 2}
 
-    def test_disconnected_vertex_absent(self):
-        from mapfsat import Graph
-
+    def test_disconnected_vertex_is_unreached(self):
         g = Graph(["a", "b", "c"], [("a", "b")])
         d = bfs_distances(g, "a")
-        assert "c" not in d
-        assert d.get("c") is None
+        assert d["c"] == UNREACHED
+
+    @settings(max_examples=150, deadline=None)
+    @given(split_grids())
+    def test_grid_tables_match_a_reference_bfs(self, grid):
+        w, h, cells = grid
+        rows = ["".join("." if c else "@" for c in row) for row in cells]
+        graph = parse_map("\n".join(["type octile", f"height {h}", f"width {w}", "map", *rows]))
+        passable = [y * w + x for y in range(h) for x in range(w) if cells[y][x]]
+        assume(len(passable) >= 2)
+        edges = [(v, v + 1) for v in passable if v % w + 1 < w and cells[v // w][v % w + 1]]
+        edges += [(v, v + w) for v in passable if v // w + 1 < h and cells[v // w + 1][v % w]]
+        assert list(graph.vertices) == passable
+        lone = [v for v in passable if not graph.neighbors(v)]
+        assert lone
+        components = 0
+        for source in passable:
+            want = reference_distances(passable, edges, source)
+            components += source == min(want)
+            got = bfs_distances(graph, source)
+            assert type(got) is list and len(got) == w * h
+            for v in range(w * h):
+                assert got[v] == want.get(v, UNREACHED)
+        assert components >= 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_id_tables_match_a_reference_bfs(self, n, data):
+        names = [f"v{i}" for i in range(n)]
+        pairs = list(itertools.combinations(names, 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        graph = Graph(names, edges)
+        for source in names:
+            want = reference_distances(names, edges, source)
+            got = bfs_distances(graph, source)
+            assert type(got) is dict
+            assert got == {v: want.get(v, UNREACHED) for v in names}
+
+    def test_int_ids_far_apart_keep_dict_tables(self):
+        far = 10**12
+        graph = Graph([0, far, 7], [(0, far)])
+        assert type(graph.adjacency) is dict
+        assert bfs_distances(graph, 0) == {0: 0, far: 1, 7: UNREACHED}
+        assert bfs_distances(graph, 7) == {0: UNREACHED, far: UNREACHED, 7: 0}
 
     def test_adjacent_vertices_differ_by_at_most_one(self, fix_c):
         d = bfs_distances(fix_c.graph, "v1")
@@ -179,7 +255,7 @@ class TestConstrainedShortestPath:
         for _ in range(30):
             inst = random_grid_instance(rng)
             for a in inst.agents:
-                want = bfs_distances(inst.graph, a.start).get(a.goal)
+                want = bfs_distances(inst.graph, a.start)[a.goal]
                 p = constrained_shortest_path(
                     inst, a.id, AgentConflicts(), want, want, Distances(inst.graph)
                 )
@@ -251,6 +327,27 @@ class TestConstrainedShortestPath:
                 cost_bound)
         assert (constrained_shortest_path(*args, Distances(graph), min_length)
                 == counter_search(*args, min_length))
+
+
+    def test_matches_counter_search_on_tie_plateaus(self):
+        # Two vertex entries on a shortest path, with the horizon above the
+        # distance: every wait or detour around them starts a plateau of
+        # equal-f states, and the pop order within it decides the path.
+        rng = random.Random(53)
+        plateaus = 0
+        for _ in range(400):
+            inst = random_grid_instance(rng, max_side=6, max_obstacle_share=0.2)
+            agent = rng.choice(inst.agents)
+            xi = bfs_distances(inst.graph, agent.goal)[agent.start]
+            if xi < 3:
+                continue
+            free = counter_search(inst, agent.id, AgentConflicts(), xi, xi).positions
+            k1, k2 = sorted(rng.sample(range(1, xi), 2))
+            horizon = xi + rng.randint(1, 3)
+            args = (inst, agent.id, vconf((free[k1], k1), (free[k2], k2)), horizon, horizon)
+            assert constrained_shortest_path(*args, Distances(inst.graph)) == counter_search(*args)
+            plateaus += 1
+        assert plateaus >= 150
 
 
 class TestSearchEffort:

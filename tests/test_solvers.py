@@ -69,7 +69,7 @@ DEADLINE_SLACK_S = 1.5
 
 def xi_sum(instance) -> int:
     return sum(
-        bfs_distances(instance.graph, a.start).get(a.goal) for a in instance.agents
+        bfs_distances(instance.graph, a.start)[a.goal] for a in instance.agents
     )
 
 
@@ -316,7 +316,7 @@ class TestSparseFamily:
                     continue
                 full = build_mdd(
                     fix_b, agent.id, it.makespan,
-                    bfs_distances(fix_b.graph, agent.start).get(agent.goal)
+                    bfs_distances(fix_b.graph, agent.start)[agent.goal]
                     + (it.soc - xi_sum(fix_b)),
                     Distances(fix_b.graph),
                 )
