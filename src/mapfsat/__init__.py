@@ -37,7 +37,6 @@ from .diagrams import (
     Mdd,
     build_mdd,
     build_smdd,
-    count_represented_paths,
 )
 from .satif import CdclSolver, SatBackendError
 from .encoding import (
@@ -58,8 +57,6 @@ from .solvers import (
     SolveOutcome,
     SolveStats,
     SolverConfig,
-    brute_force_oracle,
-    heuristic_fixed,
     initial_candidates,
     solution_json,
     solve_cbs,

@@ -163,16 +163,3 @@ def build_smdd(agent_id: Hashable, paths: Sequence[Path], horizon: int) -> Mdd:
     out = {key: tuple(sorted(vs)) for key, vs in heads.items()}
     return Mdd(agent_id, horizon, levels, out)
 
-
-def count_represented_paths(mdd: Mdd) -> int:
-    """Number of directed start->sink paths, by per-level dynamic programming."""
-    counts = {(0, mdd.start): 1}
-    for t in range(mdd.horizon):
-        for u in mdd.levels[t]:
-            c = counts.get((t, u), 0)
-            if not c:
-                continue
-            for v in mdd.outgoing(u, t):
-                key = (t + 1, v)
-                counts[key] = counts.get(key, 0) + c
-    return counts.get((mdd.horizon, mdd.goal), 0)

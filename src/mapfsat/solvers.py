@@ -26,9 +26,6 @@ from the start. An algorithm is a fixed ``(mode, extend)`` pair:
 * smtcbs    -- ``(INCOMPLETE, None)``.
 * sparse    -- ``(INCOMPLETE, "or")``.
 * heuristic -- ``(INCOMPLETE, "and")``.
-
-``brute_force_oracle`` enumerates path tuples outright and exists to verify
-the optimality of everything else at small scale.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Hashable
@@ -351,7 +347,9 @@ def _lazy_solve(mode, extend, instance, deadline, stats, distances, xi, cap):
     """Raise the cost bound from the shortest-path total, one round per bound.
 
     Candidate sets and accumulated conflicts carry over from bound to bound.
-    With `extend` None every agent starts on its full diagram.
+    With `extend` None every agent starts on its full diagram. Returns the
+    solution and its bound: every lower bound's round proved infeasible, so
+    the bound is the SOC. `revalidate` checks it against the paths.
     """
     soc0 = sum(xi.values())
     mu0 = max(xi.values(), default=0)
@@ -365,7 +363,7 @@ def _lazy_solve(mode, extend, instance, deadline, stats, distances, xi, cap):
         solution = _fixed(instance, deadline, stats, candidates, conflicts, horizon,
                           soc, xi, mode, extend, distances)
         if solution is not None:
-            return solution, sum_of_costs(instance, solution)
+            return solution, soc
     raise _CapExceeded
 
 
@@ -377,25 +375,6 @@ def initial_candidates(instance: MapfInstance,
         path = shortest_path(instance, a.id, distances)
         candidates[a.id] = {path.positions: path}
     return candidates
-
-
-def heuristic_fixed(
-    instance: MapfInstance,
-    candidates: dict[Hashable, dict[tuple, Path] | None],
-    conflicts: ConflictSet,
-    horizon: int,
-    soc: int,
-) -> Solution | None:
-    """One fixed-bounds round of the all-avoiding-path algorithm, under the
-    default time limit.
-
-    Returns a solution, or None when no solution fits the bounds; `candidates`
-    and `conflicts` grow in place with everything discovered.
-    """
-    distances = Distances(instance.graph)
-    xi = _shortest_costs(instance, distances)
-    return _fixed(instance, Deadline(SolverConfig().timeout_s), SolveStats(), candidates,
-                  conflicts, horizon, soc, xi, INCOMPLETE, "and", distances)
 
 
 def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
@@ -488,116 +467,6 @@ def _avoids(path: Path, conf: AgentConflicts, horizon: int) -> bool:
     return not any(
         ((pos[t], pos[t + 1]), t) in conf.edge for t in range(len(pos) - 1)
     )
-
-
-# ------------------------------------------------------------------ the oracle
-
-
-def brute_force_oracle(instance: MapfInstance, cost_cap: int) -> SolveOutcome:
-    """Optimal sum of costs by enumerating per-agent path tuples outright.
-
-    Deliberately self-contained (own breadth-first distances, raw walk
-    enumeration) so it stays independent of the solver machinery it checks.
-    Intended for small instances only.
-    """
-    t_start = time.perf_counter()
-    graph = instance.graph
-
-    def bfs(src):
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in graph.neighbors(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
-
-    stats = SolveStats()
-    xi = {}
-    goal_dist = {}
-    for a in instance.agents:
-        d = bfs(a.goal)
-        if a.start not in d:
-            stats.runtime_s = time.perf_counter() - t_start
-            return SolveOutcome(status=INFEASIBLE, stats=stats)
-        goal_dist[a.id] = d
-        xi[a.id] = d[a.start]
-    soc0 = sum(xi.values())
-    if cost_cap < soc0:
-        stats.runtime_s = time.perf_counter() - t_start
-        return SolveOutcome(status=INFEASIBLE, stats=stats)
-    mu0 = max(xi.values(), default=0)
-    agent_ids = [a.id for a in instance.agents]
-
-    def walk_cost(positions, goal):
-        last = -1
-        for t, v in enumerate(positions):
-            if v != goal:
-                last = t
-        return last + 1
-
-    def enumerate_paths(agent, slack, len_cap):
-        """Walks ending at the goal, grouped by cost, trailing waits stripped."""
-        dist = goal_dist[agent.id]
-        budget = xi[agent.id] + slack
-        by_cost: dict[int, list[tuple]] = {}
-        stack = [(agent.start,)]
-        while stack:
-            walk = stack.pop()
-            v = walk[-1]
-            t = len(walk) - 1
-            if v == agent.goal and (len(walk) == 1 or walk[-2] != agent.goal):
-                cost = walk_cost(walk, agent.goal)
-                if cost <= budget:
-                    by_cost.setdefault(cost, []).append(walk)
-            if t >= len_cap:
-                continue
-            for w in sorted((v, *graph.neighbors(v)), key=str):
-                d = dist.get(w)
-                if d is None or t + 1 + d > len_cap:
-                    continue
-                lower = t + 1 + d if w != agent.goal else walk_cost(walk + (w,), agent.goal)
-                if lower > budget:
-                    continue
-                stack.append(walk + (w,))
-        return by_cost
-
-    for soc in range(soc0, cost_cap + 1):
-        # enumeration budgets follow the current bound, so early iterations
-        # stay cheap and the loop usually stops before they grow
-        slack = soc - soc0
-        len_cap = mu0 + slack
-        paths_by_cost = {a.id: enumerate_paths(a, slack, len_cap) for a in instance.agents}
-
-        def tuples_with_total(total):
-            def rec(idx, remaining):
-                if idx == len(agent_ids) - 1:
-                    for walk in paths_by_cost[agent_ids[idx]].get(remaining, ()):
-                        yield (walk,)
-                    return
-                floor = sum(xi[a] for a in agent_ids[idx + 1:])
-                for c in sorted(paths_by_cost[agent_ids[idx]]):
-                    rest = remaining - c
-                    if rest < floor:
-                        continue
-                    for walk in paths_by_cost[agent_ids[idx]][c]:
-                        for tail in rec(idx + 1, rest):
-                            yield (walk, *tail)
-            return rec(0, total)
-
-        for combo in tuples_with_total(soc):
-            paths = [Path(agent_ids[i], combo[i]) for i in range(len(agent_ids))]
-            solution = Solution.from_paths(instance, paths)
-            if not validate_solution(instance, solution):
-                stats.runtime_s = time.perf_counter() - t_start
-                return SolveOutcome(
-                    status=SOLVED, solution=solution, soc=soc,
-                    makespan=solution.horizon, stats=stats,
-                )
-    stats.runtime_s = time.perf_counter() - t_start
-    return SolveOutcome(status=INFEASIBLE, stats=stats)
 
 
 ALGORITHMS: dict[str, Callable[..., SolveOutcome]] = {

@@ -18,10 +18,10 @@ from mapfsat import (
     bfs_distances,
     build_mdd,
     build_smdd,
-    count_represented_paths,
 )
 from mapfsat.diagrams import walk_levels
 from conftest import contains_path, random_grid_instance, scrambled_grid_instance
+from oracle import diagram_walks, walk_cost
 
 
 def enumerate_expansions(graph, start, goal, horizon, bound):
@@ -30,19 +30,12 @@ def enumerate_expansions(graph, start, goal, horizon, bound):
     Equals the union of goal-padded paths within the bounds; serves as the
     independent ground truth for full-diagram construction.
     """
-    def cost(seq):
-        last = -1
-        for t, v in enumerate(seq):
-            if v != goal:
-                last = t
-        return last + 1
-
     done = []
     stack = [(start,)]
     while stack:
         walk = stack.pop()
         if len(walk) == horizon + 1:
-            if walk[-1] == goal and cost(walk) <= min(bound, horizon):
+            if walk[-1] == goal and walk_cost(walk, goal) <= min(bound, horizon):
                 done.append(walk)
             continue
         for w in (walk[-1], *graph.neighbors(walk[-1])):
@@ -304,23 +297,26 @@ class TestOrderedDiagrams:
 
 
 class TestCountRepresentedPaths:
+    """A diagram represents as many paths as it has start->goal walks."""
+
     def test_overestimation_example(self, fix_d_paths):
         smdd = build_smdd("ax", fix_d_paths, 4)
-        assert count_represented_paths(smdd) == 4
+        assert len(diagram_walks(smdd, smdd.horizon)) == 4
 
     def test_single_route(self, fix_a):
-        assert count_represented_paths(build_mdd(fix_a, "a1", 2, 2, Distances(fix_a.graph))) == 1
+        mdd = build_mdd(fix_a, "a1", 2, 2, Distances(fix_a.graph))
+        assert len(diagram_walks(mdd, mdd.horizon)) == 1
 
     def test_three_routes_with_slack(self, fix_a):
         # enumeration: move-move-wait, wait-move-move, move-wait-move
         mdd = build_mdd(fix_a, "a1", 3, 3, Distances(fix_a.graph))
         walks = enumerate_expansions(fix_a.graph, "v1", "v3", 3, 3)
         assert len(walks) == 3
-        assert count_represented_paths(mdd) == 3
+        assert len(diagram_walks(mdd, mdd.horizon)) == 3
 
     def test_at_least_the_input_paths(self, fix_d_paths):
         smdd = build_smdd("ax", fix_d_paths, 4)
-        assert count_represented_paths(smdd) >= len(fix_d_paths)
+        assert len(diagram_walks(smdd, smdd.horizon)) >= len(fix_d_paths)
 
 
 class TestSparseVersusFull:
@@ -360,7 +356,7 @@ class TestSparseVersusFull:
             for t, lvl in enumerate(smdd.levels):
                 assert set(lvl) <= set(full.levels[t])
             assert diagram_edges(smdd) <= diagram_edges(full)
-            assert count_represented_paths(smdd) >= len({p.positions for p in paths})
+            assert len(diagram_walks(smdd, horizon)) >= len({p.positions for p in paths})
 
 
 def test_dump_format_is_stable(fix_d_paths):

@@ -19,18 +19,17 @@ from mapfsat import (
     Path,
     add_conflict_clauses,
     bfs_distances,
-    brute_force_oracle,
     build_mdd,
     build_model,
     build_smdd,
     cardinality_le,
-    count_represented_paths,
     extract_solution,
     path_cost,
     sum_of_costs,
     validate_solution,
 )
 from conftest import contains_path, random_grid_instance, scrambled_grid_instance
+from oracle import brute_force_oracle, diagram_walks
 
 
 class RecordingSolver(CdclSolver):
@@ -582,16 +581,6 @@ class TestReadOut:
                 assert [model.x[(a.id, mdd.goal, model.horizon)]] in model.solver.clauses
 
 
-def diagram_walks(mdd, soc):
-    """Every start->goal walk of the diagram of cost at most `soc`, enumerated
-    directly."""
-    walks = [(mdd.start,)]
-    for t in range(mdd.horizon):
-        walks = [walk + (w,) for walk in walks for w in mdd.outgoing(walk[-1], t)]
-    return {walk for walk in walks if walk[-1] == mdd.goal
-            and path_cost(Path(mdd.agent, walk), mdd.goal) <= soc}
-
-
 def model_walks(model, agent):
     """Every walk a single-agent model reads out, found by blocking the nodes
     of each read-out walk together in turn. The one-node-per-level answer of
@@ -620,7 +609,7 @@ class TestAdmittedWalks:
                 horizon = xi + delta + rng.randint(0, 1)
                 full = build_mdd(inst, a.id, horizon, xi + delta, distances)
                 sparse = build_smdd(a.id, random_walks(full, rng, 3), horizon)
-                assert len(diagram_walks(full, xi + delta)) == count_represented_paths(full)
+                assert len(diagram_walks(full, xi + delta)) == len(diagram_walks(full, horizon))
                 single = MapfInstance(inst.graph, [a])
                 for mdd in (full, sparse):
                     for soc in range(xi, xi + delta + 1):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from collections import deque
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +28,7 @@ from mapfsat import (
 )
 from mapfsat import pathing
 from conftest import random_grid_instance
+from oracle import reference_distances
 
 
 def vconf(*entries) -> AgentConflicts:
@@ -40,24 +40,6 @@ def open_grid(width, height):
     rows = ["." * width] * height
     return parse_map("\n".join(["type octile", f"height {height}", f"width {width}", "map",
                                 *rows]))
-
-
-def reference_distances(vertices, edges, source):
-    """Hop distances from `source` by a queue over an explicit edge list;
-    a vertex no walk reaches is absent."""
-    adj = {v: [] for v in vertices}
-    for u, w in edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
 
 
 @st.composite

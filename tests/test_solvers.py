@@ -32,11 +32,9 @@ from mapfsat import (
     Solution,
     SolverConfig,
     bfs_distances,
-    brute_force_oracle,
     build_instance,
     constrained_shortest_path,
     build_mdd,
-    heuristic_fixed,
     initial_candidates,
     parse_map,
     parse_scen,
@@ -54,6 +52,7 @@ import mapfsat
 from mapfsat import diagrams, encoding, pathing, solvers
 from mapfsat.solvers import INCOMPLETE, Deadline, SolveStats, _fixed
 from conftest import random_grid_instance
+from oracle import brute_force_oracle
 
 QUICK = SolverConfig(timeout_s=30)
 # Open 8x8 with 26 agents that no SAT algorithm solves within seconds, written
@@ -77,6 +76,15 @@ def recorded(conflicts: ConflictSet, instance) -> int:
     """Number of conflict entries recorded for the instance's agents."""
     return sum(len(conflicts.for_agent(a.id).vertex) + len(conflicts.for_agent(a.id).edge)
                for a in instance.agents)
+
+
+def fixed_round(instance, candidates, conflicts, horizon, soc, extend="and", stats=None):
+    """One fixed-bounds round of incomplete models (`solvers._fixed`), with
+    the shortest costs and distance memo that `_run` would hand it."""
+    distances = Distances(instance.graph)
+    xi = solvers._shortest_costs(instance, distances)
+    return _fixed(instance, Deadline(60), SolveStats() if stats is None else stats, candidates,
+                  conflicts, horizon, soc, xi, INCOMPLETE, extend, distances)
 
 
 def swap_instance() -> MapfInstance:
@@ -138,7 +146,7 @@ class TestFixtureOptima:
             assert fn(inst, QUICK).status == INFEASIBLE, algo
         assert brute_force_oracle(inst, 10).status == INFEASIBLE
         with pytest.raises(InfeasibleAgentError):
-            heuristic_fixed(inst, {a.id: {} for a in inst.agents}, ConflictSet(), 2, 2)
+            fixed_round(inst, {a.id: {} for a in inst.agents}, ConflictSet(), 2, 2)
 
 
 class TestCbs:
@@ -361,7 +369,7 @@ class TestSparseFamily:
 class TestHeuristicFixed:
     def test_cycle_at_tight_bounds(self, fix_b):
         candidates = initial_candidates(fix_b, Distances(fix_b.graph))
-        solution = heuristic_fixed(fix_b, candidates, ConflictSet(), 2, 4)
+        solution = fixed_round(fix_b, candidates, ConflictSet(), 2, 4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
         assert validate_solution(fix_b, solution) == []
@@ -369,7 +377,7 @@ class TestHeuristicFixed:
     def test_spur_below_optimum_is_unsat_after_promotion(self, fix_c):
         candidates = initial_candidates(fix_c, Distances(fix_c.graph))
         conflicts = ConflictSet()
-        solution = heuristic_fixed(fix_c, candidates, conflicts, 3, 6)
+        solution = fixed_round(fix_c, candidates, conflicts, 3, 6)
         assert solution is None
         assert all(candidates[a.id] is None for a in fix_c.agents)
         assert recorded(conflicts, fix_c) > 0
@@ -377,7 +385,7 @@ class TestHeuristicFixed:
     def test_single_agent_immediate(self, fix_a):
         candidates = initial_candidates(fix_a, Distances(fix_a.graph))
         conflicts = ConflictSet()
-        solution = heuristic_fixed(fix_a, candidates, conflicts, 2, 2)
+        solution = fixed_round(fix_a, candidates, conflicts, 2, 2)
         assert solution.paths[0].positions == ("v1", "v2", "v3")
         assert recorded(conflicts, fix_a) == 0
 
@@ -388,7 +396,7 @@ class TestHeuristicFixed:
         conflicts = ConflictSet()
         conflicts.add("a1", "vertex", ("v01", 1))
         conflicts.add("a2", "vertex", ("v01", 1))
-        solution = heuristic_fixed(fix_b, candidates, conflicts, 2, 4)
+        solution = fixed_round(fix_b, candidates, conflicts, 2, 4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
         assert all(candidates[a.id] is None for a in fix_b.agents)
@@ -402,7 +410,7 @@ class TestHeuristicFixed:
         )
         inst = MapfInstance(g, [*fix_b.agents, Agent("a3", "w1", "w3")])
         candidates = initial_candidates(inst, Distances(g))
-        solution = heuristic_fixed(inst, candidates, ConflictSet(), 2, 6)
+        solution = fixed_round(inst, candidates, ConflictSet(), 2, 6)
         assert sum_of_costs(inst, solution) == 6
         assert candidates["a3"] is not None
         assert list(candidates["a3"].values()) == [Path("a3", ("w1", "w2", "w3"))]
@@ -416,12 +424,10 @@ class TestHeuristicFixed:
                    ("w", "g2"), ("x1", "x2")])
         inst = MapfInstance(g, [Agent("a1", "s1", "g1"), Agent("a2", "s2", "g2"),
                                 Agent("a3", "x1", "x2")])
-        distances = Distances(g)
-        candidates = initial_candidates(inst, distances)
+        candidates = initial_candidates(inst, Distances(g))
         assert list(candidates["a2"]) == [("s2", "m", "g2")]
         stats = SolveStats()
-        solution = _fixed(inst, Deadline(60), stats, candidates, ConflictSet(), 2, 5,
-                          {"a1": 2, "a2": 2, "a3": 1}, INCOMPLETE, extend, distances)
+        solution = fixed_round(inst, candidates, ConflictSet(), 2, 5, extend, stats)
         assert validate_solution(inst, solution) == []
         assert candidates["a1"] is None
         assert list(candidates["a2"]) == [("s2", "m", "g2"), ("s2", "w", "g2")]
@@ -584,6 +590,31 @@ def test_complete_model_collision_is_a_soundness_error(fix_b, monkeypatch):
     monkeypatch.setattr(solvers, "validate_solution", lambda inst, sol: [fake])
     with pytest.raises(EncodingSoundnessError):
         solve_mdd_sat(fix_b, QUICK)
+
+
+@pytest.mark.parametrize("algo", ["mddsat", "smtcbs", "sparse", "heuristic"])
+def test_reported_soc_is_the_bound_the_loop_proved(algo, fix_a, fix_b, fix_c):
+    for inst in (fix_a, fix_b, fix_c):
+        out = ALGORITHMS[algo](inst, QUICK)
+        assert out.soc == out.stats.iterations[-1].soc
+
+
+@pytest.mark.parametrize("algo", ["mddsat", "smtcbs", "sparse", "heuristic"])
+def test_revalidate_catches_a_wrongly_unsat_lower_bound(algo, fix_a, monkeypatch):
+    # the first round answers "no solution" although cost 2 is feasible: the
+    # loop then solves at bound 3 and reports 3, while the paths cost 2
+    real, rounds = solvers._fixed, []
+
+    def unsat_first(*args):
+        rounds.append(None)
+        return None if len(rounds) == 1 else real(*args)
+
+    monkeypatch.setattr(solvers, "_fixed", unsat_first)
+    out = ALGORITHMS[algo](fix_a, QUICK)
+    assert (out.status, out.soc) == (SOLVED, 3)
+    assert sum_of_costs(fix_a, out.solution) == 2
+    with pytest.raises(EncodingSoundnessError):
+        solvers.revalidate(fix_a, out)
 
 
 def test_distance_tables_come_from_goals_once_per_solve(fix_c, monkeypatch):
