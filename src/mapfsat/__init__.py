@@ -24,7 +24,6 @@ from .instance import (
 from .pathing import (
     UNREACHED,
     AgentConflicts,
-    ConflictSet,
     Distances,
     bfs_distances,
     constrained_shortest_path,

@@ -130,7 +130,9 @@ def run_benchmark(
         for n in agent_counts
         for algo in algorithms
     ]
-    if workers == 1:
+    # a pool forks all of its workers at the first submit: no more than runs
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return [_run_one(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, *zip(*tasks)))

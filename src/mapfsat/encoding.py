@@ -31,7 +31,7 @@ from typing import Hashable, Iterable, Mapping, Optional
 
 from .diagrams import Mdd
 from .instance import Collision, MapfInstance, Path, Solution, Vertex, sum_of_costs
-from .pathing import ConflictSet
+from .pathing import AgentConflicts
 from .pathing import bfs_distances  # noqa: F401  the layer tracer wraps this name here
 from .satif import CdclSolver
 
@@ -52,7 +52,6 @@ class BooleanModel:
     solver: CdclSolver
     horizon: int
     soc: int
-    conflicts: ConflictSet
     instance: MapfInstance
     diagrams: Mapping[Hashable, Mdd]
     x: dict[tuple[Hashable, Vertex, int], int] = field(default_factory=dict)
@@ -111,7 +110,7 @@ def cardinality_le(solver: CdclSolver, lits: list[int], k: int, clauses: list) -
 def build_model(
     instance: MapfInstance,
     diagrams: Mapping[Hashable, Mdd],
-    conflicts: ConflictSet,
+    conflicts: Mapping[Hashable, AgentConflicts],
     horizon: int,
     soc: int,
     mode: str,
@@ -119,7 +118,8 @@ def build_model(
     solver: CdclSolver | None = None,
 ) -> BooleanModel:
     """Fresh solver instance encoding the diagrams under the given bounds;
-    `xi` maps each agent id to its shortest-path cost.
+    `xi` maps each agent id to its shortest-path cost, and `conflicts` each
+    agent id to its recorded conflicts (an absent agent carries none).
 
     Variables are allocated agent by agent. Clauses reach the solver in
     emission order, in batches no larger than one agent's clauses or one
@@ -138,7 +138,7 @@ def build_model(
         raise ValueError(f"sum-of-costs {soc} below the shortest-path total")
 
     s = solver if solver is not None else CdclSolver()
-    model = BooleanModel(s, horizon, soc, conflicts, instance, diagrams)
+    model = BooleanModel(s, horizon, soc, instance, diagrams)
     x, c = model.x, model.c
 
     for a in agents:
@@ -192,7 +192,7 @@ def build_model(
 
     if mode == COMPLETE:
         _emit_complete_constraints(model)
-    _emit_recorded_conflicts(model)
+    _emit_recorded_conflicts(model, conflicts)
     return model
 
 
@@ -237,14 +237,13 @@ def _swap_clause(model: BooleanModel, ai: Hashable, aj: Hashable, u: Vertex, v: 
 
 
 def add_conflict_clauses(model: BooleanModel, collisions: Iterable[Collision]) -> None:
-    """Lazily forbid discovered collisions and record them permanently.
+    """Lazily forbid discovered collisions in `model`'s solver.
 
     A clause is skipped when either agent's diagram lacks the node or move;
-    the rule is then vacuously enforced for the missing side. The conflict is
-    recorded either way so later models re-emit it.
+    the rule is then vacuously enforced for the missing side. Recording the
+    collisions, so that later models re-emit them, is the caller's part.
     """
     for col in collisions:
-        model.conflicts.record(col)
         clause = _pair_clause(model, *col.agents, col.kind, col.entry(0))
         if clause is not None:
             model.solver.add_clause(clause)
@@ -254,43 +253,48 @@ def _pair_clause(model: BooleanModel, ai: Hashable, aj: Hashable, kind: str,
                  entry: tuple) -> Optional[tuple[int, ...]]:
     """Clause keeping `ai` off its conflict `entry` and `aj` off the counterpart.
 
-    None when `aj` does not carry the counterpart, or when either agent's
-    diagram lacks the node or move.
+    None when either agent's diagram lacks the node or move.
     """
-    theirs = model.conflicts.for_agent(aj)
     if kind == "vertex":
         v, t = entry
-        if entry not in theirs.vertex:
-            return None
         li, lj = model.x_var(ai, v, t), model.x_var(aj, v, t)
         if li is None or lj is None:
             return None
         return (-li, -lj)
     (u, v), t = entry
-    if ((v, u), t) not in theirs.edge:
-        return None
     return _swap_clause(model, ai, aj, u, v, t)
 
 
-def _emit_recorded_conflicts(model: BooleanModel) -> None:
+def _emit_recorded_conflicts(model: BooleanModel,
+                             conflicts: Mapping[Hashable, AgentConflicts]) -> None:
     """Re-emit pairwise clauses for every recorded conflict.
 
     Vertex/edge avoidance is a universal MAPF rule, so the clause is emitted
     for every pair of agents that both carry the entry, not only the pair
-    that originally collided.
+    that originally collided: `aj` carries the same vertex entry, or the
+    opposite move at the same step.
     """
     agents = model.instance.agents
+    none = AgentConflicts()
     by_step = itemgetter(1, 0)  # entries are (vertex or edge, t)
     for i in range(len(agents)):
         ai = agents[i].id
-        own = model.conflicts.for_agent(ai)
+        own = conflicts.get(ai, none)
         entries = [("vertex", e) for e in sorted(own.vertex, key=by_step)]
         entries += [("edge", e) for e in sorted(own.edge, key=by_step)]
         for j in range(i + 1, len(agents)):
+            aj = agents[j].id
+            theirs = conflicts.get(aj, none)
             for kind, entry in entries:
-                clause = _pair_clause(model, ai, agents[j].id, kind, entry)
-                if clause is not None:
-                    model.solver.add_clause(clause)
+                if kind == "vertex":
+                    carried = entry in theirs.vertex
+                else:
+                    (u, v), t = entry
+                    carried = ((v, u), t) in theirs.edge
+                if carried:
+                    clause = _pair_clause(model, ai, aj, kind, entry)
+                    if clause is not None:
+                        model.solver.add_clause(clause)
 
 
 def extract_solution(model: BooleanModel, assignment: list[bool]) -> Solution:

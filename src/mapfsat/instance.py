@@ -488,11 +488,13 @@ def build_instance(graph: Graph, specs: Sequence[AgentSpec], n: int) -> MapfInst
         raise InstanceError(f"requested {n} agents but only {len(specs)} specs available")
     agents = []
     for i, spec in enumerate(specs[:n]):
-        sv = graph.cell_vertex(*spec.start_cell)
-        gv = graph.cell_vertex(*spec.goal_cell)
-        if sv is None:
-            raise InstanceError(f"start cell {spec.start_cell} of agent {i + 1} is blocked")
-        if gv is None:
-            raise InstanceError(f"goal cell {spec.goal_cell} of agent {i + 1} is blocked")
-        agents.append(Agent(i + 1, sv, gv))
+        ends = []
+        for role, cell in (("start", spec.start_cell), ("goal", spec.goal_cell)):
+            v = graph.cell_vertex(*cell)
+            if v is None:
+                g = graph.grid
+                where = "blocked" if g.in_bounds(*cell) else f"outside the {g.width}x{g.height} map"
+                raise InstanceError(f"{role} cell {cell} of agent {i + 1} is {where}")
+            ends.append(v)
+        agents.append(Agent(i + 1, *ends))
     return MapfInstance(graph, agents)

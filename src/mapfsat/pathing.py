@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Optional
 
-from .instance import Collision, Graph, MapfInstance, Path, Vertex
+from .instance import Graph, MapfInstance, Path, Vertex
 
 if TYPE_CHECKING:
     from .diagrams import Mdd
@@ -49,27 +49,6 @@ class AgentConflicts:
         for move, t in self.edge:
             cut.setdefault(t, set()).add(move)
         return banned, cut
-
-
-class ConflictSet:
-    """Accumulated conflicts: one `AgentConflicts` per agent."""
-
-    def __init__(self):
-        self._by_agent: dict[Hashable, AgentConflicts] = {}
-
-    def add(self, agent_id: Hashable, kind: str,
-            entry: VertexConflict | EdgeConflict) -> None:
-        if entry[1] < 0:
-            raise ValueError("negative timestep")
-        self._by_agent[agent_id] = self.for_agent(agent_id).with_entry(kind, entry)
-
-    def record(self, collision: Collision) -> None:
-        """Keep both agents of `collision` off what they collided on."""
-        for side in (0, 1):
-            self.add(collision.agents[side], collision.kind, collision.entry(side))
-
-    def for_agent(self, agent_id: Hashable) -> AgentConflicts:
-        return self._by_agent.get(agent_id, AgentConflicts())
 
 
 UNREACHED = None  # a distance table's entry where no walk from the source leads

@@ -15,8 +15,11 @@ once, and hands them to ``_cbs`` or ``_lazy_solve``.
 
 The four SAT algorithms run one loop (``_lazy_solve``): raise the cost bound
 from the shortest-path total and run one fixed-bounds round (``_fixed``) per
-bound. Within a round, collisions of a satisfying assignment become clauses
-and may grow the candidate sets. These are a plain dict: each agent id maps
+bound. Within a round, the loop records both sides of each collision of a
+satisfying assignment, then the encoder emits the collisions as clauses.
+Recorded conflicts steer new candidate paths, and every later model re-emits
+them. Conflicts and candidate sets are plain dicts. Conflicts map each agent
+id to an ``AgentConflicts``, as CBS's constraints do; candidate sets map it
 to ``{positions: Path}`` in the order added, or to None once the agent is on
 its full diagram. With ``extend`` None every agent is on its full diagram
 from the start. An algorithm is a fixed ``(mode, extend)`` pair:
@@ -60,7 +63,6 @@ from .instance import (
 from .pathing import (
     UNREACHED,
     AgentConflicts,
-    ConflictSet,
     Distances,
     bfs_distances,  # noqa: F401  the layer tracer wraps this name here
     constrained_shortest_path,
@@ -357,7 +359,7 @@ def _lazy_solve(mode, extend, instance, deadline, stats, distances, xi, cap):
         candidates = {a.id: None for a in instance.agents}
     else:
         candidates = initial_candidates(instance, distances)
-    conflicts = ConflictSet()
+    conflicts = {a.id: AgentConflicts() for a in instance.agents}
     for soc in range(soc0, cap + 1):
         horizon = mu0 + (soc - soc0)
         solution = _fixed(instance, deadline, stats, candidates, conflicts, horizon,
@@ -381,8 +383,9 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
            mode, extend, distances):
     """One round at fixed cost and horizon bounds: a collision-free solution or None.
 
-    Collisions become lazy clauses and grow `conflicts` and `candidates` in
-    place. UNSAT is trusted only once every agent is on its full diagram.
+    Collisions are recorded in `conflicts`, become lazy clauses and grow
+    `candidates`, both in place. UNSAT is trusted only once every agent is
+    on its full diagram.
     """
     delta = soc - sum(xi.values())
     bounds = {a.id: xi[a.id] + delta for a in instance.agents}
@@ -424,6 +427,9 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
                 f"complete model admitted a collision: {collisions[0]}"
             )
         stats.conflicts += len(collisions)
+        for col in collisions:
+            for side, agent_id in enumerate(col.agents):
+                conflicts[agent_id] = conflicts[agent_id].with_entry(col.kind, col.entry(side))
         add_conflict_clauses(model, collisions)
         if _extend(instance, candidates, diagrams, conflicts, collisions, horizon, bounds,
                    extend, distances):
@@ -443,7 +449,7 @@ def _extend(instance, candidates, diagrams, conflicts, collisions, horizon, boun
         known = candidates[agent_id]
         if known is None:
             continue
-        conf = conflicts.for_agent(agent_id)
+        conf = conflicts[agent_id]
         if extend == "and":
             pi = new_and_path(instance, agent_id, diagrams[agent_id], conf,
                               horizon, bounds[agent_id], distances)

@@ -18,7 +18,6 @@ from mapfsat import (
     COMPLETE,
     INCOMPLETE,
     Agent,
-    ConflictSet,
     Distances,
     Graph,
     MapfInstance,
@@ -228,7 +227,7 @@ def test_criterion_5_model_definitions():
                         for i, a in enumerate(inst.agents)
                     }
                     complete = build_model(
-                        inst, diagrams, ConflictSet(), mu, soc, COMPLETE, costs
+                        inst, diagrams, {}, mu, soc, COMPLETE, costs
                     )
                     sat = complete.solve() is not None
                     solvable = opt is not None and opt <= soc
@@ -236,7 +235,7 @@ def test_criterion_5_model_definitions():
                         mismatches += 1
                     if solvable:
                         incomplete = build_model(
-                            inst, diagrams, ConflictSet(), mu, soc, INCOMPLETE, costs
+                            inst, diagrams, {}, mu, soc, INCOMPLETE, costs
                         )
                         if incomplete.solve() is None:
                             mismatches += 1

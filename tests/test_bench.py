@@ -136,6 +136,30 @@ class TestRunBenchmark:
         ]
         assert strip(serial) == strip(parallel)
 
+    @pytest.mark.parametrize("workers, runs, pool", [(64, 2, 2), (3, 5, 3), (64, 1, None)])
+    def test_worker_pool_is_no_larger_than_the_runs(self, workers, runs, pool, monkeypatch):
+        # a stand-in pool that runs inline: no process starts, whatever `workers`
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(bench, "_run_one", lambda scen, n, algo, config: scen.name)
+        records = run_benchmark(SUITE, ["cbs"], [2], per_count=runs, workers=workers)
+        assert len(records) == runs
+        assert sizes == ([] if pool is None else [pool])
+
     def test_record_order_is_stable(self, tmp_path):
         for name in ("open8.map", "open8-01.scen", "open8-02.scen"):
             (tmp_path / name).write_text((SUITE / name).read_text())

@@ -141,6 +141,15 @@ def test_solve_blocked_start_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("start", [(99, 0), (-1, 3)])
+def test_solve_off_map_start_exits_2(start, tmp_path, capsys):
+    scen = tmp_path / "off.scen"
+    scen.write_text(f"version 1\n0 open8.map 8 8 {start[0]} {start[1]} 1 1 2\n")
+    assert main(solve_args(scen_path=scen, agents=1)) == 2
+    err = capsys.readouterr().err
+    assert err == f"mapf: start cell {start} of agent 1 is outside the 8x8 map\n"
+
+
 def test_bench_parse_error_exits_2(tmp_path, capsys):
     (tmp_path / "bad.scen").write_text("version 2\n")
     out = tmp_path / "records.csv"

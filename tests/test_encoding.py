@@ -9,9 +9,9 @@ from mapfsat import (
     COMPLETE,
     INCOMPLETE,
     Agent,
+    AgentConflicts,
     CdclSolver,
     Collision,
-    ConflictSet,
     Distances,
     EncodingSoundnessError,
     Graph,
@@ -63,7 +63,7 @@ def full_model(instance, delta=0, mode=INCOMPLETE, conflicts=None, solver=None):
         for a in instance.agents
     }
     return build_model(
-        instance, diagrams, conflicts if conflicts is not None else ConflictSet(),
+        instance, diagrams, {} if conflicts is None else conflicts,
         horizon, soc, mode, xi, solver=solver,
     )
 
@@ -98,7 +98,7 @@ class TestBuildModel:
             "a1": build_smdd("a1", [Path("a1", ("v00", "v01", "v11"))], 2),
             "a2": build_smdd("a2", [Path("a2", ("v11", "v01", "v00"))], 2),
         }
-        model = build_model(fix_b, diagrams, ConflictSet(), 2, 4, INCOMPLETE,
+        model = build_model(fix_b, diagrams, {}, 2, 4, INCOMPLETE,
                             shortest_costs(fix_b))
         assert model.solve() is not None  # no collision clause yet
         add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v01", 1)])
@@ -121,13 +121,13 @@ class TestBuildModel:
             "a2": build_mdd(fix_b, "a2", 3, 3, distances),
         }
         with pytest.raises(ValueError):
-            build_model(fix_b, diagrams, ConflictSet(), 2, 4, INCOMPLETE, shortest_costs(fix_b))
+            build_model(fix_b, diagrams, {}, 2, 4, INCOMPLETE, shortest_costs(fix_b))
 
     def test_negative_slack_rejected(self, fix_b):
         distances = Distances(fix_b.graph)
         diagrams = {a.id: build_mdd(fix_b, a.id, 2, 2, distances) for a in fix_b.agents}
         with pytest.raises(ValueError):
-            build_model(fix_b, diagrams, ConflictSet(), 2, 3, INCOMPLETE, shortest_costs(fix_b))
+            build_model(fix_b, diagrams, {}, 2, 3, INCOMPLETE, shortest_costs(fix_b))
 
 
 class TestAddConflictClauses:
@@ -150,25 +150,56 @@ class TestAddConflictClauses:
         assert sorted(model.solver.clauses[-1]) == sorted(-model.x_var(*n) for n in nodes)
         assert model.solve() is None
 
-    def test_missing_node_skips_clause_but_records_conflict(self, fix_b):
+    def test_missing_node_skips_clause(self, fix_b):
         model = full_model(fix_b)
         before = model.solver.num_clauses
         # v10 at step 5 is outside every diagram at these bounds
         add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v10", 5)])
         assert model.solver.num_clauses == before
-        assert ("v10", 5) in model.conflicts.for_agent("a1").vertex
-        assert ("v10", 5) in model.conflicts.for_agent("a2").vertex
+
+    def test_leaves_the_recorded_conflicts_unchanged(self, fix_b):
+        conflicts = {"a1": AgentConflicts().with_entry("vertex", ("v10", 1))}
+        model = full_model(fix_b, conflicts=conflicts)
+        add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v01", 1),
+                                     Collision("edge", ("a1", "a2"), ("v00", "v01"), 0)])
+        assert conflicts == {"a1": AgentConflicts().with_entry("vertex", ("v10", 1))}
 
     def test_recorded_conflicts_reach_fresh_models(self, fix_b):
-        conflicts = ConflictSet()
-        model = full_model(fix_b, conflicts=conflicts)
-        add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v01", 1)])
-        rebuilt = full_model(fix_b, conflicts=conflicts, solver=RecordingSolver())
+        carried = AgentConflicts().with_entry("vertex", ("v01", 1))
+        rebuilt = full_model(fix_b, conflicts={"a1": carried, "a2": carried},
+                             solver=RecordingSolver())
         x1 = rebuilt.x_var("a1", "v01", 1)
         x2 = rebuilt.x_var("a2", "v01", 1)
         assert any(
             sorted(c) == sorted((-x1, -x2)) for c in rebuilt.solver.clauses
         )
+
+    def test_fresh_models_pair_only_agents_that_both_carry_the_entry(self):
+        # a3 carries no vertex entry, and a1's move but not a2's opposite one
+        g = Graph(["v00", "v01", "v10", "v11"],
+                  [("v00", "v01"), ("v01", "v11"), ("v11", "v10"), ("v10", "v00")])
+        inst = MapfInstance(g, [Agent("a1", "v00", "v11"), Agent("a2", "v11", "v00"),
+                                Agent("a3", "v01", "v10")])
+        forward, backward = (("v00", "v01"), 2), (("v01", "v00"), 2)
+        shared = AgentConflicts().with_entry("vertex", ("v00", 2))
+        conflicts = {"a1": shared.with_entry("edge", forward),
+                     "a2": shared.with_entry("edge", backward),
+                     "a3": AgentConflicts().with_entry("edge", forward)}
+        model = full_model(inst, delta=3, conflicts=conflicts, solver=RecordingSolver())
+        clauses = [sorted(c) for c in model.solver.clauses]
+        x = model.x_var
+
+        def vertex(ai, aj):
+            return sorted((-x(ai, "v00", 2), -x(aj, "v00", 2)))
+
+        def swap(ai, aj):  # ai on v00 -> v01, aj on v01 -> v00
+            return sorted((-x(ai, "v00", 2), -x(ai, "v01", 3),
+                           -x(aj, "v01", 2), -x(aj, "v00", 3)))
+
+        assert vertex("a1", "a2") in clauses
+        assert vertex("a1", "a3") not in clauses and vertex("a2", "a3") not in clauses
+        assert swap("a1", "a2") in clauses and swap("a3", "a2") in clauses
+        assert swap("a1", "a3") not in clauses and swap("a3", "a1") not in clauses
 
 
 def canonical(entries):
@@ -279,15 +310,16 @@ class TestEmissionOrder:
 
     def test_recorded_conflict_clauses_are_in_canonical_order(self):
         inst = scrambled_grid_instance()
-        conflicts = ConflictSet()
+        conflicts: dict = {}
         graph = inst.graph
         pairs = [(u, v) for u in graph.vertices for v in graph.neighbors(u) if u < v]
         for t in range(5):
             for u, v in pairs:
                 for a in ("a3", "a1", "a2"):
-                    conflicts.add(a, "vertex", (v, t))
-                    conflicts.add(a, "edge", ((u, v), t))
-                    conflicts.add(a, "edge", ((v, u), t))
+                    conflicts[a] = (conflicts.get(a, AgentConflicts())
+                                    .with_entry("vertex", (v, t))
+                                    .with_entry("edge", ((u, v), t))
+                                    .with_entry("edge", ((v, u), t)))
         model = full_model(inst, delta=2, conflicts=conflicts, solver=RecordingSolver())
         node_of = {var: (a, (t, v)) for (a, v, t), var in model.x.items()}
         emitted: dict[tuple, list] = {}
@@ -380,7 +412,7 @@ class TestExtractSolution:
     def slack_model(fix_a, soc):
         """a1 over its diagram of cost bound 3 at horizon 3, under `soc`."""
         diagrams = {"a1": build_mdd(fix_a, "a1", 3, 3, Distances(fix_a.graph))}
-        return build_model(fix_a, diagrams, ConflictSet(), 3, soc, INCOMPLETE, {"a1": 2})
+        return build_model(fix_a, diagrams, {}, 3, soc, INCOMPLETE, {"a1": 2})
 
     @pytest.mark.parametrize("clear, occupy, match", [
         ([("v1", 0)], [], "occupies none of"),  # the start node
@@ -494,7 +526,7 @@ def recorded_models(instance, rng, delta=2, mode=INCOMPLETE):
               for aid, mdd in full.items()}
     # room for every agent to take its full slack
     soc = sum(xi.values()) + delta * len(xi)
-    return [build_model(instance, diagrams, ConflictSet(), horizon, soc, mode,
+    return [build_model(instance, diagrams, {}, horizon, soc, mode,
                         xi, solver=RecordingSolver())
             for diagrams in (full, sparse)]
 
@@ -613,7 +645,7 @@ class TestAdmittedWalks:
                 single = MapfInstance(inst.graph, [a])
                 for mdd in (full, sparse):
                     for soc in range(xi, xi + delta + 1):
-                        model = build_model(single, {a.id: mdd}, ConflictSet(), horizon, soc,
+                        model = build_model(single, {a.id: mdd}, {}, horizon, soc,
                                             INCOMPLETE, {a.id: xi})
                         walks = diagram_walks(mdd, soc)
                         assert model_walks(model, a.id) == walks

@@ -173,6 +173,16 @@ class TestBuildInstance:
         with pytest.raises(InstanceError):
             build_instance(g, specs, 1)
 
+    @pytest.mark.parametrize("role, cell", [
+        ("start", (2, 0)), ("start", (0, 2)), ("start", (-1, 0)), ("goal", (1, -1))])
+    def test_cell_outside_the_map(self, role, cell):
+        g = parse_map(map_text(["..", ".."]))
+        start, goal = (cell, (1, 1)) if role == "start" else ((0, 0), cell)
+        specs = parse_scen(f"version 1\n0 m.map 2 2 {start[0]} {start[1]} {goal[0]} {goal[1]} 2\n")
+        with pytest.raises(InstanceError) as err:
+            build_instance(g, specs, 1)
+        assert str(err.value) == f"{role} cell {cell} of agent 1 is outside the 2x2 map"
+
     def test_duplicate_starts(self):
         g = parse_map(map_text(["...", "..."]))
         specs = parse_scen(

@@ -12,7 +12,6 @@ from mapfsat import (
     UNREACHED,
     Agent,
     AgentConflicts,
-    ConflictSet,
     Distances,
     Graph,
     MapfInstance,
@@ -452,20 +451,3 @@ class TestNewOrPaths:
             assert p.length <= 4
             assert path_cost(p, "v11") <= 4
             assert p.is_walk(fix_b.graph)
-
-
-class TestConflictSet:
-    def test_per_agent_isolation(self):
-        cs = ConflictSet()
-        cs.add("a1", "vertex", ("v", 1))
-        cs.add("a2", "edge", (("u", "v"), 0))
-        assert cs.for_agent("a1").vertex == {("v", 1)}
-        assert cs.for_agent("a1").edge == frozenset()
-        assert cs.for_agent("a2").edge == {(("u", "v"), 0)}
-        assert sum(len(cs.for_agent(a).vertex) + len(cs.for_agent(a).edge)
-                   for a in ("a1", "a2")) == 2
-
-    def test_negative_timestep_rejected(self):
-        cs = ConflictSet()
-        with pytest.raises(ValueError):
-            cs.add("a1", "vertex", ("v", -1))

@@ -22,7 +22,6 @@ from mapfsat import (
     AgentConflicts,
     CdclSolver,
     Collision,
-    ConflictSet,
     Distances,
     EncodingSoundnessError,
     Graph,
@@ -72,10 +71,14 @@ def xi_sum(instance) -> int:
     )
 
 
-def recorded(conflicts: ConflictSet, instance) -> int:
-    """Number of conflict entries recorded for the instance's agents."""
-    return sum(len(conflicts.for_agent(a.id).vertex) + len(conflicts.for_agent(a.id).edge)
-               for a in instance.agents)
+def no_conflicts(instance) -> dict:
+    """The conflicts `_lazy_solve` starts from: none for every agent."""
+    return {a.id: AgentConflicts() for a in instance.agents}
+
+
+def recorded(conflicts: dict) -> int:
+    """Number of conflict entries recorded over all agents."""
+    return sum(len(c.vertex) + len(c.edge) for c in conflicts.values())
 
 
 def fixed_round(instance, candidates, conflicts, horizon, soc, extend="and", stats=None):
@@ -146,7 +149,7 @@ class TestFixtureOptima:
             assert fn(inst, QUICK).status == INFEASIBLE, algo
         assert brute_force_oracle(inst, 10).status == INFEASIBLE
         with pytest.raises(InfeasibleAgentError):
-            fixed_round(inst, {a.id: {} for a in inst.agents}, ConflictSet(), 2, 2)
+            fixed_round(inst, {a.id: {} for a in inst.agents}, no_conflicts(inst), 2, 2)
 
 
 class TestCbs:
@@ -369,33 +372,54 @@ class TestSparseFamily:
 class TestHeuristicFixed:
     def test_cycle_at_tight_bounds(self, fix_b):
         candidates = initial_candidates(fix_b, Distances(fix_b.graph))
-        solution = fixed_round(fix_b, candidates, ConflictSet(), 2, 4)
+        solution = fixed_round(fix_b, candidates, no_conflicts(fix_b), 2, 4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
         assert validate_solution(fix_b, solution) == []
 
     def test_spur_below_optimum_is_unsat_after_promotion(self, fix_c):
         candidates = initial_candidates(fix_c, Distances(fix_c.graph))
-        conflicts = ConflictSet()
+        conflicts = no_conflicts(fix_c)
         solution = fixed_round(fix_c, candidates, conflicts, 3, 6)
         assert solution is None
         assert all(candidates[a.id] is None for a in fix_c.agents)
-        assert recorded(conflicts, fix_c) > 0
+        assert recorded(conflicts) > 0
+
+    @pytest.mark.parametrize("extend", ["and", "or"])
+    def test_both_agents_of_every_collision_carry_it(self, extend, fix_c, monkeypatch):
+        met = []
+
+        def spy(instance, solution):
+            collisions = validate_solution(instance, solution)
+            met.extend(collisions)
+            return collisions
+
+        monkeypatch.setattr(solvers, "validate_solution", spy)
+        candidates = initial_candidates(fix_c, Distances(fix_c.graph))
+        conflicts = no_conflicts(fix_c)
+        # below the optimum of 8: the round meets an edge and two vertex
+        # collisions before it promotes both agents and proves UNSAT
+        assert fixed_round(fix_c, candidates, conflicts, 4, 7, extend) is None
+        assert {col.kind for col in met} == {"vertex", "edge"}
+        for col in met:
+            for side, agent_id in enumerate(col.agents):
+                carried = conflicts[agent_id]
+                entries = carried.vertex if col.kind == "vertex" else carried.edge
+                assert col.entry(side) in entries
 
     def test_single_agent_immediate(self, fix_a):
         candidates = initial_candidates(fix_a, Distances(fix_a.graph))
-        conflicts = ConflictSet()
+        conflicts = no_conflicts(fix_a)
         solution = fixed_round(fix_a, candidates, conflicts, 2, 2)
         assert solution.paths[0].positions == ("v1", "v2", "v3")
-        assert recorded(conflicts, fix_a) == 0
+        assert recorded(conflicts) == 0
 
     def test_unsat_over_sparse_sets_promotes_all_agents(self, fix_b):
         # a pre-recorded conflict makes the single-candidate model UNSAT even
         # though the instance is solvable at these bounds
         candidates = initial_candidates(fix_b, Distances(fix_b.graph))
-        conflicts = ConflictSet()
-        conflicts.add("a1", "vertex", ("v01", 1))
-        conflicts.add("a2", "vertex", ("v01", 1))
+        carried = AgentConflicts().with_entry("vertex", ("v01", 1))
+        conflicts = {"a1": carried, "a2": carried}
         solution = fixed_round(fix_b, candidates, conflicts, 2, 4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
@@ -410,7 +434,7 @@ class TestHeuristicFixed:
         )
         inst = MapfInstance(g, [*fix_b.agents, Agent("a3", "w1", "w3")])
         candidates = initial_candidates(inst, Distances(g))
-        solution = fixed_round(inst, candidates, ConflictSet(), 2, 6)
+        solution = fixed_round(inst, candidates, no_conflicts(inst), 2, 6)
         assert sum_of_costs(inst, solution) == 6
         assert candidates["a3"] is not None
         assert list(candidates["a3"].values()) == [Path("a3", ("w1", "w2", "w3"))]
@@ -427,7 +451,7 @@ class TestHeuristicFixed:
         candidates = initial_candidates(inst, Distances(g))
         assert list(candidates["a2"]) == [("s2", "m", "g2")]
         stats = SolveStats()
-        solution = fixed_round(inst, candidates, ConflictSet(), 2, 5, extend, stats)
+        solution = fixed_round(inst, candidates, no_conflicts(inst), 2, 5, extend, stats)
         assert validate_solution(inst, solution) == []
         assert candidates["a1"] is None
         assert list(candidates["a2"]) == [("s2", "m", "g2"), ("s2", "w", "g2")]
