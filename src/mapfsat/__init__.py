@@ -17,7 +17,6 @@ from .instance import (
     parse_map,
     parse_scen,
     path_cost,
-    render_map,
     sum_of_costs,
     validate_solution,
 )

@@ -12,11 +12,16 @@ builder hands them over: the full build sweeps forward from the start, sorts
 each level and filters `Graph.moves`; the sparse build, whose paths arrive in
 any order, sorts both. CBS runs the same forward sweep (`walk_levels`) under
 an agent's constraints and reads only the level widths.
+
+A full build can also leave out the goal cells that other agents hold
+(`goal_bans`): under a sum-of-costs bound each agent has a latest arrival,
+from which on it stands on its goal. When those bans leave an agent no walk,
+`build_mdd` raises `EmptyDiagramError`, and no solution meets the bound.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .instance import MapfInstance, Path, Vertex
 from .pathing import UNREACHED, AgentConflicts, Distances
@@ -25,10 +30,15 @@ from .pathing import bfs_distances  # noqa: F401  the layer tracer wraps this na
 
 Levels = tuple[tuple[Vertex, ...], ...]
 OutEdges = dict[tuple[int, Vertex], tuple[Vertex, ...]]  # (t, u) -> heads at t + 1
+Held = Sequence[frozenset[Vertex]]  # step -> goal cells that arrived agents hold
 
 
 class InfeasibleAgentError(ValueError):
     """The agent cannot reach its goal at all, or not within the horizon."""
+
+
+class EmptyDiagramError(Exception):
+    """The goal bans leave the agent no walk: no solution meets their bound."""
 
 
 class Mdd:
@@ -68,11 +78,13 @@ class Mdd:
 
 
 def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
-              cost_bound: int, distances: Distances) -> Mdd:
-    """Full diagram of every start->goal path within the horizon and cost bound.
+              cost_bound: int, distances: Distances, held: Held = ()) -> Mdd:
+    """Full diagram of every start->goal path within the horizon and cost bound
+    that keeps clear of the goal cells `held` by the other agents (`goal_bans`).
 
     The goal node persists at every level from the earliest arrival onward,
-    so trailing goal waits stay representable and free.
+    so trailing goal waits stay representable and free. `EmptyDiagramError`
+    if the bans leave no such path.
     """
     agent = instance.agent(agent_id)
     xi = distances.dist(agent.goal)[agent.start]
@@ -85,21 +97,39 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
             f"agent {agent_id!r} cannot reach its goal within horizon {horizon}"
         )
     levels, out = walk_levels(instance, agent_id, horizon, cost_bound, distances,
-                              AgentConflicts())
+                              AgentConflicts(), held)
+    if not levels[0]:
+        raise EmptyDiagramError(f"goal bans leave agent {agent_id!r} no walk")
     return Mdd(agent_id, horizon, levels, out)
 
 
+def goal_bans(instance: MapfInstance, xi: Mapping[Hashable, int], delta: int,
+              horizon: int) -> Held:
+    """The goal cells that arrived agents hold at each step 0..horizon, under a
+    sum-of-costs bound `delta` above the shortest-path total `sum(xi)`.
+
+    Under that bound agent a costs at most `xi[a] + delta`, so from that step
+    on it stands on its goal, and no other agent may be there. The cells only
+    accumulate: a step holds every goal of the step before.
+    """
+    return tuple(frozenset(a.goal for a in instance.agents if xi[a.id] + delta <= t)
+                 for t in range(horizon + 1))
+
+
 def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_bound: int,
-                distances: Distances, avoid: AgentConflicts) -> tuple[Levels, OutEdges]:
+                distances: Distances, avoid: AgentConflicts,
+                held: Held = ()) -> tuple[Levels, OutEdges]:
     """Levels and out-edges of the agent's start->goal walks of `horizon`
-    steps that cost at most `cost_bound` and keep clear of `avoid`.
+    steps that cost at most `cost_bound`, keep clear of `avoid` and stand on
+    no cell of `held[t]` at step t other than the agent's own goal.
 
     Level t + 1 holds the moves of level-t nodes that are the goal or can
     still reach it within the bound, less what `avoid` bans at t + 1 or cuts
-    at t. Entries can leave a node with no move onward, so only then are the
-    levels pruned backward, from the last constrained step: past it the sweep
-    is unconstrained, and every node there already lies on a walk. With no
-    such walk, every level is empty and there are no out-edges.
+    at t and the held cells of t + 1. A node that the filters leave no move
+    is dropped, and so, level by level backward, is every node whose moves
+    all led to dropped ones; the prune starts at the last level that lost a
+    node and touches only their predecessors. With no walk left, every level
+    is empty and there are no out-edges.
     """
     agent = instance.agent(agent_id)
     start, goal = agent.start, agent.goal
@@ -107,16 +137,18 @@ def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_b
     bound = min(cost_bound, horizon)
     banned, cut = avoid.by_step()
     xi = dist_goal[start]
-    if xi is UNREACHED or xi > bound or start in banned.get(0, ()):
+    if (xi is UNREACHED or xi > bound or start in banned.get(0, ())
+            or (held and start != goal and start in held[0])):
         return ((),) * (horizon + 1), {}
 
     # moves[u] is in the ids' order, so each out-edge list is as well.
-    # Without entries there is no pruning pass: on an undirected graph where
-    # agents may wait, every node swept here lies on a start->goal walk within
-    # the bound (checked by test_matches_brute_force_expansion).
+    # Unfiltered, every node swept here lies on a start->goal walk within the
+    # bound: on an undirected graph where agents may wait, it keeps a move
+    # (checked by test_matches_brute_force_expansion).
     moves = instance.graph.move_table
     levels = [(start,)]
     out = {}
+    dead: dict[int, set[Vertex]] = {}  # level -> nodes the filters left no move
     for t in range(horizon):
         slack = bound - (t + 1)
         ban, cuts = banned.get(t + 1, ()), cut.get(t, ())
@@ -125,18 +157,51 @@ def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_b
             heads = [w for w in moves[u] if w == goal or dist_goal[w] <= slack]
             if ban or cuts:
                 heads = [w for w in heads if w not in ban and (u, w) not in cuts]
+                if not heads:
+                    dead.setdefault(t, set()).add(u)
             out[(t, u)] = tuple(heads)
             reached.update(heads)
+        # from the bound on, the agent only waits on its goal; below it, a
+        # sweep that reaches no held cell pays one disjointness test
+        if held and t + 1 < bound and not reached.isdisjoint(held[t + 1]):
+            hit = reached.intersection(held[t + 1])
+            hit.discard(goal)
+            reached -= hit
+            _drop_heads(moves, out, t, hit, dead)
         levels.append(tuple(sorted(reached)))
-    if banned or cut:
-        last = max(max(banned, default=0), max(cut, default=-1) + 1)
-        for t in range(min(last, horizon) - 1, -1, -1):
-            later = set(levels[t + 1])
-            for u in levels[t]:
-                out[(t, u)] = tuple([w for w in out[(t, u)] if w in later])
-            levels[t] = tuple([u for u in levels[t] if out[(t, u)]])
-        out = {key: heads for key, heads in out.items() if heads}
+    if dead:
+        _prune(moves, levels, out, dead)
     return tuple(levels), out
+
+
+def _drop_heads(moves, out: OutEdges, t: int, gone: set[Vertex],
+                dead: dict[int, set[Vertex]]) -> None:
+    """Remove the level-(t + 1) nodes `gone` from the out-edges of level t,
+    and record each level-t node left no move in `dead`. The graph is
+    undirected and agents may wait, so only a gone node's own moves lead
+    into it."""
+    for v in gone:
+        for u in moves[v]:
+            heads = out.get((t, u), ())
+            if v in heads:
+                heads = out[(t, u)] = tuple([w for w in heads if w not in gone])
+                if not heads:
+                    dead.setdefault(t, set()).add(u)
+
+
+def _prune(moves, levels: list[tuple[Vertex, ...]], out: OutEdges,
+           dead: dict[int, set[Vertex]]) -> None:
+    """Drop the `dead` nodes, from the last level that has one back to the
+    start, and with them every node whose moves all led to dropped ones."""
+    for t in range(max(dead), -1, -1):
+        gone = dead.get(t)
+        if not gone:
+            continue
+        levels[t] = tuple([u for u in levels[t] if u not in gone])
+        for u in gone:
+            del out[(t, u)]
+        if t:
+            _drop_heads(moves, out, t - 1, gone, dead)
 
 
 def build_smdd(agent_id: Hashable, paths: Sequence[Path], horizon: int) -> Mdd:

@@ -134,10 +134,6 @@ class Graph:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(self.adjacency[v]) for v in self.vertices) // 2
-
     def cell_vertex(self, x: int, y: int) -> Optional[int]:
         """Vertex id for a grid cell, or None if blocked/out of bounds."""
         if self.grid is None:
@@ -431,15 +427,6 @@ def parse_map(text: str) -> Graph:
             if y + 1 < height and passable[y + 1][x]:
                 edges.append((grid.cell_id(x, y), grid.cell_id(x, y + 1)))
     return Graph(vertices, edges, grid=grid)
-
-
-def render_map(graph: Graph) -> str:
-    """Debug writer for grid graphs; round-trips the passable mask exactly."""
-    if graph.grid is None:
-        raise InstanceError("graph has no grid metadata")
-    g = graph.grid
-    rows = ["".join("." if cell else "@" for cell in row) for row in g.passable]
-    return "\n".join(["type octile", f"height {g.height}", f"width {g.width}", "map", *rows]) + "\n"
 
 
 def parse_scen(text: str) -> list[AgentSpec]:

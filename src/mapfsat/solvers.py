@@ -29,6 +29,14 @@ from the start. An algorithm is a fixed ``(mode, extend)`` pair:
 * smtcbs    -- ``(INCOMPLETE, None)``.
 * sparse    -- ``(INCOMPLETE, "or")``.
 * heuristic -- ``(INCOMPLETE, "and")``.
+
+Target reasoning on the compiled diagrams: under a bound with slack
+``delta`` agent a costs at most ``xi[a] + delta``, so from that step on it
+stands on its goal. Full diagrams leave those goal cells out for every other
+agent (``diagrams.goal_bans``). When the bans leave some agent no walk, the
+bound is proved infeasible without a model or a SAT call; ``_fixed`` tests
+this on every full diagram it builds, and on the candidate paths of the
+agents still on sparse sets before it builds their model.
 """
 
 from __future__ import annotations
@@ -40,7 +48,15 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Hashable
 
-from .diagrams import InfeasibleAgentError, build_mdd, build_smdd, walk_levels
+from .diagrams import (
+    EmptyDiagramError,
+    Held,
+    InfeasibleAgentError,
+    build_mdd,
+    build_smdd,
+    goal_bans,
+    walk_levels,
+)
 from .encoding import (
     COMPLETE,
     INCOMPLETE,
@@ -55,6 +71,7 @@ from .instance import (
     MapfInstance,
     Path,
     Solution,
+    Vertex,
     child_collisions,
     path_cost,
     sum_of_costs,
@@ -386,19 +403,36 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
     Collisions are recorded in `conflicts`, become lazy clauses and grow
     `candidates`, both in place. UNSAT is trusted only once every agent is
     on its full diagram.
+
+    Full diagrams leave out the goal cells that arrived agents hold
+    (`goal_bans`). A bound is infeasible with no model when those bans leave
+    an agent no walk: a full diagram comes out empty, or an agent on a sparse
+    set has no candidate path clear of them and no search under them finds
+    one. Such a round promotes every agent to its full diagram, as an UNSAT
+    sparse round does, and returns None without a SAT call.
     """
     delta = soc - sum(xi.values())
     bounds = {a.id: xi[a.id] + delta for a in instance.agents}
+    held = goal_bans(instance, xi, delta, horizon)
+    if not all(_clear_walk(instance, agent_id, paths, held, horizon, bounds[agent_id],
+                           distances)
+               for agent_id, paths in candidates.items() if paths is not None):
+        candidates.update(dict.fromkeys(candidates))
+        return None
     model = None
     while True:
         if model is None:
             deadline.check()
-            diagrams = {
-                a.id: build_mdd(instance, a.id, horizon, bounds[a.id], distances)
-                if candidates[a.id] is None
-                else build_smdd(a.id, list(candidates[a.id].values()), horizon)
-                for a in instance.agents
-            }
+            try:
+                diagrams = {
+                    a.id: build_mdd(instance, a.id, horizon, bounds[a.id], distances, held)
+                    if candidates[a.id] is None
+                    else build_smdd(a.id, list(candidates[a.id].values()), horizon)
+                    for a in instance.agents
+                }
+            except EmptyDiagramError:
+                candidates.update(dict.fromkeys(candidates))
+                return None
             # long single SAT calls poll the deadline between conflicts
             model = build_model(instance, diagrams, conflicts, horizon, soc, mode, xi,
                                 solver=CdclSolver(interrupt=deadline.check))
@@ -414,8 +448,7 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
         if assignment is None:
             if all(paths is None for paths in candidates.values()):
                 return None
-            for agent_id in candidates:
-                candidates[agent_id] = None
+            candidates.update(dict.fromkeys(candidates))
             model = None
             continue
         solution = extract_solution(model, assignment)
@@ -473,6 +506,34 @@ def _avoids(path: Path, conf: AgentConflicts, horizon: int) -> bool:
     return not any(
         ((pos[t], pos[t + 1]), t) in conf.edge for t in range(len(pos) - 1)
     )
+
+
+def _clear_walk(instance: MapfInstance, agent_id: Hashable, paths: dict[tuple, Path],
+                held: Held, horizon: int, bound: int,
+                distances: Distances) -> bool:
+    """True if the agent has a walk within `bound` that keeps clear of the goal
+    cells `held` by the other agents: one of its candidate `paths`, else one
+    that a search under the bans finds."""
+    goal = instance.agent(agent_id).goal
+    if any(_clear_of(positions, goal, held) for positions in paths):
+        return True
+    avoid = AgentConflicts(frozenset((v, t) for t in range(horizon + 1)
+                                     for v in held[t] if v != goal))
+    return constrained_shortest_path(instance, agent_id, avoid, horizon, bound,
+                                     distances) is not None
+
+
+def _clear_of(positions: tuple, goal: Vertex, held: Held) -> bool:
+    """True if the walk stands on no held cell but its own goal. The cells only
+    accumulate from step to step, so it is read from its end back to the last
+    step that holds none; past its end it waits on its goal."""
+    for t in range(len(positions) - 1, -1, -1):
+        cells = held[t]
+        if not cells:
+            return True
+        if positions[t] in cells and positions[t] != goal:
+            return False
+    return True
 
 
 ALGORITHMS: dict[str, Callable[..., SolveOutcome]] = {

@@ -11,12 +11,25 @@ from collections import deque
 from mapfsat import (
     INFEASIBLE,
     SOLVED,
+    Graph,
     MapfInstance,
     Path,
     Solution,
     SolveOutcome,
     validate_solution,
 )
+
+
+def edge_count(graph: Graph) -> int:
+    """Number of undirected edges of the graph."""
+    return sum(len(graph.neighbors(v)) for v in graph.vertices) // 2
+
+
+def render_map(graph: Graph) -> str:
+    """Movingai map text of a grid graph; round-trips the passable mask exactly."""
+    g = graph.grid
+    rows = ["".join("." if cell else "@" for cell in row) for row in g.passable]
+    return "\n".join(["type octile", f"height {g.height}", f"width {g.width}", "map", *rows]) + "\n"
 
 
 def walk_cost(positions, goal) -> int:

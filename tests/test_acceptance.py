@@ -34,6 +34,7 @@ from mapfsat import (
     solve_smt_cbs,
     validate_solution,
 )
+from mapfsat.diagrams import EmptyDiagramError, goal_bans
 from mapfsat.bench import read_csv, run_benchmark, sorted_runtimes, success_rate, write_csv
 from conftest import random_grid_instance
 from oracle import brute_force_oracle, diagram_walks
@@ -244,6 +245,52 @@ def test_criterion_5_model_definitions():
         f"complete-model equivalence and incomplete-model implication held on "
         f"{cases} graph/configuration/slack cases ({mismatches} mismatches)",
         cases > 10000 and mismatches == 0,
+    )
+
+
+def test_goal_bans_keep_criterion_5():
+    """Goal bans lose no solution on criterion 5's graphs and configurations.
+
+    Under each slack 0, 1 and 2, the full diagrams leave out the goal cells
+    that arrived agents hold (`goal_bans`). Where that leaves an agent no
+    walk, the brute-force oracle finds no solution within the bound; else the
+    complete model over the banned diagrams is SAT exactly when it finds one.
+    """
+    graphs = [g for n in (2, 3, 4) for g in connected_graphs(n)]
+    graphs += canonical_larger_graphs()
+    cases = empty = mismatches = 0
+    for g in graphs:
+        n = g.vertex_count
+        distances = Distances(g)
+        for s1, s2 in itertools.permutations(range(n), 2):
+            for g1, g2 in itertools.permutations(range(n), 2):
+                inst = MapfInstance(g, [Agent(1, s1, g1), Agent(2, s2, g2)])
+                costs = {a.id: distances.dist(a.goal)[a.start] for a in inst.agents}
+                if UNREACHED in costs.values():
+                    continue
+                soc0, mu0 = sum(costs.values()), max(costs.values())
+                oracle = brute_force_oracle(inst, soc0 + 2)
+                for delta in (0, 1, 2):
+                    cases += 1
+                    soc, mu = soc0 + delta, mu0 + delta
+                    solvable = oracle.solved and oracle.soc <= soc
+                    held = goal_bans(inst, costs, delta, mu)
+                    try:
+                        diagrams = {a.id: build_mdd(inst, a.id, mu, costs[a.id] + delta,
+                                                    distances, held)
+                                    for a in inst.agents}
+                    except EmptyDiagramError:
+                        empty += 1
+                        mismatches += solvable
+                        continue
+                    complete = build_model(inst, diagrams, {}, mu, soc, COMPLETE, costs)
+                    mismatches += (complete.solve() is not None) != solvable
+    check(
+        5,
+        f"goal bans: {empty} of {cases} graph/configuration/slack cases proved "
+        f"infeasible by an empty diagram, the rest decided by the complete model "
+        f"over banned diagrams ({mismatches} mismatches)",
+        cases > 10000 and empty > 0 and mismatches == 0,
     )
 
 

@@ -19,7 +19,7 @@ from mapfsat import (
     build_mdd,
     build_smdd,
 )
-from mapfsat.diagrams import walk_levels
+from mapfsat.diagrams import EmptyDiagramError, goal_bans, walk_levels
 from conftest import contains_path, random_grid_instance, scrambled_grid_instance
 from oracle import diagram_walks, walk_cost
 
@@ -209,6 +209,54 @@ class TestWalkLevels:
             # no walk remains: every level is empty, and there are no out-edges
             assert levels == ((),) * (horizon + 1)
             assert out == {}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_goal_bans_keep_exactly_the_walks_clear_of_them(self, data):
+        inst = random_grid_instance(random.Random(data.draw(st.integers(0, 2**32))),
+                                    max_side=5)
+        graph = inst.graph
+        agent = data.draw(st.sampled_from(inst.agents))
+        goal = agent.goal
+        distances = Distances(graph)
+        xi = distances.dist(goal)[agent.start]
+        cost = data.draw(st.integers(xi, xi + 3))
+        horizon = data.draw(st.integers(xi, cost + 2))
+        cells = st.sampled_from(graph.vertices)
+        if data.draw(st.booleans()):
+            # shaped like the solver's bans: each cell held from a step on,
+            # the agent's own goal among the candidates
+            arrivals = data.draw(st.lists(st.tuples(cells, st.integers(0, horizon)),
+                                          max_size=4))
+            held = tuple(frozenset(v for v, since in arrivals if since <= t)
+                         for t in range(horizon + 1))
+        else:
+            held = tuple(data.draw(st.frozensets(cells, max_size=3))
+                         for _ in range(horizon + 1))
+
+        full = build_mdd(inst, agent.id, horizon, cost, distances)
+        kept = {walk for walk in diagram_walks(full, horizon)
+                if all(v == goal or v not in held[t] for t, v in enumerate(walk))}
+        levels, out = walk_levels(inst, agent.id, horizon, cost, distances,
+                                  AgentConflicts(), held)
+        # each level is the vertex set the kept walks occupy there, and each
+        # of its nodes below the horizon lists their moves out of it
+        assert levels == tuple(tuple(sorted({walk[t] for walk in kept}))
+                               for t in range(horizon + 1))
+        assert set(out) == {(t, u) for t in range(horizon) for u in levels[t]}
+        assert {(t, u, w) for (t, u), heads in out.items() for w in heads} == {
+            (t, walk[t], walk[t + 1]) for walk in kept for t in range(horizon)}
+        if kept:
+            banned = build_mdd(inst, agent.id, horizon, cost, distances, held)
+            assert diagram_walks(banned, horizon) == kept
+        else:
+            with pytest.raises(EmptyDiagramError):
+                build_mdd(inst, agent.id, horizon, cost, distances, held)
+
+    def test_goal_bans_hold_each_goal_from_its_latest_arrival(self, fix_c):
+        xi = {"a1": 3, "a2": 3}
+        held = goal_bans(fix_c, xi, 1, 5)
+        assert held == ((frozenset(),) * 4 + (frozenset({"v4", "v1"}),) * 2)
 
 
 class TestBuildSmdd:

@@ -54,6 +54,7 @@ from conftest import random_grid_instance
 from oracle import brute_force_oracle
 
 QUICK = SolverConfig(timeout_s=30)
+CORRIDOR = FsPath(__file__).parent / "data" / "corridor"
 # Open 8x8 with 26 agents that no SAT algorithm solves within seconds, written
 # once from perfbench's generator: `random_grid(rng, 8, 0.0)` with
 # `rng = random.Random("ladder/open8/26/2")`, then 26 starts and 26 goals
@@ -88,6 +89,14 @@ def fixed_round(instance, candidates, conflicts, horizon, soc, extend="and", sta
     xi = solvers._shortest_costs(instance, distances)
     return _fixed(instance, Deadline(60), SolveStats() if stats is None else stats, candidates,
                   conflicts, horizon, soc, xi, INCOMPLETE, extend, distances)
+
+
+def corridor_instance() -> MapfInstance:
+    """Agent 1 arrives at its goal in a corridor after one step; agent 2 must
+    cross that goal, so agent 1 has to step into the pocket above it and
+    back: optimum 7, two above the shortest-path total."""
+    graph = parse_map((CORRIDOR / "corridor.map").read_text())
+    return build_instance(graph, parse_scen((CORRIDOR / "corridor.scen").read_text()), 2)
 
 
 def swap_instance() -> MapfInstance:
@@ -407,6 +416,26 @@ class TestHeuristicFixed:
                 entries = carried.vertex if col.kind == "vertex" else carried.edge
                 assert col.entry(side) in entries
 
+    def test_a_sparse_agent_blocked_by_an_arrived_agent_ends_the_round(self):
+        # at the shortest-path total, agent 1 holds its goal from step 1 on;
+        # agent 2's candidate crosses it at step 2, and no walk avoids it
+        inst = corridor_instance()
+        candidates = initial_candidates(inst, Distances(inst.graph))
+        stats = SolveStats()
+        assert fixed_round(inst, candidates, no_conflicts(inst), 4, 5, stats=stats) is None
+        assert all(candidates[a.id] is None for a in inst.agents)
+        assert (stats.iterations, stats.sat_calls) == ([], 0)
+
+    def test_a_candidate_clear_of_the_bans_needs_no_search(self, fix_b, monkeypatch):
+        # each shortest path ends on its own goal at the bound, the step from
+        # which that goal is held: an agent's own goal is never banned for it
+        searched = []
+        monkeypatch.setattr(solvers, "constrained_shortest_path",
+                            lambda *args, **kwargs: searched.append(args))
+        candidates = initial_candidates(fix_b, Distances(fix_b.graph))
+        assert fixed_round(fix_b, candidates, no_conflicts(fix_b), 2, 4) is not None
+        assert searched == []
+
     def test_single_agent_immediate(self, fix_a):
         candidates = initial_candidates(fix_a, Distances(fix_a.graph))
         conflicts = no_conflicts(fix_a)
@@ -495,12 +524,12 @@ class TestOptimalityAgreement:
                   "sparse": (8, 6, 3, 4), "heuristic": (8, 6, 3, 4)},
         0: {"mddsat": (8, 3, 0, 3), "smtcbs": (8, 7, 4, 3),
             "sparse": (8, 8, 4, 5), "heuristic": (8, 8, 4, 5)},
-        1: {"mddsat": (9, 4, 0, 4), "smtcbs": (9, 16, 12, 4),
-            "sparse": (9, 16, 12, 6), "heuristic": (9, 16, 12, 6)},
+        1: {"mddsat": (9, 3, 0, 3), "smtcbs": (9, 16, 13, 3),
+            "sparse": (9, 16, 13, 3), "heuristic": (9, 16, 13, 3)},
         2: {"mddsat": (4, 1, 0, 1), "smtcbs": (4, 1, 0, 1),
             "sparse": (4, 1, 0, 1), "heuristic": (4, 1, 0, 1)},
-        3: {"mddsat": (13, 3, 0, 3), "smtcbs": (13, 7, 5, 3),
-            "sparse": (13, 8, 7, 5), "heuristic": (13, 8, 7, 5)},
+        3: {"mddsat": (13, 1, 0, 1), "smtcbs": (13, 3, 4, 1),
+            "sparse": (13, 3, 4, 1), "heuristic": (13, 3, 4, 1)},
     }
 
     def test_sat_solvers_keep_pinned_search(self, fix_b, fix_c):
@@ -614,6 +643,17 @@ def test_complete_model_collision_is_a_soundness_error(fix_b, monkeypatch):
     monkeypatch.setattr(solvers, "validate_solution", lambda inst, sol: [fake])
     with pytest.raises(EncodingSoundnessError):
         solve_mdd_sat(fix_b, QUICK)
+
+
+@pytest.mark.parametrize("algo", ["mddsat", "smtcbs", "sparse", "heuristic"])
+def test_a_bound_blocked_by_an_arrived_agent_costs_no_model(algo):
+    inst = corridor_instance()
+    soc0 = xi_sum(inst)
+    oracle = brute_force_oracle(inst, soc0 + 4)
+    out = ALGORITHMS[algo](inst, QUICK)
+    assert out.soc == solve_cbs(inst, QUICK).soc == oracle.soc == soc0 + 2
+    # both lower bounds end on an agent with no walk clear of the other's goal
+    assert [it.soc for it in out.stats.iterations] == [soc0 + 2]
 
 
 @pytest.mark.parametrize("algo", ["mddsat", "smtcbs", "sparse", "heuristic"])
