@@ -1,15 +1,20 @@
 """Compile per-agent diagrams plus accumulated conflicts into a SAT model.
 
-Decision variables: one per diagram node (agent at vertex v at step t); a
-move is the pair of nodes it joins, so there are no edge variables. Cost is
-tracked by per-agent "still active" indicators: one indicator per timestep
-from the agent's shortest-path cost up to the horizon, true while the agent
-has not yet settled at its goal. A single global cardinality constraint caps
-the indicator count at the slack above the sum of shortest-path costs.
+Decision variables: one per diagram node (agent at vertex v at step t) up
+to the agent's settle step; a move is the pair of nodes it joins, so there
+are no edge variables. The settle step is the first level from which the
+agent's diagram holds only its goal, up to the horizon. Every later goal
+node shares the settle node's variable, so the model answers for each node
+of the diagram; a collision clause on such a node meets the settle unit and
+becomes a unit itself. Cost is tracked by per-agent "still active"
+indicators: one per timestep from the agent's shortest-path cost up to its
+settle step, true while the agent has not yet settled at its goal. A single
+global cardinality constraint caps the indicator count at the slack above
+the sum of shortest-path costs.
 
 Each agent's path is a walk of occupied nodes; a level may hold several.
-The start and goal nodes are units and an occupied node below the horizon
-needs an occupied successor, so taking the first occupied successor in
+The start and settle nodes are units and an occupied node below the settle
+step needs an occupied successor, so taking the first occupied successor in
 out-edge order leads from the start to the goal. The walk is off its goal
 at step t only if a non-goal node of level t is occupied, which forces that
 step's indicator and all before it: its excess cost is within the slack.
@@ -20,7 +25,10 @@ by the rest, these let unit propagation run backward from the goal unit.
 
 The complete mode adds every pairwise vertex/swap exclusion up front; the
 incomplete mode relies on lazily added collision clauses instead. A swap
-clause forbids the four nodes of two opposing moves together.
+clause forbids the four nodes of two opposing moves together. The complete
+mode indexes the agents at each vertex-timestep once, for the vertex
+exclusions, and looks for a move's opposing moves only among the agents at
+its head, not in every other agent's diagram.
 """
 
 from __future__ import annotations
@@ -46,8 +54,10 @@ class EncodingSoundnessError(RuntimeError):
 @dataclass
 class BooleanModel:
     """One solver instance, the horizon and SOC bound it was built for, and
-    the bijection between diagram nodes (`x`), cost indicators (`c`) and its
-    SAT variables; nodes are the only decision variables."""
+    the maps from diagram nodes (`x`) and cost indicators (`c`) to its SAT
+    variables. Each node up to its agent's settle step has a variable of its
+    own, and the goal nodes after it share the settle node's. The node
+    variables decide an answer: indicators and counter registers follow."""
 
     solver: CdclSolver
     horizon: int
@@ -107,6 +117,14 @@ def cardinality_le(solver: CdclSolver, lits: list[int], k: int, clauses: list) -
     clauses.append([-lits[n - 1], -reg[n - 2][k - 1]])
 
 
+def _settle_step(mdd: Mdd) -> int:
+    """First level from which every level up to the horizon is the goal alone."""
+    end, tail = mdd.horizon, (mdd.goal,)
+    while end and mdd.levels[end - 1] == tail:
+        end -= 1
+    return end
+
+
 def build_model(
     instance: MapfInstance,
     diagrams: Mapping[Hashable, Mdd],
@@ -141,26 +159,29 @@ def build_model(
     model = BooleanModel(s, horizon, soc, instance, diagrams)
     x, c = model.x, model.c
 
+    ends = {a.id: _settle_step(diagrams[a.id]) for a in agents}
     for a in agents:
-        mdd = diagrams[a.id]
-        nodes = [(a.id, v, t) for t in range(horizon + 1) for v in mdd.levels[t]]
+        mdd, end = diagrams[a.id], ends[a.id]
+        nodes = [(a.id, v, t) for t in range(end + 1) for v in mdd.levels[t]]
         x.update(zip(nodes, s.new_vars(len(nodes))))
-        steps = [(a.id, t) for t in range(xi[a.id], horizon)]
+        # the goal tail shares the settle node's variable
+        settled = x[(a.id, mdd.goal, end)]
+        for t in range(end + 1, horizon + 1):
+            x[(a.id, mdd.goal, t)] = settled
+        steps = [(a.id, t) for t in range(xi[a.id], end)]
         c.update(zip(steps, s.new_vars(len(steps))))
 
     for a in agents:
-        mdd = diagrams[a.id]
-        clauses: list[list[int]] = []
-        # endpoints
-        clauses.append([x[(a.id, mdd.start, 0)]])
-        clauses.append([x[(a.id, mdd.goal, horizon)]])
-        # an occupied node below the horizon needs a successor; each node
-        # collects its predecessors. The agent's node variables are
-        # contiguous from its start node in (t, v) order, so `ins` is
-        # indexed by `xv - base`.
-        base = x[(a.id, mdd.start, 0)]
-        ins: list[list[int]] = [[] for _ in range(mdd.node_count)]
-        for t in range(horizon):
+        mdd, end = diagrams[a.id], ends[a.id]
+        # endpoints: the start and the settle node
+        base, settled = x[(a.id, mdd.start, 0)], x[(a.id, mdd.goal, end)]
+        clauses: list[list[int]] = [[base], [settled]]
+        # an occupied node below the settle step needs a successor; each
+        # node collects its predecessors. The agent's node variables run
+        # contiguous from its start node to its settle node in (t, v) order,
+        # so `ins` is indexed by `xv - base`.
+        ins: list[list[int]] = [[] for _ in range(settled - base + 1)]
+        for t in range(end):
             for u in mdd.levels[t]:
                 xu = x[(a.id, u, t)]
                 succ = [x[(a.id, w, t + 1)] for w in mdd.outgoing(u, t)]
@@ -172,7 +193,7 @@ def build_model(
             clauses.append([-(base + i)] + ins[i])
         # cost indicators: forced by an occupied non-goal node, monotone, and
         # true only with an occupied non-goal node at their step or later
-        for t in range(xi[a.id], horizon):
+        for t in range(xi[a.id], end):
             ct = c[(a.id, t)]
             support = [
                 x[(a.id, v, t)] for v in mdd.levels[t] if v != a.goal
@@ -197,33 +218,35 @@ def build_model(
 
 
 def _emit_complete_constraints(model: BooleanModel) -> None:
-    agents, s = model.instance.agents, model.solver
-    # at most one agent per shared vertex-timestep
-    shared: dict[tuple[int, Vertex], list[int]] = {}
-    for a in agents:
+    agents, s, x = model.instance.agents, model.solver, model.x
+    # the agents at each vertex-timestep, in instance order
+    present: dict[tuple[int, Vertex], list[int]] = {}
+    for i, a in enumerate(agents):
         mdd = model.diagrams[a.id]
         for t in range(model.horizon + 1):
             for v in mdd.levels[t]:
-                shared.setdefault((t, v), []).append(model.x[(a.id, v, t)])
+                present.setdefault((t, v), []).append(i)
+    # at most one agent per shared vertex-timestep
     clauses: list[list[int]] = []
-    for key in sorted(shared):
-        _at_most_one(s, shared[key], clauses)
+    for t, v in sorted(present):
+        _at_most_one(s, [x[(agents[i].id, v, t)] for i in present[(t, v)]], clauses)
     s.add_clauses(clauses)
-    # no pair of agents may swap across one edge
-    for i in range(len(agents)):
-        ai = agents[i].id
-        mdd = model.diagrams[ai]
-        clauses = []
-        for j in range(i + 1, len(agents)):
-            aj = agents[j].id
-            for t in range(model.horizon):
-                for u in mdd.levels[t]:
-                    for v in mdd.outgoing(u, t):
-                        if v != u:  # two waits at u are a vertex collision
-                            clause = _swap_clause(model, ai, aj, u, v, t)
-                            if clause is not None:
-                                clauses.append(clause)
-        s.add_clauses(clauses)
+    del clauses  # a build holds one section's clauses at a time
+    # no pair of agents may swap across one edge: i's move u -> v meets each
+    # later agent at v at t that moves to u
+    for i, a in enumerate(agents):
+        mdd = model.diagrams[a.id]
+        by_pair: dict[int, list[tuple[int, ...]]] = {}
+        for t in range(model.horizon):
+            for u in mdd.levels[t]:
+                for v in mdd.outgoing(u, t):
+                    if v == u:
+                        continue  # two waits at u are a vertex collision
+                    for j in present.get((t, v), ()):
+                        aj = agents[j].id
+                        if j > i and u in model.diagrams[aj].outgoing(v, t):
+                            by_pair.setdefault(j, []).append(_swap_lits(x, a.id, aj, u, v, t))
+        s.add_clauses(clause for j in sorted(by_pair) for clause in by_pair[j])
 
 
 def _swap_clause(model: BooleanModel, ai: Hashable, aj: Hashable, u: Vertex, v: Vertex,
@@ -232,7 +255,10 @@ def _swap_clause(model: BooleanModel, ai: Hashable, aj: Hashable, u: Vertex, v: 
     None when either diagram lacks its move."""
     if u not in model.diagrams[aj].outgoing(v, t) or v not in model.diagrams[ai].outgoing(u, t):
         return None
-    x = model.x
+    return _swap_lits(model.x, ai, aj, u, v, t)
+
+
+def _swap_lits(x, ai: Hashable, aj: Hashable, u: Vertex, v: Vertex, t: int) -> tuple[int, ...]:
     return (-x[(ai, u, t)], -x[(ai, v, t + 1)], -x[(aj, v, t)], -x[(aj, u, t + 1)])
 
 

@@ -141,7 +141,9 @@ class SolverConfig:
 @dataclass(frozen=True)
 class IterationStat:
     """One low-level model build: bounds and per-agent diagram sizes. The
-    diagram nodes are the model's only decision variables."""
+    model gives a variable of its own only to the nodes up to each agent's
+    settle step (see `encoding`), so the node counts bound its node
+    variables from above."""
 
     soc: int
     makespan: int

@@ -69,6 +69,26 @@ def diagram_walks(mdd, soc):
             and walk_cost(walk, mdd.goal) <= soc}
 
 
+def pairwise_swap_clauses(model):
+    """The swap clauses of a complete model, found by probing every move of
+    every pair of agents: pair-major over i < j, then i's moves in (t, u, v)
+    diagram order. Each forbids i's move u -> v and j's move v -> u between
+    t and t + 1."""
+    agents, x = model.instance.agents, model.x
+    clauses = []
+    for i, a in enumerate(agents):
+        mi = model.diagrams[a.id]
+        for b in agents[i + 1:]:
+            mj = model.diagrams[b.id]
+            for t in range(model.horizon):
+                for u in mi.levels[t]:
+                    for v in mi.outgoing(u, t):
+                        if v != u and u in mj.outgoing(v, t):
+                            clauses.append((-x[(a.id, u, t)], -x[(a.id, v, t + 1)],
+                                            -x[(b.id, v, t)], -x[(b.id, u, t + 1)]))
+    return clauses
+
+
 def brute_force_oracle(instance: MapfInstance, cost_cap: int) -> SolveOutcome:
     """Optimal sum of costs by enumerating per-agent path tuples outright.
 

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapfsat import (
     COMPLETE,
@@ -29,7 +31,7 @@ from mapfsat import (
     validate_solution,
 )
 from conftest import contains_path, random_grid_instance, scrambled_grid_instance
-from oracle import brute_force_oracle, diagram_walks
+from oracle import brute_force_oracle, diagram_walks, pairwise_swap_clauses, walk_cost
 
 
 class RecordingSolver(CdclSolver):
@@ -86,8 +88,9 @@ class TestBuildModel:
             counter = CdclSolver()
             cardinality_le(counter, list(counter.new_vars(len(model.c))), 2, [])
             r = counter.num_vars - len(model.c)
-            # no level takes a counter of its own, however wide
-            assert model.solver.num_vars == len(model.x) + len(model.c) + r
+            # no level takes a counter of its own, however wide; a goal tail
+            # shares its settle node's variable
+            assert model.solver.num_vars == len(set(model.x.values())) + len(model.c) + r
             widest = max(widest, *(len(level) for mdd in model.diagrams.values()
                                    for level in mdd.levels))
         assert widest > 5
@@ -206,6 +209,16 @@ def canonical(entries):
     return entries == sorted(entries)
 
 
+def distinct_vars(model, agent):
+    """Each distinct node variable of `agent` with the first key `(t, v)` that
+    names it: a goal tail shares its settle node's variable."""
+    first: dict[int, tuple] = {}
+    for (a, v, t), var in model.x.items():
+        if a == agent:
+            first.setdefault(var, (t, v))
+    return first
+
+
 class TestEmissionOrder:
     """Node variables and clauses follow (t, u, v) order."""
 
@@ -217,7 +230,7 @@ class TestEmissionOrder:
         assert sorted(inst.graph.vertices, key=lambda v: dist[v]) != ordered
         model = full_model(inst, delta=2, solver=RecordingSolver())
         for agent in ("a1", "a2", "a3"):
-            by_var = sorted((var, (t, v)) for (a, v, t), var in model.x.items() if a == agent)
+            by_var = sorted(distinct_vars(model, agent).items())
             assert len(by_var) > 10
             assert canonical([key for _, key in by_var])
             # contiguous from the start node
@@ -307,6 +320,21 @@ class TestEmissionOrder:
             assert entries == [(t, u, v) for t in range(model.horizon) for u in mi.levels[t]
                                for v in mi.outgoing(u, t)
                                if v != u and u in mj.outgoing(v, t)]
+
+    def test_complete_swap_clauses_match_the_pairwise_loop(self):
+        # the complete build emits exactly the clauses of probing every move
+        # of every pair, in that loop's order; no other clause has four
+        # negative literals when no conflict is recorded
+        rng = random.Random(83)
+        checked = 0
+        for _ in range(20):
+            inst = random_grid_instance(rng, agents=(2, 4))
+            for model in recorded_models(inst, rng, delta=rng.randint(0, 2), mode=COMPLETE):
+                emitted = [tuple(c) for c in model.solver.clauses
+                           if len(c) == 4 and all(lit < 0 for lit in c)]
+                assert emitted == pairwise_swap_clauses(model)
+                checked += len(emitted)
+        assert checked > 100
 
     def test_recorded_conflict_clauses_are_in_canonical_order(self):
         inst = scrambled_grid_instance()
@@ -652,3 +680,132 @@ class TestAdmittedWalks:
                         checked += len(walks)
                         tight += soc < xi + delta and walks != diagram_walks(mdd, xi + delta)
         assert checked > 500 and tight > 0
+
+
+def settle_step(mdd):
+    """First level from which every level up to the horizon is the goal alone."""
+    return min(t for t in range(mdd.horizon + 1)
+               if all(level == (mdd.goal,) for level in mdd.levels[t:]))
+
+
+def candidate_walks(mdd, rng):
+    """One to three random walks through a full diagram, with the step at
+    which the last of them arrives for good."""
+    walks = random_walks(mdd, rng, rng.randint(1, 3))
+    return walks, max(walk_cost(p.positions, mdd.goal) for p in walks)
+
+
+def collision_free(walks):
+    """True when no two equal-length walks meet at a vertex or swap along an edge."""
+    for p, q in itertools.combinations(walks, 2):
+        for t in range(len(p)):
+            if p[t] == q[t] or (t and p[t] == q[t - 1] and p[t - 1] == q[t]):
+                return False
+    return True
+
+
+class TestSettleStep:
+    """Each agent's model ends at its settle step, the first level from which
+    its diagram holds only its goal: nodes, clauses and cost indicators stop
+    there, and every later goal node answers with the settle node's variable."""
+
+    def cases(self):
+        """`(model, delta, full)` over full and sparse diagrams of random
+        instances; `delta` bounds each agent's full diagram at xi + delta."""
+        rng = random.Random(71)
+        for _ in range(15):
+            inst = random_grid_instance(rng)
+            delta = rng.randint(1, 2)
+            full, sparse = recorded_models(inst, rng, delta=delta)
+            yield full, delta, True
+            yield sparse, delta, False
+
+    def test_node_variables_end_at_the_settle_step(self):
+        tails = 0
+        for model, _, _ in self.cases():
+            for a in model.instance.agents:
+                mdd = model.diagrams[a.id]
+                end = settle_step(mdd)
+                nodes = [(t, v) for t in range(end + 1) for v in mdd.levels[t]]
+                by_var = sorted(distinct_vars(model, a.id).items())
+                # exactly the nodes of levels 0..end, contiguous in (t, v) order
+                assert [key for _, key in by_var] == nodes
+                assert [var for var, _ in by_var] == list(range(by_var[0][0],
+                                                                by_var[0][0] + len(nodes)))
+                tails += mdd.horizon - end
+        assert tails > 30
+
+    def test_goal_tail_answers_with_the_settle_node(self):
+        for model, _, _ in self.cases():
+            for a in model.instance.agents:
+                mdd = model.diagrams[a.id]
+                end = settle_step(mdd)
+                settled = model.x[(a.id, mdd.goal, end)]
+                assert [settled] in model.solver.clauses
+                assert [model.x[(a.id, mdd.goal, t)] for t in range(end, mdd.horizon + 1)] == \
+                    [settled] * (mdd.horizon + 1 - end)
+                # every diagram node has a key, and nothing else does
+                assert sorted((t, v) for (b, v, t) in model.x if b == a.id) == sorted(
+                    (t, v) for t, level in enumerate(mdd.levels) for v in level)
+
+    def test_indicators_stop_before_the_settle_step(self):
+        for model, delta, full in self.cases():
+            xi = shortest_costs(model.instance)
+            for a in model.instance.agents:
+                end = settle_step(model.diagrams[a.id])
+                assert sorted(t for (b, t) in model.c if b == a.id) == list(range(xi[a.id], end))
+                if full:
+                    assert end <= xi[a.id] + delta
+
+    def test_sparse_agents_settle_when_their_candidates_arrive(self):
+        rng = random.Random(73)
+        early = 0
+        for _ in range(20):
+            inst = random_grid_instance(rng)
+            distances = Distances(inst.graph)
+            xi = {a.id: distances.dist(a.goal)[a.start] for a in inst.agents}
+            horizon = max(xi.values()) + 2
+            diagrams, arrivals = {}, {}
+            for aid in xi:
+                full = build_mdd(inst, aid, horizon, xi[aid] + 2, distances)
+                walks, arrivals[aid] = candidate_walks(full, rng)
+                diagrams[aid] = build_smdd(aid, walks, horizon)
+            model = build_model(inst, diagrams, {}, horizon, sum(xi.values()) + 2 * len(xi),
+                                INCOMPLETE, xi)
+            for aid, s in arrivals.items():
+                end = settle_step(diagrams[aid])
+                assert end <= s
+                assert len(set(model.x[(aid, diagrams[aid].goal, t)]
+                               for t in range(s, horizon + 1))) == 1
+                early += s < horizon
+        assert early > 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sparse_models_are_sat_exactly_when_some_walk_choice_fits(self, data):
+        # one walk per agent from its sparse diagram within the bound, and in
+        # complete mode clear of every other; the diagrams' combined walks count
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        mode = data.draw(st.sampled_from([INCOMPLETE, COMPLETE]), label="mode")
+        inst = random_grid_instance(rng, max_side=3)
+        distances = Distances(inst.graph)
+        xi = {a.id: distances.dist(a.goal)[a.start] for a in inst.agents}
+        delta = data.draw(st.integers(0, 2), label="delta")
+        horizon = max(xi.values()) + delta
+        diagrams = {aid: build_smdd(aid, candidate_walks(
+                        build_mdd(inst, aid, horizon, xi[aid] + delta, distances), rng)[0],
+                        horizon)
+                    for aid in xi}
+        soc = sum(xi.values()) + data.draw(st.integers(0, delta * len(xi)), label="slack")
+        goals = [a.goal for a in inst.agents]
+        choices = [sorted(diagram_walks(diagrams[a.id], horizon)) for a in inst.agents]
+        fits = [combo for combo in itertools.product(*choices)
+                if sum(walk_cost(w, g) for w, g in zip(combo, goals)) <= soc
+                and (mode == INCOMPLETE or collision_free(combo))]
+        model = build_model(inst, diagrams, {}, horizon, soc, mode, xi)
+        assignment = model.solve()
+        assert (assignment is not None) == bool(fits)
+        if assignment is not None:
+            solution = extract_solution(model, assignment)
+            read = tuple(p.padded(horizon).positions for p in solution.paths)
+            assert read in fits

@@ -524,8 +524,8 @@ class TestOptimalityAgreement:
                   "sparse": (8, 6, 3, 4), "heuristic": (8, 6, 3, 4)},
         0: {"mddsat": (8, 3, 0, 3), "smtcbs": (8, 7, 4, 3),
             "sparse": (8, 8, 4, 5), "heuristic": (8, 8, 4, 5)},
-        1: {"mddsat": (9, 3, 0, 3), "smtcbs": (9, 16, 13, 3),
-            "sparse": (9, 16, 13, 3), "heuristic": (9, 16, 13, 3)},
+        1: {"mddsat": (9, 3, 0, 3), "smtcbs": (9, 14, 11, 3),
+            "sparse": (9, 14, 11, 3), "heuristic": (9, 14, 11, 3)},
         2: {"mddsat": (4, 1, 0, 1), "smtcbs": (4, 1, 0, 1),
             "sparse": (4, 1, 0, 1), "heuristic": (4, 1, 0, 1)},
         3: {"mddsat": (13, 1, 0, 1), "smtcbs": (13, 3, 4, 1),
