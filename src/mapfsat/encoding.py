@@ -55,9 +55,10 @@ class EncodingSoundnessError(RuntimeError):
 class BooleanModel:
     """One solver instance, the horizon and SOC bound it was built for, and
     the maps from diagram nodes (`x`) and cost indicators (`c`) to its SAT
-    variables. Each node up to its agent's settle step has a variable of its
-    own, and the goal nodes after it share the settle node's. The node
-    variables decide an answer: indicators and counter registers follow."""
+    variables. Each node up to its agent's settle step (`settle`) has a
+    variable of its own, and the goal nodes after it share the settle node's.
+    The node variables decide an answer: indicators and counter registers
+    follow."""
 
     solver: CdclSolver
     horizon: int
@@ -66,6 +67,7 @@ class BooleanModel:
     diagrams: Mapping[Hashable, Mdd]
     x: dict[tuple[Hashable, Vertex, int], int] = field(default_factory=dict)
     c: dict[tuple[Hashable, int], int] = field(default_factory=dict)
+    settle: dict[Hashable, int] = field(default_factory=dict)
 
     def solve(self) -> Optional[list[bool]]:
         """Satisfying assignment of the current clause set, or None."""
@@ -156,10 +158,10 @@ def build_model(
         raise ValueError(f"sum-of-costs {soc} below the shortest-path total")
 
     s = solver if solver is not None else CdclSolver()
-    model = BooleanModel(s, horizon, soc, instance, diagrams)
+    ends = {a.id: _settle_step(diagrams[a.id]) for a in agents}
+    model = BooleanModel(s, horizon, soc, instance, diagrams, settle=ends)
     x, c = model.x, model.c
 
-    ends = {a.id: _settle_step(diagrams[a.id]) for a in agents}
     for a in agents:
         mdd, end = diagrams[a.id], ends[a.id]
         nodes = [(a.id, v, t) for t in range(end + 1) for v in mdd.levels[t]]
@@ -226,9 +228,10 @@ def _emit_complete_constraints(model: BooleanModel) -> None:
         for t in range(model.horizon + 1):
             for v in mdd.levels[t]:
                 present.setdefault((t, v), []).append(i)
-    # at most one agent per shared vertex-timestep
+    # at most one agent per shared vertex-timestep; a key that one agent
+    # holds emits nothing
     clauses: list[list[int]] = []
-    for t, v in sorted(present):
+    for t, v in sorted([key for key, ids in present.items() if len(ids) > 1]):
         _at_most_one(s, [x[(agents[i].id, v, t)] for i in present[(t, v)]], clauses)
     s.add_clauses(clauses)
     del clauses  # a build holds one section's clauses at a time
@@ -325,14 +328,15 @@ def _emit_recorded_conflicts(model: BooleanModel,
 
 def extract_solution(model: BooleanModel, assignment: list[bool]) -> Solution:
     """Each agent's path: the walk from its start node through the first
-    occupied head in out-edge order. `EncodingSoundnessError` if a walk
-    breaks off or the walks cost more than `model.soc`."""
+    occupied head in out-edge order, up to its settle node, then waits on
+    its goal up to the horizon. `EncodingSoundnessError` if a walk breaks off
+    or the walks cost more than `model.soc`."""
     instance, x = model.instance, model.x
     paths = []
     for a in instance.agents:
-        mdd = model.diagrams[a.id]
+        mdd, end = model.diagrams[a.id], model.settle[a.id]
         positions, heads = [], (mdd.start,)
-        for t in range(model.horizon + 1):
+        for t in range(end + 1):
             cur = next((v for v in heads if assignment[x[(a.id, v, t)]]), None)
             if cur is None:
                 raise EncodingSoundnessError(
@@ -340,6 +344,8 @@ def extract_solution(model: BooleanModel, assignment: list[bool]) -> Solution:
                 )
             positions.append(cur)
             heads = mdd.outgoing(cur, t)
+        # the settle node is the goal alone, and so is every later level
+        positions += [mdd.goal] * (model.horizon - end)
         paths.append(Path(a.id, tuple(positions)))
     try:
         solution = Solution.from_paths(instance, paths)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Hashable, Optional
 
 from .instance import Graph, MapfInstance, Path, Vertex
@@ -28,16 +28,46 @@ OR_SUBSET_LIMIT = 64  # most conflict subsets one new_or_paths call tries
 
 @dataclass(frozen=True)
 class AgentConflicts:
-    """Avoidance entries for a single agent."""
+    """Avoidance entries for a single agent.
+
+    `vertex` and `edge` ban one vertex or one directed move at one step.
+    CBS's target reasoning adds the rest, which the SAT loop never sets:
+    `floor` and `cap` bound the agent's cost (its arrival time), `cap` None
+    for no cap; `held` holds `(v, t)` pairs, each keeping the agent off v at
+    every step from t on.
+    """
 
     vertex: frozenset[VertexConflict] = frozenset()
     edge: frozenset[EdgeConflict] = frozenset()
+    floor: int = 0
+    cap: int | None = None
+    held: frozenset[VertexConflict] = frozenset()
 
     def with_entry(self, kind: str, entry: VertexConflict | EdgeConflict) -> "AgentConflicts":
         """A copy that also avoids `entry`, a "vertex" or an "edge" entry."""
         if kind == "vertex":
-            return AgentConflicts(self.vertex | {entry}, self.edge)
-        return AgentConflicts(self.vertex, self.edge | {entry})
+            return replace(self, vertex=self.vertex | {entry})
+        return replace(self, edge=self.edge | {entry})
+
+    def arriving_after(self, t: int) -> "AgentConflicts":
+        """A copy whose agent arrives after step t: its cost is at least t + 1."""
+        return replace(self, floor=max(self.floor, t + 1))
+
+    def arriving_by(self, t: int) -> "AgentConflicts":
+        """A copy whose agent arrives by step t: its cost is at most t."""
+        return replace(self, cap=t if self.cap is None else min(self.cap, t))
+
+    def holding(self, v: Vertex, t: int) -> "AgentConflicts":
+        """A copy that also keeps off v at every step from t on."""
+        return replace(self, held=self.held | {(v, t)})
+
+    def held_from(self) -> dict[Vertex, int]:
+        """Each held cell and the first step from which it is held."""
+        first: dict[Vertex, int] = {}
+        for v, t in self.held:
+            if t < first.get(v, t + 1):
+                first[v] = t
+        return first
 
     def by_step(self) -> tuple[dict[int, set[Vertex]], dict[int, set[tuple[Vertex, Vertex]]]]:
         """The entries indexed by timestep: the vertices banned at each step,
@@ -127,6 +157,19 @@ def constrained_shortest_path(
     path, so such a state is pushed once; a goal state's f is its arrival
     time, which a later push can lower. No two live heap entries share
     `(f, t, v)`, so those three order the heap on their own.
+
+    CBS's target entries (`AgentConflicts.floor`, `cap` and `held`): the cap
+    lowers `cost_bound`, and a move onto a held cell at or after the step
+    from which it is held is cut. Under a floor F the path's cost, not its
+    length, must reach F, so a goal state that arrived before F is no end:
+    the agent has to leave the goal and come back (Li et al.'s holding time,
+    "Pairwise Symmetry Reasoning for Multi-Agent Path Finding Search", AIJ
+    2021). Such a state's f is `max(F, t + 2)`, the earliest return, which
+    lies above t, so it neither ends the search nor keeps out a later real
+    arrival at the same `(v, t)`, whose f is t; a goal state ends only when
+    its f is at most t. Every other f is raised to F as well, so f still
+    never drops along a move. With none of them set, F is 0 and the search
+    pops exactly the states it pops without them.
     """
     if cost_bound < 0:
         raise ValueError("negative cost bound")
@@ -136,17 +179,25 @@ def constrained_shortest_path(
     if dist_goal[start] is UNREACHED:
         return None
     banned, cut = avoid.by_step()
+    floor, held = avoid.floor, avoid.held_from()
+    if avoid.cap is not None:
+        cost_bound = min(cost_bound, avoid.cap)
     moves = instance.graph.move_table
 
     # Terminal states must keep the implicit goal-wait padding conflict-free.
     last_goal_conflict = max((t for t, vs in banned.items() if goal in vs), default=-1)
     earliest_stop = max(min_length, last_goal_conflict + 1)
 
-    if earliest_stop > horizon or start in banned.get(0, ()):
+    if (earliest_stop > horizon or start in banned.get(0, ()) or goal in held
+            or held.get(start) == 0):
         return None
     # f bounds the cost from below: t + dist(v, goal) off the goal, and the
-    # last arrival time at it; the heap holds -t, so that ties go deeper
-    f0 = 0 if start == goal else dist_goal[start]
+    # last arrival time at it, both raised to the floor; the heap holds -t,
+    # so that ties go deeper
+    if start != goal:
+        f0 = max(dist_goal[start], floor)
+    else:
+        f0 = 0 if floor == 0 else max(floor, 2)
     heap = [(f0, 0, start, (start, None))]
     best = {(start, 0): f0}
     while heap:
@@ -154,7 +205,7 @@ def constrained_shortest_path(
         t = -neg_t
         if f != best[(v, t)]:  # stale: the state was pushed again at a lower f
             continue
-        if v == goal and t >= earliest_stop:
+        if v == goal and t >= earliest_stop and f <= t:
             positions = []
             cur = node
             while cur is not None:
@@ -168,16 +219,20 @@ def constrained_shortest_path(
         for w in moves[v]:
             if w in ban or (cuts and w != v and (v, w) in cuts):
                 continue
+            if held and held.get(w, t1 + 1) <= t1:
+                continue
             # w shares v's component, so it reaches the goal too
             dg = dist_goal[w]
             if t1 + dg > horizon:
                 continue
             if w != goal:
                 f2 = t1 + dg
-            elif v == goal:
-                f2 = f
+                if f2 < floor:
+                    f2 = floor
+            elif v == goal:  # a wait keeps the arrival, unless it came too early
+                f2 = f if f <= t else max(floor, t1 + 2)
             else:
-                f2 = t1
+                f2 = t1 if t1 >= floor else max(floor, t1 + 2)
             if f2 > cost_bound:
                 continue
             # f never drops along a move, so a popped state's best is <= f2

@@ -30,13 +30,20 @@ from the start. An algorithm is a fixed ``(mode, extend)`` pair:
 * sparse    -- ``(INCOMPLETE, "or")``.
 * heuristic -- ``(INCOMPLETE, "and")``.
 
-Target reasoning on the compiled diagrams: under a bound with slack
-``delta`` agent a costs at most ``xi[a] + delta``, so from that step on it
-stands on its goal. Full diagrams leave those goal cells out for every other
-agent (``diagrams.goal_bans``). When the bans leave some agent no walk, the
-bound is proved infeasible without a model or a SAT call; ``_fixed`` tests
-this on every full diagram it builds, and on the candidate paths of the
-agents still on sparse sets before it builds their model.
+Target reasoning (Li et al., "Pairwise Symmetry Reasoning for Multi-Agent
+Path Finding Search", AIJ 2021) on both sides:
+
+* On the compiled diagrams: under a bound with slack ``delta`` agent a costs
+  at most ``xi[a] + delta``, so from that step on it stands on its goal.
+  Full diagrams leave those goal cells out for every other agent
+  (``diagrams.goal_bans``). When the bans leave some agent no walk, the
+  bound is proved infeasible without a model or a SAT call; ``_fixed`` tests
+  this on every full diagram it builds, and on the candidate paths of the
+  agents still on sparse sets before it builds their model.
+* In CBS: a vertex collision on an agent's goal at or after its arrival
+  branches once on that agent's arrival time (``_children``), not once per
+  timestep that the other agent is pushed off the goal. Only CBS sets the
+  arrival floor and cap and the held cells of ``AgentConflicts``.
 """
 
 from __future__ import annotations
@@ -243,11 +250,16 @@ def _run(solver_fn: Callable[..., tuple[Solution, int]], instance: MapfInstance,
 
 
 def solve_cbs(instance: MapfInstance, config: SolverConfig | None = None) -> SolveOutcome:
-    """Best-first constraint-tree search (CBS with ICBS's conflict choice).
+    """Best-first constraint-tree search (CBS with ICBS's conflict choice and
+    target reasoning).
 
     A node branches on its first collision that is cardinal for both agents,
     else on its first semi-cardinal one, else on its first (`_branch_on`).
-    Among nodes of equal SOC the one with fewer collisions is expanded first.
+    A collision on an arrived agent's goal splits on that agent's arrival
+    time: it arrives after the collision's step, or by then while the other
+    agent keeps off the goal from that step on (`_children`). Any other
+    collision bans its vertex or move for one agent in each child. Among
+    nodes of equal SOC the one with fewer collisions is expanded first.
     """
     return _run(_cbs, instance, config)
 
@@ -282,9 +294,7 @@ def _cbs(instance, deadline, stats, distances, xi, cap):
             return Solution.from_paths(instance, paths.values()), soc
         stats.conflicts += 1
         col = _branch_on(instance, collisions, constraints, paths, widths, distances)
-        for side in (0, 1):
-            agent_id = col.agents[side]
-            child = constraints[agent_id].with_entry(col.kind, col.entry(side))
+        for agent_id, child in _children(instance, col, constraints, paths):
             # constraints only accumulate, so the other agents' current costs
             # are lower bounds below this node: budget what is left of the cap
             goal = instance.agent(agent_id).goal
@@ -292,12 +302,12 @@ def _cbs(instance, deadline, stats, distances, xi, cap):
             budget = cap - others
             if budget < xi[agent_id]:
                 continue
-            path = constrained_shortest_path(instance, agent_id, child, budget, budget,
-                                             distances)
+            path = constrained_shortest_path(instance, agent_id, child[agent_id], budget,
+                                             budget, distances)
             if path is None:
                 continue
             new_constraints = dict(constraints)
-            new_constraints[agent_id] = child
+            new_constraints.update(child)
             new_paths = dict(paths)
             new_paths[agent_id] = path
             new_collisions = child_collisions(instance, collisions, new_paths, agent_id)
@@ -306,39 +316,113 @@ def _cbs(instance, deadline, stats, distances, xi, cap):
     raise _CapExceeded
 
 
+def _children(instance: MapfInstance, col: Collision,
+              constraints: dict[Hashable, AgentConflicts],
+              paths: dict[Hashable, Path]) -> list[tuple[Hashable, dict]]:
+    """The two children of a node that branches on `col`, in the order of its
+    sides: the agent each replans, and the constraints each changes.
+
+    A vertex collision on an agent's goal at or after its arrival is a target
+    conflict (Li et al., AIJ 2021). Either that agent arrives after the
+    collision's step, or it arrives by then and the other agent keeps off its
+    goal from that step on. The second child replans only the other agent:
+    the arrived agent's path already meets its cap. Any other collision bans
+    its entry for one agent in each child.
+    """
+    target = _target(instance, col, paths)
+    children = []
+    for side, agent_id in enumerate(col.agents):
+        own = constraints[agent_id]
+        if target is None:
+            child = {agent_id: own.with_entry(col.kind, col.entry(side))}
+        elif agent_id == target:
+            child = {agent_id: own.arriving_after(col.t)}
+        else:
+            child = {agent_id: own.holding(col.location, col.t),
+                     target: constraints[target].arriving_by(col.t)}
+        children.append((agent_id, child))
+    return children
+
+
+def _target(instance: MapfInstance, col: Collision,
+            paths: dict[Hashable, Path]) -> Hashable | None:
+    """The agent whose goal `col` is a target conflict on, or None: a vertex
+    collision at or after the agent's arrival lies on its goal. Goals are
+    distinct, so at most one agent of the pair has arrived."""
+    if col.kind != "vertex":
+        return None
+    return next((a for a in col.agents
+                 if col.t >= path_cost(paths[a], instance.agent(a).goal)), None)
+
+
 def _branch_on(instance: MapfInstance, collisions: list[Collision],
                constraints: dict[Hashable, AgentConflicts], paths: dict[Hashable, Path],
                widths: dict, distances: Distances) -> Collision:
     """The first of `collisions` that is cardinal for both agents, else the
     first cardinal for one of them, else the first.
 
-    A side is cardinal when every minimum-cost path of its agent under its
-    constraints makes the same move, so that avoiding the collision raises
-    the agent's cost: a vertex collision at a level of width 1 or at or after
-    the agent's arrival, an edge collision between two levels of width 1.
+    A side is cardinal when its child (`_children`) raises its agent's cost:
+    - of a target conflict, always the arrived agent's, whose child floors
+      its cost above the step; the other agent's when every path of its cost
+      stands on the goal at some step from then on, so that its child's
+      sweep finds no walk;
+    - of any other collision, when every minimum-cost path of the agent under
+      its constraints makes the same move: a vertex collision at a level of
+      width 1, an edge collision between two levels of width 1.
     `widths` caches `walk_levels`' level widths per agent, constraints and
     cost; the sweep is called directly, so that CBS counts no diagram build.
+    Each sweep runs over the paths of the agent's current cost that meet its
+    constraints (`_sweep_constraints`).
     """
-    def cardinal(agent_id, c):
-        cost = path_cost(paths[agent_id], instance.agent(agent_id).goal)
-        if c.kind == "vertex" and c.t >= cost:
-            return True
-        key = (agent_id, constraints[agent_id], cost)
+    def level_widths(agent_id, avoid, cost):
+        key = (agent_id, avoid, cost)
         w = widths.get(key)
         if w is None:
             levels, _ = walk_levels(instance, agent_id, cost, cost, distances,
-                                    constraints[agent_id])
+                                    *_sweep_constraints(instance, agent_id, avoid, cost))
             w = widths[key] = [len(level) for level in levels]
+        return w
+
+    def cardinal(agent_id, c, target):
+        if agent_id == target:
+            return True
+        cost = path_cost(paths[agent_id], instance.agent(agent_id).goal)
+        if target is not None:
+            return not level_widths(agent_id, constraints[agent_id].holding(c.location, c.t),
+                                    cost)[0]
+        w = level_widths(agent_id, constraints[agent_id], cost)
         return w[c.t] == 1 and (c.kind == "vertex" or w[c.t + 1] == 1)
 
     semi = None
     for c in collisions:
-        sides = cardinal(c.agents[0], c) + cardinal(c.agents[1], c)
+        target = _target(instance, c, paths)
+        sides = cardinal(c.agents[0], c, target) + cardinal(c.agents[1], c, target)
         if sides == 2:
             return c
         if sides == 1 and semi is None:
             semi = c
     return semi or collisions[0]
+
+
+def _sweep_constraints(instance: MapfInstance, agent_id: Hashable, avoid: AgentConflicts,
+                       cost: int) -> tuple[AgentConflicts, Held]:
+    """`walk_levels`' `avoid` and `held` for the agent's paths of exactly
+    `cost` that meet `avoid`, where no path meeting `avoid` costs less.
+
+    A sweep of `cost` steps within that cost bound meets the vertex and edge
+    entries and the cap; the held cells go in as `held`. The sweep does not
+    know the floor, so it also walks the paths that settle before it. Those
+    are exactly the walks that settle before `cost`, since none that meets
+    the floor does, and the vertex entry `(goal, cost - 1)` bans them.
+    """
+    held: Held = ()
+    if avoid.held:
+        first = avoid.held_from()
+        held = tuple(frozenset(v for v, s in first.items() if s <= t) for t in range(cost + 1))
+    if avoid.floor:
+        avoid = AgentConflicts(avoid.vertex | {(instance.agent(agent_id).goal, cost - 1)},
+                               avoid.edge)
+    return avoid, held
 
 
 # ----------------------------------------------------------------- SAT solvers

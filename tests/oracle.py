@@ -69,6 +69,43 @@ def diagram_walks(mdd, soc):
             and walk_cost(walk, mdd.goal) <= soc}
 
 
+def avoiding_walks(instance: MapfInstance, agent_id, avoid, horizon: int) -> set[tuple]:
+    """Every start->goal walk of exactly `horizon` steps that meets all of
+    `avoid`, enumerated outright. Past the horizon the agent waits on its
+    goal for ever: a vertex entry there, or a held goal, rules a walk out.
+    Edge entries on waits are void. Walks that cannot reach the goal in the
+    steps left are cut early, by `reference_distances`."""
+    graph = instance.graph
+    agent = instance.agent(agent_id)
+    goal = agent.goal
+    edges = [(u, w) for u in graph.vertices for w in graph.neighbors(u) if u < w]
+    dist = reference_distances(graph.vertices, edges, goal)
+
+    def off_limits(v, t):
+        return (v, t) in avoid.vertex or any(v == u and t >= s for u, s in avoid.held)
+
+    if any(v == goal and t > horizon for v, t in avoid.vertex) or any(
+            v == goal for v, _ in avoid.held):
+        return set()
+    walks = set()
+    stack = [(agent.start,)] if agent.start in dist and not off_limits(agent.start, 0) else []
+    while stack:
+        walk = stack.pop()
+        t = len(walk) - 1
+        if t == horizon:
+            cost = walk_cost(walk, goal)
+            if walk[-1] == goal and cost >= avoid.floor and (avoid.cap is None
+                                                             or cost <= avoid.cap):
+                walks.add(walk)
+            continue
+        u = walk[-1]
+        for w in (u, *graph.neighbors(u)):
+            if (dist[w] <= horizon - t - 1 and not off_limits(w, t + 1)
+                    and (w == u or ((u, w), t) not in avoid.edge)):
+                stack.append(walk + (w,))
+    return walks
+
+
 def pairwise_swap_clauses(model):
     """The swap clauses of a complete model, found by probing every move of
     every pair of agents: pair-major over i < j, then i's moves in (t, u, v)

@@ -757,6 +757,24 @@ class TestSettleStep:
                 if full:
                     assert end <= xi[a.id] + delta
 
+    def test_read_out_stops_at_the_settle_step(self):
+        # the walk read step by step up to the horizon, as before the read-out
+        # stopped at the settle node, is the path extract_solution returns
+        read = 0
+        for model, _, _ in self.cases():
+            assignment = model.solve()
+            solution = extract_solution(model, assignment)
+            for a, path in zip(model.instance.agents, solution.paths):
+                mdd = model.diagrams[a.id]
+                walk, heads = [], (mdd.start,)
+                for t in range(model.horizon + 1):
+                    walk.append(next(v for v in heads if assignment[model.x[(a.id, v, t)]]))
+                    heads = mdd.outgoing(walk[-1], t)
+                assert path.positions == tuple(walk)
+                assert model.settle[a.id] == settle_step(mdd)
+                read += model.settle[a.id] < model.horizon
+        assert read > 20
+
     def test_sparse_agents_settle_when_their_candidates_arrive(self):
         rng = random.Random(73)
         early = 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +28,7 @@ from mapfsat import (
 )
 from mapfsat import pathing
 from conftest import random_grid_instance
-from oracle import reference_distances
+from oracle import avoiding_walks, reference_distances, walk_cost
 
 
 def vconf(*entries) -> AgentConflicts:
@@ -329,6 +330,95 @@ class TestConstrainedShortestPath:
             assert constrained_shortest_path(*args, Distances(inst.graph)) == counter_search(*args)
             plateaus += 1
         assert plateaus >= 150
+
+
+class TestTargetEntries:
+    """CBS's target entries: a floor and a cap on the agent's cost, and cells
+    held from a step on."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_walk_enumeration(self, data):
+        inst = random_grid_instance(random.Random(data.draw(st.integers(0, 2**32))),
+                                    max_side=3)
+        graph = inst.graph
+        agent = data.draw(st.sampled_from(inst.agents))
+        xi = bfs_distances(graph, agent.goal)[agent.start]
+        horizon = data.draw(st.integers(xi, xi + 4))
+        cost_bound = data.draw(st.integers(max(xi - 1, 0), horizon + 1))
+        # counter_search reads no vertex entry past the horizon
+        times = st.integers(0, horizon)
+        cells = st.sampled_from(graph.vertices)
+        vertex = data.draw(st.frozensets(st.tuples(cells, times), max_size=6))
+        steps = [(u, w) for u in graph.vertices for w in graph.neighbors(u)]
+        edge = data.draw(st.frozensets(st.tuples(st.sampled_from(steps), times), max_size=6))
+        floor = data.draw(st.one_of(st.just(0), st.integers(1, horizon + 1)))
+        cap = data.draw(st.one_of(st.none(), st.integers(0, horizon + 1)))
+        held = data.draw(st.frozensets(st.tuples(cells, st.integers(0, horizon + 1)),
+                                       max_size=3))
+        avoid = AgentConflicts(vertex, edge, floor, cap, held)
+        got = constrained_shortest_path(inst, agent.id, avoid, horizon, cost_bound,
+                                        Distances(graph))
+        costs = {walk: walk_cost(walk, agent.goal)
+                 for walk in avoiding_walks(inst, agent.id, avoid, horizon)}
+        costs = {walk: c for walk, c in costs.items() if c <= cost_bound}
+        if not costs:
+            assert got is None
+        else:
+            assert got is not None and got.length <= horizon
+            assert costs.get(got.padded(horizon).positions) == min(costs.values())
+        if (floor, cap, held) == (0, None, frozenset()):
+            assert got == counter_search(inst, agent.id, avoid, horizon, cost_bound)
+
+    def test_an_early_arrival_does_not_end_the_search_nor_block_a_later_one(self):
+        # cells 0 1 2; the agent goes 0 -> 1 and must arrive at step 2 or
+        # later. Arriving at step 1 and waiting also reaches (1, 2), with an
+        # earlier arrival; it must neither end the search nor keep out the
+        # real arrival at (1, 2) through (0, 1).
+        graph = open_grid(3, 1)
+        inst = MapfInstance(graph, [Agent(1, 0, 1)])
+        p = constrained_shortest_path(inst, 1, AgentConflicts(floor=2), 4, 4, Distances(graph))
+        assert p.positions == (0, 0, 1)
+
+    def test_a_floor_sends_an_agent_on_its_goal_away_and_back(self):
+        graph = open_grid(3, 1)
+        inst = MapfInstance(graph, [Agent(1, 1, 1)])
+        distances = Distances(graph)
+        for floor in (1, 2):
+            p = constrained_shortest_path(inst, 1, AgentConflicts(floor=floor), 4, 4,
+                                          distances)
+            assert path_cost(p, 1) == 2 and p.positions[1] != 1
+        p = constrained_shortest_path(inst, 1, AgentConflicts(floor=3), 4, 4, distances)
+        assert path_cost(p, 1) == 3
+        assert constrained_shortest_path(inst, 1, AgentConflicts(floor=3), 4, 2,
+                                         distances) is None
+        assert constrained_shortest_path(inst, 1, AgentConflicts(floor=5), 4, 5,
+                                         distances) is None
+        # on goal 0, the lowest id, waits there come first among equal f and
+        # equal steps: waiting up to the floor must not count as arriving
+        inst = MapfInstance(graph, [Agent(1, 0, 0)])
+        p = constrained_shortest_path(inst, 1, AgentConflicts(floor=4), 6, 6, distances)
+        assert path_cost(p, 0) == 4
+
+    def test_cap_and_held_cells(self):
+        # cells 0 1 2 / 3 4 5; 0 -> 2 costs 2 along the top row
+        graph = open_grid(3, 2)
+        inst = MapfInstance(graph, [Agent(1, 0, 2)])
+        distances = Distances(graph)
+        wait = vconf((1, 1))
+        assert path_cost(constrained_shortest_path(inst, 1, wait, 5, 5, distances), 2) == 3
+        assert constrained_shortest_path(inst, 1, replace(wait, cap=2), 5, 5,
+                                         distances) is None
+        # 1 held from step 1 on: the agent passes below it
+        p = constrained_shortest_path(inst, 1, AgentConflicts(held=frozenset({(1, 1)})), 5, 5,
+                                      distances)
+        assert p.positions == (0, 3, 4, 5, 2)
+        # held from step 2 on: it may cross at step 1
+        p = constrained_shortest_path(inst, 1, AgentConflicts(held=frozenset({(1, 2)})), 5, 5,
+                                      distances)
+        assert p.positions == (0, 1, 2)
+        held_goal = AgentConflicts(held=frozenset({(2, 4)}))
+        assert constrained_shortest_path(inst, 1, held_goal, 5, 5, distances) is None
 
 
 class TestSearchEffort:

@@ -234,8 +234,23 @@ class TestCbs:
             monkeypatch.setattr(module, "constrained_shortest_path", recording)
         out = solve_cbs(inst, QUICK)
         assert out.status == SOLVED and validate_solution(inst, out.solution) == []
-        # four root searches, then the root's first child
-        assert searched[4] == ("b1", AgentConflicts(frozenset({("w3", 2)})))
+        # four root searches, then the root's first child, b1's: it bans w3
+        # at 2, or, where b1 has arrived at its goal w3 (a target conflict),
+        # it makes b1 arrive after step 2
+        want = AgentConflicts(floor=3) if bypass else AgentConflicts(frozenset({("w3", 2)}))
+        assert searched[4] == ("b1", want)
+
+    def test_an_arrived_agent_may_stand_on_its_goal_and_finish_later(self):
+        # @ 1 2 3      a1 goes 4 -> 6 and a3 stays on 1, so a2 (3 -> 4) must
+        # 4 5 6 7      come down through 6 and along the bottom row. In the
+        # optimum a1 arrives at 6 at step 2, steps aside to 7 and comes back:
+        # the branch on a1's goal that makes a1 arrive later must keep a1's
+        # walks over 6 at the collision's step. Banning only (6, t) loses them.
+        graph = parse_map("type octile\nheight 2\nwidth 4\nmap\n@...\n....")
+        inst = MapfInstance(graph, [Agent(1, 4, 6), Agent(2, 3, 4), Agent(3, 1, 1)])
+        assert brute_force_oracle(inst, 10).soc == 9
+        out = solve_cbs(inst, SolverConfig(timeout_s=30, cost_cap=10))
+        assert (out.status, out.soc) == (SOLVED, 9)
 
     def test_cbs_branch_choice_on_corridors_with_pockets(self, monkeypatch):
         def corridor_instance(rng):
@@ -253,13 +268,25 @@ class TestCbs:
             return MapfInstance(graph, [Agent(i + 1, s, g)
                                         for i, (s, g) in enumerate(zip(starts, goals))])
 
-        def raises_cost(inst, agent_id, avoid, collision, side, cost, distances):
-            """No path of the agent's cost avoids its side as well. The search
-            looks no further than the later of that cost and the collision,
-            since the agent's current path was found within its own budget."""
+        def child_constraints(avoid, collision, side, costs):
+            """The constraints that the side's child gives its agent. A vertex
+            collision at or after one agent's arrival lies on that agent's
+            goal: the arrived agent must arrive later, and the other keeps off
+            the goal from the collision's step on. Any other collision bans
+            the side's entry."""
+            if collision.kind == "vertex" and collision.t >= costs[side]:
+                return avoid.arriving_after(collision.t)
+            if collision.kind == "vertex" and collision.t >= costs[1 - side]:
+                return avoid.holding(collision.location, collision.t)
+            return avoid.with_entry(collision.kind, collision.entry(side))
+
+        def raises_cost(inst, agent_id, child, collision, cost, distances):
+            """No path of the agent's cost meets its child's constraints. The
+            search looks no further than the later of that cost and the
+            collision, since the agent's current path was found within its
+            own budget."""
             bound = max(cost, collision.t)
-            avoid = avoid.with_entry(collision.kind, collision.entry(side))
-            path = constrained_shortest_path(inst, agent_id, avoid, bound, bound, distances)
+            path = constrained_shortest_path(inst, agent_id, child, bound, bound, distances)
             return path is None or path_cost(path, inst.agent(agent_id).goal) > cost
 
         seen = Counter()
@@ -270,17 +297,18 @@ class TestCbs:
             counts = []
             for c in collisions:
                 costs = [path_cost(paths[a], instance.agent(a).goal) for a in c.agents]
-                counts.append(sum(raises_cost(instance, a, constraints[a], c, side, costs[side],
-                                              distances)
-                                  for side, a in enumerate(c.agents)))
+                counts.append(sum(
+                    raises_cost(instance, a, child_constraints(constraints[a], c, side, costs),
+                                c, costs[side], distances)
+                    for side, a in enumerate(c.agents)))
             want = collisions[counts.index(2) if 2 in counts else
                               counts.index(1) if 1 in counts else 0]
             assert chosen == want
             # each agent's path keeps its own constraints, so no side of a
             # collision is one already: each child adds a constraint
+            costs = [path_cost(paths[a], instance.agent(a).goal) for a in chosen.agents]
             for side, a in enumerate(chosen.agents):
-                own = constraints[a].vertex if chosen.kind == "vertex" else constraints[a].edge
-                assert chosen.entry(side) not in own
+                assert child_constraints(constraints[a], chosen, side, costs) != constraints[a]
             i = collisions.index(chosen)
             seen["cardinal"] += counts[i] == 2
             seen["semi-cardinal"] += counts[i] == 1
@@ -503,6 +531,50 @@ class TestOptimalityAgreement:
                 if out.solution is not None:
                     assert validate_solution(inst, out.solution) == []
 
+    def test_solvers_match_oracle_with_goals_in_one_cell_corridors(self, monkeypatch):
+        # one open row between two walls with a few openings; every goal lies
+        # on a row cell with walls above and below, so an agent standing on
+        # its goal blocks the row
+        def goal_corridor_instance(rng):
+            narrow = []
+            while len(narrow) < 3:
+                width = rng.randint(4, 7)
+                walls = [["@"] * width for _ in range(2)]
+                for _ in range(rng.randint(1, 3)):
+                    walls[rng.randint(0, 1)][rng.randrange(width)] = "."
+                narrow = [width + x for x in range(width) if walls[0][x] == walls[1][x] == "@"]
+            rows = ["".join(walls[0]), "." * width, "".join(walls[1])]
+            graph = parse_map("\n".join(["type octile", "height 3", f"width {width}", "map",
+                                         *rows]))
+            k = rng.randint(2, 3)
+            goals = rng.sample(narrow, k)
+            starts = rng.sample(graph.vertices, k)
+            return MapfInstance(graph, [Agent(i + 1, s, g)
+                                        for i, (s, g) in enumerate(zip(starts, goals))])
+
+        targets = Counter()
+        branch_on = solvers._branch_on
+
+        def counting(instance, collisions, constraints, paths, *args):
+            chosen = branch_on(instance, collisions, constraints, paths, *args)
+            targets["branches"] += 1
+            targets["on a goal after arrival"] += chosen.kind == "vertex" and any(
+                chosen.t >= path_cost(paths[a], instance.agent(a).goal) for a in chosen.agents)
+            return chosen
+
+        monkeypatch.setattr(solvers, "_branch_on", counting)
+        rng = random.Random(2111)
+        for _ in range(25):
+            inst = goal_corridor_instance(rng)
+            cap = xi_sum(inst) + 4
+            oracle = brute_force_oracle(inst, cap)
+            for algo, fn in ALGORITHMS.items():
+                out = fn(inst, SolverConfig(timeout_s=60, cost_cap=cap))
+                assert (out.status, out.soc) == (oracle.status, oracle.soc), algo
+                if out.solution is not None:
+                    assert validate_solution(inst, out.solution) == []
+        assert targets["on a goal after arrival"] >= 50, targets
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
     def test_solvers_match_oracle_on_drawn_instances(self, seed):
@@ -545,8 +617,8 @@ class TestOptimalityAgreement:
                 assert got == want, (key, algo)
 
     # (soc, conflicts) of cbs on the same instances, pinned for the same reason
-    CBS_PINNED = {"fix_b": (4, 1), "fix_c": (8, 4), 0: (8, 4), 1: (9, 13), 2: (4, 0),
-                  3: (13, 5)}
+    CBS_PINNED = {"fix_b": (4, 1), "fix_c": (8, 4), 0: (8, 4), 1: (9, 12), 2: (4, 0),
+                  3: (13, 3)}
 
     def test_cbs_keeps_pinned_search(self, fix_b, fix_c):
         rng = random.Random(606)
