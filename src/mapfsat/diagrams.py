@@ -15,12 +15,14 @@ an agent's constraints and reads only the level widths.
 
 A full build can also leave out the goal cells that other agents hold
 (`goal_bans`): under a sum-of-costs bound each agent has a latest arrival,
-from which on it stands on its goal. When those bans leave an agent no walk,
-`build_mdd` raises `EmptyDiagramError`, and no solution meets the bound.
+from which on it stands on its goal. The bans are `AgentConflicts.held`
+pairs, the form CBS's target reasoning uses too. When they leave an agent no
+walk, `build_mdd` raises `EmptyDiagramError`, and no solution meets the bound.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Hashable, Mapping, Sequence
 
 from .instance import MapfInstance, Path, Vertex
@@ -30,7 +32,6 @@ from .pathing import bfs_distances  # noqa: F401  the layer tracer wraps this na
 
 Levels = tuple[tuple[Vertex, ...], ...]
 OutEdges = dict[tuple[int, Vertex], tuple[Vertex, ...]]  # (t, u) -> heads at t + 1
-Held = Sequence[frozenset[Vertex]]  # step -> goal cells that arrived agents hold
 
 
 class InfeasibleAgentError(ValueError):
@@ -78,13 +79,15 @@ class Mdd:
 
 
 def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
-              cost_bound: int, distances: Distances, held: Held = ()) -> Mdd:
+              cost_bound: int, distances: Distances,
+              avoid: AgentConflicts = AgentConflicts()) -> Mdd:
     """Full diagram of every start->goal path within the horizon and cost bound
-    that keeps clear of the goal cells `held` by the other agents (`goal_bans`).
+    that keeps clear of `avoid`, as `walk_levels` reads it: in the solvers,
+    the goal cells that the other agents hold (`goal_bans`).
 
     The goal node persists at every level from the earliest arrival onward,
     so trailing goal waits stay representable and free. `EmptyDiagramError`
-    if the bans leave no such path.
+    if `avoid` leaves no such path.
     """
     agent = instance.agent(agent_id)
     xi = distances.dist(agent.goal)[agent.start]
@@ -96,49 +99,59 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
         raise InfeasibleAgentError(
             f"agent {agent_id!r} cannot reach its goal within horizon {horizon}"
         )
-    levels, out = walk_levels(instance, agent_id, horizon, cost_bound, distances,
-                              AgentConflicts(), held)
+    levels, out = walk_levels(instance, agent_id, horizon, cost_bound, distances, avoid)
     if not levels[0]:
         raise EmptyDiagramError(f"goal bans leave agent {agent_id!r} no walk")
     return Mdd(agent_id, horizon, levels, out)
 
 
-def goal_bans(instance: MapfInstance, xi: Mapping[Hashable, int], delta: int,
-              horizon: int) -> Held:
-    """The goal cells that arrived agents hold at each step 0..horizon, under a
-    sum-of-costs bound `delta` above the shortest-path total `sum(xi)`.
+def goal_bans(instance: MapfInstance, xi: Mapping[Hashable, int],
+              delta: int) -> dict[Hashable, AgentConflicts]:
+    """Each agent's bans under a sum-of-costs bound `delta` above the
+    shortest-path total `sum(xi)`: the goal cells the other agents hold.
 
-    Under that bound agent a costs at most `xi[a] + delta`, so from that step
-    on it stands on its goal, and no other agent may be there. The cells only
-    accumulate: a step holds every goal of the step before.
+    Under that bound agent b costs at most `xi[b] + delta`, so from that step
+    on it stands on its goal, and no other agent may be there: every other
+    agent's `held` has `(goal of b, xi[b] + delta)`. An agent's own goal is
+    never held for it.
     """
-    return tuple(frozenset(a.goal for a in instance.agents if xi[a.id] + delta <= t)
-                 for t in range(horizon + 1))
+    arrivals = {a.id: (a.goal, xi[a.id] + delta) for a in instance.agents}
+    held = frozenset(arrivals.values())
+    return {a: AgentConflicts(held=held - {own}) for a, own in arrivals.items()}
 
 
 def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_bound: int,
-                distances: Distances, avoid: AgentConflicts,
-                held: Held = ()) -> tuple[Levels, OutEdges]:
+                distances: Distances, avoid: AgentConflicts) -> tuple[Levels, OutEdges]:
     """Levels and out-edges of the agent's start->goal walks of `horizon`
-    steps that cost at most `cost_bound`, keep clear of `avoid` and stand on
-    no cell of `held[t]` at step t other than the agent's own goal.
+    steps that cost at most `cost_bound` and keep clear of `avoid`'s vertex
+    and edge entries and held cells. Its floor and cap are not read.
 
     Level t + 1 holds the moves of level-t nodes that are the goal or can
     still reach it within the bound, less what `avoid` bans at t + 1 or cuts
-    at t and the held cells of t + 1. A node that the filters leave no move
-    is dropped, and so, level by level backward, is every node whose moves
-    all led to dropped ones; the prune starts at the last level that lost a
-    node and touches only their predecessors. With no walk left, every level
-    is empty and there are no out-edges.
+    at t and the cells held at t + 1. A held own goal leaves no walk, as in
+    `constrained_shortest_path`. A node that the filters leave no move is
+    dropped, and so, level by level backward, is every node whose moves all
+    led to dropped ones; the prune starts at the last level that lost a node
+    and touches only their predecessors. With no walk left, every level is
+    empty and there are no out-edges.
     """
     agent = instance.agent(agent_id)
     start, goal = agent.start, agent.goal
     dist_goal = distances.dist(goal)
     bound = min(cost_bound, horizon)
     banned, cut = avoid.by_step()
+    # (step, cell) for each cell held from a step below the bound, since from
+    # the bound on the agent only waits on its goal; None when a held cell
+    # leaves no walk: the agent's own goal, or its start from step 0
+    arrivals = []
+    for v, s in avoid.held:
+        if v == goal or (v == start and s == 0):
+            arrivals = None
+            break
+        if s < bound:
+            arrivals.append((s, v))
     xi = dist_goal[start]
-    if (xi is UNREACHED or xi > bound or start in banned.get(0, ())
-            or (held and start != goal and start in held[0])):
+    if arrivals is None or xi is UNREACHED or xi > bound or start in banned.get(0, ()):
         return ((),) * (horizon + 1), {}
 
     # moves[u] is in the ids' order, so each out-edge list is as well.
@@ -149,6 +162,8 @@ def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_b
     levels = [(start,)]
     out = {}
     dead: dict[int, set[Vertex]] = {}  # level -> nodes the filters left no move
+    arrivals.sort(key=itemgetter(0), reverse=True)
+    held: set[Vertex] = set()  # the cells held at step t + 1
     for t in range(horizon):
         slack = bound - (t + 1)
         ban, cuts = banned.get(t + 1, ()), cut.get(t, ())
@@ -161,11 +176,11 @@ def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_b
                     dead.setdefault(t, set()).add(u)
             out[(t, u)] = tuple(heads)
             reached.update(heads)
-        # from the bound on, the agent only waits on its goal; below it, a
-        # sweep that reaches no held cell pays one disjointness test
-        if held and t + 1 < bound and not reached.isdisjoint(held[t + 1]):
-            hit = reached.intersection(held[t + 1])
-            hit.discard(goal)
+        while arrivals and arrivals[-1][0] <= t + 1:
+            held.add(arrivals.pop()[1])
+        # a level that reaches no held cell pays one disjointness test
+        if held and t + 1 < bound and not reached.isdisjoint(held):
+            hit = reached & held
             reached -= hit
             _drop_heads(moves, out, t, hit, dead)
         levels.append(tuple(sorted(reached)))

@@ -31,10 +31,10 @@ class AgentConflicts:
     """Avoidance entries for a single agent.
 
     `vertex` and `edge` ban one vertex or one directed move at one step.
-    CBS's target reasoning adds the rest, which the SAT loop never sets:
-    `floor` and `cap` bound the agent's cost (its arrival time), `cap` None
-    for no cap; `held` holds `(v, t)` pairs, each keeping the agent off v at
-    every step from t on.
+    Target reasoning adds the rest: `held` holds `(v, t)` pairs, each keeping
+    the agent off v at every step from t on (CBS's held goals and the SAT
+    loop's `diagrams.goal_bans`); `floor` and `cap`, which only CBS sets,
+    bound the agent's cost (its arrival time), `cap` None for no cap.
     """
 
     vertex: frozenset[VertexConflict] = frozenset()

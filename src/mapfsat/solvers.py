@@ -36,14 +36,15 @@ Path Finding Search", AIJ 2021) on both sides:
 * On the compiled diagrams: under a bound with slack ``delta`` agent a costs
   at most ``xi[a] + delta``, so from that step on it stands on its goal.
   Full diagrams leave those goal cells out for every other agent
-  (``diagrams.goal_bans``). When the bans leave some agent no walk, the
+  (``diagrams.goal_bans``, as CBS's held goals: ``AgentConflicts.held``
+  pairs). When the bans leave some agent no walk, the
   bound is proved infeasible without a model or a SAT call; ``_fixed`` tests
   this on every full diagram it builds, and on the candidate paths of the
   agents still on sparse sets before it builds their model.
 * In CBS: a vertex collision on an agent's goal at or after its arrival
   branches once on that agent's arrival time (``_children``), not once per
   timestep that the other agent is pushed off the goal. Only CBS sets the
-  arrival floor and cap and the held cells of ``AgentConflicts``.
+  arrival floor and cap of ``AgentConflicts``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from typing import Callable, Hashable
 
 from .diagrams import (
     EmptyDiagramError,
-    Held,
     InfeasibleAgentError,
     build_mdd,
     build_smdd,
@@ -78,7 +78,6 @@ from .instance import (
     MapfInstance,
     Path,
     Solution,
-    Vertex,
     child_collisions,
     path_cost,
     sum_of_costs,
@@ -379,7 +378,7 @@ def _branch_on(instance: MapfInstance, collisions: list[Collision],
         w = widths.get(key)
         if w is None:
             levels, _ = walk_levels(instance, agent_id, cost, cost, distances,
-                                    *_sweep_constraints(instance, agent_id, avoid, cost))
+                                    _sweep_constraints(instance, agent_id, avoid, cost))
             w = widths[key] = [len(level) for level in levels]
         return w
 
@@ -405,24 +404,19 @@ def _branch_on(instance: MapfInstance, collisions: list[Collision],
 
 
 def _sweep_constraints(instance: MapfInstance, agent_id: Hashable, avoid: AgentConflicts,
-                       cost: int) -> tuple[AgentConflicts, Held]:
-    """`walk_levels`' `avoid` and `held` for the agent's paths of exactly
-    `cost` that meet `avoid`, where no path meeting `avoid` costs less.
+                       cost: int) -> AgentConflicts:
+    """`walk_levels`' `avoid` for the agent's paths of exactly `cost` that
+    meet `avoid`, where no path meeting `avoid` costs less.
 
     A sweep of `cost` steps within that cost bound meets the vertex and edge
-    entries and the cap; the held cells go in as `held`. The sweep does not
-    know the floor, so it also walks the paths that settle before it. Those
-    are exactly the walks that settle before `cost`, since none that meets
-    the floor does, and the vertex entry `(goal, cost - 1)` bans them.
+    entries, the held cells and the cap. The sweep does not read the floor,
+    so it also walks the paths that settle before it. Those are exactly the
+    walks that settle before `cost`, since none that meets the floor does,
+    and the vertex entry `(goal, cost - 1)` bans them.
     """
-    held: Held = ()
-    if avoid.held:
-        first = avoid.held_from()
-        held = tuple(frozenset(v for v, s in first.items() if s <= t) for t in range(cost + 1))
     if avoid.floor:
-        avoid = AgentConflicts(avoid.vertex | {(instance.agent(agent_id).goal, cost - 1)},
-                               avoid.edge)
-    return avoid, held
+        avoid = avoid.with_entry("vertex", (instance.agent(agent_id).goal, cost - 1))
+    return avoid
 
 
 # ----------------------------------------------------------------- SAT solvers
@@ -499,9 +493,9 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
     """
     delta = soc - sum(xi.values())
     bounds = {a.id: xi[a.id] + delta for a in instance.agents}
-    held = goal_bans(instance, xi, delta, horizon)
-    if not all(_clear_walk(instance, agent_id, paths, held, horizon, bounds[agent_id],
-                           distances)
+    bans = goal_bans(instance, xi, delta)
+    if not all(_clear_walk(instance, agent_id, paths, bans[agent_id], horizon,
+                           bounds[agent_id], distances)
                for agent_id, paths in candidates.items() if paths is not None):
         candidates.update(dict.fromkeys(candidates))
         return None
@@ -511,7 +505,7 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
             deadline.check()
             try:
                 diagrams = {
-                    a.id: build_mdd(instance, a.id, horizon, bounds[a.id], distances, held)
+                    a.id: build_mdd(instance, a.id, horizon, bounds[a.id], distances, bans[a.id])
                     if candidates[a.id] is None
                     else build_smdd(a.id, list(candidates[a.id].values()), horizon)
                     for a in instance.agents
@@ -595,31 +589,18 @@ def _avoids(path: Path, conf: AgentConflicts, horizon: int) -> bool:
 
 
 def _clear_walk(instance: MapfInstance, agent_id: Hashable, paths: dict[tuple, Path],
-                held: Held, horizon: int, bound: int,
+                bans: AgentConflicts, horizon: int, bound: int,
                 distances: Distances) -> bool:
     """True if the agent has a walk within `bound` that keeps clear of the goal
-    cells `held` by the other agents: one of its candidate `paths`, else one
-    that a search under the bans finds."""
-    goal = instance.agent(agent_id).goal
-    if any(_clear_of(positions, goal, held) for positions in paths):
+    cells held in `bans`: one of its candidate `paths`, else one that a
+    search under the bans finds. Past its end a candidate waits on its own
+    goal, which the bans never hold."""
+    first = bans.held_from()
+    if any(all(first.get(v, t + 1) > t for t, v in enumerate(positions))
+           for positions in paths):
         return True
-    avoid = AgentConflicts(frozenset((v, t) for t in range(horizon + 1)
-                                     for v in held[t] if v != goal))
-    return constrained_shortest_path(instance, agent_id, avoid, horizon, bound,
+    return constrained_shortest_path(instance, agent_id, bans, horizon, bound,
                                      distances) is not None
-
-
-def _clear_of(positions: tuple, goal: Vertex, held: Held) -> bool:
-    """True if the walk stands on no held cell but its own goal. The cells only
-    accumulate from step to step, so it is read from its end back to the last
-    step that holds none; past its end it waits on its goal."""
-    for t in range(len(positions) - 1, -1, -1):
-        cells = held[t]
-        if not cells:
-            return True
-        if positions[t] in cells and positions[t] != goal:
-            return False
-    return True
 
 
 ALGORITHMS: dict[str, Callable[..., SolveOutcome]] = {

@@ -274,10 +274,10 @@ def test_goal_bans_keep_criterion_5():
                     cases += 1
                     soc, mu = soc0 + delta, mu0 + delta
                     solvable = oracle.solved and oracle.soc <= soc
-                    held = goal_bans(inst, costs, delta, mu)
+                    bans = goal_bans(inst, costs, delta)
                     try:
                         diagrams = {a.id: build_mdd(inst, a.id, mu, costs[a.id] + delta,
-                                                    distances, held)
+                                                    distances, bans[a.id])
                                     for a in inst.agents}
                     except EmptyDiagramError:
                         empty += 1

@@ -224,21 +224,25 @@ class TestWalkLevels:
         horizon = data.draw(st.integers(xi, cost + 2))
         cells = st.sampled_from(graph.vertices)
         if data.draw(st.booleans()):
-            # shaped like the solver's bans: each cell held from a step on,
+            # shaped like the solvers' bans: each cell held from a step on,
             # the agent's own goal among the candidates
-            arrivals = data.draw(st.lists(st.tuples(cells, st.integers(0, horizon)),
-                                          max_size=4))
-            held = tuple(frozenset(v for v, since in arrivals if since <= t)
-                         for t in range(horizon + 1))
+            held = data.draw(st.frozensets(st.tuples(cells, st.integers(0, horizon)),
+                                           max_size=4))
+            avoid = AgentConflicts(held=held)
+            off = {(v, t) for v, since in held for t in range(since, horizon + 1)}
+            # a cell held from step s is the vertex entries at s..horizon
+            assert walk_levels(inst, agent.id, horizon, cost, distances, avoid) == \
+                walk_levels(inst, agent.id, horizon, cost, distances,
+                            AgentConflicts(frozenset(off)))
         else:
-            held = tuple(data.draw(st.frozensets(cells, max_size=3))
-                         for _ in range(horizon + 1))
+            off = {(v, t) for t in range(horizon + 1)
+                   for v in data.draw(st.frozensets(cells, max_size=3))}
+            avoid = AgentConflicts(frozenset(off))
 
         full = build_mdd(inst, agent.id, horizon, cost, distances)
         kept = {walk for walk in diagram_walks(full, horizon)
-                if all(v == goal or v not in held[t] for t, v in enumerate(walk))}
-        levels, out = walk_levels(inst, agent.id, horizon, cost, distances,
-                                  AgentConflicts(), held)
+                if not any((v, t) in off for t, v in enumerate(walk))}
+        levels, out = walk_levels(inst, agent.id, horizon, cost, distances, avoid)
         # each level is the vertex set the kept walks occupy there, and each
         # of its nodes below the horizon lists their moves out of it
         assert levels == tuple(tuple(sorted({walk[t] for walk in kept}))
@@ -247,16 +251,19 @@ class TestWalkLevels:
         assert {(t, u, w) for (t, u), heads in out.items() for w in heads} == {
             (t, walk[t], walk[t + 1]) for walk in kept for t in range(horizon)}
         if kept:
-            banned = build_mdd(inst, agent.id, horizon, cost, distances, held)
+            banned = build_mdd(inst, agent.id, horizon, cost, distances, avoid)
             assert diagram_walks(banned, horizon) == kept
         else:
             with pytest.raises(EmptyDiagramError):
-                build_mdd(inst, agent.id, horizon, cost, distances, held)
+                build_mdd(inst, agent.id, horizon, cost, distances, avoid)
 
     def test_goal_bans_hold_each_goal_from_its_latest_arrival(self, fix_c):
         xi = {"a1": 3, "a2": 3}
-        held = goal_bans(fix_c, xi, 1, 5)
-        assert held == ((frozenset(),) * 4 + (frozenset({"v4", "v1"}),) * 2)
+        bans = goal_bans(fix_c, xi, 1)
+        assert bans == {"a1": AgentConflicts(held=frozenset({("v1", 4)})),
+                        "a2": AgentConflicts(held=frozenset({("v4", 4)}))}
+        # no agent's bans hold its own goal
+        assert all(a.goal not in bans[a.id].held_from() for a in fix_c.agents)
 
 
 class TestBuildSmdd:
