@@ -23,12 +23,19 @@ collision-free solution's one-node-per-level answer satisfies every clause.
 An occupied node after level 0 also needs an occupied predecessor; implied
 by the rest, these let unit propagation run backward from the goal unit.
 
+Each agent is compiled into one block in one pass, in instance order: its
+node variables, then its indicators, then its clauses, which name only the
+block's variables. Only the counter and the collision clauses, which follow
+every block, tie agents together.
+
 The complete mode adds every pairwise vertex/swap exclusion up front; the
 incomplete mode relies on lazily added collision clauses instead. A swap
 clause forbids the four nodes of two opposing moves together. The complete
 mode indexes the agents at each vertex-timestep once, for the vertex
 exclusions, and looks for a move's opposing moves only among the agents at
-its head, not in every other agent's diagram.
+its head, not in every other agent's diagram. A lazy collision clause and a
+recorded conflict re-emitted into a later model are both built by
+`_pair_clause`, the only builder of a clause from a collision entry.
 """
 
 from __future__ import annotations
@@ -55,10 +62,11 @@ class EncodingSoundnessError(RuntimeError):
 class BooleanModel:
     """One solver instance, the horizon and SOC bound it was built for, and
     the maps from diagram nodes (`x`) and cost indicators (`c`) to its SAT
-    variables. Each node up to its agent's settle step (`settle`) has a
-    variable of its own, and the goal nodes after it share the settle node's.
-    The node variables decide an answer: indicators and counter registers
-    follow."""
+    variables. `x` answers for every node of every diagram: each node up to
+    its agent's settle step (`settle`) has a variable of its own, and the
+    goal nodes after it share the settle node's; a key outside the diagram
+    is absent. The node variables decide an answer: indicators and counter
+    registers follow."""
 
     solver: CdclSolver
     horizon: int
@@ -74,9 +82,6 @@ class BooleanModel:
         if self.solver.solve():
             return self.solver.model()
         return None
-
-    def x_var(self, agent: Hashable, v: Vertex, t: int) -> Optional[int]:
-        return self.x.get((agent, v, t))
 
 
 def _at_most_one(solver: CdclSolver, lits: list[int], clauses: list) -> None:
@@ -158,25 +163,23 @@ def build_model(
         raise ValueError(f"sum-of-costs {soc} below the shortest-path total")
 
     s = solver if solver is not None else CdclSolver()
-    ends = {a.id: _settle_step(diagrams[a.id]) for a in agents}
-    model = BooleanModel(s, horizon, soc, instance, diagrams, settle=ends)
+    model = BooleanModel(s, horizon, soc, instance, diagrams)
     x, c = model.x, model.c
 
+    # one block per agent: its nodes, then its indicators, then its clauses,
+    # which name only the block's variables
     for a in agents:
-        mdd, end = diagrams[a.id], ends[a.id]
+        mdd = diagrams[a.id]
+        end = model.settle[a.id] = _settle_step(mdd)
         nodes = [(a.id, v, t) for t in range(end + 1) for v in mdd.levels[t]]
         x.update(zip(nodes, s.new_vars(len(nodes))))
-        # the goal tail shares the settle node's variable
-        settled = x[(a.id, mdd.goal, end)]
+        # endpoints: the start and the settle node; the goal tail shares the
+        # settle node's variable
+        base, settled = x[(a.id, mdd.start, 0)], x[(a.id, mdd.goal, end)]
         for t in range(end + 1, horizon + 1):
             x[(a.id, mdd.goal, t)] = settled
         steps = [(a.id, t) for t in range(xi[a.id], end)]
         c.update(zip(steps, s.new_vars(len(steps))))
-
-    for a in agents:
-        mdd, end = diagrams[a.id], ends[a.id]
-        # endpoints: the start and the settle node
-        base, settled = x[(a.id, mdd.start, 0)], x[(a.id, mdd.goal, end)]
         clauses: list[list[int]] = [[base], [settled]]
         # an occupied node below the settle step needs a successor; each
         # node collects its predecessors. The agent's node variables run
@@ -252,15 +255,6 @@ def _emit_complete_constraints(model: BooleanModel) -> None:
         s.add_clauses(clause for j in sorted(by_pair) for clause in by_pair[j])
 
 
-def _swap_clause(model: BooleanModel, ai: Hashable, aj: Hashable, u: Vertex, v: Vertex,
-                 t: int) -> Optional[tuple[int, ...]]:
-    """Clause keeping `ai` off u -> v or `aj` off v -> u between t and t + 1;
-    None when either diagram lacks its move."""
-    if u not in model.diagrams[aj].outgoing(v, t) or v not in model.diagrams[ai].outgoing(u, t):
-        return None
-    return _swap_lits(model.x, ai, aj, u, v, t)
-
-
 def _swap_lits(x, ai: Hashable, aj: Hashable, u: Vertex, v: Vertex, t: int) -> tuple[int, ...]:
     return (-x[(ai, u, t)], -x[(ai, v, t + 1)], -x[(aj, v, t)], -x[(aj, u, t + 1)])
 
@@ -280,18 +274,22 @@ def add_conflict_clauses(model: BooleanModel, collisions: Iterable[Collision]) -
 
 def _pair_clause(model: BooleanModel, ai: Hashable, aj: Hashable, kind: str,
                  entry: tuple) -> Optional[tuple[int, ...]]:
-    """Clause keeping `ai` off its conflict `entry` and `aj` off the counterpart.
+    """Clause keeping `ai` off its conflict `entry` and `aj` off the counterpart:
+    the same vertex, or for a move u -> v the opposite move v -> u.
 
     None when either agent's diagram lacks the node or move.
     """
+    x = model.x
     if kind == "vertex":
         v, t = entry
-        li, lj = model.x_var(ai, v, t), model.x_var(aj, v, t)
+        li, lj = x.get((ai, v, t)), x.get((aj, v, t))
         if li is None or lj is None:
             return None
         return (-li, -lj)
     (u, v), t = entry
-    return _swap_clause(model, ai, aj, u, v, t)
+    if u not in model.diagrams[aj].outgoing(v, t) or v not in model.diagrams[ai].outgoing(u, t):
+        return None
+    return _swap_lits(x, ai, aj, u, v, t)
 
 
 def _emit_recorded_conflicts(model: BooleanModel,
@@ -300,30 +298,26 @@ def _emit_recorded_conflicts(model: BooleanModel,
 
     Vertex/edge avoidance is a universal MAPF rule, so the clause is emitted
     for every pair of agents that both carry the entry, not only the pair
-    that originally collided: `aj` carries the same vertex entry, or the
-    opposite move at the same step.
+    that originally collided. Per pair, in instance order: the vertex
+    entries both carry, then the first agent's moves whose opposite move at
+    the same step the second carries, each kind in (t, entry) order.
     """
     agents = model.instance.agents
     none = AgentConflicts()
     by_step = itemgetter(1, 0)  # entries are (vertex or edge, t)
-    for i in range(len(agents)):
-        ai = agents[i].id
-        own = conflicts.get(ai, none)
-        entries = [("vertex", e) for e in sorted(own.vertex, key=by_step)]
-        entries += [("edge", e) for e in sorted(own.edge, key=by_step)]
-        for j in range(i + 1, len(agents)):
-            aj = agents[j].id
-            theirs = conflicts.get(aj, none)
-            for kind, entry in entries:
-                if kind == "vertex":
-                    carried = entry in theirs.vertex
-                else:
-                    (u, v), t = entry
-                    carried = ((v, u), t) in theirs.edge
-                if carried:
-                    clause = _pair_clause(model, ai, aj, kind, entry)
-                    if clause is not None:
-                        model.solver.add_clause(clause)
+    for i, a in enumerate(agents):
+        own = conflicts.get(a.id, none)
+        if not (own.vertex or own.edge):
+            continue
+        vertices, moves = sorted(own.vertex, key=by_step), sorted(own.edge, key=by_step)
+        for b in agents[i + 1:]:
+            theirs = conflicts.get(b.id, none)
+            shared = [("vertex", e) for e in vertices if e in theirs.vertex]
+            shared += [("edge", ((u, v), t)) for (u, v), t in moves if ((v, u), t) in theirs.edge]
+            for kind, entry in shared:
+                clause = _pair_clause(model, a.id, b.id, kind, entry)
+                if clause is not None:
+                    model.solver.add_clause(clause)
 
 
 def extract_solution(model: BooleanModel, assignment: list[bool]) -> Solution:

@@ -35,7 +35,7 @@ from oracle import brute_force_oracle, diagram_walks, pairwise_swap_clauses, wal
 
 
 class RecordingSolver(CdclSolver):
-    """Keeps every clause it is given, in order.
+    """Keeps every clause it is given, in order, and each call's batch.
 
     `add_clause` hands its clause to `add_clauses`, so recording the batched
     path records both.
@@ -44,10 +44,12 @@ class RecordingSolver(CdclSolver):
     def __init__(self):
         super().__init__()
         self.clauses: list[list[int]] = []
+        self.batches: list[list[list[int]]] = []
 
     def add_clauses(self, clauses):
         clauses = [list(lits) for lits in clauses]
         self.clauses.extend(clauses)
+        self.batches.append(clauses)
         super().add_clauses(clauses)
 
 
@@ -139,8 +141,8 @@ class TestAddConflictClauses:
         before = model.solver.num_clauses
         add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v10", 1)])
         assert model.solver.num_clauses == before + 1
-        x1 = model.x_var("a1", "v10", 1)
-        x2 = model.x_var("a2", "v10", 1)
+        x1 = model.x[("a1", "v10", 1)]
+        x2 = model.x[("a2", "v10", 1)]
         assert sorted(model.solver.clauses[-1]) == sorted((-x1, -x2))
 
     def test_edge_collision_forbids_both_moves(self):
@@ -150,7 +152,7 @@ class TestAddConflictClauses:
         add_conflict_clauses(model, [Collision("edge", ("a1", "a2"), ("v1", "v2"), 0)])
         # a1 at v1 then v2, and a2 at v2 then v1, are not all occupied
         nodes = [("a1", "v1", 0), ("a1", "v2", 1), ("a2", "v2", 0), ("a2", "v1", 1)]
-        assert sorted(model.solver.clauses[-1]) == sorted(-model.x_var(*n) for n in nodes)
+        assert sorted(model.solver.clauses[-1]) == sorted(-model.x[n] for n in nodes)
         assert model.solve() is None
 
     def test_missing_node_skips_clause(self, fix_b):
@@ -171,8 +173,8 @@ class TestAddConflictClauses:
         carried = AgentConflicts().with_entry("vertex", ("v01", 1))
         rebuilt = full_model(fix_b, conflicts={"a1": carried, "a2": carried},
                              solver=RecordingSolver())
-        x1 = rebuilt.x_var("a1", "v01", 1)
-        x2 = rebuilt.x_var("a2", "v01", 1)
+        x1 = rebuilt.x[("a1", "v01", 1)]
+        x2 = rebuilt.x[("a2", "v01", 1)]
         assert any(
             sorted(c) == sorted((-x1, -x2)) for c in rebuilt.solver.clauses
         )
@@ -190,14 +192,14 @@ class TestAddConflictClauses:
                      "a3": AgentConflicts().with_entry("edge", forward)}
         model = full_model(inst, delta=3, conflicts=conflicts, solver=RecordingSolver())
         clauses = [sorted(c) for c in model.solver.clauses]
-        x = model.x_var
+        x = model.x
 
         def vertex(ai, aj):
-            return sorted((-x(ai, "v00", 2), -x(aj, "v00", 2)))
+            return sorted((-x[(ai, "v00", 2)], -x[(aj, "v00", 2)]))
 
         def swap(ai, aj):  # ai on v00 -> v01, aj on v01 -> v00
-            return sorted((-x(ai, "v00", 2), -x(ai, "v01", 3),
-                           -x(aj, "v01", 2), -x(aj, "v00", 3)))
+            return sorted((-x[(ai, "v00", 2)], -x[(ai, "v01", 3)],
+                           -x[(aj, "v01", 2)], -x[(aj, "v00", 3)]))
 
         assert vertex("a1", "a2") in clauses
         assert vertex("a1", "a3") not in clauses and vertex("a2", "a3") not in clauses
@@ -236,6 +238,31 @@ class TestEmissionOrder:
             # contiguous from the start node
             assert [var for var, _ in by_var] == list(range(by_var[0][0],
                                                             by_var[0][0] + len(by_var)))
+
+    def test_variables_are_allocated_agent_by_agent(self):
+        inst = scrambled_grid_instance()
+        delta = 2
+        model = full_model(inst, delta=delta, solver=RecordingSolver())
+        # each agent's node variables, then its indicators, form one block
+        # that ends just below the next agent's block
+        blocks, top = [], 0
+        for a in inst.agents:
+            nodes = sorted({var for (aid, _, _), var in model.x.items() if aid == a.id})
+            indicators = [var for (aid, _), var in model.c.items() if aid == a.id]
+            assert indicators and max(nodes) < min(indicators)
+            block = nodes + sorted(indicators)
+            assert block == list(range(top + 1, top + 1 + len(block)))
+            blocks.append(set(block))
+            top = block[-1]
+        # the counter's registers come after every agent's block
+        counter = CdclSolver()
+        cardinality_le(counter, list(counter.new_vars(len(model.c))), delta, [])
+        registers = counter.num_vars - len(model.c)
+        assert registers > 0
+        assert model.solver.num_vars == top + registers
+        # each agent's clause batch names only that agent's variables
+        for block, batch in zip(blocks, model.solver.batches):
+            assert batch and all(abs(lit) in block for clause in batch for lit in clause)
 
     @staticmethod
     def chain_clauses(model):
@@ -432,7 +459,7 @@ class TestExtractSolution:
     def test_corrupt_assignment_raises_soundness_fault(self, fix_a):
         model = full_model(fix_a)
         assignment = model.solve()
-        assignment[model.x_var("a1", "v2", 1)] = False
+        assignment[model.x[("a1", "v2", 1)]] = False
         with pytest.raises(EncodingSoundnessError):
             extract_solution(model, assignment)
 
@@ -456,9 +483,9 @@ class TestExtractSolution:
             ("a1", v, t) for t, v in enumerate(walk)]
         assert not assignment[model.c[("a1", 2)]]
         for v, t in clear:
-            assignment[model.x_var("a1", v, t)] = False
+            assignment[model.x[("a1", v, t)]] = False
         for v, t in occupy:
-            assignment[model.x_var("a1", v, t)] = True
+            assignment[model.x[("a1", v, t)]] = True
         with pytest.raises(EncodingSoundnessError, match=match):
             extract_solution(model, assignment)
 
@@ -467,11 +494,11 @@ class TestExtractSolution:
         assignment = model.solve()
         # both nodes of levels 1 and 2; the start's heads are (v1, v2)
         for v, t in (("v1", 1), ("v2", 1), ("v2", 2), ("v3", 2)):
-            assignment[model.x_var("a1", v, t)] = True
+            assignment[model.x[("a1", v, t)]] = True
         assert model.diagrams["a1"].outgoing("v1", 0) == ("v1", "v2")
         solution = extract_solution(model, assignment)
         assert solution.paths[0].positions == ("v1", "v1", "v2", "v3")
-        assignment[model.x_var("a1", "v1", 1)] = False
+        assignment[model.x[("a1", "v1", 1)]] = False
         solution = extract_solution(model, assignment)
         assert solution.paths[0].positions == ("v1", "v2", "v2", "v3")
 
