@@ -9,9 +9,11 @@ representable as a side effect.
 
 A diagram keeps its levels and out-edge lists in the ids' order, as its
 builder hands them over: the full build sweeps forward from the start, sorts
-each level and filters `Graph.moves`; the sparse build, whose paths arrive in
-any order, sorts both. CBS runs the same forward sweep (`walk_levels`) under
-an agent's constraints and reads only the level widths.
+each level and filters `Graph.move_table`; the sparse build, whose paths
+arrive in any order, sorts both. CBS runs the same forward sweep
+(`walk_levels`) under an agent's constraints and reads only the level widths.
+The sweep reads only per-step bans and cuts: it turns every held cell into
+bans before it starts.
 
 A full build can also leave out the goal cells that other agents hold
 (`goal_bans`): under a sum-of-costs bound each agent has a latest arrival,
@@ -22,7 +24,6 @@ walk, `build_mdd` raises `EmptyDiagramError`, and no solution meets the bound.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Hashable, Mapping, Sequence
 
 from .instance import MapfInstance, Path, Vertex
@@ -126,32 +127,28 @@ def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_b
     steps that cost at most `cost_bound` and keep clear of `avoid`'s vertex
     and edge entries and held cells. Its floor and cap are not read.
 
-    Level t + 1 holds the moves of level-t nodes that are the goal or can
-    still reach it within the bound, less what `avoid` bans at t + 1 or cuts
-    at t and the cells held at t + 1. A held own goal leaves no walk, as in
-    `constrained_shortest_path`. A node that the filters leave no move is
-    dropped, and so, level by level backward, is every node whose moves all
-    led to dropped ones; the prune starts at the last level that lost a node
-    and touches only their predecessors. With no walk left, every level is
-    empty and there are no out-edges.
+    Every entry becomes a per-step ban or cut before the sweep starts: a cell
+    held from step s is banned at each step from s up to the bound, since
+    from the bound on the agent only waits on its goal. A held own goal
+    leaves no walk, as in `constrained_shortest_path`. Level t + 1 holds the
+    moves of level-t nodes that are the goal or can still reach it within
+    the bound, less what is banned at t + 1 or cut at t. A node that the
+    filters leave no move is dropped, and so, level by level backward, is
+    every node whose moves all led to dropped ones; the prune starts at the
+    last level that lost a node and touches only their predecessors. With
+    no walk left, every level is empty and there are no out-edges.
     """
     agent = instance.agent(agent_id)
     start, goal = agent.start, agent.goal
     dist_goal = distances.dist(goal)
     bound = min(cost_bound, horizon)
     banned, cut = avoid.by_step()
-    # (step, cell) for each cell held from a step below the bound, since from
-    # the bound on the agent only waits on its goal; None when a held cell
-    # leaves no walk: the agent's own goal, or its start from step 0
-    arrivals = []
     for v, s in avoid.held:
-        if v == goal or (v == start and s == 0):
-            arrivals = None
-            break
-        if s < bound:
-            arrivals.append((s, v))
+        for t in range(s, bound):
+            banned.setdefault(t, set()).add(v)
     xi = dist_goal[start]
-    if arrivals is None or xi is UNREACHED or xi > bound or start in banned.get(0, ()):
+    if (xi is UNREACHED or xi > bound or start in banned.get(0, ())
+            or any(v == goal for v, _ in avoid.held)):
         return ((),) * (horizon + 1), {}
 
     # moves[u] is in the ids' order, so each out-edge list is as well.
@@ -162,61 +159,44 @@ def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_b
     levels = [(start,)]
     out = {}
     dead: dict[int, set[Vertex]] = {}  # level -> nodes the filters left no move
-    arrivals.sort(key=itemgetter(0), reverse=True)
-    held: set[Vertex] = set()  # the cells held at step t + 1
     for t in range(horizon):
         slack = bound - (t + 1)
         ban, cuts = banned.get(t + 1, ()), cut.get(t, ())
         reached: set[Vertex] = set()
         for u in levels[t]:
-            heads = [w for w in moves[u] if w == goal or dist_goal[w] <= slack]
-            if ban or cuts:
-                heads = [w for w in heads if w not in ban and (u, w) not in cuts]
-                if not heads:
-                    dead.setdefault(t, set()).add(u)
+            heads = [w for w in moves[u]
+                     if (w == goal or dist_goal[w] <= slack) and w not in ban]
+            if cuts:
+                heads = [w for w in heads if (u, w) not in cuts]
+            if not heads:
+                dead.setdefault(t, set()).add(u)
             out[(t, u)] = tuple(heads)
             reached.update(heads)
-        while arrivals and arrivals[-1][0] <= t + 1:
-            held.add(arrivals.pop()[1])
-        # a level that reaches no held cell pays one disjointness test
-        if held and t + 1 < bound and not reached.isdisjoint(held):
-            hit = reached & held
-            reached -= hit
-            _drop_heads(moves, out, t, hit, dead)
         levels.append(tuple(sorted(reached)))
     if dead:
         _prune(moves, levels, out, dead)
     return tuple(levels), out
 
 
-def _drop_heads(moves, out: OutEdges, t: int, gone: set[Vertex],
-                dead: dict[int, set[Vertex]]) -> None:
-    """Remove the level-(t + 1) nodes `gone` from the out-edges of level t,
-    and record each level-t node left no move in `dead`. The graph is
-    undirected and agents may wait, so only a gone node's own moves lead
-    into it."""
-    for v in gone:
-        for u in moves[v]:
-            heads = out.get((t, u), ())
-            if v in heads:
-                heads = out[(t, u)] = tuple([w for w in heads if w not in gone])
-                if not heads:
-                    dead.setdefault(t, set()).add(u)
-
-
 def _prune(moves, levels: list[tuple[Vertex, ...]], out: OutEdges,
            dead: dict[int, set[Vertex]]) -> None:
     """Drop the `dead` nodes, from the last level that has one back to the
-    start, and with them every node whose moves all led to dropped ones."""
+    start, and with them every node whose moves all led to dropped ones.
+    The graph is undirected and agents may wait, so only a dropped node's
+    own moves lead into it."""
     for t in range(max(dead), -1, -1):
         gone = dead.get(t)
         if not gone:
             continue
         levels[t] = tuple([u for u in levels[t] if u not in gone])
-        for u in gone:
-            del out[(t, u)]
-        if t:
-            _drop_heads(moves, out, t - 1, gone, dead)
+        for v in gone:
+            del out[(t, v)]
+            for u in moves[v]:  # at level 0 there is no (-1, u) entry to trim
+                heads = out.get((t - 1, u), ())
+                if v in heads:
+                    heads = out[(t - 1, u)] = tuple([w for w in heads if w not in gone])
+                    if not heads:
+                        dead.setdefault(t - 1, set()).add(u)
 
 
 def build_smdd(agent_id: Hashable, paths: Sequence[Path], horizon: int) -> Mdd:

@@ -65,10 +65,11 @@ class GridMeta:
 class Graph:
     """Undirected graph without self-loops, kept as adjacency in the ids' order.
 
-    Per-vertex tables (neighbours, moves, and the distance tables that
-    `table` makes) are read as `table[v]` in either of two storages. A grid
-    graph, one with `grid` metadata, keeps them in lists indexed by cell id,
-    `width * height` long; every other graph keeps them in dicts keyed by id.
+    Per-vertex tables (neighbours in `adjacency`, moves in `move_table`, and
+    the distance tables that `table` makes) are read as `table[v]` in either
+    of two storages. A grid graph, one with `grid` metadata, keeps them in
+    lists indexed by cell id, `width * height` long; every other graph keeps
+    them in dicts keyed by id.
     """
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]],
@@ -96,8 +97,9 @@ class Graph:
                 raise InstanceError(f"edge ({u!r}, {v!r}) references an undeclared vertex")
             adj[u].add(v)
             adj[v].add(u)
-        # vertex -> its neighbours, and vertex -> `moves(v)`, in the ids'
-        # order; None at a grid's blocked cells; read-only
+        # vertex -> its neighbours, and vertex -> its moves (itself, a wait,
+        # and its neighbours), in the ids' order; None at a grid's blocked
+        # cells; read-only
         self.adjacency = self.table(None)
         self.move_table = self.table(None)
         for v in self.vertices:
@@ -115,17 +117,6 @@ class Graph:
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self._vertex_set
-
-    def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        if v not in self:
-            raise KeyError(v)
-        return self.adjacency[v]
-
-    def moves(self, v: Vertex) -> tuple[Vertex, ...]:
-        """`v` itself (a wait) and its neighbours, in the ids' order."""
-        if v not in self:
-            raise KeyError(v)
-        return self.move_table[v]
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return u in self._vertex_set and v in self.adjacency[u]

@@ -44,7 +44,10 @@ Path Finding Search", AIJ 2021) on both sides:
 * In CBS: a vertex collision on an agent's goal at or after its arrival
   branches once on that agent's arrival time (``_children``), not once per
   timestep that the other agent is pushed off the goal. Only CBS sets the
-  arrival floor and cap of ``AgentConflicts``.
+  arrival floor and cap of ``AgentConflicts``. The width sweeps that pick
+  the collision (``_branch_on``) read no floor: each bans the agent's goal
+  at the step before its current cost, which keeps exactly the walks of
+  that cost.
 """
 
 from __future__ import annotations
@@ -371,14 +374,18 @@ def _branch_on(instance: MapfInstance, collisions: list[Collision],
     `widths` caches `walk_levels`' level widths per agent, constraints and
     cost; the sweep is called directly, so that CBS counts no diagram build.
     Each sweep runs over the paths of the agent's current cost that meet its
-    constraints (`_sweep_constraints`).
+    constraints. The sweep does not read the floor, so it bans the goal at
+    step `cost - 1`, which keeps out exactly the walks that settle earlier.
+    Without a floor that ban drops nothing: the agent's current path is
+    optimal under its constraints, so no walk that meets them costs less.
     """
     def level_widths(agent_id, avoid, cost):
         key = (agent_id, avoid, cost)
         w = widths.get(key)
         if w is None:
+            goal = instance.agent(agent_id).goal
             levels, _ = walk_levels(instance, agent_id, cost, cost, distances,
-                                    _sweep_constraints(instance, agent_id, avoid, cost))
+                                    avoid.with_entry("vertex", (goal, cost - 1)))
             w = widths[key] = [len(level) for level in levels]
         return w
 
@@ -401,22 +408,6 @@ def _branch_on(instance: MapfInstance, collisions: list[Collision],
         if sides == 1 and semi is None:
             semi = c
     return semi or collisions[0]
-
-
-def _sweep_constraints(instance: MapfInstance, agent_id: Hashable, avoid: AgentConflicts,
-                       cost: int) -> AgentConflicts:
-    """`walk_levels`' `avoid` for the agent's paths of exactly `cost` that
-    meet `avoid`, where no path meeting `avoid` costs less.
-
-    A sweep of `cost` steps within that cost bound meets the vertex and edge
-    entries, the held cells and the cap. The sweep does not read the floor,
-    so it also walks the paths that settle before it. Those are exactly the
-    walks that settle before `cost`, since none that meets the floor does,
-    and the vertex entry `(goal, cost - 1)` bans them.
-    """
-    if avoid.floor:
-        avoid = avoid.with_entry("vertex", (instance.agent(agent_id).goal, cost - 1))
-    return avoid
 
 
 # ----------------------------------------------------------------- SAT solvers

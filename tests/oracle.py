@@ -22,7 +22,7 @@ from mapfsat import (
 
 def edge_count(graph: Graph) -> int:
     """Number of undirected edges of the graph."""
-    return sum(len(graph.neighbors(v)) for v in graph.vertices) // 2
+    return sum(len(graph.adjacency[v]) for v in graph.vertices) // 2
 
 
 def render_map(graph: Graph) -> str:
@@ -78,7 +78,7 @@ def avoiding_walks(instance: MapfInstance, agent_id, avoid, horizon: int) -> set
     graph = instance.graph
     agent = instance.agent(agent_id)
     goal = agent.goal
-    edges = [(u, w) for u in graph.vertices for w in graph.neighbors(u) if u < w]
+    edges = [(u, w) for u in graph.vertices for w in graph.adjacency[u] if u < w]
     dist = reference_distances(graph.vertices, edges, goal)
 
     def off_limits(v, t):
@@ -99,7 +99,7 @@ def avoiding_walks(instance: MapfInstance, agent_id, avoid, horizon: int) -> set
                 walks.add(walk)
             continue
         u = walk[-1]
-        for w in (u, *graph.neighbors(u)):
+        for w in (u, *graph.adjacency[u]):
             if (dist[w] <= horizon - t - 1 and not off_limits(w, t + 1)
                     and (w == u or ((u, w), t) not in avoid.edge)):
                 stack.append(walk + (w,))
@@ -133,7 +133,7 @@ def brute_force_oracle(instance: MapfInstance, cost_cap: int) -> SolveOutcome:
     from a raw enumeration. Intended for small instances only.
     """
     graph = instance.graph
-    edges = [(u, w) for u in graph.vertices for w in graph.neighbors(u) if u < w]
+    edges = [(u, w) for u in graph.vertices for w in graph.adjacency[u] if u < w]
     xi = {}
     goal_dist = {}
     for a in instance.agents:
@@ -164,7 +164,7 @@ def brute_force_oracle(instance: MapfInstance, cost_cap: int) -> SolveOutcome:
                     by_cost.setdefault(cost, []).append(walk)
             if t >= len_cap:
                 continue
-            for w in sorted((v, *graph.neighbors(v)), key=str):
+            for w in sorted((v, *graph.adjacency[v]), key=str):
                 d = dist.get(w)
                 if d is None or t + 1 + d > len_cap:
                     continue

@@ -38,7 +38,7 @@ def enumerate_expansions(graph, start, goal, horizon, bound):
             if walk[-1] == goal and walk_cost(walk, goal) <= min(bound, horizon):
                 done.append(walk)
             continue
-        for w in (walk[-1], *graph.neighbors(walk[-1])):
+        for w in (walk[-1], *graph.adjacency[walk[-1]]):
             stack.append(walk + (w,))
     return done
 
@@ -130,7 +130,7 @@ class TestBuildMdd:
                 for t in range(ds, last + 1):
                     members[t].add(v)
             levels = tuple(tuple(sorted(level)) for level in members)
-            out = {(t, u): tuple(w for w in graph.moves(u) if w in members[t + 1])
+            out = {(t, u): tuple(w for w in graph.move_table[u] if w in members[t + 1])
                    for t in range(horizon) for u in levels[t]}
             return levels, out
 
@@ -174,7 +174,7 @@ class TestWalkLevels:
         times = st.integers(0, horizon)
         vertex = data.draw(st.frozensets(st.tuples(st.sampled_from(graph.vertices), times),
                                          max_size=6))
-        pairs = [(u, w) for u in graph.vertices for w in graph.neighbors(u)]
+        pairs = [(u, w) for u in graph.vertices for w in graph.adjacency[u]]
         edge = data.draw(st.frozensets(st.tuples(st.sampled_from(pairs), times), max_size=6))
 
         # every walk of `horizon` steps from the start that keeps clear of the
@@ -193,7 +193,7 @@ class TestWalkLevels:
                     nodes[i].add(u)
                 moves.update((i, walk[i], walk[i + 1]) for i in range(horizon))
                 return
-            for w in graph.moves(v):
+            for w in graph.move_table[v]:
                 if w == v or ((v, w), t) not in edge:
                     extend(walk + [w])
 
@@ -224,16 +224,22 @@ class TestWalkLevels:
         horizon = data.draw(st.integers(xi, cost + 2))
         cells = st.sampled_from(graph.vertices)
         if data.draw(st.booleans()):
-            # shaped like the solvers' bans: each cell held from a step on,
-            # the agent's own goal among the candidates
-            held = data.draw(st.frozensets(st.tuples(cells, st.integers(0, horizon)),
+            # shaped like the solvers' bans: each cell held from a step on, up
+            # to two past the horizon, the agent's own goal among the candidates
+            held = data.draw(st.frozensets(st.tuples(cells, st.integers(0, horizon + 2)),
                                            max_size=4))
             avoid = AgentConflicts(held=held)
             off = {(v, t) for v, since in held for t in range(since, horizon + 1)}
-            # a cell held from step s is the vertex entries at s..horizon
-            assert walk_levels(inst, agent.id, horizon, cost, distances, avoid) == \
-                walk_levels(inst, agent.id, horizon, cost, distances,
-                            AgentConflicts(frozenset(off)))
+            if any(v == goal for v, _ in held):
+                # a held own goal leaves no walk, from whichever step it is held
+                off |= {(goal, t) for t in range(horizon + 1)}
+                assert walk_levels(inst, agent.id, horizon, cost, distances, avoid) == \
+                    (((),) * (horizon + 1), {})
+            else:
+                # a cell held from step s is the vertex entries at s..horizon
+                assert walk_levels(inst, agent.id, horizon, cost, distances, avoid) == \
+                    walk_levels(inst, agent.id, horizon, cost, distances,
+                                AgentConflicts(frozenset(off)))
         else:
             off = {(v, t) for t in range(horizon + 1)
                    for v in data.draw(st.frozensets(cells, max_size=3))}
@@ -322,7 +328,7 @@ class TestOrderedDiagrams:
         graphs += [random_grid_instance(rng).graph for _ in range(10)]
         for graph in graphs:
             for v in graph.vertices:
-                assert graph.moves(v) == tuple(sorted((v, *graph.neighbors(v))))
+                assert graph.move_table[v] == tuple(sorted((v, *graph.adjacency[v])))
 
     def test_full_diagrams_are_ordered(self):
         inst = scrambled_grid_instance()

@@ -367,7 +367,7 @@ class TestEmissionOrder:
         inst = scrambled_grid_instance()
         conflicts: dict = {}
         graph = inst.graph
-        pairs = [(u, v) for u in graph.vertices for v in graph.neighbors(u) if u < v]
+        pairs = [(u, v) for u in graph.vertices for v in graph.adjacency[u] if u < v]
         for t in range(5):
             for u, v in pairs:
                 for a in ("a3", "a1", "a2"):

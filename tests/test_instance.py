@@ -224,10 +224,10 @@ class TestGraphInvariants:
     def test_grid_tables_are_lists_over_every_cell(self):
         graph = parse_map("type octile\nheight 2\nwidth 3\nmap\n.@.\n...\n")
         assert graph.adjacency == [(3,), None, (5,), (0, 4), (3, 5), (2, 4)]
-        assert graph.move_table[4] == graph.moves(4) == (3, 4, 5)
+        assert graph.move_table[4] == (3, 4, 5)
         assert 1 not in graph and -1 not in graph and 6 not in graph
-        with pytest.raises(KeyError):
-            graph.neighbors(1)
+        # a blocked cell's entries are None
+        assert graph.adjacency[1] is None and graph.move_table[1] is None
         assert not graph.has_edge(1, 0) and not graph.has_edge(0, 1)
 
     def test_unorderable_ids_rejected(self):
@@ -236,8 +236,8 @@ class TestGraphInvariants:
 
     def test_adjacency_is_symmetric(self):
         g = Graph(["a", "b", "c"], [("a", "b")])
-        assert "b" in g.neighbors("a")
-        assert "a" in g.neighbors("b")
+        assert "b" in g.adjacency["a"]
+        assert "a" in g.adjacency["b"]
         assert g.has_edge("a", "b") and g.has_edge("b", "a")
         assert not g.has_edge("a", "c") and not g.has_edge("c", "b")
         assert not g.has_edge("a", "nope") and not g.has_edge("nope", "a")
@@ -295,9 +295,9 @@ class TestValidateSolution:
             dist = bfs_distances(inst.graph, agent.goal)
             pos = [agent.start]
             for _ in range(rng.randint(0, 6)):
-                pos.append(rng.choice(inst.graph.moves(pos[-1])))
+                pos.append(rng.choice(inst.graph.move_table[pos[-1]]))
             while pos[-1] != agent.goal:
-                pos.append(min(inst.graph.neighbors(pos[-1]), key=dist.__getitem__))
+                pos.append(min(inst.graph.adjacency[pos[-1]], key=dist.__getitem__))
             return Path(agent.id, tuple(pos))
 
         rng = random.Random(11)

@@ -112,7 +112,7 @@ def counter_search(instance, agent_id, avoid, horizon, cost_bound, min_length=0)
             return Path(agent_id, tuple(reversed(positions)))
         if t == horizon:
             continue
-        for w in graph.moves(v):
+        for w in graph.move_table[v]:
             if (w, t + 1) in avoid.vertex:
                 continue
             if w != v and ((v, w), t) in avoid.edge:
@@ -157,7 +157,7 @@ class TestBfsDistances:
         edges = [(v, v + 1) for v in passable if v % w + 1 < w and cells[v // w][v % w + 1]]
         edges += [(v, v + w) for v in passable if v // w + 1 < h and cells[v // w + 1][v % w]]
         assert list(graph.vertices) == passable
-        lone = [v for v in passable if not graph.neighbors(v)]
+        lone = [v for v in passable if not graph.adjacency[v]]
         assert lone
         components = 0
         for source in passable:
@@ -193,7 +193,7 @@ class TestBfsDistances:
         d = bfs_distances(fix_c.graph, "v1")
         graph = fix_c.graph
         for u in graph.vertices:
-            for v in graph.neighbors(u):
+            for v in graph.adjacency[u]:
                 assert abs(d[u] - d[v]) <= 1
 
 
@@ -303,7 +303,7 @@ class TestConstrainedShortestPath:
         # goal conflicts after the earliest arrival force leaving and returning
         after_arrival = data.draw(st.frozensets(
             st.tuples(st.just(agent.goal), st.integers(xi, horizon)), max_size=3))
-        steps = [(u, w) for u in graph.vertices for w in graph.neighbors(u)]
+        steps = [(u, w) for u in graph.vertices for w in graph.adjacency[u]]
         edge = data.draw(st.frozensets(st.tuples(st.sampled_from(steps), times), max_size=10))
         args = (inst, agent.id, AgentConflicts(vertex | after_arrival, edge), horizon,
                 cost_bound)
@@ -350,7 +350,7 @@ class TestTargetEntries:
         times = st.integers(0, horizon)
         cells = st.sampled_from(graph.vertices)
         vertex = data.draw(st.frozensets(st.tuples(cells, times), max_size=6))
-        steps = [(u, w) for u in graph.vertices for w in graph.neighbors(u)]
+        steps = [(u, w) for u in graph.vertices for w in graph.adjacency[u]]
         edge = data.draw(st.frozensets(st.tuples(st.sampled_from(steps), times), max_size=6))
         floor = data.draw(st.one_of(st.just(0), st.integers(1, horizon + 1)))
         cap = data.draw(st.one_of(st.none(), st.integers(0, horizon + 1)))

@@ -99,6 +99,21 @@ def corridor_instance() -> MapfInstance:
     return build_instance(graph, parse_scen((CORRIDOR / "corridor.scen").read_text()), 2)
 
 
+def pocket_corridor_instance(rng: random.Random) -> MapfInstance:
+    """One open row between two walls, with a few cells of the walls open,
+    and two or three agents."""
+    width = rng.randint(4, 7)
+    walls = [["@"] * width for _ in range(2)]
+    for _ in range(rng.randint(1, 2)):
+        walls[rng.randint(0, 1)][rng.randrange(width)] = "."
+    rows = ["".join(walls[0]), "." * width, "".join(walls[1])]
+    graph = parse_map("\n".join(["type octile", "height 3", f"width {width}", "map", *rows]))
+    k = rng.randint(2, 3)
+    starts = rng.sample(graph.vertices, k)
+    goals = rng.sample(graph.vertices, k)
+    return MapfInstance(graph, [Agent(i + 1, s, g) for i, (s, g) in enumerate(zip(starts, goals))])
+
+
 def swap_instance() -> MapfInstance:
     g = Graph(["v1", "v2", "v3"], [("v1", "v2"), ("v2", "v3")])
     return MapfInstance(g, [Agent("a1", "v1", "v3"), Agent("a2", "v3", "v1")])
@@ -173,9 +188,9 @@ class TestCbs:
             dist = bfs_distances(inst.graph, agent.goal)
             pos = [agent.start]
             for _ in range(rng.randint(0, 6)):
-                pos.append(rng.choice(inst.graph.moves(pos[-1])))
+                pos.append(rng.choice(inst.graph.move_table[pos[-1]]))
             while pos[-1] != agent.goal:
-                pos.append(min(inst.graph.neighbors(pos[-1]), key=dist.__getitem__))
+                pos.append(min(inst.graph.adjacency[pos[-1]], key=dist.__getitem__))
             return Path(agent.id, tuple(pos))
 
         rng = random.Random(53)
@@ -253,21 +268,6 @@ class TestCbs:
         assert (out.status, out.soc) == (SOLVED, 9)
 
     def test_cbs_branch_choice_on_corridors_with_pockets(self, monkeypatch):
-        def corridor_instance(rng):
-            # one open row between two walls, with a few cells of the walls open
-            width = rng.randint(4, 7)
-            walls = [["@"] * width for _ in range(2)]
-            for _ in range(rng.randint(1, 2)):
-                walls[rng.randint(0, 1)][rng.randrange(width)] = "."
-            rows = ["".join(walls[0]), "." * width, "".join(walls[1])]
-            graph = parse_map("\n".join(["type octile", "height 3", f"width {width}", "map",
-                                         *rows]))
-            k = rng.randint(2, 3)
-            starts = rng.sample(graph.vertices, k)
-            goals = rng.sample(graph.vertices, k)
-            return MapfInstance(graph, [Agent(i + 1, s, g)
-                                        for i, (s, g) in enumerate(zip(starts, goals))])
-
         def child_constraints(avoid, collision, side, costs):
             """The constraints that the side's child gives its agent. A vertex
             collision at or after one agent's arrival lies on that agent's
@@ -321,12 +321,57 @@ class TestCbs:
         monkeypatch.setattr(solvers, "_branch_on", checking)
         rng = random.Random(29)
         for _ in range(30):
-            inst = corridor_instance(rng)
+            inst = pocket_corridor_instance(rng)
             cap = xi_sum(inst) + 4
             oracle = brute_force_oracle(inst, cap)
             out = solve_cbs(inst, SolverConfig(timeout_s=60, cost_cap=cap))
             assert (out.status, out.soc) == (oracle.status, oracle.soc)
         assert len(seen) == 4 and min(seen.values()) >= 20, seen
+
+    def test_width_sweeps_lose_no_walk_to_the_goal_ban(self, monkeypatch):
+        """Every width sweep runs under the agent's constraints plus the goal
+        at the step before its current cost. Under constraints with no floor
+        that ban drops no walk, since the agent's current path is optimal
+        under them: the widths are those of the sweep without it."""
+        branch_on, walk = solvers._branch_on, solvers.walk_levels
+        sweeps = []
+        checked = Counter()
+
+        def recording(instance, agent_id, horizon, cost_bound, distances, avoid):
+            sweeps.append((agent_id, horizon, avoid))
+            return walk(instance, agent_id, horizon, cost_bound, distances, avoid)
+
+        def widths(levels_out):
+            return [len(level) for level in levels_out[0]]
+
+        def checking(instance, collisions, constraints, paths, cache, distances):
+            sweeps.clear()
+            chosen = branch_on(instance, collisions, constraints, paths, cache, distances)
+            for agent_id, cost, avoid in sweeps:
+                goal = instance.agent(agent_id).goal
+                own = constraints[agent_id]
+                # a sweep runs under the agent's own constraints, or under
+                # those of a target conflict's child that holds the goal
+                bases = {own, *(own.holding(c.location, c.t) for c in collisions)}
+                base = [b for b in bases
+                        if b.with_entry("vertex", (goal, cost - 1)) == avoid]
+                assert base, (agent_id, cost, avoid)
+                if base[0].floor == 0:
+                    assert widths(walk(instance, agent_id, cost, cost, distances, base[0])) == \
+                        widths(walk(instance, agent_id, cost, cost, distances, avoid))
+                    checked["no floor"] += 1
+                else:
+                    checked["floor"] += 1
+            return chosen
+
+        monkeypatch.setattr(solvers, "_branch_on", checking)
+        monkeypatch.setattr(solvers, "walk_levels", recording)
+        rng = random.Random(29)
+        for _ in range(30):
+            inst = pocket_corridor_instance(rng)
+            out = solve_cbs(inst, SolverConfig(timeout_s=60, cost_cap=xi_sum(inst) + 4))
+            assert out.status in (SOLVED, INFEASIBLE)
+        assert checked["no floor"] >= 200 and checked["floor"] >= 100, checked
 
     def test_mdd_sat_counts_cost_iterations(self, fix_c):
         out = solve_mdd_sat(fix_c, QUICK)
