@@ -151,46 +151,40 @@ def sorted_runtimes(records: Iterable[BenchRecord], algorithm: str) -> list[floa
     return sorted(r.runtime_s for r in records if r.algo == algorithm and r.status == "solved")
 
 
-def write_csv(records: Iterable[BenchRecord], out) -> None:
-    """`out` is a text file object or a path."""
-    if isinstance(out, (str, FsPath)):
-        with open(out, "w", newline="") as fh:
-            write_csv(records, fh)
-        return
-    writer = csv.writer(out)
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow([
-            r.map_name, r.scen_name, r.agents, r.algo, r.status,
-            repr(r.runtime_s), "" if r.soc is None else r.soc,
-            r.sat_calls, r.conflicts, r.reason,
-        ])
+def write_csv(records: Iterable[BenchRecord], path: str | FsPath) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for r in records:
+            writer.writerow([
+                r.map_name, r.scen_name, r.agents, r.algo, r.status,
+                repr(r.runtime_s), "" if r.soc is None else r.soc,
+                r.sat_calls, r.conflicts, r.reason,
+            ])
 
 
-def read_csv(src) -> list[BenchRecord]:
-    if isinstance(src, (str, FsPath)):
-        with open(src, newline="") as fh:
-            return read_csv(fh)
-    reader = csv.reader(src)
-    header = next(reader, None)
-    if header != CSV_COLUMNS:
-        raise ValueError("empty CSV, no header" if header is None
-                         else f"unexpected CSV header {header!r}")
-    out = []
-    for row in reader:
-        if len(row) != len(CSV_COLUMNS):
-            raise ValueError(f"CSV line {reader.line_num} has {len(row)} columns, "
-                             f"expected {len(CSV_COLUMNS)}")
-        out.append(BenchRecord(
-            map_name=row[0],
-            scen_name=row[1],
-            agents=int(row[2]),
-            algo=row[3],
-            status=row[4],
-            runtime_s=float(row[5]),
-            soc=None if row[6] == "" else int(row[6]),
-            sat_calls=int(row[7]),
-            conflicts=int(row[8]),
-            reason=row[9],
-        ))
+def read_csv(path: str | FsPath) -> list[BenchRecord]:
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != CSV_COLUMNS:
+            raise ValueError("empty CSV, no header" if header is None
+                             else f"unexpected CSV header {header!r}")
+        out = []
+        for row in reader:
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"CSV line {reader.line_num} has {len(row)} columns, "
+                                 f"expected {len(CSV_COLUMNS)}")
+            out.append(BenchRecord(
+                map_name=row[0],
+                scen_name=row[1],
+                agents=int(row[2]),
+                algo=row[3],
+                status=row[4],
+                runtime_s=float(row[5]),
+                soc=None if row[6] == "" else int(row[6]),
+                sat_calls=int(row[7]),
+                conflicts=int(row[8]),
+                reason=row[9],
+            ))
     return out

@@ -322,9 +322,10 @@ def _emit_recorded_conflicts(model: BooleanModel,
 
 def extract_solution(model: BooleanModel, assignment: list[bool]) -> Solution:
     """Each agent's path: the walk from its start node through the first
-    occupied head in out-edge order, up to its settle node, then waits on
-    its goal up to the horizon. `EncodingSoundnessError` if a walk breaks off
-    or the walks cost more than `model.soc`."""
+    occupied head in out-edge order, up to its settle node, cut at its final
+    arrival. `Solution.from_paths` pads the paths to the latest arrival:
+    goals are distinct, so no collision lies past it. `EncodingSoundnessError`
+    if a walk breaks off or the walks cost more than `model.soc`."""
     instance, x = model.instance, model.x
     paths = []
     for a in instance.agents:
@@ -338,8 +339,9 @@ def extract_solution(model: BooleanModel, assignment: list[bool]) -> Solution:
                 )
             positions.append(cur)
             heads = mdd.outgoing(cur, t)
-        # the settle node is the goal alone, and so is every later level
-        positions += [mdd.goal] * (model.horizon - end)
+        # the settle node is the goal; drop the waits on it before the settle step
+        while len(positions) > 1 and positions[-2] == mdd.goal:
+            positions.pop()
         paths.append(Path(a.id, tuple(positions)))
     try:
         solution = Solution.from_paths(instance, paths)

@@ -3,7 +3,8 @@
 Path cost counts every step until the agent finally settles at its goal;
 trailing goal waits are free. The space-time search below minimizes that
 measure directly, so paths that leave the goal and come back are priced
-correctly.
+correctly. It takes one bound on that cost, and every path it returns ends
+at its final arrival.
 """
 
 from __future__ import annotations
@@ -133,18 +134,21 @@ def constrained_shortest_path(
     instance: MapfInstance,
     agent_id: Hashable,
     avoid: AgentConflicts,
-    horizon: int,
-    cost_bound: int,
+    bound: int,
     distances: Distances,
-    min_length: int = 0,
 ) -> Optional[Path]:
-    """Minimum-cost start->goal path of length <= horizon and cost <= cost_bound.
+    """Minimum-cost start->goal path of cost <= bound.
 
     The path never occupies a conflicted vertex at its timestep nor traverses
     a conflicted directed edge. Its implicit goal-wait padding stays clear of
-    every vertex conflict on the goal, also of those past the horizon: the
-    path arrives after the goal's last one, so when that falls at or past the
-    horizon there is no path. Returns None when no such path exists.
+    every vertex conflict on the goal: the path arrives after the goal's last
+    one, so when that falls at or past the bound there is no path. Returns
+    None when no such path exists.
+
+    A returned path ends at its final arrival, so its length is its cost:
+    waits on the goal that began before the goal's last vertex conflict
+    cannot cross it, and any later arrival ends the search when it is
+    popped. No state at the bound is expanded.
 
     The heap pops the state of lower f, then of higher timestep, then of
     smaller vertex id, then the first push. Among states of equal f it thus
@@ -159,7 +163,7 @@ def constrained_shortest_path(
     `(f, t, v)`, so those three order the heap on their own.
 
     CBS's target entries (`AgentConflicts.floor`, `cap` and `held`): the cap
-    lowers `cost_bound`, and a move onto a held cell at or after the step
+    lowers the bound, and a move onto a held cell at or after the step
     from which it is held is cut. Under a floor F the path's cost, not its
     length, must reach F, so a goal state that arrived before F is no end:
     the agent has to leave the goal and come back (Li et al.'s holding time,
@@ -171,8 +175,8 @@ def constrained_shortest_path(
     never drops along a move. With none of them set, F is 0 and the search
     pops exactly the states it pops without them.
     """
-    if cost_bound < 0:
-        raise ValueError("negative cost bound")
+    if bound < 0:
+        raise ValueError("negative bound")
     agent = instance.agent(agent_id)
     start, goal = agent.start, agent.goal
     dist_goal = distances.dist(goal)
@@ -181,14 +185,13 @@ def constrained_shortest_path(
     banned, cut = avoid.by_step()
     floor, held = avoid.floor, avoid.held_from()
     if avoid.cap is not None:
-        cost_bound = min(cost_bound, avoid.cap)
+        bound = min(bound, avoid.cap)
     moves = instance.graph.move_table
 
     # Terminal states must keep the implicit goal-wait padding conflict-free.
-    last_goal_conflict = max((t for t, vs in banned.items() if goal in vs), default=-1)
-    earliest_stop = max(min_length, last_goal_conflict + 1)
+    earliest_stop = max((t for t, vs in banned.items() if goal in vs), default=-1) + 1
 
-    if (earliest_stop > horizon or start in banned.get(0, ()) or goal in held
+    if (earliest_stop > bound or start in banned.get(0, ()) or goal in held
             or held.get(start) == 0):
         return None
     # f bounds the cost from below: t + dist(v, goal) off the goal, and the
@@ -212,7 +215,7 @@ def constrained_shortest_path(
                 positions.append(cur[0])
                 cur = cur[1]
             return Path(agent_id, tuple(reversed(positions)))
-        if t == horizon:
+        if t == bound:
             continue
         t1 = t + 1
         ban, cuts = banned.get(t1, ()), cut.get(t, ())
@@ -221,19 +224,16 @@ def constrained_shortest_path(
                 continue
             if held and held.get(w, t1 + 1) <= t1:
                 continue
-            # w shares v's component, so it reaches the goal too
-            dg = dist_goal[w]
-            if t1 + dg > horizon:
-                continue
             if w != goal:
-                f2 = t1 + dg
+                # w shares v's component, so it reaches the goal too
+                f2 = t1 + dist_goal[w]
                 if f2 < floor:
                     f2 = floor
             elif v == goal:  # a wait keeps the arrival, unless it came too early
                 f2 = f if f <= t else max(floor, t1 + 2)
             else:
                 f2 = t1 if t1 >= floor else max(floor, t1 + 2)
-            if f2 > cost_bound:
+            if f2 > bound:
                 continue
             # f never drops along a move, so a popped state's best is <= f2
             # and it is never pushed again
@@ -252,8 +252,7 @@ def shortest_path(instance: MapfInstance, agent_id: Hashable,
     dist = distances.dist(agent.goal)[agent.start]
     if dist is UNREACHED:
         return None
-    return constrained_shortest_path(instance, agent_id, AgentConflicts(), dist, dist,
-                                     distances)
+    return constrained_shortest_path(instance, agent_id, AgentConflicts(), dist, distances)
 
 
 def new_and_path(
@@ -261,23 +260,21 @@ def new_and_path(
     agent_id: Hashable,
     mdd: Mdd,
     conflicts: AgentConflicts,
-    horizon: int,
-    cost_bound: int,
+    bound: int,
     distances: Distances,
 ) -> Optional[Path]:
-    """Shortest path avoiding every conflict of the agent at once.
+    """Shortest path of cost <= bound avoiding every conflict of the agent at once.
 
-    Returns None when no such path exists within the bounds, or when the
-    found path is already represented by `mdd`, the agent's current sparse
-    diagram: every step of the path padded to `horizon` is one of its
-    out-edges (adding the path would change nothing).
+    Returns None when no such path exists, or when the found path is already
+    represented by `mdd`, the agent's current sparse diagram: every step of
+    the path padded to the diagram's horizon is one of its out-edges (adding
+    the path would change nothing).
     """
-    path = constrained_shortest_path(instance, agent_id, conflicts, horizon, cost_bound,
-                                     distances)
+    path = constrained_shortest_path(instance, agent_id, conflicts, bound, distances)
     if path is None:
         return None
-    pos = path.padded(horizon).positions
-    if all(pos[t + 1] in mdd.outgoing(pos[t], t) for t in range(horizon)):
+    pos = path.padded(mdd.horizon).positions
+    if all(pos[t + 1] in mdd.outgoing(pos[t], t) for t in range(mdd.horizon)):
         return None
     return path
 
@@ -286,16 +283,13 @@ def new_or_paths(
     instance: MapfInstance,
     agent_id: Hashable,
     conflicts: AgentConflicts,
-    horizon: int,
-    cost_bound: int,
+    bound: int,
     distances: Distances,
 ) -> list[Path]:
-    """One shortest avoiding path per nonempty conflict subset.
+    """One shortest avoiding path of cost <= bound per nonempty conflict subset.
 
     Subsets are enumerated in increasing cardinality, stopping after
-    `OR_SUBSET_LIMIT` subsets; duplicate paths are dropped. Each returned path
-    extends past the last timestep of the subset it answers, so that it
-    responds to the conflict rather than parking at the goal beforehand.
+    `OR_SUBSET_LIMIT` subsets; duplicate paths are dropped.
     """
     items = [("vertex", e) for e in conflicts.vertex] + [("edge", e) for e in conflicts.edge]
     # by timestep, vertex entries first, then by the vertex or the edge itself
@@ -310,18 +304,8 @@ def new_or_paths(
             enumerated += 1
             vconf = frozenset(e for kind, e in subset if kind == "vertex")
             econf = frozenset(e for kind, e in subset if kind == "edge")
-            last_t = max(
-                (e[1] if kind == "vertex" else e[1] + 1) for kind, e in subset
-            )
-            path = constrained_shortest_path(
-                instance,
-                agent_id,
-                AgentConflicts(vconf, econf),
-                horizon,
-                cost_bound,
-                distances,
-                min_length=last_t + 1,
-            )
+            path = constrained_shortest_path(instance, agent_id, AgentConflicts(vconf, econf),
+                                             bound, distances)
             if path is not None and path.positions not in seen_positions:
                 seen_positions.add(path.positions)
                 out.append(path)

@@ -11,7 +11,9 @@ Five algorithms share one outcome shape:
                                 extended by one all-conflicts-avoiding path.
 
 ``_run`` builds each solve's ``Distances`` memo, shortest costs and cost cap
-once, and hands them to ``_cbs`` or ``_lazy_solve``.
+once, and hands them to ``_cbs`` or ``_lazy_solve``. Each path a solver
+finds ends at its agent's final arrival and ``Solution.from_paths`` pads
+them to the latest one, so every algorithm reports that as its makespan.
 
 The four SAT algorithms run one loop (``_lazy_solve``): raise the cost bound
 from the shortest-path total and run one fixed-bounds round (``_fixed``) per
@@ -305,7 +307,7 @@ def _cbs(instance, deadline, stats, distances, xi, cap):
             if budget < xi[agent_id]:
                 continue
             path = constrained_shortest_path(instance, agent_id, child[agent_id], budget,
-                                             budget, distances)
+                                             distances)
             if path is None:
                 continue
             new_constraints = dict(constraints)
@@ -485,8 +487,8 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
     delta = soc - sum(xi.values())
     bounds = {a.id: xi[a.id] + delta for a in instance.agents}
     bans = goal_bans(instance, xi, delta)
-    if not all(_clear_walk(instance, agent_id, paths, bans[agent_id], horizon,
-                           bounds[agent_id], distances)
+    if not all(_clear_walk(instance, agent_id, paths, bans[agent_id], bounds[agent_id],
+                           distances)
                for agent_id, paths in candidates.items() if paths is not None):
         candidates.update(dict.fromkeys(candidates))
         return None
@@ -535,18 +537,19 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
             for side, agent_id in enumerate(col.agents):
                 conflicts[agent_id] = conflicts[agent_id].with_entry(col.kind, col.entry(side))
         add_conflict_clauses(model, collisions)
-        if _extend(instance, candidates, diagrams, conflicts, collisions, horizon, bounds,
-                   extend, distances):
+        if _extend(instance, candidates, diagrams, conflicts, collisions, bounds, extend,
+                   distances):
             model = None  # diagrams changed shape: rebuild on the next pass
 
 
-def _extend(instance, candidates, diagrams, conflicts, collisions, horizon, bounds, extend,
-            distances):
+def _extend(instance, candidates, diagrams, conflicts, collisions, bounds, extend, distances):
     """Grow the sparse candidate sets of the colliding agents; True if any changed.
 
     "and" adds one path avoiding all of an agent's conflicts, unless its
     current diagram represents it; "or" adds one path per conflict subset. An
-    agent with nothing new to add is promoted to its full diagram.
+    agent with nothing new to add is promoted to its full diagram. Both
+    search within the agent's own bound `xi + delta`, which never exceeds
+    the round's horizon `max(xi) + delta`.
     """
     grown = False
     for agent_id in dict.fromkeys(a for col in collisions for a in col.agents):
@@ -555,13 +558,12 @@ def _extend(instance, candidates, diagrams, conflicts, collisions, horizon, boun
             continue
         conf = conflicts[agent_id]
         if extend == "and":
-            pi = new_and_path(instance, agent_id, diagrams[agent_id], conf,
-                              horizon, bounds[agent_id], distances)
-            assert pi is None or _avoids(pi, conf, horizon)
+            pi = new_and_path(instance, agent_id, diagrams[agent_id], conf, bounds[agent_id],
+                              distances)
+            assert pi is None or _avoids(pi, conf, diagrams[agent_id].horizon)
             paths = [] if pi is None else [pi]
         else:
-            paths = new_or_paths(instance, agent_id, conf, horizon, bounds[agent_id],
-                                 distances)
+            paths = new_or_paths(instance, agent_id, conf, bounds[agent_id], distances)
         new = {p.positions: p for p in paths if p.positions not in known}
         known.update(new)
         if not new:
@@ -580,8 +582,7 @@ def _avoids(path: Path, conf: AgentConflicts, horizon: int) -> bool:
 
 
 def _clear_walk(instance: MapfInstance, agent_id: Hashable, paths: dict[tuple, Path],
-                bans: AgentConflicts, horizon: int, bound: int,
-                distances: Distances) -> bool:
+                bans: AgentConflicts, bound: int, distances: Distances) -> bool:
     """True if the agent has a walk within `bound` that keeps clear of the goal
     cells held in `bans`: one of its candidate `paths`, else one that a
     search under the bans finds. Past its end a candidate waits on its own
@@ -590,8 +591,7 @@ def _clear_walk(instance: MapfInstance, agent_id: Hashable, paths: dict[tuple, P
     if any(all(first.get(v, t + 1) > t for t, v in enumerate(positions))
            for positions in paths):
         return True
-    return constrained_shortest_path(instance, agent_id, bans, horizon, bound,
-                                     distances) is not None
+    return constrained_shortest_path(instance, agent_id, bans, bound, distances) is not None
 
 
 ALGORITHMS: dict[str, Callable[..., SolveOutcome]] = {

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import pytest
@@ -174,22 +173,21 @@ class TestRunBenchmark:
 
 
 class TestCsvRoundTrip:
-    def test_identical_records(self):
+    def test_identical_records(self, tmp_path):
         records = [
             BenchRecord("m.map", "s1.scen", 2, "cbs", "solved", 0.12345678901234, 7, 0, 3),
             BenchRecord("m.map", "s2.scen", 4, "heuristic", "timeout", 128.0, None, 9, 12),
             BenchRecord("", "s3.scen", 3, "sparse", "error", 0.0, None, 0, 0,
                         "parse error: s3.scen: bad, header (line 1)"),
         ]
-        buf = io.StringIO()
-        write_csv(records, buf)
-        buf.seek(0)
-        assert read_csv(buf) == records
+        out = tmp_path / "records.csv"
+        write_csv(records, out)
+        assert read_csv(out) == records
 
-    def test_header_columns(self):
-        buf = io.StringIO()
-        write_csv([], buf)
-        assert buf.getvalue().strip() == (
+    def test_header_columns(self, tmp_path):
+        out = tmp_path / "records.csv"
+        write_csv([], out)
+        assert out.read_text().strip() == (
             "map,scen,agents,algo,status,runtime_s,soc,sat_calls,conflicts,reason"
         )
 
@@ -199,19 +197,22 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="empty CSV, no header"):
             read_csv(out)
 
-    def test_short_row_rejected(self):
-        buf = io.StringIO()
-        write_csv([record()], buf)
+    def test_short_row_rejected(self, tmp_path):
+        out = tmp_path / "records.csv"
+        write_csv([record()], out)
         # the record's line loses its last column, the empty reason
-        buf = io.StringIO(buf.getvalue().rstrip("\r\n").rsplit(",", 1)[0] + "\r\n")
+        with open(out, newline="") as fh:
+            text = fh.read()
+        with open(out, "w", newline="") as fh:
+            fh.write(text.rstrip("\r\n").rsplit(",", 1)[0] + "\r\n")
         with pytest.raises(ValueError, match="CSV line 2 has 9 columns, expected 10"):
-            read_csv(buf)
+            read_csv(out)
 
     def test_file_path_round_trip(self, tmp_path):
         records = [record()]
         out = tmp_path / "records.csv"
-        write_csv(records, out)
-        assert read_csv(out) == records
+        write_csv(records, str(out))
+        assert read_csv(str(out)) == records
 
 
 def test_discover_suite_sorted():

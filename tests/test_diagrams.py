@@ -406,8 +406,7 @@ class TestSparseVersusFull:
                     frozenset({(rng.choice(verts), rng.randint(1, horizon))}),
                     frozenset(),
                 )
-                p = constrained_shortest_path(inst, agent.id, avoid, horizon, bound,
-                                              distances)
+                p = constrained_shortest_path(inst, agent.id, avoid, bound, distances)
                 if p is not None:
                     paths.append(p)
             if not paths:

@@ -669,12 +669,13 @@ class TestReadOut:
 
 
 def model_walks(model, agent):
-    """Every walk a single-agent model reads out, found by blocking the nodes
-    of each read-out walk together in turn. The one-node-per-level answer of
-    a walk survives until that walk itself is blocked."""
+    """Every walk a single-agent model reads out, padded to the horizon, found
+    by blocking the nodes of each padded walk together in turn. The
+    one-node-per-level answer of a walk survives until that walk itself is
+    blocked."""
     found = set()
     while (assignment := model.solve()) is not None:
-        walk = extract_solution(model, assignment).paths[0].positions
+        walk = extract_solution(model, assignment).paths[0].padded(model.horizon).positions
         found.add(walk)
         model.solver.add_clause([-model.x[(agent, v, t)] for t, v in enumerate(walk)])
     return found
@@ -786,7 +787,8 @@ class TestSettleStep:
 
     def test_read_out_stops_at_the_settle_step(self):
         # the walk read step by step up to the horizon, as before the read-out
-        # stopped at the settle node, is the path extract_solution returns
+        # stopped at the settle node, is the path extract_solution returns,
+        # padded to the horizon
         read = 0
         for model, _, _ in self.cases():
             assignment = model.solve()
@@ -797,7 +799,7 @@ class TestSettleStep:
                 for t in range(model.horizon + 1):
                     walk.append(next(v for v in heads if assignment[model.x[(a.id, v, t)]]))
                     heads = mdd.outgoing(walk[-1], t)
-                assert path.positions == tuple(walk)
+                assert path.padded(model.horizon).positions == tuple(walk)
                 assert model.settle[a.id] == settle_step(mdd)
                 read += model.settle[a.id] < model.horizon
         assert read > 20

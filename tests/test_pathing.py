@@ -70,7 +70,7 @@ class CountingHeapq:
         return heapq.heappop(heap)
 
 
-def counter_search(instance, agent_id, avoid, horizon, cost_bound, min_length=0):
+def counter_search(instance, agent_id, avoid, horizon, cost_bound):
     """The space-time search without the push-once rule: a state is pushed
     from every predecessor, copies are dropped when popped, and a push
     counter breaks ties among equal (f, -t, vertex), so that the deeper state
@@ -88,7 +88,7 @@ def counter_search(instance, agent_id, avoid, horizon, cost_bound, min_length=0)
     last_goal_conflict = max(
         (s for (v, s) in avoid.vertex if v == goal and s <= horizon), default=-1
     )
-    earliest_stop = max(min_length, last_goal_conflict)
+    earliest_stop = last_goal_conflict
     if (start, 0) in avoid.vertex:
         return None
     g0 = 0 if start == goal else 1
@@ -199,37 +199,37 @@ class TestBfsDistances:
 
 class TestConstrainedShortestPath:
     def test_unique_avoiding_path(self, fix_a):
-        p = constrained_shortest_path(fix_a, "a1", vconf(("v2", 1)), 3, 3, Distances(fix_a.graph))
+        p = constrained_shortest_path(fix_a, "a1", vconf(("v2", 1)), 3, Distances(fix_a.graph))
         assert p.positions == ("v1", "v1", "v2", "v3")
 
     def test_blocked_on_both_steps(self, fix_a):
-        p = constrained_shortest_path(fix_a, "a1", vconf(("v2", 1), ("v2", 2)), 3, 3,
+        p = constrained_shortest_path(fix_a, "a1", vconf(("v2", 1), ("v2", 2)), 3,
                                       Distances(fix_a.graph))
         assert p is None
 
     def test_plain_shortest(self, fix_a):
-        p = constrained_shortest_path(fix_a, "a1", AgentConflicts(), 2, 2, Distances(fix_a.graph))
+        p = constrained_shortest_path(fix_a, "a1", AgentConflicts(), 2, Distances(fix_a.graph))
         assert p.positions == ("v1", "v2", "v3")
 
     def test_edge_conflict_forces_detour(self, fix_b):
         avoid = AgentConflicts(frozenset(), frozenset({(("v00", "v01"), 0)}))
-        p = constrained_shortest_path(fix_b, "a1", avoid, 2, 2, Distances(fix_b.graph))
+        p = constrained_shortest_path(fix_b, "a1", avoid, 2, Distances(fix_b.graph))
         assert p.positions == ("v00", "v10", "v11")
 
     def test_goal_conflict_after_arrival_forces_detour_or_wait(self, fix_a):
         # settling at the goal would hit (v3, 3): the agent must arrive late
-        p = constrained_shortest_path(fix_a, "a1", vconf(("v3", 3)), 4, 4, Distances(fix_a.graph))
+        p = constrained_shortest_path(fix_a, "a1", vconf(("v3", 3)), 4, Distances(fix_a.graph))
         assert p is not None
         padded = p.padded(4).positions
         assert padded[3] != "v3"
         assert padded[-1] == "v3"
 
     def test_goal_conflict_past_the_horizon_leaves_no_path(self, fix_a):
-        # v1 v2 v3 fits the horizon, but the agent then waits on (v3, 5)
+        # v1 v2 v3 fits the bound, but the agent then waits on (v3, 5)
         avoid = vconf(("v3", 5))
         distances = Distances(fix_a.graph)
-        assert constrained_shortest_path(fix_a, "a1", avoid, 3, 3, distances) is None
-        p = constrained_shortest_path(fix_a, "a1", avoid, 6, 6, distances)
+        assert constrained_shortest_path(fix_a, "a1", avoid, 3, distances) is None
+        p = constrained_shortest_path(fix_a, "a1", avoid, 6, distances)
         assert p.length == 6 and p.positions[5] != "v3"
 
     def test_cost_equals_bfs_distance_without_conflicts(self):
@@ -239,15 +239,15 @@ class TestConstrainedShortestPath:
             for a in inst.agents:
                 want = bfs_distances(inst.graph, a.start)[a.goal]
                 p = constrained_shortest_path(
-                    inst, a.id, AgentConflicts(), want, want, Distances(inst.graph)
+                    inst, a.id, AgentConflicts(), want, Distances(inst.graph)
                 )
                 assert path_cost(p, a.goal) == want
 
     def test_determinism(self, fix_b):
         avoid = vconf(("v01", 1))
-        first = constrained_shortest_path(fix_b, "a1", avoid, 4, 4, Distances(fix_b.graph))
+        first = constrained_shortest_path(fix_b, "a1", avoid, 4, Distances(fix_b.graph))
         for _ in range(5):
-            again = constrained_shortest_path(fix_b, "a1", avoid, 4, 4, Distances(fix_b.graph))
+            again = constrained_shortest_path(fix_b, "a1", avoid, 4, Distances(fix_b.graph))
             assert again.positions == first.positions
 
     def test_respects_bounds_and_conflicts(self):
@@ -265,8 +265,7 @@ class TestConstrainedShortestPath:
                 ),
                 frozenset(),
             )
-            p = constrained_shortest_path(inst, agent.id, avoid, horizon, bound,
-                                          Distances(inst.graph))
+            p = constrained_shortest_path(inst, agent.id, avoid, bound, Distances(inst.graph))
             if p is None:
                 continue
             assert p.length <= horizon
@@ -283,7 +282,7 @@ class TestConstrainedShortestPath:
         # search expands the deeper one, and so waits at 3 rather than at 0
         graph = open_grid(3, 2)
         inst = MapfInstance(graph, [Agent(1, 0, 4)])
-        p = constrained_shortest_path(inst, 1, vconf((1, 1), (4, 2)), 3, 3, Distances(graph))
+        p = constrained_shortest_path(inst, 1, vconf((1, 1), (4, 2)), 3, Distances(graph))
         assert p.positions == (0, 3, 3, 4)
 
     @settings(max_examples=300, deadline=None)
@@ -296,7 +295,6 @@ class TestConstrainedShortestPath:
         xi = bfs_distances(graph, agent.goal)[agent.start]
         horizon = data.draw(st.integers(xi, xi + 6))
         cost_bound = data.draw(st.integers(max(xi - 1, 0), horizon + 1))
-        min_length = data.draw(st.integers(0, horizon + 1))
         times = st.integers(0, horizon)
         vertex = data.draw(st.frozensets(st.tuples(st.sampled_from(graph.vertices), times),
                                          max_size=10))
@@ -305,11 +303,12 @@ class TestConstrainedShortestPath:
             st.tuples(st.just(agent.goal), st.integers(xi, horizon)), max_size=3))
         steps = [(u, w) for u in graph.vertices for w in graph.adjacency[u]]
         edge = data.draw(st.frozensets(st.tuples(st.sampled_from(steps), times), max_size=10))
-        args = (inst, agent.id, AgentConflicts(vertex | after_arrival, edge), horizon,
-                cost_bound)
-        assert (constrained_shortest_path(*args, Distances(graph), min_length)
-                == counter_search(*args, min_length))
-
+        avoid = AgentConflicts(vertex | after_arrival, edge)
+        got = constrained_shortest_path(inst, agent.id, avoid, min(horizon, cost_bound),
+                                        Distances(graph))
+        assert got == counter_search(inst, agent.id, avoid, horizon, cost_bound)
+        # a found path ends at its final arrival: its length is its cost
+        assert got is None or got.length == path_cost(got, agent.goal)
 
     def test_matches_counter_search_on_tie_plateaus(self):
         # Two vertex entries on a shortest path, with the horizon above the
@@ -326,8 +325,9 @@ class TestConstrainedShortestPath:
             free = counter_search(inst, agent.id, AgentConflicts(), xi, xi).positions
             k1, k2 = sorted(rng.sample(range(1, xi), 2))
             horizon = xi + rng.randint(1, 3)
-            args = (inst, agent.id, vconf((free[k1], k1), (free[k2], k2)), horizon, horizon)
-            assert constrained_shortest_path(*args, Distances(inst.graph)) == counter_search(*args)
+            avoid = vconf((free[k1], k1), (free[k2], k2))
+            assert (constrained_shortest_path(inst, agent.id, avoid, horizon, Distances(inst.graph))
+                    == counter_search(inst, agent.id, avoid, horizon, horizon))
             plateaus += 1
         assert plateaus >= 150
 
@@ -357,7 +357,7 @@ class TestTargetEntries:
         held = data.draw(st.frozensets(st.tuples(cells, st.integers(0, horizon + 1)),
                                        max_size=3))
         avoid = AgentConflicts(vertex, edge, floor, cap, held)
-        got = constrained_shortest_path(inst, agent.id, avoid, horizon, cost_bound,
+        got = constrained_shortest_path(inst, agent.id, avoid, min(horizon, cost_bound),
                                         Distances(graph))
         costs = {walk: walk_cost(walk, agent.goal)
                  for walk in avoiding_walks(inst, agent.id, avoid, horizon)}
@@ -365,7 +365,7 @@ class TestTargetEntries:
         if not costs:
             assert got is None
         else:
-            assert got is not None and got.length <= horizon
+            assert got is not None and got.length == path_cost(got, agent.goal)
             assert costs.get(got.padded(horizon).positions) == min(costs.values())
         if (floor, cap, held) == (0, None, frozenset()):
             assert got == counter_search(inst, agent.id, avoid, horizon, cost_bound)
@@ -377,7 +377,7 @@ class TestTargetEntries:
         # real arrival at (1, 2) through (0, 1).
         graph = open_grid(3, 1)
         inst = MapfInstance(graph, [Agent(1, 0, 1)])
-        p = constrained_shortest_path(inst, 1, AgentConflicts(floor=2), 4, 4, Distances(graph))
+        p = constrained_shortest_path(inst, 1, AgentConflicts(floor=2), 4, Distances(graph))
         assert p.positions == (0, 0, 1)
 
     def test_a_floor_sends_an_agent_on_its_goal_away_and_back(self):
@@ -385,19 +385,19 @@ class TestTargetEntries:
         inst = MapfInstance(graph, [Agent(1, 1, 1)])
         distances = Distances(graph)
         for floor in (1, 2):
-            p = constrained_shortest_path(inst, 1, AgentConflicts(floor=floor), 4, 4,
+            p = constrained_shortest_path(inst, 1, AgentConflicts(floor=floor), 4,
                                           distances)
             assert path_cost(p, 1) == 2 and p.positions[1] != 1
-        p = constrained_shortest_path(inst, 1, AgentConflicts(floor=3), 4, 4, distances)
+        p = constrained_shortest_path(inst, 1, AgentConflicts(floor=3), 4, distances)
         assert path_cost(p, 1) == 3
-        assert constrained_shortest_path(inst, 1, AgentConflicts(floor=3), 4, 2,
+        assert constrained_shortest_path(inst, 1, AgentConflicts(floor=3), 2,
                                          distances) is None
-        assert constrained_shortest_path(inst, 1, AgentConflicts(floor=5), 4, 5,
+        assert constrained_shortest_path(inst, 1, AgentConflicts(floor=5), 4,
                                          distances) is None
         # on goal 0, the lowest id, waits there come first among equal f and
         # equal steps: waiting up to the floor must not count as arriving
         inst = MapfInstance(graph, [Agent(1, 0, 0)])
-        p = constrained_shortest_path(inst, 1, AgentConflicts(floor=4), 6, 6, distances)
+        p = constrained_shortest_path(inst, 1, AgentConflicts(floor=4), 6, distances)
         assert path_cost(p, 0) == 4
 
     def test_cap_and_held_cells(self):
@@ -406,19 +406,19 @@ class TestTargetEntries:
         inst = MapfInstance(graph, [Agent(1, 0, 2)])
         distances = Distances(graph)
         wait = vconf((1, 1))
-        assert path_cost(constrained_shortest_path(inst, 1, wait, 5, 5, distances), 2) == 3
-        assert constrained_shortest_path(inst, 1, replace(wait, cap=2), 5, 5,
+        assert path_cost(constrained_shortest_path(inst, 1, wait, 5, distances), 2) == 3
+        assert constrained_shortest_path(inst, 1, replace(wait, cap=2), 5,
                                          distances) is None
         # 1 held from step 1 on: the agent passes below it
-        p = constrained_shortest_path(inst, 1, AgentConflicts(held=frozenset({(1, 1)})), 5, 5,
+        p = constrained_shortest_path(inst, 1, AgentConflicts(held=frozenset({(1, 1)})), 5,
                                       distances)
         assert p.positions == (0, 3, 4, 5, 2)
         # held from step 2 on: it may cross at step 1
-        p = constrained_shortest_path(inst, 1, AgentConflicts(held=frozenset({(1, 2)})), 5, 5,
+        p = constrained_shortest_path(inst, 1, AgentConflicts(held=frozenset({(1, 2)})), 5,
                                       distances)
         assert p.positions == (0, 1, 2)
         held_goal = AgentConflicts(held=frozenset({(2, 4)}))
-        assert constrained_shortest_path(inst, 1, held_goal, 5, 5, distances) is None
+        assert constrained_shortest_path(inst, 1, held_goal, 5, distances) is None
 
 
 class TestSearchEffort:
@@ -449,7 +449,7 @@ class TestSearchEffort:
         k = free.length // 2
         horizon = free.length + 2
         counter.pops = 0
-        p = constrained_shortest_path(inst, 1, vconf((free.positions[k], k)), horizon, horizon,
+        p = constrained_shortest_path(inst, 1, vconf((free.positions[k], k)), horizon,
                                       distances)
         assert p.positions[k] != free.positions[k]
         assert counter.pops <= p.length + 2
@@ -463,24 +463,24 @@ class TestNewAndPath:
                           horizon)
 
     def test_single_conflict(self, fix_a):
-        p = new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 3), vconf(("v2", 1)), 3, 3,
+        p = new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 3), vconf(("v2", 1)), 3,
                          Distances(fix_a.graph))
         assert p.positions == ("v1", "v1", "v2", "v3")
 
     def test_unavoidable_pair_gives_empty(self, fix_a):
         conf = vconf(("v2", 1), ("v2", 2))
-        assert new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 3), conf, 3, 3,
+        assert new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 3), conf, 3,
                             Distances(fix_a.graph)) is None
 
     def test_vacuous_avoidance_is_the_shortest_path(self, fix_a):
         waits_first = build_smdd("a1", [Path("a1", ("v1", "v1", "v2", "v3"))], 3)
-        p = new_and_path(fix_a, "a1", waits_first, AgentConflicts(), 3, 3,
+        p = new_and_path(fix_a, "a1", waits_first, AgentConflicts(), 3,
                          Distances(fix_a.graph))
         assert p.positions == shortest_path(fix_a, "a1", Distances(fix_a.graph)).positions
 
     def test_path_already_represented_gives_empty(self, fix_a):
         assert (
-            new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 2), AgentConflicts(), 2, 2,
+            new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 2), AgentConflicts(), 2,
                          Distances(fix_a.graph)) is None
         )
 
@@ -489,9 +489,9 @@ class TestNewAndPath:
         # candidate, but every step of it is one of the sparse diagram's moves
         inst = MapfInstance(fix_d_graph, [Agent("ax", "v1", "v5")])
         conf = vconf(("v6", 1), ("v4", 3))
-        found = constrained_shortest_path(inst, "ax", conf, 4, 4, Distances(fix_d_graph))
+        found = constrained_shortest_path(inst, "ax", conf, 4, Distances(fix_d_graph))
         assert found.positions == ("v1", "v2", "v3", "v7", "v5")
-        assert new_and_path(inst, "ax", build_smdd("ax", fix_d_paths, 4), conf, 4, 4,
+        assert new_and_path(inst, "ax", build_smdd("ax", fix_d_paths, 4), conf, 4,
                             Distances(fix_d_graph)) is None
 
     def test_avoids_every_conflict(self, fix_c):
@@ -499,7 +499,7 @@ class TestNewAndPath:
             frozenset({("v2", 1), ("v3", 2)}),
             frozenset({(("v1", "v2"), 0)}),
         )
-        p = new_and_path(fix_c, "a1", self.shortest_diagram(fix_c, 7), conf, 7, 7,
+        p = new_and_path(fix_c, "a1", self.shortest_diagram(fix_c, 7), conf, 7,
                          Distances(fix_c.graph))
         assert p is not None
         padded = p.padded(7).positions
@@ -512,32 +512,32 @@ class TestNewAndPath:
 class TestNewOrPaths:
     def test_every_subset_forces_a_unique_avoider(self, fix_a):
         conf = vconf(("v2", 1), ("v2", 2))
-        got = [p.positions for p in new_or_paths(fix_a, "a1", conf, 4, 4, Distances(fix_a.graph))]
+        got = [p.positions for p in new_or_paths(fix_a, "a1", conf, 4, Distances(fix_a.graph))]
         assert got == [
             ("v1", "v1", "v2", "v3"),
-            ("v1", "v2", "v3", "v3"),
+            ("v1", "v2", "v3"),
             ("v1", "v1", "v1", "v2", "v3"),
         ]
 
     def test_no_conflicts_no_paths(self, fix_a):
-        assert new_or_paths(fix_a, "a1", AgentConflicts(), 4, 4, Distances(fix_a.graph)) == []
+        assert new_or_paths(fix_a, "a1", AgentConflicts(), 4, Distances(fix_a.graph)) == []
 
     def test_single_conflict_yields_at_most_one(self, fix_a):
-        got = new_or_paths(fix_a, "a1", vconf(("v2", 1)), 4, 4, Distances(fix_a.graph))
+        got = new_or_paths(fix_a, "a1", vconf(("v2", 1)), 4, Distances(fix_a.graph))
         assert len(got) <= 1
 
     def test_subset_cap_limits_enumeration(self, fix_a, monkeypatch):
         monkeypatch.setattr(pathing, "OR_SUBSET_LIMIT", 2)
         conf = vconf(("v2", 1), ("v2", 2))
-        capped = new_or_paths(fix_a, "a1", conf, 4, 4, Distances(fix_a.graph))
+        capped = new_or_paths(fix_a, "a1", conf, 4, Distances(fix_a.graph))
         assert [p.positions for p in capped] == [
             ("v1", "v1", "v2", "v3"),
-            ("v1", "v2", "v3", "v3"),
+            ("v1", "v2", "v3"),
         ]
 
     def test_returned_paths_respect_bounds(self, fix_b):
         conf = vconf(("v01", 1), ("v10", 1))
-        for p in new_or_paths(fix_b, "a1", conf, 4, 4, Distances(fix_b.graph)):
+        for p in new_or_paths(fix_b, "a1", conf, 4, Distances(fix_b.graph)):
             assert p.length <= 4
             assert path_cost(p, "v11") <= 4
             assert p.is_walk(fix_b.graph)

@@ -161,6 +161,15 @@ class TestFixtureOptima:
         assert validate_solution(fix_c, out.solution) == []
 
     @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    def test_makespan_is_the_latest_arrival(self, algo, fix_a, fix_b, fix_c):
+        # every path ends at its final arrival, so the solution's common
+        # horizon is the latest one, not the horizon of a SAT model
+        for inst in (fix_a, fix_b, fix_c, corridor_instance()):
+            out = ALGORITHMS[algo](inst, QUICK)
+            arrivals = [path_cost(p, a.goal) for p, a in zip(out.solution.paths, inst.agents)]
+            assert out.makespan == out.solution.horizon == max(arrivals), inst
+
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
     def test_swap_infeasible_at_cap(self, algo):
         out = ALGORITHMS[algo](swap_instance(), QUICK)
         assert out.status == INFEASIBLE
@@ -286,7 +295,7 @@ class TestCbs:
             collision, since the agent's current path was found within its
             own budget."""
             bound = max(cost, collision.t)
-            path = constrained_shortest_path(inst, agent_id, child, bound, bound, distances)
+            path = constrained_shortest_path(inst, agent_id, child, bound, distances)
             return path is None or path_cost(path, inst.agent(agent_id).goal) > cost
 
         seen = Counter()
