@@ -1,11 +1,12 @@
 """Leveled time-expansion diagrams: full (all bounded paths) and sparse.
 
 A diagram for one agent has one node per (vertex, timestep) it may occupy
-and directed edges between consecutive levels (moves plus waits). The full
+and directed edges between consecutive levels (moves plus waits), up to the
+agent's cost bound; the encoder supplies the goal waits past it. The full
 build keeps exactly the nodes reachable from the start in t steps that can
-still reach the goal within the cost bound; the sparse build inserts an
-explicit set of candidate paths, which may make extra combined paths
-representable as a side effect.
+still reach the goal within the bound; the sparse build inserts an explicit
+set of candidate paths, which may make extra combined paths representable as
+a side effect.
 
 A diagram keeps its levels and out-edge lists in the ids' order, as its
 builder hands them over: the full build sweeps forward from the start, sorts
@@ -36,7 +37,7 @@ OutEdges = dict[tuple[int, Vertex], tuple[Vertex, ...]]  # (t, u) -> heads at t 
 
 
 class InfeasibleAgentError(ValueError):
-    """The agent cannot reach its goal at all, or not within the horizon."""
+    """The agent cannot reach its goal at all."""
 
 
 class EmptyDiagramError(Exception):
@@ -79,12 +80,11 @@ class Mdd:
         return self._out.get((t, u), ())
 
 
-def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
-              cost_bound: int, distances: Distances,
-              avoid: AgentConflicts = AgentConflicts()) -> Mdd:
-    """Full diagram of every start->goal path within the horizon and cost bound
-    that keeps clear of `avoid`, as `walk_levels` reads it: in the solvers,
-    the goal cells that the other agents hold (`goal_bans`).
+def build_mdd(instance: MapfInstance, agent_id: Hashable, bound: int,
+              distances: Distances, avoid: AgentConflicts = AgentConflicts()) -> Mdd:
+    """Full diagram, `bound + 1` levels, of every start->goal path of cost at
+    most `bound` that keeps clear of `avoid`, as `walk_levels` reads it: in
+    the solvers, the goal cells that the other agents hold (`goal_bans`).
 
     The goal node persists at every level from the earliest arrival onward,
     so trailing goal waits stay representable and free. `EmptyDiagramError`
@@ -94,54 +94,48 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, horizon: int,
     xi = distances.dist(agent.goal)[agent.start]
     if xi is UNREACHED:
         raise InfeasibleAgentError(f"goal of agent {agent_id!r} is unreachable")
-    if cost_bound < xi:
-        raise ValueError(f"cost bound {cost_bound} below shortest-path cost {xi}")
-    if horizon < xi:
-        raise InfeasibleAgentError(
-            f"agent {agent_id!r} cannot reach its goal within horizon {horizon}"
-        )
-    levels, out = walk_levels(instance, agent_id, horizon, cost_bound, distances, avoid)
+    if bound < xi:
+        raise ValueError(f"cost bound {bound} below shortest-path cost {xi}")
+    levels, out = walk_levels(instance, agent_id, bound, distances, avoid)
     if not levels[0]:
         raise EmptyDiagramError(f"goal bans leave agent {agent_id!r} no walk")
-    return Mdd(agent_id, horizon, levels, out)
+    return Mdd(agent_id, bound, levels, out)
 
 
-def goal_bans(instance: MapfInstance, xi: Mapping[Hashable, int],
-              delta: int) -> dict[Hashable, AgentConflicts]:
-    """Each agent's bans under a sum-of-costs bound `delta` above the
-    shortest-path total `sum(xi)`: the goal cells the other agents hold.
+def goal_bans(instance: MapfInstance,
+              bounds: Mapping[Hashable, int]) -> dict[Hashable, AgentConflicts]:
+    """Each agent's bans under per-agent cost bounds: the goal cells the
+    other agents hold.
 
-    Under that bound agent b costs at most `xi[b] + delta`, so from that step
-    on it stands on its goal, and no other agent may be there: every other
-    agent's `held` has `(goal of b, xi[b] + delta)`. An agent's own goal is
-    never held for it.
+    Agent b costs at most `bounds[b]`, so from that step on it stands on its
+    goal, and no other agent may be there: every other agent's `held` has
+    `(goal of b, bounds[b])`. An agent's own goal is never held for it.
     """
-    arrivals = {a.id: (a.goal, xi[a.id] + delta) for a in instance.agents}
+    arrivals = {a.id: (a.goal, bounds[a.id]) for a in instance.agents}
     held = frozenset(arrivals.values())
     return {a: AgentConflicts(held=held - {own}) for a, own in arrivals.items()}
 
 
-def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_bound: int,
+def walk_levels(instance: MapfInstance, agent_id: Hashable, bound: int,
                 distances: Distances, avoid: AgentConflicts) -> tuple[Levels, OutEdges]:
-    """Levels and out-edges of the agent's start->goal walks of `horizon`
-    steps that cost at most `cost_bound` and keep clear of `avoid`'s vertex
-    and edge entries and held cells. Its floor and cap are not read.
+    """Levels (`bound + 1`) and out-edges of the agent's start->goal walks of
+    `bound` steps that keep clear of `avoid`'s vertex and edge entries and
+    held cells. Its floor and cap are not read.
 
     Every entry becomes a per-step ban or cut before the sweep starts: a cell
-    held from step s is banned at each step from s up to the bound, since
-    from the bound on the agent only waits on its goal. A held own goal
-    leaves no walk, as in `constrained_shortest_path`. Level t + 1 holds the
-    moves of level-t nodes that are the goal or can still reach it within
-    the bound, less what is banned at t + 1 or cut at t. A node that the
-    filters leave no move is dropped, and so, level by level backward, is
-    every node whose moves all led to dropped ones; the prune starts at the
-    last level that lost a node and touches only their predecessors. With
-    no walk left, every level is empty and there are no out-edges.
+    held from step s is banned at each step from s up to the bound, at which
+    the agent stands on its goal. A held own goal leaves no walk, as in
+    `constrained_shortest_path`. Level t + 1 holds the moves of level-t
+    nodes that are the goal or can still reach it within the bound, less
+    what is banned at t + 1 or cut at t. A node that the filters leave no
+    move is dropped, and so, level by level backward, is every node whose
+    moves all led to dropped ones; the prune starts at the last level that
+    lost a node and touches only their predecessors. With no walk left,
+    every level is empty and there are no out-edges.
     """
     agent = instance.agent(agent_id)
     start, goal = agent.start, agent.goal
     dist_goal = distances.dist(goal)
-    bound = min(cost_bound, horizon)
     banned, cut = avoid.by_step()
     for v, s in avoid.held:
         for t in range(s, bound):
@@ -149,7 +143,7 @@ def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_b
     xi = dist_goal[start]
     if (xi is UNREACHED or xi > bound or start in banned.get(0, ())
             or any(v == goal for v, _ in avoid.held)):
-        return ((),) * (horizon + 1), {}
+        return ((),) * (bound + 1), {}
 
     # moves[u] is in the ids' order, so each out-edge list is as well.
     # Unfiltered, every node swept here lies on a start->goal walk within the
@@ -159,7 +153,7 @@ def walk_levels(instance: MapfInstance, agent_id: Hashable, horizon: int, cost_b
     levels = [(start,)]
     out = {}
     dead: dict[int, set[Vertex]] = {}  # level -> nodes the filters left no move
-    for t in range(horizon):
+    for t in range(bound):
         slack = bound - (t + 1)
         ban, cuts = banned.get(t + 1, ()), cut.get(t, ())
         reached: set[Vertex] = set()

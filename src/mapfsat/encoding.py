@@ -3,10 +3,11 @@
 Decision variables: one per diagram node (agent at vertex v at step t) up
 to the agent's settle step; a move is the pair of nodes it joins, so there
 are no edge variables. The settle step is the first level from which the
-agent's diagram holds only its goal, up to the horizon. Every later goal
-node shares the settle node's variable, so the model answers for each node
-of the diagram; a collision clause on such a node meets the settle unit and
-becomes a unit itself. Cost is tracked by per-agent "still active"
+agent's diagram holds only its goal. Each later goal node, up to the model's
+horizon (the longest diagram's), shares the settle node's variable, so the
+model answers for each node of the diagram and for the goal waits past its
+end; a collision clause on such a node meets the settle unit and becomes a
+unit itself. Cost is tracked by per-agent "still active"
 indicators: one per timestep from the agent's shortest-path cost up to its
 settle step, true while the agent has not yet settled at its goal. A single
 global cardinality constraint caps the indicator count at the slack above
@@ -31,11 +32,12 @@ every block, tie agents together.
 The complete mode adds every pairwise vertex/swap exclusion up front; the
 incomplete mode relies on lazily added collision clauses instead. A swap
 clause forbids the four nodes of two opposing moves together. The complete
-mode indexes the agents at each vertex-timestep once, for the vertex
-exclusions, and looks for a move's opposing moves only among the agents at
-its head, not in every other agent's diagram. A lazy collision clause and a
-recorded conflict re-emitted into a later model are both built by
-`_pair_clause`, the only builder of a clause from a collision entry.
+mode indexes the agents at each vertex-timestep of `x`, goal waits
+included, once for the vertex exclusions, and looks for a move's opposing
+moves only among the agents at its head, not in every other agent's
+diagram. A lazy collision clause and a recorded conflict re-emitted into a
+later model are both built by `_pair_clause`, the only builder of a clause
+from a collision entry.
 """
 
 from __future__ import annotations
@@ -60,13 +62,13 @@ class EncodingSoundnessError(RuntimeError):
 
 @dataclass
 class BooleanModel:
-    """One solver instance, the horizon and SOC bound it was built for, and
-    the maps from diagram nodes (`x`) and cost indicators (`c`) to its SAT
-    variables. `x` answers for every node of every diagram: each node up to
-    its agent's settle step (`settle`) has a variable of its own, and the
-    goal nodes after it share the settle node's; a key outside the diagram
-    is absent. The node variables decide an answer: indicators and counter
-    registers follow."""
+    """One solver instance, its horizon (the longest diagram's) and SOC
+    bound, and the maps from diagram nodes (`x`) and cost indicators (`c`)
+    to its SAT variables. `x` answers for every diagram node and for each
+    agent's goal up to the horizon: each node up to its agent's settle step
+    (`settle`) has a variable of its own, and the goal nodes after it share
+    the settle node's; any other key is absent. The node variables decide an
+    answer: indicators and counter registers follow."""
 
     solver: CdclSolver
     horizon: int
@@ -125,7 +127,7 @@ def cardinality_le(solver: CdclSolver, lits: list[int], k: int, clauses: list) -
 
 
 def _settle_step(mdd: Mdd) -> int:
-    """First level from which every level up to the horizon is the goal alone."""
+    """First level from which every level of the diagram is the goal alone."""
     end, tail = mdd.horizon, (mdd.goal,)
     while end and mdd.levels[end - 1] == tail:
         end -= 1
@@ -136,15 +138,14 @@ def build_model(
     instance: MapfInstance,
     diagrams: Mapping[Hashable, Mdd],
     conflicts: Mapping[Hashable, AgentConflicts],
-    horizon: int,
     soc: int,
     mode: str,
     xi: Mapping[Hashable, int],
     solver: CdclSolver | None = None,
 ) -> BooleanModel:
-    """Fresh solver instance encoding the diagrams under the given bounds;
-    `xi` maps each agent id to its shortest-path cost, and `conflicts` each
-    agent id to its recorded conflicts (an absent agent carries none).
+    """Fresh solver instance encoding the diagrams under the SOC bound; `xi`
+    maps each agent id to its shortest-path cost, and `conflicts` each agent
+    id to its recorded conflicts (an absent agent carries none).
 
     Variables are allocated agent by agent. Clauses reach the solver in
     emission order, in batches no larger than one agent's clauses or one
@@ -155,14 +156,12 @@ def build_model(
     agents = instance.agents
     if set(diagrams) != {a.id for a in agents}:
         raise ValueError("diagrams do not cover exactly the instance agents")
-    for a in agents:
-        if diagrams[a.id].horizon != horizon:
-            raise ValueError(f"diagram of agent {a.id!r} has mismatched horizon")
     delta = soc - sum(xi.values())
     if delta < 0:
         raise ValueError(f"sum-of-costs {soc} below the shortest-path total")
 
     s = solver if solver is not None else CdclSolver()
+    horizon = max((mdd.horizon for mdd in diagrams.values()), default=0)
     model = BooleanModel(s, horizon, soc, instance, diagrams)
     x, c = model.x, model.c
 
@@ -224,13 +223,12 @@ def build_model(
 
 def _emit_complete_constraints(model: BooleanModel) -> None:
     agents, s, x = model.instance.agents, model.solver, model.x
-    # the agents at each vertex-timestep, in instance order
+    # the agents at each vertex-timestep of `x`, goal waits included, in
+    # instance order: `x` is filled agent by agent
+    index = {a.id: i for i, a in enumerate(agents)}
     present: dict[tuple[int, Vertex], list[int]] = {}
-    for i, a in enumerate(agents):
-        mdd = model.diagrams[a.id]
-        for t in range(model.horizon + 1):
-            for v in mdd.levels[t]:
-                present.setdefault((t, v), []).append(i)
+    for aid, v, t in x:
+        present.setdefault((t, v), []).append(index[aid])
     # at most one agent per shared vertex-timestep; a key that one agent
     # holds emits nothing
     clauses: list[list[int]] = []
@@ -243,7 +241,7 @@ def _emit_complete_constraints(model: BooleanModel) -> None:
     for i, a in enumerate(agents):
         mdd = model.diagrams[a.id]
         by_pair: dict[int, list[tuple[int, ...]]] = {}
-        for t in range(model.horizon):
+        for t in range(mdd.horizon):
             for u in mdd.levels[t]:
                 for v in mdd.outgoing(u, t):
                     if v == u:

@@ -260,17 +260,16 @@ def new_and_path(
     agent_id: Hashable,
     mdd: Mdd,
     conflicts: AgentConflicts,
-    bound: int,
     distances: Distances,
 ) -> Optional[Path]:
-    """Shortest path of cost <= bound avoiding every conflict of the agent at once.
+    """Shortest path avoiding every conflict of the agent at once, within the
+    agent's bound: the horizon of `mdd`, its current sparse diagram.
 
     Returns None when no such path exists, or when the found path is already
-    represented by `mdd`, the agent's current sparse diagram: every step of
-    the path padded to the diagram's horizon is one of its out-edges (adding
-    the path would change nothing).
+    represented by `mdd`: every step of the path padded to the diagram's
+    horizon is one of its out-edges (adding the path would change nothing).
     """
-    path = constrained_shortest_path(instance, agent_id, conflicts, bound, distances)
+    path = constrained_shortest_path(instance, agent_id, conflicts, mdd.horizon, distances)
     if path is None:
         return None
     pos = path.padded(mdd.horizon).positions

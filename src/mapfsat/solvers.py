@@ -17,8 +17,9 @@ them to the latest one, so every algorithm reports that as its makespan.
 
 The four SAT algorithms run one loop (``_lazy_solve``): raise the cost bound
 from the shortest-path total and run one fixed-bounds round (``_fixed``) per
-bound. Within a round, the loop records both sides of each collision of a
-satisfying assignment, then the encoder emits the collisions as clauses.
+bound; each agent's diagrams end at its own bound ``xi + delta``. Within a
+round, the loop records both sides of each collision of a satisfying
+assignment, then the encoder emits the collisions as clauses.
 Recorded conflicts steer new candidate paths, and every later model re-emits
 them. Conflicts and candidate sets are plain dicts. Conflicts map each agent
 id to an ``AgentConflicts``, as CBS's constraints do; candidate sets map it
@@ -151,13 +152,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationStat:
-    """One low-level model build: bounds and per-agent diagram sizes. The
-    model gives a variable of its own only to the nodes up to each agent's
-    settle step (see `encoding`), so the node counts bound its node
-    variables from above."""
+    """One low-level model build: SOC bound, horizon (the longest diagram's)
+    and per-agent diagram sizes. The model gives a variable of its own only
+    to the nodes up to each agent's settle step (see `encoding`), so the node
+    counts bound its node variables from above."""
 
     soc: int
-    makespan: int
+    horizon: int
     nodes_per_agent: tuple[int, ...]
     full_mdd: tuple[bool, ...]
 
@@ -386,7 +387,7 @@ def _branch_on(instance: MapfInstance, collisions: list[Collision],
         w = widths.get(key)
         if w is None:
             goal = instance.agent(agent_id).goal
-            levels, _ = walk_levels(instance, agent_id, cost, cost, distances,
+            levels, _ = walk_levels(instance, agent_id, cost, distances,
                                     avoid.with_entry("vertex", (goal, cost - 1)))
             w = widths[key] = [len(level) for level in levels]
         return w
@@ -444,16 +445,14 @@ def _lazy_solve(mode, extend, instance, deadline, stats, distances, xi, cap):
     the bound is the SOC. `revalidate` checks it against the paths.
     """
     soc0 = sum(xi.values())
-    mu0 = max(xi.values(), default=0)
     if extend is None:
         candidates = {a.id: None for a in instance.agents}
     else:
         candidates = initial_candidates(instance, distances)
     conflicts = {a.id: AgentConflicts() for a in instance.agents}
     for soc in range(soc0, cap + 1):
-        horizon = mu0 + (soc - soc0)
-        solution = _fixed(instance, deadline, stats, candidates, conflicts, horizon,
-                          soc, xi, mode, extend, distances)
+        solution = _fixed(instance, deadline, stats, candidates, conflicts, soc, xi, mode,
+                          extend, distances)
         if solution is not None:
             return solution, soc
     raise _CapExceeded
@@ -469,13 +468,13 @@ def initial_candidates(instance: MapfInstance,
     return candidates
 
 
-def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
-           mode, extend, distances):
-    """One round at fixed cost and horizon bounds: a collision-free solution or None.
+def _fixed(instance, deadline, stats, candidates, conflicts, soc, xi, mode, extend,
+           distances):
+    """One round at a fixed SOC bound: a collision-free solution or None.
 
     Collisions are recorded in `conflicts`, become lazy clauses and grow
     `candidates`, both in place. UNSAT is trusted only once every agent is
-    on its full diagram.
+    on its full diagram. Each agent's diagram ends at its bound `xi + delta`.
 
     Full diagrams leave out the goal cells that arrived agents hold
     (`goal_bans`). A bound is infeasible with no model when those bans leave
@@ -486,7 +485,7 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
     """
     delta = soc - sum(xi.values())
     bounds = {a.id: xi[a.id] + delta for a in instance.agents}
-    bans = goal_bans(instance, xi, delta)
+    bans = goal_bans(instance, bounds)
     if not all(_clear_walk(instance, agent_id, paths, bans[agent_id], bounds[agent_id],
                            distances)
                for agent_id, paths in candidates.items() if paths is not None):
@@ -498,20 +497,20 @@ def _fixed(instance, deadline, stats, candidates, conflicts, horizon, soc, xi,
             deadline.check()
             try:
                 diagrams = {
-                    a.id: build_mdd(instance, a.id, horizon, bounds[a.id], distances, bans[a.id])
+                    a.id: build_mdd(instance, a.id, bounds[a.id], distances, bans[a.id])
                     if candidates[a.id] is None
-                    else build_smdd(a.id, list(candidates[a.id].values()), horizon)
+                    else build_smdd(a.id, list(candidates[a.id].values()), bounds[a.id])
                     for a in instance.agents
                 }
             except EmptyDiagramError:
                 candidates.update(dict.fromkeys(candidates))
                 return None
             # long single SAT calls poll the deadline between conflicts
-            model = build_model(instance, diagrams, conflicts, horizon, soc, mode, xi,
+            model = build_model(instance, diagrams, conflicts, soc, mode, xi,
                                 solver=CdclSolver(interrupt=deadline.check))
             stats.iterations.append(IterationStat(
                 soc=soc,
-                makespan=horizon,
+                horizon=model.horizon,
                 nodes_per_agent=tuple(diagrams[a.id].node_count for a in instance.agents),
                 full_mdd=tuple(candidates[a.id] is None for a in instance.agents),
             ))
@@ -548,8 +547,7 @@ def _extend(instance, candidates, diagrams, conflicts, collisions, bounds, exten
     "and" adds one path avoiding all of an agent's conflicts, unless its
     current diagram represents it; "or" adds one path per conflict subset. An
     agent with nothing new to add is promoted to its full diagram. Both
-    search within the agent's own bound `xi + delta`, which never exceeds
-    the round's horizon `max(xi) + delta`.
+    search within the agent's own bound `xi + delta`, its diagram's horizon.
     """
     grown = False
     for agent_id in dict.fromkeys(a for col in collisions for a in col.agents):
@@ -558,8 +556,7 @@ def _extend(instance, candidates, diagrams, conflicts, collisions, bounds, exten
             continue
         conf = conflicts[agent_id]
         if extend == "and":
-            pi = new_and_path(instance, agent_id, diagrams[agent_id], conf, bounds[agent_id],
-                              distances)
+            pi = new_and_path(instance, agent_id, diagrams[agent_id], conf, distances)
             assert pi is None or _avoids(pi, conf, diagrams[agent_id].horizon)
             paths = [] if pi is None else [pi]
         else:

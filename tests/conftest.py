@@ -53,9 +53,12 @@ def fix_d_graph() -> Graph:
 
 
 def contains_path(mdd, path: Path) -> bool:
-    """True when the goal-padded path is a directed walk of the diagram."""
-    pos = path.padded(mdd.horizon).positions
-    return all(pos[t + 1] in mdd.outgoing(pos[t], t) for t in range(mdd.horizon))
+    """True when the goal-padded path is a directed walk of the diagram that
+    stands on the goal at every step of the path past the diagram's end (a
+    solution pads its paths to the latest arrival of all agents)."""
+    pos = path.padded(max(mdd.horizon, path.length)).positions
+    return (all(v == mdd.goal for v in pos[mdd.horizon:])
+            and all(pos[t + 1] in mdd.outgoing(pos[t], t) for t in range(mdd.horizon)))
 
 
 def random_grid_instance(rng: random.Random, max_side: int = 4,

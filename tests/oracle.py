@@ -117,7 +117,7 @@ def pairwise_swap_clauses(model):
         mi = model.diagrams[a.id]
         for b in agents[i + 1:]:
             mj = model.diagrams[b.id]
-            for t in range(model.horizon):
+            for t in range(mi.horizon):
                 for u in mi.levels[t]:
                     for v in mi.outgoing(u, t):
                         if v != u and u in mj.outgoing(v, t):

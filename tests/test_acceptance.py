@@ -155,7 +155,7 @@ def test_criterion_4_sparsification(random_batch):
                     continue
                 compared += 1
                 xi = bfs_distances(inst.graph, agent.start)[agent.goal]
-                full = build_mdd(inst, agent.id, it.makespan, xi + delta, distances)
+                full = build_mdd(inst, agent.id, xi + delta, distances)
                 if it.nodes_per_agent[idx] > full.node_count:
                     violations += 1
         if (
@@ -217,27 +217,23 @@ def test_criterion_5_model_definitions():
                 if any(x == UNREACHED for x in xi):
                     continue
                 costs = {a.id: x for a, x in zip(inst.agents, xi)}
-                soc0, mu0 = sum(xi), max(xi)
+                soc0 = sum(xi)
                 oracle = brute_force_oracle(inst, soc0 + 2)
                 opt = oracle.soc if oracle.solved else None
                 for delta in (0, 1, 2):
                     cases += 1
-                    soc, mu = soc0 + delta, mu0 + delta
+                    soc = soc0 + delta
                     diagrams = {
-                        a.id: build_mdd(inst, a.id, mu, xi[i] + delta, distances)
+                        a.id: build_mdd(inst, a.id, xi[i] + delta, distances)
                         for i, a in enumerate(inst.agents)
                     }
-                    complete = build_model(
-                        inst, diagrams, {}, mu, soc, COMPLETE, costs
-                    )
+                    complete = build_model(inst, diagrams, {}, soc, COMPLETE, costs)
                     sat = complete.solve() is not None
                     solvable = opt is not None and opt <= soc
                     if sat != solvable:
                         mismatches += 1
                     if solvable:
-                        incomplete = build_model(
-                            inst, diagrams, {}, mu, soc, INCOMPLETE, costs
-                        )
+                        incomplete = build_model(inst, diagrams, {}, soc, INCOMPLETE, costs)
                         if incomplete.solve() is None:
                             mismatches += 1
     check(
@@ -268,22 +264,23 @@ def test_goal_bans_keep_criterion_5():
                 costs = {a.id: distances.dist(a.goal)[a.start] for a in inst.agents}
                 if UNREACHED in costs.values():
                     continue
-                soc0, mu0 = sum(costs.values()), max(costs.values())
+                soc0 = sum(costs.values())
                 oracle = brute_force_oracle(inst, soc0 + 2)
                 for delta in (0, 1, 2):
                     cases += 1
-                    soc, mu = soc0 + delta, mu0 + delta
+                    soc = soc0 + delta
                     solvable = oracle.solved and oracle.soc <= soc
-                    bans = goal_bans(inst, costs, delta)
+                    bounds = {aid: cost + delta for aid, cost in costs.items()}
+                    bans = goal_bans(inst, bounds)
                     try:
-                        diagrams = {a.id: build_mdd(inst, a.id, mu, costs[a.id] + delta,
-                                                    distances, bans[a.id])
+                        diagrams = {a.id: build_mdd(inst, a.id, bounds[a.id], distances,
+                                                    bans[a.id])
                                     for a in inst.agents}
                     except EmptyDiagramError:
                         empty += 1
                         mismatches += solvable
                         continue
-                    complete = build_model(inst, diagrams, {}, mu, soc, COMPLETE, costs)
+                    complete = build_model(inst, diagrams, {}, soc, COMPLETE, costs)
                     mismatches += (complete.solve() is not None) != solvable
     check(
         5,

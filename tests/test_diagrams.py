@@ -21,21 +21,21 @@ from mapfsat import (
 )
 from mapfsat.diagrams import EmptyDiagramError, goal_bans, walk_levels
 from conftest import contains_path, random_grid_instance, scrambled_grid_instance
-from oracle import diagram_walks, walk_cost
+from oracle import diagram_walks
 
 
-def enumerate_expansions(graph, start, goal, horizon, bound):
-    """All horizon-length walks ending at the goal with cost <= bound.
+def enumerate_expansions(graph, start, goal, bound):
+    """All walks of `bound` steps ending at the goal, so of cost <= bound.
 
-    Equals the union of goal-padded paths within the bounds; serves as the
+    Equals the union of goal-padded paths within the bound; serves as the
     independent ground truth for full-diagram construction.
     """
     done = []
     stack = [(start,)]
     while stack:
         walk = stack.pop()
-        if len(walk) == horizon + 1:
-            if walk[-1] == goal and walk_cost(walk, goal) <= min(bound, horizon):
+        if len(walk) == bound + 1:
+            if walk[-1] == goal:
                 done.append(walk)
             continue
         for w in (walk[-1], *graph.adjacency[walk[-1]]):
@@ -59,20 +59,20 @@ def expansion_nodes_edges(walks):
 
 class TestBuildMdd:
     def test_unique_shortest_path(self, fix_a):
-        mdd = build_mdd(fix_a, "a1", 2, 2, Distances(fix_a.graph))
+        mdd = build_mdd(fix_a, "a1", 2, Distances(fix_a.graph))
         assert mdd.node_count == 3
         assert mdd.edge_count == 2
         assert mdd.levels == (("v1",), ("v2",), ("v3",))
 
     def test_one_unit_of_slack(self, fix_a):
-        mdd = build_mdd(fix_a, "a1", 3, 3, Distances(fix_a.graph))
+        mdd = build_mdd(fix_a, "a1", 3, Distances(fix_a.graph))
         got = {(t, v) for t, level in enumerate(mdd.levels) for v in level}
         assert got == {(0, "v1"), (1, "v1"), (1, "v2"), (2, "v2"), (2, "v3"), (3, "v3")}
 
     def test_start_equals_goal(self):
         g = Graph(["a", "b"], [("a", "b")])
         inst = MapfInstance(g, [Agent(1, "a", "a")])
-        mdd = build_mdd(inst, 1, 0, 0, Distances(g))
+        mdd = build_mdd(inst, 1, 0, Distances(g))
         assert mdd.node_count == 1
         assert mdd.edge_count == 0
 
@@ -80,15 +80,18 @@ class TestBuildMdd:
         g = Graph(["a", "b", "c"], [("a", "b")])
         inst = MapfInstance(g, [Agent(1, "a", "c")])
         with pytest.raises(InfeasibleAgentError):
-            build_mdd(inst, 1, 4, 4, Distances(g))
+            build_mdd(inst, 1, 4, Distances(g))
+
+    def test_bound_below_shortest_cost(self, fix_a):
+        # the goal is reachable, so this is no InfeasibleAgentError
+        with pytest.raises(ValueError, match="below shortest-path cost") as err:
+            build_mdd(fix_a, "a1", 1, Distances(fix_a.graph))
+        assert type(err.value) is ValueError
 
     def test_matches_brute_force_expansion(self):
-        # horizons above the cost bound are what every agent shorter than the
-        # longest one gets in a SAT round: the goal then fills every level
-        # from its arrival on, other vertices stop at bound - dist_goal
+        # the enumeration stops at 6 steps: a larger bound is checked at 6
         rng = random.Random(13)
         checked = 0
-        above_bound = 0
         while checked < 25:
             inst = random_grid_instance(rng)
             if inst.graph.vertex_count > 8:
@@ -96,46 +99,39 @@ class TestBuildMdd:
             agent = inst.agents[0]
             distances = Distances(inst.graph)
             xi = bfs_distances(inst.graph, agent.start)[agent.goal]
-            for slack in (0, 1, 2):
-                bound = xi + slack
-                for horizon in sorted({min(bound, 6), bound + 1, bound + 2}):
-                    if horizon < xi or horizon > 6:
-                        continue
-                    above_bound += horizon > bound
-                    mdd = build_mdd(inst, agent.id, horizon, bound, distances)
-                    walks = enumerate_expansions(
-                        inst.graph, agent.start, agent.goal, horizon, bound
-                    )
-                    nodes, edges = expansion_nodes_edges(walks)
-                    got_nodes = {(t, v) for t, lvl in enumerate(mdd.levels) for v in lvl}
-                    assert got_nodes == nodes
-                    assert diagram_edges(mdd) == edges
+            for bound in sorted({min(xi + slack, 6) for slack in (0, 1, 2)}):
+                if bound < xi:
+                    continue
+                mdd = build_mdd(inst, agent.id, bound, distances)
+                walks = enumerate_expansions(inst.graph, agent.start, agent.goal, bound)
+                nodes, edges = expansion_nodes_edges(walks)
+                got_nodes = {(t, v) for t, lvl in enumerate(mdd.levels) for v in lvl}
+                assert got_nodes == nodes
+                assert diagram_edges(mdd) == edges
             checked += 1
-        assert above_bound >= 100
 
     def test_matches_interval_construction(self):
         # the forward sweep against the definition it replaced: v sits on
         # levels dist(start, v) .. bound - dist(v, goal), the goal on every
         # level from its arrival on, and each out-edge list is the moves of
         # the node that land on the next level
-        def interval_mdd(graph, start, goal, horizon, bound):
+        def interval_mdd(graph, start, goal, bound):
             dist_start = bfs_distances(graph, start)
             dist_goal = bfs_distances(graph, goal)
-            members = [set() for _ in range(horizon + 1)]
+            members = [set() for _ in range(bound + 1)]
             for v in graph.vertices:
                 ds = dist_start[v]
                 if ds == UNREACHED:
                     continue
-                last = horizon if v == goal else bound - dist_goal[v]
-                for t in range(ds, last + 1):
+                for t in range(ds, bound - dist_goal[v] + 1):
                     members[t].add(v)
             levels = tuple(tuple(sorted(level)) for level in members)
             out = {(t, u): tuple(w for w in graph.move_table[u] if w in members[t + 1])
-                   for t in range(horizon) for u in levels[t]}
+                   for t in range(bound) for u in levels[t]}
             return levels, out
 
         rng = random.Random(29)
-        checked = above_bound = 0
+        checked = 0
         while checked < 40:
             inst = random_grid_instance(rng, max_side=7)
             if inst.graph.vertex_count <= 8:
@@ -145,16 +141,12 @@ class TestBuildMdd:
                 xi = bfs_distances(inst.graph, agent.goal)[agent.start]
                 for slack in range(4):
                     bound = xi + slack
-                    for horizon in (bound, bound + 1, bound + 3):
-                        above_bound += horizon > bound
-                        mdd = build_mdd(inst, agent.id, horizon, bound, distances)
-                        levels, out = interval_mdd(inst.graph, agent.start, agent.goal,
-                                                   horizon, bound)
-                        assert mdd.levels == levels
-                        assert {(t, u): mdd.outgoing(u, t) for t, u in out} == out
-                        assert mdd.edge_count == sum(map(len, out.values()))
+                    mdd = build_mdd(inst, agent.id, bound, distances)
+                    levels, out = interval_mdd(inst.graph, agent.start, agent.goal, bound)
+                    assert mdd.levels == levels
+                    assert {(t, u): mdd.outgoing(u, t) for t, u in out} == out
+                    assert mdd.edge_count == sum(map(len, out.values()))
             checked += 1
-        assert above_bound >= 500
 
 
 class TestWalkLevels:
@@ -168,46 +160,44 @@ class TestWalkLevels:
         goal = agent.goal
         dist = bfs_distances(graph, goal)
         xi = dist[agent.start]
-        cost = data.draw(st.integers(max(xi - 1, 0), xi + 3))
-        # CBS asks for walks of exactly `cost` steps; longer ones wait at the goal
-        horizon = data.draw(st.integers(cost, cost + 2))
-        times = st.integers(0, horizon)
+        bound = data.draw(st.integers(max(xi - 1, 0), xi + 3))
+        times = st.integers(0, bound)
         vertex = data.draw(st.frozensets(st.tuples(st.sampled_from(graph.vertices), times),
                                          max_size=6))
         pairs = [(u, w) for u in graph.vertices for w in graph.adjacency[u]]
         edge = data.draw(st.frozensets(st.tuples(st.sampled_from(pairs), times), max_size=6))
 
-        # every walk of `horizon` steps from the start that keeps clear of the
-        # entries, stands on the goal at the end and costs at most `cost`: off
-        # the goal at t, a walk costs at least t + dist(v, goal). A walk that
-        # can no longer meet this is cut short, which drops no such walk.
-        nodes = [set() for _ in range(horizon + 1)]
+        # every walk of `bound` steps from the start that keeps clear of the
+        # entries and stands on the goal at the end: at t it is at least
+        # dist(v, goal) steps from there. A walk that can no longer meet
+        # this is cut short, which drops no such walk.
+        nodes = [set() for _ in range(bound + 1)]
         moves = set()
 
         def extend(walk):
             t, v = len(walk) - 1, walk[-1]
-            if (v, t) in vertex or t + dist[v] > horizon or (v != goal and t + dist[v] > cost):
+            if (v, t) in vertex or t + dist[v] > bound:
                 return
-            if t == horizon:
+            if t == bound:
                 for i, u in enumerate(walk):
                     nodes[i].add(u)
-                moves.update((i, walk[i], walk[i + 1]) for i in range(horizon))
+                moves.update((i, walk[i], walk[i + 1]) for i in range(bound))
                 return
             for w in graph.move_table[v]:
                 if w == v or ((v, w), t) not in edge:
                     extend(walk + [w])
 
         extend([agent.start])
-        levels, out = walk_levels(inst, agent.id, horizon, cost, Distances(graph),
+        levels, out = walk_levels(inst, agent.id, bound, Distances(graph),
                                   AgentConflicts(vertex, edge))
         # each level is the vertex set the walks occupy there, in the ids' order,
-        # and each of its nodes below the horizon lists the walks' moves out of it
+        # and each of its nodes below the bound lists the walks' moves out of it
         assert levels == tuple(tuple(sorted(level)) for level in nodes)
-        assert set(out) == {(t, u) for t in range(horizon) for u in levels[t]}
+        assert set(out) == {(t, u) for t in range(bound) for u in levels[t]}
         assert {(t, u, w) for (t, u), heads in out.items() for w in heads} == moves
         if not nodes[0]:
             # no walk remains: every level is empty, and there are no out-edges
-            assert levels == ((),) * (horizon + 1)
+            assert levels == ((),) * (bound + 1)
             assert out == {}
 
     @settings(max_examples=300, deadline=None)
@@ -220,52 +210,50 @@ class TestWalkLevels:
         goal = agent.goal
         distances = Distances(graph)
         xi = distances.dist(goal)[agent.start]
-        cost = data.draw(st.integers(xi, xi + 3))
-        horizon = data.draw(st.integers(xi, cost + 2))
+        bound = data.draw(st.integers(xi, xi + 3))
         cells = st.sampled_from(graph.vertices)
         if data.draw(st.booleans()):
             # shaped like the solvers' bans: each cell held from a step on, up
-            # to two past the horizon, the agent's own goal among the candidates
-            held = data.draw(st.frozensets(st.tuples(cells, st.integers(0, horizon + 2)),
+            # to two past the bound, the agent's own goal among the candidates
+            held = data.draw(st.frozensets(st.tuples(cells, st.integers(0, bound + 2)),
                                            max_size=4))
             avoid = AgentConflicts(held=held)
-            off = {(v, t) for v, since in held for t in range(since, horizon + 1)}
+            off = {(v, t) for v, since in held for t in range(since, bound + 1)}
             if any(v == goal for v, _ in held):
                 # a held own goal leaves no walk, from whichever step it is held
-                off |= {(goal, t) for t in range(horizon + 1)}
-                assert walk_levels(inst, agent.id, horizon, cost, distances, avoid) == \
-                    (((),) * (horizon + 1), {})
+                off |= {(goal, t) for t in range(bound + 1)}
+                assert walk_levels(inst, agent.id, bound, distances, avoid) == \
+                    (((),) * (bound + 1), {})
             else:
-                # a cell held from step s is the vertex entries at s..horizon
-                assert walk_levels(inst, agent.id, horizon, cost, distances, avoid) == \
-                    walk_levels(inst, agent.id, horizon, cost, distances,
-                                AgentConflicts(frozenset(off)))
+                # a cell held from step s is the vertex entries at s..bound
+                assert walk_levels(inst, agent.id, bound, distances, avoid) == \
+                    walk_levels(inst, agent.id, bound, distances, AgentConflicts(frozenset(off)))
         else:
-            off = {(v, t) for t in range(horizon + 1)
+            off = {(v, t) for t in range(bound + 1)
                    for v in data.draw(st.frozensets(cells, max_size=3))}
             avoid = AgentConflicts(frozenset(off))
 
-        full = build_mdd(inst, agent.id, horizon, cost, distances)
-        kept = {walk for walk in diagram_walks(full, horizon)
+        full = build_mdd(inst, agent.id, bound, distances)
+        kept = {walk for walk in diagram_walks(full, bound)
                 if not any((v, t) in off for t, v in enumerate(walk))}
-        levels, out = walk_levels(inst, agent.id, horizon, cost, distances, avoid)
+        levels, out = walk_levels(inst, agent.id, bound, distances, avoid)
         # each level is the vertex set the kept walks occupy there, and each
-        # of its nodes below the horizon lists their moves out of it
+        # of its nodes below the bound lists their moves out of it
         assert levels == tuple(tuple(sorted({walk[t] for walk in kept}))
-                               for t in range(horizon + 1))
-        assert set(out) == {(t, u) for t in range(horizon) for u in levels[t]}
+                               for t in range(bound + 1))
+        assert set(out) == {(t, u) for t in range(bound) for u in levels[t]}
         assert {(t, u, w) for (t, u), heads in out.items() for w in heads} == {
-            (t, walk[t], walk[t + 1]) for walk in kept for t in range(horizon)}
+            (t, walk[t], walk[t + 1]) for walk in kept for t in range(bound)}
         if kept:
-            banned = build_mdd(inst, agent.id, horizon, cost, distances, avoid)
-            assert diagram_walks(banned, horizon) == kept
+            banned = build_mdd(inst, agent.id, bound, distances, avoid)
+            assert diagram_walks(banned, bound) == kept
         else:
             with pytest.raises(EmptyDiagramError):
-                build_mdd(inst, agent.id, horizon, cost, distances, avoid)
+                build_mdd(inst, agent.id, bound, distances, avoid)
 
     def test_goal_bans_hold_each_goal_from_its_latest_arrival(self, fix_c):
-        xi = {"a1": 3, "a2": 3}
-        bans = goal_bans(fix_c, xi, 1)
+        # shortest costs 3 and 3, one unit of slack
+        bans = goal_bans(fix_c, {"a1": 4, "a2": 4})
         assert bans == {"a1": AgentConflicts(held=frozenset({("v1", 4)})),
                         "a2": AgentConflicts(held=frozenset({("v4", 4)}))}
         # no agent's bans hold its own goal
@@ -335,7 +323,7 @@ class TestOrderedDiagrams:
         distances = Distances(inst.graph)
         for agent in inst.agents:
             xi = bfs_distances(inst.graph, agent.start)[agent.goal]
-            mdd = build_mdd(inst, agent.id, xi + 3, xi + 2, distances)
+            mdd = build_mdd(inst, agent.id, xi + 2, distances)
             assert mdd.node_count > mdd.horizon + 1
             self.assert_ordered(mdd)
 
@@ -365,13 +353,13 @@ class TestCountRepresentedPaths:
         assert len(diagram_walks(smdd, smdd.horizon)) == 4
 
     def test_single_route(self, fix_a):
-        mdd = build_mdd(fix_a, "a1", 2, 2, Distances(fix_a.graph))
+        mdd = build_mdd(fix_a, "a1", 2, Distances(fix_a.graph))
         assert len(diagram_walks(mdd, mdd.horizon)) == 1
 
     def test_three_routes_with_slack(self, fix_a):
         # enumeration: move-move-wait, wait-move-move, move-wait-move
-        mdd = build_mdd(fix_a, "a1", 3, 3, Distances(fix_a.graph))
-        walks = enumerate_expansions(fix_a.graph, "v1", "v3", 3, 3)
+        mdd = build_mdd(fix_a, "a1", 3, Distances(fix_a.graph))
+        walks = enumerate_expansions(fix_a.graph, "v1", "v3", 3)
         assert len(walks) == 3
         assert len(diagram_walks(mdd, mdd.horizon)) == 3
 
@@ -383,7 +371,7 @@ class TestCountRepresentedPaths:
 class TestSparseVersusFull:
     def test_sparse_stays_inside_full(self, fix_d_graph, fix_d_paths):
         inst = MapfInstance(fix_d_graph, [Agent("ax", "v1", "v5")])
-        full = build_mdd(inst, "ax", 4, 4, Distances(fix_d_graph))
+        full = build_mdd(inst, "ax", 4, Distances(fix_d_graph))
         smdd = build_smdd("ax", fix_d_paths, 4)
         for t, lvl in enumerate(smdd.levels):
             assert set(lvl) <= set(full.levels[t])
@@ -398,12 +386,12 @@ class TestSparseVersusFull:
             agent = inst.agents[0]
             distances = Distances(inst.graph)
             xi = bfs_distances(inst.graph, agent.start)[agent.goal]
-            horizon, bound = xi + 2, xi + 2
+            bound = xi + 2
             paths = []
             verts = list(inst.graph.vertices)
             for _ in range(4):
                 avoid = AgentConflicts(
-                    frozenset({(rng.choice(verts), rng.randint(1, horizon))}),
+                    frozenset({(rng.choice(verts), rng.randint(1, bound))}),
                     frozenset(),
                 )
                 p = constrained_shortest_path(inst, agent.id, avoid, bound, distances)
@@ -411,12 +399,12 @@ class TestSparseVersusFull:
                     paths.append(p)
             if not paths:
                 continue
-            smdd = build_smdd(agent.id, paths, horizon)
-            full = build_mdd(inst, agent.id, horizon, bound, distances)
+            smdd = build_smdd(agent.id, paths, bound)
+            full = build_mdd(inst, agent.id, bound, distances)
             for t, lvl in enumerate(smdd.levels):
                 assert set(lvl) <= set(full.levels[t])
             assert diagram_edges(smdd) <= diagram_edges(full)
-            assert len(diagram_walks(smdd, horizon)) >= len({p.positions for p in paths})
+            assert len(diagram_walks(smdd, bound)) >= len({p.positions for p in paths})
 
 
 def test_dump_format_is_stable(fix_d_paths):

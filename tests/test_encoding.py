@@ -30,6 +30,7 @@ from mapfsat import (
     sum_of_costs,
     validate_solution,
 )
+from mapfsat.diagrams import Mdd
 from conftest import contains_path, random_grid_instance, scrambled_grid_instance
 from oracle import brute_force_oracle, diagram_walks, pairwise_swap_clauses, walk_cost
 
@@ -60,15 +61,14 @@ def shortest_costs(instance):
 def full_model(instance, delta=0, mode=INCOMPLETE, conflicts=None, solver=None):
     xi = shortest_costs(instance)
     soc = sum(xi.values()) + delta
-    horizon = max(xi.values()) + delta
     distances = Distances(instance.graph)
     diagrams = {
-        a.id: build_mdd(instance, a.id, horizon, xi[a.id] + delta, distances)
+        a.id: build_mdd(instance, a.id, xi[a.id] + delta, distances)
         for a in instance.agents
     }
     return build_model(
         instance, diagrams, {} if conflicts is None else conflicts,
-        horizon, soc, mode, xi, solver=solver,
+        soc, mode, xi, solver=solver,
     )
 
 
@@ -103,8 +103,7 @@ class TestBuildModel:
             "a1": build_smdd("a1", [Path("a1", ("v00", "v01", "v11"))], 2),
             "a2": build_smdd("a2", [Path("a2", ("v11", "v01", "v00"))], 2),
         }
-        model = build_model(fix_b, diagrams, {}, 2, 4, INCOMPLETE,
-                            shortest_costs(fix_b))
+        model = build_model(fix_b, diagrams, {}, 4, INCOMPLETE, shortest_costs(fix_b))
         assert model.solve() is not None  # no collision clause yet
         add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v01", 1)])
         assert model.solve() is None
@@ -119,20 +118,42 @@ class TestBuildModel:
         assert validate_solution(fix_b, solution) == []
         assert sum_of_costs(fix_b, solution) == 4
 
-    def test_horizon_mismatch_rejected(self, fix_b):
-        distances = Distances(fix_b.graph)
-        diagrams = {
-            "a1": build_mdd(fix_b, "a1", 2, 2, distances),
-            "a2": build_mdd(fix_b, "a2", 3, 3, distances),
-        }
-        with pytest.raises(ValueError):
-            build_model(fix_b, diagrams, {}, 2, 4, INCOMPLETE, shortest_costs(fix_b))
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_unequal_horizons_compile_as_padded_ones(self, data):
+        # each unbanned diagram ends at its agent's own bound; padded with goal
+        # levels to the longest, the diagrams give the same variables, horizon
+        # and clause stream, recorded conflicts included: past its diagram's
+        # end an agent still holds its goal against the others
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        mode = data.draw(st.sampled_from([INCOMPLETE, COMPLETE]), label="mode")
+        delta = data.draw(st.integers(0, 2), label="delta")
+        inst = random_grid_instance(rng)
+        xi = shortest_costs(inst)
+        horizon = max(xi.values()) + delta
+        distances = Distances(inst.graph)
+        own = {aid: build_mdd(inst, aid, xi[aid] + delta, distances) for aid in xi}
+        padded = {aid: padded_diagram(mdd, horizon) for aid, mdd in own.items()}
+        cells = list(inst.graph.vertices)
+        moves = [(u, w) for u in cells for w in inst.graph.adjacency[u]]
+        conflicts = {aid: AgentConflicts(
+            frozenset((rng.choice(cells), rng.randint(0, horizon)) for _ in range(3)),
+            frozenset((rng.choice(moves), rng.randint(0, horizon)) for _ in range(2)))
+            for aid in xi}
+        soc = sum(xi.values()) + delta
+        first, second = (build_model(inst, diagrams, conflicts, soc, mode, xi,
+                                     solver=RecordingSolver())
+                         for diagrams in (own, padded))
+        assert first.horizon == second.horizon == horizon
+        assert list(first.x.items()) == list(second.x.items())
+        assert first.solver.num_vars == second.solver.num_vars
+        assert first.solver.clauses == second.solver.clauses
 
     def test_negative_slack_rejected(self, fix_b):
         distances = Distances(fix_b.graph)
-        diagrams = {a.id: build_mdd(fix_b, a.id, 2, 2, distances) for a in fix_b.agents}
+        diagrams = {a.id: build_mdd(fix_b, a.id, 2, distances) for a in fix_b.agents}
         with pytest.raises(ValueError):
-            build_model(fix_b, diagrams, {}, 2, 3, INCOMPLETE, shortest_costs(fix_b))
+            build_model(fix_b, diagrams, {}, 3, INCOMPLETE, shortest_costs(fix_b))
 
 
 class TestAddConflictClauses:
@@ -465,9 +486,9 @@ class TestExtractSolution:
 
     @staticmethod
     def slack_model(fix_a, soc):
-        """a1 over its diagram of cost bound 3 at horizon 3, under `soc`."""
-        diagrams = {"a1": build_mdd(fix_a, "a1", 3, 3, Distances(fix_a.graph))}
-        return build_model(fix_a, diagrams, {}, 3, soc, INCOMPLETE, {"a1": 2})
+        """a1 over its diagram of cost bound 3, under `soc`."""
+        diagrams = {"a1": build_mdd(fix_a, "a1", 3, Distances(fix_a.graph))}
+        return build_model(fix_a, diagrams, {}, soc, INCOMPLETE, {"a1": 2})
 
     @pytest.mark.parametrize("clear, occupy, match", [
         ([("v1", 0)], [], "occupies none of"),  # the start node
@@ -558,6 +579,13 @@ class TestModelDefinitions:
             assert model.solve() is not None
 
 
+def padded_diagram(mdd, horizon):
+    """`mdd` with goal levels, joined by goal waits, up to `horizon`."""
+    tail = range(mdd.horizon, horizon)
+    return Mdd(mdd.agent, horizon, mdd.levels + ((mdd.goal,),) * len(tail),
+               {**mdd._out, **{(t, mdd.goal): (mdd.goal,) for t in tail}})
+
+
 def random_walks(mdd, rng, k):
     """`k` random start-to-goal walks through a full diagram."""
     walks = []
@@ -571,18 +599,16 @@ def random_walks(mdd, rng, k):
 
 def recorded_models(instance, rng, delta=2, mode=INCOMPLETE):
     """Models over full diagrams and over sparse diagrams of three random
-    walks per agent, each built on a `RecordingSolver`."""
+    walks per agent, each diagram at its agent's bound `xi + delta`, each
+    model built on a `RecordingSolver`."""
     distances = Distances(instance.graph)
     xi = {a.id: distances.dist(a.goal)[a.start] for a in instance.agents}
-    horizon = max(xi.values()) + delta
-    full = {aid: build_mdd(instance, aid, horizon, xi[aid] + delta, distances)
-            for aid in xi}
-    sparse = {aid: build_smdd(aid, random_walks(mdd, rng, 3), horizon)
+    full = {aid: build_mdd(instance, aid, xi[aid] + delta, distances) for aid in xi}
+    sparse = {aid: build_smdd(aid, random_walks(mdd, rng, 3), mdd.horizon)
               for aid, mdd in full.items()}
     # room for every agent to take its full slack
     soc = sum(xi.values()) + delta * len(xi)
-    return [build_model(instance, diagrams, {}, horizon, soc, mode,
-                        xi, solver=RecordingSolver())
+    return [build_model(instance, diagrams, {}, soc, mode, xi, solver=RecordingSolver())
             for diagrams in (full, sparse)]
 
 
@@ -641,7 +667,8 @@ class TestReadOut:
         checked = 0
         for model in self.cases(fix_a, fix_b, fix_c):
             for (agent, v, t), var in model.x.items():
-                if t < model.horizon:
+                # the nodes of the diagram below its last level
+                if t < model.diagrams[agent].horizon:
                     heads = model.diagrams[agent].outgoing(v, t)
                     cleared = [-model.x[(agent, w, t + 1)] for w in heads]
                     assert answer_with(model, [var] + cleared) is None
@@ -694,15 +721,13 @@ class TestAdmittedWalks:
             for a in inst.agents:
                 xi = distances.dist(a.goal)[a.start]
                 delta = rng.randint(1, 2)
-                horizon = xi + delta + rng.randint(0, 1)
-                full = build_mdd(inst, a.id, horizon, xi + delta, distances)
-                sparse = build_smdd(a.id, random_walks(full, rng, 3), horizon)
-                assert len(diagram_walks(full, xi + delta)) == len(diagram_walks(full, horizon))
+                full = build_mdd(inst, a.id, xi + delta, distances)
+                sparse = build_smdd(a.id, random_walks(full, rng, 3), xi + delta)
                 single = MapfInstance(inst.graph, [a])
                 for mdd in (full, sparse):
                     for soc in range(xi, xi + delta + 1):
-                        model = build_model(single, {a.id: mdd}, {}, horizon, soc,
-                                            INCOMPLETE, {a.id: xi})
+                        model = build_model(single, {a.id: mdd}, {}, soc, INCOMPLETE,
+                                            {a.id: xi})
                         walks = diagram_walks(mdd, soc)
                         assert model_walks(model, a.id) == walks
                         checked += len(walks)
@@ -711,7 +736,7 @@ class TestAdmittedWalks:
 
 
 def settle_step(mdd):
-    """First level from which every level up to the horizon is the goal alone."""
+    """First level from which every level of the diagram is the goal alone."""
     return min(t for t in range(mdd.horizon + 1)
                if all(level == (mdd.goal,) for level in mdd.levels[t:]))
 
@@ -760,7 +785,7 @@ class TestSettleStep:
                 assert [key for _, key in by_var] == nodes
                 assert [var for var, _ in by_var] == list(range(by_var[0][0],
                                                                 by_var[0][0] + len(nodes)))
-                tails += mdd.horizon - end
+                tails += model.horizon - end
         assert tails > 30
 
     def test_goal_tail_answers_with_the_settle_node(self):
@@ -770,11 +795,14 @@ class TestSettleStep:
                 end = settle_step(mdd)
                 settled = model.x[(a.id, mdd.goal, end)]
                 assert [settled] in model.solver.clauses
-                assert [model.x[(a.id, mdd.goal, t)] for t in range(end, mdd.horizon + 1)] == \
-                    [settled] * (mdd.horizon + 1 - end)
-                # every diagram node has a key, and nothing else does
+                assert [model.x[(a.id, mdd.goal, t)] for t in range(end, model.horizon + 1)] == \
+                    [settled] * (model.horizon + 1 - end)
+                # every diagram node has a key, and so has the goal at each
+                # step past the diagram's end up to the model's horizon;
+                # nothing else does
                 assert sorted((t, v) for (b, v, t) in model.x if b == a.id) == sorted(
-                    (t, v) for t, level in enumerate(mdd.levels) for v in level)
+                    [(t, v) for t, level in enumerate(mdd.levels) for v in level]
+                    + [(t, mdd.goal) for t in range(mdd.horizon + 1, model.horizon + 1)])
 
     def test_indicators_stop_before_the_settle_step(self):
         for model, delta, full in self.cases():
@@ -798,7 +826,8 @@ class TestSettleStep:
                 walk, heads = [], (mdd.start,)
                 for t in range(model.horizon + 1):
                     walk.append(next(v for v in heads if assignment[model.x[(a.id, v, t)]]))
-                    heads = mdd.outgoing(walk[-1], t)
+                    # past its diagram's end the agent waits on its goal
+                    heads = mdd.outgoing(walk[-1], t) if t < mdd.horizon else (mdd.goal,)
                 assert path.padded(model.horizon).positions == tuple(walk)
                 assert model.settle[a.id] == settle_step(mdd)
                 read += model.settle[a.id] < model.horizon
@@ -811,20 +840,20 @@ class TestSettleStep:
             inst = random_grid_instance(rng)
             distances = Distances(inst.graph)
             xi = {a.id: distances.dist(a.goal)[a.start] for a in inst.agents}
-            horizon = max(xi.values()) + 2
             diagrams, arrivals = {}, {}
             for aid in xi:
-                full = build_mdd(inst, aid, horizon, xi[aid] + 2, distances)
+                full = build_mdd(inst, aid, xi[aid] + 2, distances)
                 walks, arrivals[aid] = candidate_walks(full, rng)
-                diagrams[aid] = build_smdd(aid, walks, horizon)
-            model = build_model(inst, diagrams, {}, horizon, sum(xi.values()) + 2 * len(xi),
+                diagrams[aid] = build_smdd(aid, walks, full.horizon)
+            model = build_model(inst, diagrams, {}, sum(xi.values()) + 2 * len(xi),
                                 INCOMPLETE, xi)
+            # the goal tail answers with the settle node up to the model's horizon
             for aid, s in arrivals.items():
                 end = settle_step(diagrams[aid])
                 assert end <= s
                 assert len(set(model.x[(aid, diagrams[aid].goal, t)]
-                               for t in range(s, horizon + 1))) == 1
-                early += s < horizon
+                               for t in range(s, model.horizon + 1))) == 1
+                early += s < model.horizon
         assert early > 10
 
     @settings(max_examples=300, deadline=None)
@@ -840,16 +869,20 @@ class TestSettleStep:
         delta = data.draw(st.integers(0, 2), label="delta")
         horizon = max(xi.values()) + delta
         diagrams = {aid: build_smdd(aid, candidate_walks(
-                        build_mdd(inst, aid, horizon, xi[aid] + delta, distances), rng)[0],
-                        horizon)
+                        build_mdd(inst, aid, xi[aid] + delta, distances), rng)[0],
+                        xi[aid] + delta)
                     for aid in xi}
         soc = sum(xi.values()) + data.draw(st.integers(0, delta * len(xi)), label="slack")
         goals = [a.goal for a in inst.agents]
-        choices = [sorted(diagram_walks(diagrams[a.id], horizon)) for a in inst.agents]
+        # each walk waits on its goal up to the longest diagram's horizon
+        choices = [sorted(walk + (a.goal,) * (horizon + 1 - len(walk))
+                          for walk in diagram_walks(diagrams[a.id], horizon))
+                   for a in inst.agents]
         fits = [combo for combo in itertools.product(*choices)
                 if sum(walk_cost(w, g) for w, g in zip(combo, goals)) <= soc
                 and (mode == INCOMPLETE or collision_free(combo))]
-        model = build_model(inst, diagrams, {}, horizon, soc, mode, xi)
+        model = build_model(inst, diagrams, {}, soc, mode, xi)
+        assert model.horizon == horizon
         assignment = model.solve()
         assert (assignment is not None) == bool(fits)
         if assignment is not None:

@@ -457,30 +457,30 @@ class TestSearchEffort:
 
 class TestNewAndPath:
     @staticmethod
-    def shortest_diagram(instance, horizon):
-        """The sparse diagram of a1's candidate set {its shortest path}."""
+    def shortest_diagram(instance, bound):
+        """The sparse diagram of a1's candidate set {its shortest path} at `bound`."""
         return build_smdd("a1", [shortest_path(instance, "a1", Distances(instance.graph))],
-                          horizon)
+                          bound)
 
     def test_single_conflict(self, fix_a):
-        p = new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 3), vconf(("v2", 1)), 3,
+        p = new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 3), vconf(("v2", 1)),
                          Distances(fix_a.graph))
         assert p.positions == ("v1", "v1", "v2", "v3")
 
     def test_unavoidable_pair_gives_empty(self, fix_a):
         conf = vconf(("v2", 1), ("v2", 2))
-        assert new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 3), conf, 3,
+        assert new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 3), conf,
                             Distances(fix_a.graph)) is None
 
     def test_vacuous_avoidance_is_the_shortest_path(self, fix_a):
         waits_first = build_smdd("a1", [Path("a1", ("v1", "v1", "v2", "v3"))], 3)
-        p = new_and_path(fix_a, "a1", waits_first, AgentConflicts(), 3,
+        p = new_and_path(fix_a, "a1", waits_first, AgentConflicts(),
                          Distances(fix_a.graph))
         assert p.positions == shortest_path(fix_a, "a1", Distances(fix_a.graph)).positions
 
     def test_path_already_represented_gives_empty(self, fix_a):
         assert (
-            new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 2), AgentConflicts(), 2,
+            new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 2), AgentConflicts(),
                          Distances(fix_a.graph)) is None
         )
 
@@ -491,7 +491,7 @@ class TestNewAndPath:
         conf = vconf(("v6", 1), ("v4", 3))
         found = constrained_shortest_path(inst, "ax", conf, 4, Distances(fix_d_graph))
         assert found.positions == ("v1", "v2", "v3", "v7", "v5")
-        assert new_and_path(inst, "ax", build_smdd("ax", fix_d_paths, 4), conf, 4,
+        assert new_and_path(inst, "ax", build_smdd("ax", fix_d_paths, 4), conf,
                             Distances(fix_d_graph)) is None
 
     def test_avoids_every_conflict(self, fix_c):
@@ -499,7 +499,7 @@ class TestNewAndPath:
             frozenset({("v2", 1), ("v3", 2)}),
             frozenset({(("v1", "v2"), 0)}),
         )
-        p = new_and_path(fix_c, "a1", self.shortest_diagram(fix_c, 7), conf, 7,
+        p = new_and_path(fix_c, "a1", self.shortest_diagram(fix_c, 7), conf,
                          Distances(fix_c.graph))
         assert p is not None
         padded = p.padded(7).positions

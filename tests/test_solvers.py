@@ -82,13 +82,13 @@ def recorded(conflicts: dict) -> int:
     return sum(len(c.vertex) + len(c.edge) for c in conflicts.values())
 
 
-def fixed_round(instance, candidates, conflicts, horizon, soc, extend="and", stats=None):
+def fixed_round(instance, candidates, conflicts, soc, extend="and", stats=None):
     """One fixed-bounds round of incomplete models (`solvers._fixed`), with
     the shortest costs and distance memo that `_run` would hand it."""
     distances = Distances(instance.graph)
     xi = solvers._shortest_costs(instance, distances)
     return _fixed(instance, Deadline(60), SolveStats() if stats is None else stats, candidates,
-                  conflicts, horizon, soc, xi, INCOMPLETE, extend, distances)
+                  conflicts, soc, xi, INCOMPLETE, extend, distances)
 
 
 def corridor_instance() -> MapfInstance:
@@ -182,7 +182,7 @@ class TestFixtureOptima:
             assert fn(inst, QUICK).status == INFEASIBLE, algo
         assert brute_force_oracle(inst, 10).status == INFEASIBLE
         with pytest.raises(InfeasibleAgentError):
-            fixed_round(inst, {a.id: {} for a in inst.agents}, no_conflicts(inst), 2, 2)
+            fixed_round(inst, {a.id: {} for a in inst.agents}, no_conflicts(inst), 2)
 
 
 class TestCbs:
@@ -346,9 +346,9 @@ class TestCbs:
         sweeps = []
         checked = Counter()
 
-        def recording(instance, agent_id, horizon, cost_bound, distances, avoid):
-            sweeps.append((agent_id, horizon, avoid))
-            return walk(instance, agent_id, horizon, cost_bound, distances, avoid)
+        def recording(instance, agent_id, bound, distances, avoid):
+            sweeps.append((agent_id, bound, avoid))
+            return walk(instance, agent_id, bound, distances, avoid)
 
         def widths(levels_out):
             return [len(level) for level in levels_out[0]]
@@ -366,8 +366,8 @@ class TestCbs:
                         if b.with_entry("vertex", (goal, cost - 1)) == avoid]
                 assert base, (agent_id, cost, avoid)
                 if base[0].floor == 0:
-                    assert widths(walk(instance, agent_id, cost, cost, distances, base[0])) == \
-                        widths(walk(instance, agent_id, cost, cost, distances, avoid))
+                    assert widths(walk(instance, agent_id, cost, distances, base[0])) == \
+                        widths(walk(instance, agent_id, cost, distances, avoid))
                     checked["no floor"] += 1
                 else:
                     checked["floor"] += 1
@@ -417,7 +417,7 @@ class TestSparseFamily:
                 if it.full_mdd[idx]:
                     continue
                 full = build_mdd(
-                    fix_b, agent.id, it.makespan,
+                    fix_b, agent.id,
                     bfs_distances(fix_b.graph, agent.start)[agent.goal]
                     + (it.soc - xi_sum(fix_b)),
                     Distances(fix_b.graph),
@@ -443,12 +443,12 @@ class TestSparseFamily:
             it.full_mdd[0] for it in out.stats.iterations
         )
 
-    def test_makespan_tracks_cost_bound(self, fix_c):
+    def test_horizon_tracks_cost_bound(self, fix_c):
         for solver in (solve_sparse_smt_cbs, solve_heuristic_smt_cbs, solve_smt_cbs):
             out = solver(fix_c, QUICK)
             base = out.stats.iterations[0]
             for it in out.stats.iterations:
-                assert it.makespan - base.makespan == it.soc - base.soc
+                assert it.horizon - base.horizon == it.soc - base.soc
 
     def test_first_iteration_never_larger_than_full_diagrams(self, fix_b, fix_c):
         for inst in (fix_b, fix_c):
@@ -463,7 +463,7 @@ class TestSparseFamily:
 class TestHeuristicFixed:
     def test_cycle_at_tight_bounds(self, fix_b):
         candidates = initial_candidates(fix_b, Distances(fix_b.graph))
-        solution = fixed_round(fix_b, candidates, no_conflicts(fix_b), 2, 4)
+        solution = fixed_round(fix_b, candidates, no_conflicts(fix_b), 4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
         assert validate_solution(fix_b, solution) == []
@@ -471,7 +471,7 @@ class TestHeuristicFixed:
     def test_spur_below_optimum_is_unsat_after_promotion(self, fix_c):
         candidates = initial_candidates(fix_c, Distances(fix_c.graph))
         conflicts = no_conflicts(fix_c)
-        solution = fixed_round(fix_c, candidates, conflicts, 3, 6)
+        solution = fixed_round(fix_c, candidates, conflicts, 6)
         assert solution is None
         assert all(candidates[a.id] is None for a in fix_c.agents)
         assert recorded(conflicts) > 0
@@ -490,7 +490,7 @@ class TestHeuristicFixed:
         conflicts = no_conflicts(fix_c)
         # below the optimum of 8: the round meets an edge and two vertex
         # collisions before it promotes both agents and proves UNSAT
-        assert fixed_round(fix_c, candidates, conflicts, 4, 7, extend) is None
+        assert fixed_round(fix_c, candidates, conflicts, 7, extend) is None
         assert {col.kind for col in met} == {"vertex", "edge"}
         for col in met:
             for side, agent_id in enumerate(col.agents):
@@ -504,7 +504,7 @@ class TestHeuristicFixed:
         inst = corridor_instance()
         candidates = initial_candidates(inst, Distances(inst.graph))
         stats = SolveStats()
-        assert fixed_round(inst, candidates, no_conflicts(inst), 4, 5, stats=stats) is None
+        assert fixed_round(inst, candidates, no_conflicts(inst), 5, stats=stats) is None
         assert all(candidates[a.id] is None for a in inst.agents)
         assert (stats.iterations, stats.sat_calls) == ([], 0)
 
@@ -515,13 +515,13 @@ class TestHeuristicFixed:
         monkeypatch.setattr(solvers, "constrained_shortest_path",
                             lambda *args, **kwargs: searched.append(args))
         candidates = initial_candidates(fix_b, Distances(fix_b.graph))
-        assert fixed_round(fix_b, candidates, no_conflicts(fix_b), 2, 4) is not None
+        assert fixed_round(fix_b, candidates, no_conflicts(fix_b), 4) is not None
         assert searched == []
 
     def test_single_agent_immediate(self, fix_a):
         candidates = initial_candidates(fix_a, Distances(fix_a.graph))
         conflicts = no_conflicts(fix_a)
-        solution = fixed_round(fix_a, candidates, conflicts, 2, 2)
+        solution = fixed_round(fix_a, candidates, conflicts, 2)
         assert solution.paths[0].positions == ("v1", "v2", "v3")
         assert recorded(conflicts) == 0
 
@@ -531,7 +531,7 @@ class TestHeuristicFixed:
         candidates = initial_candidates(fix_b, Distances(fix_b.graph))
         carried = AgentConflicts().with_entry("vertex", ("v01", 1))
         conflicts = {"a1": carried, "a2": carried}
-        solution = fixed_round(fix_b, candidates, conflicts, 2, 4)
+        solution = fixed_round(fix_b, candidates, conflicts, 4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
         assert all(candidates[a.id] is None for a in fix_b.agents)
@@ -545,7 +545,7 @@ class TestHeuristicFixed:
         )
         inst = MapfInstance(g, [*fix_b.agents, Agent("a3", "w1", "w3")])
         candidates = initial_candidates(inst, Distances(g))
-        solution = fixed_round(inst, candidates, no_conflicts(inst), 2, 6)
+        solution = fixed_round(inst, candidates, no_conflicts(inst), 6)
         assert sum_of_costs(inst, solution) == 6
         assert candidates["a3"] is not None
         assert list(candidates["a3"].values()) == [Path("a3", ("w1", "w2", "w3"))]
@@ -562,7 +562,7 @@ class TestHeuristicFixed:
         candidates = initial_candidates(inst, Distances(g))
         assert list(candidates["a2"]) == [("s2", "m", "g2")]
         stats = SolveStats()
-        solution = fixed_round(inst, candidates, no_conflicts(inst), 2, 5, extend, stats)
+        solution = fixed_round(inst, candidates, no_conflicts(inst), 5, extend, stats)
         assert validate_solution(inst, solution) == []
         assert candidates["a1"] is None
         assert list(candidates["a2"]) == [("s2", "m", "g2"), ("s2", "w", "g2")]

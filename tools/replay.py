@@ -25,6 +25,7 @@ or a run is in only one file, else 0. A change that keeps the search shows
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path as FsPath
@@ -99,12 +100,7 @@ def fingerprint(key, instance, algo: str, limit_s: float) -> dict:
         "soc": out.soc,
         "sat_calls": out.stats.sat_calls,
         "conflicts": out.stats.conflicts,
-        "iterations": [
-            {"soc": it.soc, "makespan": it.makespan,
-             "nodes_per_agent": list(it.nodes_per_agent),
-             "full_mdd": list(it.full_mdd)}
-            for it in out.stats.iterations
-        ],
+        "iterations": [dataclasses.asdict(it) for it in out.stats.iterations],
         "paths": (None if out.solution is None
                   else [list(p.positions) for p in out.solution.paths]),
         "solve_calls": calls,
