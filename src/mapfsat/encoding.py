@@ -1,4 +1,4 @@
-"""Compile per-agent diagrams plus accumulated conflicts into a SAT model.
+"""Compile per-agent diagrams plus recorded collisions into a SAT model.
 
 Decision variables: one per diagram node (agent at vertex v at step t) up
 to the agent's settle step; a move is the pair of nodes it joins, so there
@@ -35,20 +35,18 @@ clause forbids the four nodes of two opposing moves together. The complete
 mode indexes the agents at each vertex-timestep of `x`, goal waits
 included, once for the vertex exclusions, and looks for a move's opposing
 moves only among the agents at its head, not in every other agent's
-diagram. A lazy collision clause and a recorded conflict re-emitted into a
-later model are both built by `_pair_clause`, the only builder of a clause
-from a collision entry.
+diagram. A collision is forbidden by one clause over the pair that collided
+(`add_conflict_clauses`), whether it was found in this model's answer or
+recorded from an earlier model and re-emitted by `build_model`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .diagrams import Mdd
 from .instance import Collision, MapfInstance, Path, Solution, Vertex, sum_of_costs
-from .pathing import AgentConflicts
 from .pathing import bfs_distances  # noqa: F401  the layer tracer wraps this name here
 from .satif import CdclSolver
 
@@ -137,15 +135,16 @@ def _settle_step(mdd: Mdd) -> int:
 def build_model(
     instance: MapfInstance,
     diagrams: Mapping[Hashable, Mdd],
-    conflicts: Mapping[Hashable, AgentConflicts],
+    recorded: Iterable[Collision],
     soc: int,
     mode: str,
     xi: Mapping[Hashable, int],
     solver: CdclSolver | None = None,
 ) -> BooleanModel:
     """Fresh solver instance encoding the diagrams under the SOC bound; `xi`
-    maps each agent id to its shortest-path cost, and `conflicts` each agent
-    id to its recorded conflicts (an absent agent carries none).
+    maps each agent id to its shortest-path cost. Each of the `recorded`
+    collisions gets its pair's clause, in the order given, as
+    `add_conflict_clauses` adds it to a live model.
 
     Variables are allocated agent by agent. Clauses reach the solver in
     emission order, in batches no larger than one agent's clauses or one
@@ -217,7 +216,7 @@ def build_model(
 
     if mode == COMPLETE:
         _emit_complete_constraints(model)
-    _emit_recorded_conflicts(model, conflicts)
+    add_conflict_clauses(model, recorded)
     return model
 
 
@@ -258,64 +257,26 @@ def _swap_lits(x, ai: Hashable, aj: Hashable, u: Vertex, v: Vertex, t: int) -> t
 
 
 def add_conflict_clauses(model: BooleanModel, collisions: Iterable[Collision]) -> None:
-    """Lazily forbid discovered collisions in `model`'s solver.
+    """Forbid each collision in `model`'s solver with one clause over the pair
+    that collided: the two nodes of a vertex collision, or the four nodes of
+    the two opposing moves of an edge collision.
 
     A clause is skipped when either agent's diagram lacks the node or move;
     the rule is then vacuously enforced for the missing side. Recording the
     collisions, so that later models re-emit them, is the caller's part.
     """
-    for col in collisions:
-        clause = _pair_clause(model, *col.agents, col.kind, col.entry(0))
-        if clause is not None:
-            model.solver.add_clause(clause)
-
-
-def _pair_clause(model: BooleanModel, ai: Hashable, aj: Hashable, kind: str,
-                 entry: tuple) -> Optional[tuple[int, ...]]:
-    """Clause keeping `ai` off its conflict `entry` and `aj` off the counterpart:
-    the same vertex, or for a move u -> v the opposite move v -> u.
-
-    None when either agent's diagram lacks the node or move.
-    """
     x = model.x
-    if kind == "vertex":
-        v, t = entry
-        li, lj = x.get((ai, v, t)), x.get((aj, v, t))
-        if li is None or lj is None:
-            return None
-        return (-li, -lj)
-    (u, v), t = entry
-    if u not in model.diagrams[aj].outgoing(v, t) or v not in model.diagrams[ai].outgoing(u, t):
-        return None
-    return _swap_lits(x, ai, aj, u, v, t)
-
-
-def _emit_recorded_conflicts(model: BooleanModel,
-                             conflicts: Mapping[Hashable, AgentConflicts]) -> None:
-    """Re-emit pairwise clauses for every recorded conflict.
-
-    Vertex/edge avoidance is a universal MAPF rule, so the clause is emitted
-    for every pair of agents that both carry the entry, not only the pair
-    that originally collided. Per pair, in instance order: the vertex
-    entries both carry, then the first agent's moves whose opposite move at
-    the same step the second carries, each kind in (t, entry) order.
-    """
-    agents = model.instance.agents
-    none = AgentConflicts()
-    by_step = itemgetter(1, 0)  # entries are (vertex or edge, t)
-    for i, a in enumerate(agents):
-        own = conflicts.get(a.id, none)
-        if not (own.vertex or own.edge):
+    for col in collisions:
+        ai, aj = col.agents
+        if col.kind == "vertex":
+            li, lj = x.get((ai, col.location, col.t)), x.get((aj, col.location, col.t))
+            if li is not None and lj is not None:
+                model.solver.add_clause((-li, -lj))
             continue
-        vertices, moves = sorted(own.vertex, key=by_step), sorted(own.edge, key=by_step)
-        for b in agents[i + 1:]:
-            theirs = conflicts.get(b.id, none)
-            shared = [("vertex", e) for e in vertices if e in theirs.vertex]
-            shared += [("edge", ((u, v), t)) for (u, v), t in moves if ((v, u), t) in theirs.edge]
-            for kind, entry in shared:
-                clause = _pair_clause(model, a.id, b.id, kind, entry)
-                if clause is not None:
-                    model.solver.add_clause(clause)
+        u, v = col.location
+        if (u in model.diagrams[aj].outgoing(v, col.t)
+                and v in model.diagrams[ai].outgoing(u, col.t)):
+            model.solver.add_clause(_swap_lits(x, ai, aj, u, v, col.t))
 
 
 def extract_solution(model: BooleanModel, assignment: list[bool]) -> Solution:

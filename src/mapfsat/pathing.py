@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Optional
 
 from .instance import Graph, MapfInstance, Path, Vertex
@@ -47,20 +47,24 @@ class AgentConflicts:
     def with_entry(self, kind: str, entry: VertexConflict | EdgeConflict) -> "AgentConflicts":
         """A copy that also avoids `entry`, a "vertex" or an "edge" entry."""
         if kind == "vertex":
-            return replace(self, vertex=self.vertex | {entry})
-        return replace(self, edge=self.edge | {entry})
+            return AgentConflicts(self.vertex | {entry}, self.edge, self.floor, self.cap,
+                                  self.held)
+        return AgentConflicts(self.vertex, self.edge | {entry}, self.floor, self.cap, self.held)
 
     def arriving_after(self, t: int) -> "AgentConflicts":
         """A copy whose agent arrives after step t: its cost is at least t + 1."""
-        return replace(self, floor=max(self.floor, t + 1))
+        return AgentConflicts(self.vertex, self.edge, max(self.floor, t + 1), self.cap,
+                              self.held)
 
     def arriving_by(self, t: int) -> "AgentConflicts":
         """A copy whose agent arrives by step t: its cost is at most t."""
-        return replace(self, cap=t if self.cap is None else min(self.cap, t))
+        return AgentConflicts(self.vertex, self.edge, self.floor,
+                              t if self.cap is None else min(self.cap, t), self.held)
 
     def holding(self, v: Vertex, t: int) -> "AgentConflicts":
         """A copy that also keeps off v at every step from t on."""
-        return replace(self, held=self.held | {(v, t)})
+        return AgentConflicts(self.vertex, self.edge, self.floor, self.cap,
+                              self.held | {(v, t)})
 
     def held_from(self) -> dict[Vertex, int]:
         """Each held cell and the first step from which it is held."""

@@ -17,13 +17,13 @@ them to the latest one, so every algorithm reports that as its makespan.
 
 The four SAT algorithms run one loop (``_lazy_solve``): raise the cost bound
 from the shortest-path total and run one fixed-bounds round (``_fixed``) per
-bound; each agent's diagrams end at its own bound ``xi + delta``. Within a
-round, the loop records both sides of each collision of a satisfying
-assignment, then the encoder emits the collisions as clauses.
-Recorded conflicts steer new candidate paths, and every later model re-emits
-them. Conflicts and candidate sets are plain dicts. Conflicts map each agent
-id to an ``AgentConflicts``, as CBS's constraints do; candidate sets map it
-to ``{positions: Path}`` in the order added, or to None once the agent is on
+bound; each agent's diagrams end at its own bound ``xi + delta``. The loop
+keeps one list of the collisions it has met, across bounds. Each collision
+of a satisfying assignment joins it and becomes one clause over the pair
+that collided; every later model re-emits the list with the same rule, and
+each agent's side of its recorded collisions steers its new candidate
+paths. Candidate sets are a plain dict: each agent id maps to
+``{positions: Path}`` in the order added, or to None once the agent is on
 its full diagram. With ``extend`` None every agent is on its full diagram
 from the start. An algorithm is a fixed ``(mode, extend)`` pair:
 
@@ -58,7 +58,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Hashable
 
@@ -169,10 +169,6 @@ class SolveStats:
     conflicts: int = 0
     iterations: list[IterationStat] = field(default_factory=list)
     runtime_s: float = 0.0
-
-    @property
-    def smdd_nodes_per_iter(self) -> list[list[int]]:
-        return [list(it.nodes_per_agent) for it in self.iterations]
 
 
 @dataclass
@@ -439,7 +435,7 @@ def solve_heuristic_smt_cbs(instance: MapfInstance, config: SolverConfig | None 
 def _lazy_solve(mode, extend, instance, deadline, stats, distances, xi, cap):
     """Raise the cost bound from the shortest-path total, one round per bound.
 
-    Candidate sets and accumulated conflicts carry over from bound to bound.
+    Candidate sets and the collisions met carry over from bound to bound.
     With `extend` None every agent starts on its full diagram. Returns the
     solution and its bound: every lower bound's round proved infeasible, so
     the bound is the SOC. `revalidate` checks it against the paths.
@@ -449,10 +445,10 @@ def _lazy_solve(mode, extend, instance, deadline, stats, distances, xi, cap):
         candidates = {a.id: None for a in instance.agents}
     else:
         candidates = initial_candidates(instance, distances)
-    conflicts = {a.id: AgentConflicts() for a in instance.agents}
+    met: list[Collision] = []
     for soc in range(soc0, cap + 1):
-        solution = _fixed(instance, deadline, stats, candidates, conflicts, soc, xi, mode,
-                          extend, distances)
+        solution = _fixed(instance, deadline, stats, candidates, met, soc, xi, mode, extend,
+                          distances)
         if solution is not None:
             return solution, soc
     raise _CapExceeded
@@ -468,12 +464,12 @@ def initial_candidates(instance: MapfInstance,
     return candidates
 
 
-def _fixed(instance, deadline, stats, candidates, conflicts, soc, xi, mode, extend,
-           distances):
+def _fixed(instance, deadline, stats, candidates, met, soc, xi, mode, extend, distances):
     """One round at a fixed SOC bound: a collision-free solution or None.
 
-    Collisions are recorded in `conflicts`, become lazy clauses and grow
-    `candidates`, both in place. UNSAT is trusted only once every agent is
+    Each answer's collisions are appended to `met`, become lazy clauses and
+    grow `candidates`, both in place; a model built in the round re-emits
+    all of `met`. UNSAT is trusted only once every agent is
     on its full diagram. Each agent's diagram ends at its bound `xi + delta`.
 
     Full diagrams leave out the goal cells that arrived agents hold
@@ -506,7 +502,7 @@ def _fixed(instance, deadline, stats, candidates, conflicts, soc, xi, mode, exte
                 candidates.update(dict.fromkeys(candidates))
                 return None
             # long single SAT calls poll the deadline between conflicts
-            model = build_model(instance, diagrams, conflicts, soc, mode, xi,
+            model = build_model(instance, diagrams, met, soc, mode, xi,
                                 solver=CdclSolver(interrupt=deadline.check))
             stats.iterations.append(IterationStat(
                 soc=soc,
@@ -532,18 +528,16 @@ def _fixed(instance, deadline, stats, candidates, conflicts, soc, xi, mode, exte
                 f"complete model admitted a collision: {collisions[0]}"
             )
         stats.conflicts += len(collisions)
-        for col in collisions:
-            for side, agent_id in enumerate(col.agents):
-                conflicts[agent_id] = conflicts[agent_id].with_entry(col.kind, col.entry(side))
+        met += collisions
         add_conflict_clauses(model, collisions)
-        if _extend(instance, candidates, diagrams, conflicts, collisions, bounds, extend,
-                   distances):
+        if _extend(instance, candidates, diagrams, met, collisions, bounds, extend, distances):
             model = None  # diagrams changed shape: rebuild on the next pass
 
 
-def _extend(instance, candidates, diagrams, conflicts, collisions, bounds, extend, distances):
+def _extend(instance, candidates, diagrams, met, collisions, bounds, extend, distances):
     """Grow the sparse candidate sets of the colliding agents; True if any changed.
 
+    An agent's conflicts are its side of each collision in `met` it was in.
     "and" adds one path avoiding all of an agent's conflicts, unless its
     current diagram represents it; "or" adds one path per conflict subset. An
     agent with nothing new to add is promoted to its full diagram. Both
@@ -554,7 +548,7 @@ def _extend(instance, candidates, diagrams, conflicts, collisions, bounds, exten
         known = candidates[agent_id]
         if known is None:
             continue
-        conf = conflicts[agent_id]
+        conf = _avoidance(met, agent_id)
         if extend == "and":
             pi = new_and_path(instance, agent_id, diagrams[agent_id], conf, distances)
             assert pi is None or _avoids(pi, conf, diagrams[agent_id].horizon)
@@ -567,6 +561,15 @@ def _extend(instance, candidates, diagrams, conflicts, collisions, bounds, exten
             candidates[agent_id] = None
         grown = True
     return grown
+
+
+def _avoidance(met: list[Collision], agent_id: Hashable) -> AgentConflicts:
+    """The agent's side (`Collision.entry`) of each collision in `met` it was in."""
+    entries: dict[str, set] = {"vertex": set(), "edge": set()}
+    for col in met:
+        if agent_id in col.agents:
+            entries[col.kind].add(col.entry(col.agents.index(agent_id)))
+    return AgentConflicts(frozenset(entries["vertex"]), frozenset(entries["edge"]))
 
 
 def _avoids(path: Path, conf: AgentConflicts, horizon: int) -> bool:
@@ -613,10 +616,5 @@ def solution_json(instance_id: str, algorithm: str, outcome: SolveOutcome) -> di
             if outcome.solution is not None
             else None
         ),
-        "stats": {
-            "sat_calls": outcome.stats.sat_calls,
-            "conflicts": outcome.stats.conflicts,
-            "smdd_nodes_per_iter": outcome.stats.smdd_nodes_per_iter,
-            "runtime_s": outcome.stats.runtime_s,
-        },
+        "stats": asdict(outcome.stats),
     }

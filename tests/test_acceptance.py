@@ -227,13 +227,13 @@ def test_criterion_5_model_definitions():
                         a.id: build_mdd(inst, a.id, xi[i] + delta, distances)
                         for i, a in enumerate(inst.agents)
                     }
-                    complete = build_model(inst, diagrams, {}, soc, COMPLETE, costs)
+                    complete = build_model(inst, diagrams, [], soc, COMPLETE, costs)
                     sat = complete.solve() is not None
                     solvable = opt is not None and opt <= soc
                     if sat != solvable:
                         mismatches += 1
                     if solvable:
-                        incomplete = build_model(inst, diagrams, {}, soc, INCOMPLETE, costs)
+                        incomplete = build_model(inst, diagrams, [], soc, INCOMPLETE, costs)
                         if incomplete.solve() is None:
                             mismatches += 1
     check(
@@ -280,7 +280,7 @@ def test_goal_bans_keep_criterion_5():
                         empty += 1
                         mismatches += solvable
                         continue
-                    complete = build_model(inst, diagrams, {}, soc, COMPLETE, costs)
+                    complete = build_model(inst, diagrams, [], soc, COMPLETE, costs)
                     mismatches += (complete.solve() is not None) != solvable
     check(
         5,

@@ -36,9 +36,12 @@ def test_solve_writes_solution_json(tmp_path):
     assert payload["status"] == "solved"
     assert payload["algorithm"] == "heuristic"
     assert len(payload["paths"]) == 4
-    assert set(payload["stats"]) == {
-        "sat_calls", "conflicts", "smdd_nodes_per_iter", "runtime_s",
-    }
+    stats = payload["stats"]
+    assert set(stats) == {"sat_calls", "conflicts", "iterations", "runtime_s"}
+    assert stats["iterations"]
+    for it in stats["iterations"]:
+        assert set(it) == {"soc", "horizon", "nodes_per_agent", "full_mdd"}
+        assert len(it["nodes_per_agent"]) == len(it["full_mdd"]) == 4
 
 
 def test_solve_to_stdout(tmp_path, capsys):

@@ -11,7 +11,6 @@ from mapfsat import (
     COMPLETE,
     INCOMPLETE,
     Agent,
-    AgentConflicts,
     CdclSolver,
     Collision,
     Distances,
@@ -19,6 +18,7 @@ from mapfsat import (
     Graph,
     MapfInstance,
     Path,
+    Solution,
     add_conflict_clauses,
     bfs_distances,
     build_mdd,
@@ -31,6 +31,7 @@ from mapfsat import (
     validate_solution,
 )
 from mapfsat.diagrams import Mdd
+from mapfsat.instance import collision_key
 from conftest import contains_path, random_grid_instance, scrambled_grid_instance
 from oracle import brute_force_oracle, diagram_walks, pairwise_swap_clauses, walk_cost
 
@@ -58,7 +59,7 @@ def shortest_costs(instance):
     return {a.id: bfs_distances(instance.graph, a.start)[a.goal] for a in instance.agents}
 
 
-def full_model(instance, delta=0, mode=INCOMPLETE, conflicts=None, solver=None):
+def full_model(instance, delta=0, mode=INCOMPLETE, recorded=(), solver=None):
     xi = shortest_costs(instance)
     soc = sum(xi.values()) + delta
     distances = Distances(instance.graph)
@@ -66,10 +67,7 @@ def full_model(instance, delta=0, mode=INCOMPLETE, conflicts=None, solver=None):
         a.id: build_mdd(instance, a.id, xi[a.id] + delta, distances)
         for a in instance.agents
     }
-    return build_model(
-        instance, diagrams, {} if conflicts is None else conflicts,
-        soc, mode, xi, solver=solver,
-    )
+    return build_model(instance, diagrams, recorded, soc, mode, xi, solver=solver)
 
 
 class TestBuildModel:
@@ -103,7 +101,7 @@ class TestBuildModel:
             "a1": build_smdd("a1", [Path("a1", ("v00", "v01", "v11"))], 2),
             "a2": build_smdd("a2", [Path("a2", ("v11", "v01", "v00"))], 2),
         }
-        model = build_model(fix_b, diagrams, {}, 4, INCOMPLETE, shortest_costs(fix_b))
+        model = build_model(fix_b, diagrams, [], 4, INCOMPLETE, shortest_costs(fix_b))
         assert model.solve() is not None  # no collision clause yet
         add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v01", 1)])
         assert model.solve() is None
@@ -123,7 +121,7 @@ class TestBuildModel:
     def test_unequal_horizons_compile_as_padded_ones(self, data):
         # each unbanned diagram ends at its agent's own bound; padded with goal
         # levels to the longest, the diagrams give the same variables, horizon
-        # and clause stream, recorded conflicts included: past its diagram's
+        # and clause stream, recorded collisions included: past its diagram's
         # end an agent still holds its goal against the others
         rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
         mode = data.draw(st.sampled_from([INCOMPLETE, COMPLETE]), label="mode")
@@ -136,12 +134,13 @@ class TestBuildModel:
         padded = {aid: padded_diagram(mdd, horizon) for aid, mdd in own.items()}
         cells = list(inst.graph.vertices)
         moves = [(u, w) for u in cells for w in inst.graph.adjacency[u]]
-        conflicts = {aid: AgentConflicts(
-            frozenset((rng.choice(cells), rng.randint(0, horizon)) for _ in range(3)),
-            frozenset((rng.choice(moves), rng.randint(0, horizon)) for _ in range(2)))
-            for aid in xi}
+        pairs = list(itertools.combinations(xi, 2))
+        recorded = [Collision("vertex", rng.choice(pairs), rng.choice(cells),
+                              rng.randint(0, horizon)) for _ in range(3 * len(xi))]
+        recorded += [Collision("edge", rng.choice(pairs), rng.choice(moves),
+                               rng.randint(0, horizon)) for _ in range(2 * len(xi))]
         soc = sum(xi.values()) + delta
-        first, second = (build_model(inst, diagrams, conflicts, soc, mode, xi,
+        first, second = (build_model(inst, diagrams, recorded, soc, mode, xi,
                                      solver=RecordingSolver())
                          for diagrams in (own, padded))
         assert first.horizon == second.horizon == horizon
@@ -153,7 +152,7 @@ class TestBuildModel:
         distances = Distances(fix_b.graph)
         diagrams = {a.id: build_mdd(fix_b, a.id, 2, distances) for a in fix_b.agents}
         with pytest.raises(ValueError):
-            build_model(fix_b, diagrams, {}, 3, INCOMPLETE, shortest_costs(fix_b))
+            build_model(fix_b, diagrams, [], 3, INCOMPLETE, shortest_costs(fix_b))
 
 
 class TestAddConflictClauses:
@@ -184,15 +183,14 @@ class TestAddConflictClauses:
         assert model.solver.num_clauses == before
 
     def test_leaves_the_recorded_conflicts_unchanged(self, fix_b):
-        conflicts = {"a1": AgentConflicts().with_entry("vertex", ("v10", 1))}
-        model = full_model(fix_b, conflicts=conflicts)
+        recorded = [Collision("vertex", ("a1", "a2"), "v10", 1)]
+        model = full_model(fix_b, recorded=recorded)
         add_conflict_clauses(model, [Collision("vertex", ("a1", "a2"), "v01", 1),
                                      Collision("edge", ("a1", "a2"), ("v00", "v01"), 0)])
-        assert conflicts == {"a1": AgentConflicts().with_entry("vertex", ("v10", 1))}
+        assert recorded == [Collision("vertex", ("a1", "a2"), "v10", 1)]
 
     def test_recorded_conflicts_reach_fresh_models(self, fix_b):
-        carried = AgentConflicts().with_entry("vertex", ("v01", 1))
-        rebuilt = full_model(fix_b, conflicts={"a1": carried, "a2": carried},
+        rebuilt = full_model(fix_b, recorded=[Collision("vertex", ("a1", "a2"), "v01", 1)],
                              solver=RecordingSolver())
         x1 = rebuilt.x[("a1", "v01", 1)]
         x2 = rebuilt.x[("a2", "v01", 1)]
@@ -200,32 +198,33 @@ class TestAddConflictClauses:
             sorted(c) == sorted((-x1, -x2)) for c in rebuilt.solver.clauses
         )
 
-    def test_fresh_models_pair_only_agents_that_both_carry_the_entry(self):
-        # a3 carries no vertex entry, and a1's move but not a2's opposite one
-        g = Graph(["v00", "v01", "v10", "v11"],
-                  [("v00", "v01"), ("v01", "v11"), ("v11", "v10"), ("v10", "v00")])
-        inst = MapfInstance(g, [Agent("a1", "v00", "v11"), Agent("a2", "v11", "v00"),
-                                Agent("a3", "v01", "v10")])
-        forward, backward = (("v00", "v01"), 2), (("v01", "v00"), 2)
-        shared = AgentConflicts().with_entry("vertex", ("v00", 2))
-        conflicts = {"a1": shared.with_entry("edge", forward),
-                     "a2": shared.with_entry("edge", backward),
-                     "a3": AgentConflicts().with_entry("edge", forward)}
-        model = full_model(inst, delta=3, conflicts=conflicts, solver=RecordingSolver())
-        clauses = [sorted(c) for c in model.solver.clauses]
+    def test_fresh_models_hold_one_clause_per_recorded_collision(self):
+        # a1-a2 and a3-a4 meet at the centre at step 2, and swap across one
+        # edge at step 2: a1 and a3, like a2 and a4, carry the same entries,
+        # but only the pairs that collided get a clause, each collision one
+        names = [f"v{x}{y}" for y in range(3) for x in range(3)]
+        edges = ([(f"v{x}{y}", f"v{x + 1}{y}") for y in range(3) for x in range(2)]
+                 + [(f"v{x}{y}", f"v{x}{y + 1}") for y in range(2) for x in range(3)])
+        inst = MapfInstance(Graph(names, edges),
+                            [Agent("a1", "v00", "v22"), Agent("a2", "v22", "v00"),
+                             Agent("a3", "v20", "v02"), Agent("a4", "v02", "v20")])
+        recorded = [Collision("vertex", ("a1", "a2"), "v11", 2),
+                    Collision("vertex", ("a3", "a4"), "v11", 2),
+                    Collision("edge", ("a1", "a2"), ("v10", "v11"), 2),
+                    Collision("edge", ("a3", "a4"), ("v10", "v11"), 2)]
+        base = full_model(inst, delta=2, solver=RecordingSolver())
+        model = full_model(inst, delta=2, recorded=recorded, solver=RecordingSolver())
         x = model.x
-
-        def vertex(ai, aj):
-            return sorted((-x[(ai, "v00", 2)], -x[(aj, "v00", 2)]))
-
-        def swap(ai, aj):  # ai on v00 -> v01, aj on v01 -> v00
-            return sorted((-x[(ai, "v00", 2)], -x[(ai, "v01", 3)],
-                           -x[(aj, "v01", 2)], -x[(aj, "v00", 3)]))
-
-        assert vertex("a1", "a2") in clauses
-        assert vertex("a1", "a3") not in clauses and vertex("a2", "a3") not in clauses
-        assert swap("a1", "a2") in clauses and swap("a3", "a2") in clauses
-        assert swap("a1", "a3") not in clauses and swap("a3", "a1") not in clauses
+        n = len(base.solver.clauses)
+        assert model.solver.clauses[:n] == base.solver.clauses
+        assert model.solver.clauses[n:] == [
+            [-x[("a1", "v11", 2)], -x[("a2", "v11", 2)]],
+            [-x[("a3", "v11", 2)], -x[("a4", "v11", 2)]],
+            [-x[("a1", "v10", 2)], -x[("a1", "v11", 3)], -x[("a2", "v11", 2)],
+             -x[("a2", "v10", 3)]],
+            [-x[("a3", "v10", 2)], -x[("a3", "v11", 3)], -x[("a4", "v11", 2)],
+             -x[("a4", "v10", 3)]],
+        ]
 
 
 def canonical(entries):
@@ -385,36 +384,33 @@ class TestEmissionOrder:
         assert checked > 100
 
     def test_recorded_conflict_clauses_are_in_canonical_order(self):
+        # the collisions of random answers, each answer's in
+        # `validate_solution`'s order, re-emit in that order: no clause order
+        # depends on a set's or a dict's iteration order
         inst = scrambled_grid_instance()
-        conflicts: dict = {}
-        graph = inst.graph
-        pairs = [(u, v) for u in graph.vertices for v in graph.adjacency[u] if u < v]
-        for t in range(5):
-            for u, v in pairs:
-                for a in ("a3", "a1", "a2"):
-                    conflicts[a] = (conflicts.get(a, AgentConflicts())
-                                    .with_entry("vertex", (v, t))
-                                    .with_entry("edge", ((u, v), t))
-                                    .with_entry("edge", ((v, u), t)))
-        model = full_model(inst, delta=2, conflicts=conflicts, solver=RecordingSolver())
-        node_of = {var: (a, (t, v)) for (a, v, t), var in model.x.items()}
-        emitted: dict[tuple, list] = {}
-        for clause in model.solver.clauses:
-            swap = self.swaps(model, clause)
-            if swap is not None:
-                ai, aj, move = swap
-                emitted.setdefault((ai, aj), []).append(("edge", move))
-            elif len(clause) == 2 and all(-lit in node_of for lit in clause):
-                (ai, ei), (aj, _) = (node_of[-lit] for lit in clause)
-                if ai != aj:
-                    emitted.setdefault((ai, aj), []).append(("vertex", ei))
-        assert set(emitted) == {("a1", "a2"), ("a1", "a3"), ("a2", "a3")}
-        for entries in emitted.values():
-            kinds = [kind for kind, _ in entries]
-            assert kinds == sorted(kinds, key=["vertex", "edge"].index)
-            for kind in ("vertex", "edge"):
-                keys = [e for k, e in entries if k == kind]
-                assert len(keys) > 1 and canonical(keys)
+        rng = random.Random(7)
+        full = full_model(inst, delta=2)
+        recorded = []
+        for _ in range(40):
+            walks = [random_walks(full.diagrams[a.id], rng, 1)[0] for a in inst.agents]
+            met = validate_solution(inst, Solution.from_paths(inst, walks))
+            assert [collision_key(inst, c) for c in met] == sorted(
+                collision_key(inst, c) for c in met)
+            recorded += [c for c in met if c not in recorded]
+        assert {c.kind for c in recorded} == {"vertex", "edge"} and len(recorded) > 20
+        base = full_model(inst, delta=2, solver=RecordingSolver())
+        model = full_model(inst, delta=2, recorded=recorded, solver=RecordingSolver())
+        x = model.x
+        expected = []
+        for c in recorded:
+            (ai, aj), t = c.agents, c.t
+            if c.kind == "vertex":
+                expected.append([-x[(ai, c.location, t)], -x[(aj, c.location, t)]])
+            else:
+                u, v = c.location
+                expected.append([-x[(ai, u, t)], -x[(ai, v, t + 1)], -x[(aj, v, t)],
+                                 -x[(aj, u, t + 1)]])
+        assert model.solver.clauses[len(base.solver.clauses):] == expected
 
 
 def fresh_solver(nvars):
@@ -488,7 +484,7 @@ class TestExtractSolution:
     def slack_model(fix_a, soc):
         """a1 over its diagram of cost bound 3, under `soc`."""
         diagrams = {"a1": build_mdd(fix_a, "a1", 3, Distances(fix_a.graph))}
-        return build_model(fix_a, diagrams, {}, soc, INCOMPLETE, {"a1": 2})
+        return build_model(fix_a, diagrams, [], soc, INCOMPLETE, {"a1": 2})
 
     @pytest.mark.parametrize("clear, occupy, match", [
         ([("v1", 0)], [], "occupies none of"),  # the start node
@@ -608,7 +604,7 @@ def recorded_models(instance, rng, delta=2, mode=INCOMPLETE):
               for aid, mdd in full.items()}
     # room for every agent to take its full slack
     soc = sum(xi.values()) + delta * len(xi)
-    return [build_model(instance, diagrams, {}, soc, mode, xi, solver=RecordingSolver())
+    return [build_model(instance, diagrams, [], soc, mode, xi, solver=RecordingSolver())
             for diagrams in (full, sparse)]
 
 
@@ -726,7 +722,7 @@ class TestAdmittedWalks:
                 single = MapfInstance(inst.graph, [a])
                 for mdd in (full, sparse):
                     for soc in range(xi, xi + delta + 1):
-                        model = build_model(single, {a.id: mdd}, {}, soc, INCOMPLETE,
+                        model = build_model(single, {a.id: mdd}, [], soc, INCOMPLETE,
                                             {a.id: xi})
                         walks = diagram_walks(mdd, soc)
                         assert model_walks(model, a.id) == walks
@@ -845,7 +841,7 @@ class TestSettleStep:
                 full = build_mdd(inst, aid, xi[aid] + 2, distances)
                 walks, arrivals[aid] = candidate_walks(full, rng)
                 diagrams[aid] = build_smdd(aid, walks, full.horizon)
-            model = build_model(inst, diagrams, {}, sum(xi.values()) + 2 * len(xi),
+            model = build_model(inst, diagrams, [], sum(xi.values()) + 2 * len(xi),
                                 INCOMPLETE, xi)
             # the goal tail answers with the settle node up to the model's horizon
             for aid, s in arrivals.items():
@@ -881,7 +877,7 @@ class TestSettleStep:
         fits = [combo for combo in itertools.product(*choices)
                 if sum(walk_cost(w, g) for w, g in zip(combo, goals)) <= soc
                 and (mode == INCOMPLETE or collision_free(combo))]
-        model = build_model(inst, diagrams, {}, soc, mode, xi)
+        model = build_model(inst, diagrams, [], soc, mode, xi)
         assert model.horizon == horizon
         assignment = model.solve()
         assert (assignment is not None) == bool(fits)

@@ -72,23 +72,13 @@ def xi_sum(instance) -> int:
     )
 
 
-def no_conflicts(instance) -> dict:
-    """The conflicts `_lazy_solve` starts from: none for every agent."""
-    return {a.id: AgentConflicts() for a in instance.agents}
-
-
-def recorded(conflicts: dict) -> int:
-    """Number of conflict entries recorded over all agents."""
-    return sum(len(c.vertex) + len(c.edge) for c in conflicts.values())
-
-
-def fixed_round(instance, candidates, conflicts, soc, extend="and", stats=None):
+def fixed_round(instance, candidates, met, soc, extend="and", stats=None):
     """One fixed-bounds round of incomplete models (`solvers._fixed`), with
     the shortest costs and distance memo that `_run` would hand it."""
     distances = Distances(instance.graph)
     xi = solvers._shortest_costs(instance, distances)
     return _fixed(instance, Deadline(60), SolveStats() if stats is None else stats, candidates,
-                  conflicts, soc, xi, INCOMPLETE, extend, distances)
+                  met, soc, xi, INCOMPLETE, extend, distances)
 
 
 def corridor_instance() -> MapfInstance:
@@ -182,7 +172,7 @@ class TestFixtureOptima:
             assert fn(inst, QUICK).status == INFEASIBLE, algo
         assert brute_force_oracle(inst, 10).status == INFEASIBLE
         with pytest.raises(InfeasibleAgentError):
-            fixed_round(inst, {a.id: {} for a in inst.agents}, no_conflicts(inst), 2)
+            fixed_round(inst, {a.id: {} for a in inst.agents}, [], 2)
 
 
 class TestCbs:
@@ -463,38 +453,39 @@ class TestSparseFamily:
 class TestHeuristicFixed:
     def test_cycle_at_tight_bounds(self, fix_b):
         candidates = initial_candidates(fix_b, Distances(fix_b.graph))
-        solution = fixed_round(fix_b, candidates, no_conflicts(fix_b), 4)
+        solution = fixed_round(fix_b, candidates, [], 4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
         assert validate_solution(fix_b, solution) == []
 
     def test_spur_below_optimum_is_unsat_after_promotion(self, fix_c):
         candidates = initial_candidates(fix_c, Distances(fix_c.graph))
-        conflicts = no_conflicts(fix_c)
-        solution = fixed_round(fix_c, candidates, conflicts, 6)
+        met = []
+        solution = fixed_round(fix_c, candidates, met, 6)
         assert solution is None
         assert all(candidates[a.id] is None for a in fix_c.agents)
-        assert recorded(conflicts) > 0
+        assert met
 
     @pytest.mark.parametrize("extend", ["and", "or"])
     def test_both_agents_of_every_collision_carry_it(self, extend, fix_c, monkeypatch):
-        met = []
+        found = []
 
         def spy(instance, solution):
             collisions = validate_solution(instance, solution)
-            met.extend(collisions)
+            found.extend(collisions)
             return collisions
 
         monkeypatch.setattr(solvers, "validate_solution", spy)
         candidates = initial_candidates(fix_c, Distances(fix_c.graph))
-        conflicts = no_conflicts(fix_c)
+        met = []
         # below the optimum of 8: the round meets an edge and two vertex
         # collisions before it promotes both agents and proves UNSAT
-        assert fixed_round(fix_c, candidates, conflicts, 7, extend) is None
+        assert fixed_round(fix_c, candidates, met, 7, extend) is None
+        assert met == found
         assert {col.kind for col in met} == {"vertex", "edge"}
         for col in met:
             for side, agent_id in enumerate(col.agents):
-                carried = conflicts[agent_id]
+                carried = solvers._avoidance(met, agent_id)
                 entries = carried.vertex if col.kind == "vertex" else carried.edge
                 assert col.entry(side) in entries
 
@@ -504,7 +495,7 @@ class TestHeuristicFixed:
         inst = corridor_instance()
         candidates = initial_candidates(inst, Distances(inst.graph))
         stats = SolveStats()
-        assert fixed_round(inst, candidates, no_conflicts(inst), 5, stats=stats) is None
+        assert fixed_round(inst, candidates, [], 5, stats=stats) is None
         assert all(candidates[a.id] is None for a in inst.agents)
         assert (stats.iterations, stats.sat_calls) == ([], 0)
 
@@ -515,23 +506,22 @@ class TestHeuristicFixed:
         monkeypatch.setattr(solvers, "constrained_shortest_path",
                             lambda *args, **kwargs: searched.append(args))
         candidates = initial_candidates(fix_b, Distances(fix_b.graph))
-        assert fixed_round(fix_b, candidates, no_conflicts(fix_b), 4) is not None
+        assert fixed_round(fix_b, candidates, [], 4) is not None
         assert searched == []
 
     def test_single_agent_immediate(self, fix_a):
         candidates = initial_candidates(fix_a, Distances(fix_a.graph))
-        conflicts = no_conflicts(fix_a)
-        solution = fixed_round(fix_a, candidates, conflicts, 2)
+        met = []
+        solution = fixed_round(fix_a, candidates, met, 2)
         assert solution.paths[0].positions == ("v1", "v2", "v3")
-        assert recorded(conflicts) == 0
+        assert met == []
 
     def test_unsat_over_sparse_sets_promotes_all_agents(self, fix_b):
-        # a pre-recorded conflict makes the single-candidate model UNSAT even
+        # a pre-recorded collision makes the single-candidate model UNSAT even
         # though the instance is solvable at these bounds
         candidates = initial_candidates(fix_b, Distances(fix_b.graph))
-        carried = AgentConflicts().with_entry("vertex", ("v01", 1))
-        conflicts = {"a1": carried, "a2": carried}
-        solution = fixed_round(fix_b, candidates, conflicts, 4)
+        met = [Collision("vertex", ("a1", "a2"), "v01", 1)]
+        solution = fixed_round(fix_b, candidates, met, 4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
         assert all(candidates[a.id] is None for a in fix_b.agents)
@@ -545,7 +535,7 @@ class TestHeuristicFixed:
         )
         inst = MapfInstance(g, [*fix_b.agents, Agent("a3", "w1", "w3")])
         candidates = initial_candidates(inst, Distances(g))
-        solution = fixed_round(inst, candidates, no_conflicts(inst), 6)
+        solution = fixed_round(inst, candidates, [], 6)
         assert sum_of_costs(inst, solution) == 6
         assert candidates["a3"] is not None
         assert list(candidates["a3"].values()) == [Path("a3", ("w1", "w2", "w3"))]
@@ -562,7 +552,7 @@ class TestHeuristicFixed:
         candidates = initial_candidates(inst, Distances(g))
         assert list(candidates["a2"]) == [("s2", "m", "g2")]
         stats = SolveStats()
-        solution = fixed_round(inst, candidates, no_conflicts(inst), 5, extend, stats)
+        solution = fixed_round(inst, candidates, [], 5, extend, stats)
         assert validate_solution(inst, solution) == []
         assert candidates["a1"] is None
         assert list(candidates["a2"]) == [("s2", "m", "g2"), ("s2", "w", "g2")]
@@ -704,6 +694,59 @@ class TestOptimalityAgreement:
         for per_model in received.values():
             assert len(set(per_model)) == len(per_model)
 
+    def test_every_conflict_clause_is_the_clause_of_a_collision_met(self, fix_a, fix_b,
+                                                                     fix_c, monkeypatch):
+        # a clause over the pair that collided, of the collision's kind and
+        # entry, in the model that met it and in every later model
+        received: dict[CdclSolver, list[tuple[int, ...]]] = {}
+        add_clause = CdclSolver.add_clause
+
+        def recording(solver, lits):
+            received.setdefault(solver, []).append(tuple(sorted(lits)))
+            add_clause(solver, lits)
+
+        models, met = [], []
+        build_model, validate = solvers.build_model, solvers.validate_solution
+
+        def building(*args, **kwargs):
+            models.append(build_model(*args, **kwargs))
+            return models[-1]
+
+        def validating(instance, solution):
+            collisions = validate(instance, solution)
+            met.extend(collisions)
+            return collisions
+
+        monkeypatch.setattr(CdclSolver, "add_clause", recording)
+        monkeypatch.setattr(solvers, "build_model", building)
+        monkeypatch.setattr(solvers, "validate_solution", validating)
+
+        def clause(model, col):
+            x, (ai, aj), t = model.x, col.agents, col.t
+            if col.kind == "vertex":
+                lits = (x.get((ai, col.location, t)), x.get((aj, col.location, t)))
+            else:
+                u, v = col.location
+                lits = (x.get((ai, u, t)), x.get((ai, v, t + 1)), x.get((aj, v, t)),
+                        x.get((aj, u, t + 1)))
+            return None if None in lits else tuple(sorted(-lit for lit in lits))
+
+        rng = random.Random(606)
+        instances = [fix_a, fix_b, fix_c] + [random_grid_instance(rng) for _ in range(12)]
+        checked = 0
+        for inst in instances:
+            config = SolverConfig(timeout_s=60, cost_cap=xi_sum(inst) + 4)
+            for algo in ("smtcbs", "sparse", "heuristic"):
+                models.clear(), met.clear(), received.clear()
+                out = ALGORITHMS[algo](inst, config)
+                assert out.stats.conflicts == len(met) == len(set(met)), (algo, inst)
+                for model in models:
+                    allowed = {clause(model, col) for col in met}
+                    for lits in received.get(model.solver, []):
+                        assert lits in allowed, (algo, inst, lits)
+                        checked += 1
+        assert checked > 100
+
     def test_conflict_sets_only_grow(self, fix_c):
         # indirectly: recorded conflict totals are monotone over iterations
         out = solve_heuristic_smt_cbs(fix_c, QUICK)
@@ -752,8 +795,13 @@ def test_solution_json_shape(fix_b):
     assert payload["makespan"] == out.solution.horizon
     assert len(payload["paths"]) == 2
     stats = payload["stats"]
-    assert set(stats) == {"sat_calls", "conflicts", "smdd_nodes_per_iter", "runtime_s"}
+    assert list(stats) == ["sat_calls", "conflicts", "iterations", "runtime_s"]
     assert stats["sat_calls"] >= 1
+    assert stats["iterations"] == [
+        {"soc": it.soc, "horizon": it.horizon, "nodes_per_agent": it.nodes_per_agent,
+         "full_mdd": it.full_mdd} for it in out.stats.iterations]
+    assert json.loads(json.dumps(stats))["iterations"][0]["nodes_per_agent"] == list(
+        out.stats.iterations[0].nodes_per_agent)
 
 
 def test_stats_runtime_is_recorded(fix_a):
