@@ -47,15 +47,13 @@ class EmptyDiagramError(Exception):
 class Mdd:
     """Per-agent leveled DAG of time-expanded nodes, kept as its builder orders it."""
 
-    def __init__(self, agent: Hashable, horizon: int,
-                 levels: Levels, out: OutEdges):
+    def __init__(self, horizon: int, levels: Levels, out: OutEdges):
         if len(levels) != horizon + 1:
             raise ValueError(f"expected {horizon + 1} levels, got {len(levels)}")
         if len(levels[0]) != 1:
             raise ValueError("level 0 must hold exactly the start node")
         if len(levels[-1]) != 1:
             raise ValueError("last level must hold exactly the goal node")
-        self.agent = agent
         self.horizon = horizon
         self.levels = levels
         self._out = out
@@ -79,6 +77,12 @@ class Mdd:
     def outgoing(self, u: Vertex, t: int) -> tuple[Vertex, ...]:
         return self._out.get((t, u), ())
 
+    def represents(self, path: Path) -> bool:
+        """True when every step of the path, padded to the horizon with goal
+        waits, is one of the diagram's out-edges."""
+        pos = path.padded(self.horizon).positions
+        return all(pos[t + 1] in self.outgoing(pos[t], t) for t in range(self.horizon))
+
 
 def build_mdd(instance: MapfInstance, agent_id: Hashable, bound: int,
               distances: Distances, avoid: AgentConflicts = AgentConflicts()) -> Mdd:
@@ -99,7 +103,7 @@ def build_mdd(instance: MapfInstance, agent_id: Hashable, bound: int,
     levels, out = walk_levels(instance, agent_id, bound, distances, avoid)
     if not levels[0]:
         raise EmptyDiagramError(f"goal bans leave agent {agent_id!r} no walk")
-    return Mdd(agent_id, bound, levels, out)
+    return Mdd(bound, levels, out)
 
 
 def goal_bans(instance: MapfInstance,
@@ -215,5 +219,5 @@ def build_smdd(agent_id: Hashable, paths: Sequence[Path], horizon: int) -> Mdd:
             heads.setdefault((t, pos[t]), set()).add(pos[t + 1])
     levels = tuple(tuple(sorted(level)) for level in members)
     out = {key: tuple(sorted(vs)) for key, vs in heads.items()}
-    return Mdd(agent_id, horizon, levels, out)
+    return Mdd(horizon, levels, out)
 

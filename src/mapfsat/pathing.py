@@ -265,31 +265,27 @@ def new_and_path(
     mdd: Mdd,
     conflicts: AgentConflicts,
     distances: Distances,
-) -> Optional[Path]:
-    """Shortest path avoiding every conflict of the agent at once, within the
-    agent's bound: the horizon of `mdd`, its current sparse diagram.
-
-    Returns None when no such path exists, or when the found path is already
-    represented by `mdd`: every step of the path padded to the diagram's
-    horizon is one of its out-edges (adding the path would change nothing).
+) -> list[Path]:
+    """The shortest path avoiding every conflict of the agent at once, within
+    the horizon of `mdd`, the agent's sparse diagram, unless the diagram
+    already represents it (`Mdd.represents`): a list of at most one path.
     """
     path = constrained_shortest_path(instance, agent_id, conflicts, mdd.horizon, distances)
-    if path is None:
-        return None
-    pos = path.padded(mdd.horizon).positions
-    if all(pos[t + 1] in mdd.outgoing(pos[t], t) for t in range(mdd.horizon)):
-        return None
-    return path
+    if path is None or mdd.represents(path):
+        return []
+    return [path]
 
 
 def new_or_paths(
     instance: MapfInstance,
     agent_id: Hashable,
+    mdd: Mdd,
     conflicts: AgentConflicts,
-    bound: int,
     distances: Distances,
 ) -> list[Path]:
-    """One shortest avoiding path of cost <= bound per nonempty conflict subset.
+    """One shortest avoiding path per nonempty conflict subset, within the
+    horizon of `mdd`, the agent's sparse diagram, less the paths the diagram
+    already represents (`Mdd.represents`).
 
     Subsets are enumerated in increasing cardinality, stopping after
     `OR_SUBSET_LIMIT` subsets; duplicate paths are dropped.
@@ -308,8 +304,9 @@ def new_or_paths(
             vconf = frozenset(e for kind, e in subset if kind == "vertex")
             econf = frozenset(e for kind, e in subset if kind == "edge")
             path = constrained_shortest_path(instance, agent_id, AgentConflicts(vconf, econf),
-                                             bound, distances)
+                                             mdd.horizon, distances)
             if path is not None and path.positions not in seen_positions:
                 seen_positions.add(path.positions)
-                out.append(path)
+                if not mdd.represents(path):
+                    out.append(path)
     return out

@@ -22,9 +22,9 @@ keeps one list of the collisions it has met, across bounds. Each collision
 of a satisfying assignment joins it and becomes one clause over the pair
 that collided; every later model re-emits the list with the same rule, and
 each agent's side of its recorded collisions steers its new candidate
-paths. Candidate sets are a plain dict: each agent id maps to
-``{positions: Path}`` in the order added, or to None once the agent is on
-its full diagram. With ``extend`` None every agent is on its full diagram
+paths. Candidate sets are a plain dict: each agent id maps to the list of
+its candidate paths in the order added, or to None once the agent is on its
+full diagram. With ``extend`` None every agent is on its full diagram
 from the start. An algorithm is a fixed ``(mode, extend)`` pair:
 
 * mddsat    -- ``(COMPLETE, None)``: a collision in an answer is an encoding
@@ -455,13 +455,9 @@ def _lazy_solve(mode, extend, instance, deadline, stats, distances, xi, cap):
 
 
 def initial_candidates(instance: MapfInstance,
-                       distances: Distances) -> dict[Hashable, dict[tuple, Path] | None]:
-    """Each agent's candidate set: its shortest path, keyed by its positions."""
-    candidates = {}
-    for a in instance.agents:
-        path = shortest_path(instance, a.id, distances)
-        candidates[a.id] = {path.positions: path}
-    return candidates
+                       distances: Distances) -> dict[Hashable, list[Path] | None]:
+    """Each agent's candidate set: a list of its shortest path."""
+    return {a.id: [shortest_path(instance, a.id, distances)] for a in instance.agents}
 
 
 def _fixed(instance, deadline, stats, candidates, met, soc, xi, mode, extend, distances):
@@ -495,7 +491,7 @@ def _fixed(instance, deadline, stats, candidates, met, soc, xi, mode, extend, di
                 diagrams = {
                     a.id: build_mdd(instance, a.id, bounds[a.id], distances, bans[a.id])
                     if candidates[a.id] is None
-                    else build_smdd(a.id, list(candidates[a.id].values()), bounds[a.id])
+                    else build_smdd(a.id, candidates[a.id], bounds[a.id])
                     for a in instance.agents
                 }
             except EmptyDiagramError:
@@ -530,18 +526,19 @@ def _fixed(instance, deadline, stats, candidates, met, soc, xi, mode, extend, di
         stats.conflicts += len(collisions)
         met += collisions
         add_conflict_clauses(model, collisions)
-        if _extend(instance, candidates, diagrams, met, collisions, bounds, extend, distances):
+        if _extend(instance, candidates, diagrams, met, collisions, extend, distances):
             model = None  # diagrams changed shape: rebuild on the next pass
 
 
-def _extend(instance, candidates, diagrams, met, collisions, bounds, extend, distances):
+def _extend(instance, candidates, diagrams, met, collisions, extend, distances):
     """Grow the sparse candidate sets of the colliding agents; True if any changed.
 
     An agent's conflicts are its side of each collision in `met` it was in.
-    "and" adds one path avoiding all of an agent's conflicts, unless its
-    current diagram represents it; "or" adds one path per conflict subset. An
-    agent with nothing new to add is promoted to its full diagram. Both
-    search within the agent's own bound `xi + delta`, its diagram's horizon.
+    "and" asks `new_and_path` for one path avoiding all of them, "or" asks
+    `new_or_paths` for one path per conflict subset. Both search within the
+    agent's current diagram's horizon and return only paths that the diagram
+    does not already represent; these join the agent's set. An agent with
+    nothing new is promoted to its full diagram.
     """
     grown = False
     for agent_id in dict.fromkeys(a for col in collisions for a in col.agents):
@@ -549,15 +546,13 @@ def _extend(instance, candidates, diagrams, met, collisions, bounds, extend, dis
         if known is None:
             continue
         conf = _avoidance(met, agent_id)
-        if extend == "and":
-            pi = new_and_path(instance, agent_id, diagrams[agent_id], conf, distances)
-            assert pi is None or _avoids(pi, conf, diagrams[agent_id].horizon)
-            paths = [] if pi is None else [pi]
-        else:
-            paths = new_or_paths(instance, agent_id, conf, bounds[agent_id], distances)
-        new = {p.positions: p for p in paths if p.positions not in known}
-        known.update(new)
-        if not new:
+        mdd = diagrams[agent_id]
+        # looked up by name at each call, so that wrappers of either see it
+        generate = new_and_path if extend == "and" else new_or_paths
+        paths = generate(instance, agent_id, mdd, conf, distances)
+        assert extend != "and" or all(_avoids(p, conf, mdd.horizon) for p in paths)
+        known += paths
+        if not paths:
             candidates[agent_id] = None
         grown = True
     return grown
@@ -581,15 +576,15 @@ def _avoids(path: Path, conf: AgentConflicts, horizon: int) -> bool:
     )
 
 
-def _clear_walk(instance: MapfInstance, agent_id: Hashable, paths: dict[tuple, Path],
+def _clear_walk(instance: MapfInstance, agent_id: Hashable, paths: list[Path],
                 bans: AgentConflicts, bound: int, distances: Distances) -> bool:
     """True if the agent has a walk within `bound` that keeps clear of the goal
     cells held in `bans`: one of its candidate `paths`, else one that a
     search under the bans finds. Past its end a candidate waits on its own
     goal, which the bans never hold."""
     first = bans.held_from()
-    if any(all(first.get(v, t + 1) > t for t, v in enumerate(positions))
-           for positions in paths):
+    if any(all(first.get(v, t + 1) > t for t, v in enumerate(p.positions))
+           for p in paths):
         return True
     return constrained_shortest_path(instance, agent_id, bans, bound, distances) is not None
 

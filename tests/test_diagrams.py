@@ -297,6 +297,38 @@ class TestBuildSmdd:
             assert contains_path(smdd, p)
 
 
+class TestRepresents:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_reference_walk_check(self, data):
+        # candidates drawn through the full diagram, then walks of the graph
+        # from the start that mostly follow the sparse diagram's moves
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        inst = random_grid_instance(rng)
+        agent = data.draw(st.sampled_from(inst.agents), label="agent")
+        distances = Distances(inst.graph)
+        xi = distances.dist(agent.goal)[agent.start]
+        horizon = xi + data.draw(st.integers(0, 3), label="slack")
+        full = build_mdd(inst, agent.id, horizon, distances)
+        candidates = []
+        for _ in range(rng.randint(1, 3)):
+            pos = [full.start]
+            for t in range(horizon):
+                pos.append(rng.choice(full.outgoing(pos[-1], t)))
+            candidates.append(Path(agent.id, tuple(pos)))
+        smdd = build_smdd(agent.id, candidates, horizon)
+        assert all(smdd.represents(p) for p in candidates)
+        for _ in range(20):
+            pos = [agent.start]
+            for t in range(rng.randint(0, horizon)):
+                heads = smdd.outgoing(pos[-1], t)
+                if not heads or rng.random() < 0.2:
+                    heads = inst.graph.move_table[pos[-1]]
+                pos.append(rng.choice(heads))
+            walk = Path(agent.id, tuple(pos))
+            assert smdd.represents(walk) == contains_path(smdd, walk)
+
+
 class TestOrderedDiagrams:
     """Both builders hand over levels and out-edge lists in the ids' order."""
 
@@ -409,7 +441,7 @@ class TestSparseVersusFull:
 
 def test_dump_format_is_stable(fix_d_paths):
     smdd = build_smdd("ax", fix_d_paths, 4)
-    assert (smdd.agent, smdd.horizon) == ("ax", 4)
+    assert smdd.horizon == 4
     assert smdd.levels == (("v1",), ("v2", "v6"), ("v3",), ("v4", "v7"), ("v5",))
     assert diagram_edges(smdd) == {
         (0, "v1", "v2"), (0, "v1", "v6"), (1, "v2", "v3"), (1, "v6", "v3"),

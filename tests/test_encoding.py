@@ -392,7 +392,7 @@ class TestEmissionOrder:
         full = full_model(inst, delta=2)
         recorded = []
         for _ in range(40):
-            walks = [random_walks(full.diagrams[a.id], rng, 1)[0] for a in inst.agents]
+            walks = [random_walks(full.diagrams[a.id], a.id, rng, 1)[0] for a in inst.agents]
             met = validate_solution(inst, Solution.from_paths(inst, walks))
             assert [collision_key(inst, c) for c in met] == sorted(
                 collision_key(inst, c) for c in met)
@@ -578,18 +578,18 @@ class TestModelDefinitions:
 def padded_diagram(mdd, horizon):
     """`mdd` with goal levels, joined by goal waits, up to `horizon`."""
     tail = range(mdd.horizon, horizon)
-    return Mdd(mdd.agent, horizon, mdd.levels + ((mdd.goal,),) * len(tail),
+    return Mdd(horizon, mdd.levels + ((mdd.goal,),) * len(tail),
                {**mdd._out, **{(t, mdd.goal): (mdd.goal,) for t in tail}})
 
 
-def random_walks(mdd, rng, k):
-    """`k` random start-to-goal walks through a full diagram."""
+def random_walks(mdd, agent_id, rng, k):
+    """`k` random start-to-goal walks of agent `agent_id` through a full diagram."""
     walks = []
     for _ in range(k):
         pos = [mdd.start]
         for t in range(mdd.horizon):
             pos.append(rng.choice(mdd.outgoing(pos[-1], t)))
-        walks.append(Path(mdd.agent, tuple(pos)))
+        walks.append(Path(agent_id, tuple(pos)))
     return walks
 
 
@@ -600,7 +600,7 @@ def recorded_models(instance, rng, delta=2, mode=INCOMPLETE):
     distances = Distances(instance.graph)
     xi = {a.id: distances.dist(a.goal)[a.start] for a in instance.agents}
     full = {aid: build_mdd(instance, aid, xi[aid] + delta, distances) for aid in xi}
-    sparse = {aid: build_smdd(aid, random_walks(mdd, rng, 3), mdd.horizon)
+    sparse = {aid: build_smdd(aid, random_walks(mdd, aid, rng, 3), mdd.horizon)
               for aid, mdd in full.items()}
     # room for every agent to take its full slack
     soc = sum(xi.values()) + delta * len(xi)
@@ -718,7 +718,7 @@ class TestAdmittedWalks:
                 xi = distances.dist(a.goal)[a.start]
                 delta = rng.randint(1, 2)
                 full = build_mdd(inst, a.id, xi + delta, distances)
-                sparse = build_smdd(a.id, random_walks(full, rng, 3), xi + delta)
+                sparse = build_smdd(a.id, random_walks(full, a.id, rng, 3), xi + delta)
                 single = MapfInstance(inst.graph, [a])
                 for mdd in (full, sparse):
                     for soc in range(xi, xi + delta + 1):
@@ -737,10 +737,10 @@ def settle_step(mdd):
                if all(level == (mdd.goal,) for level in mdd.levels[t:]))
 
 
-def candidate_walks(mdd, rng):
-    """One to three random walks through a full diagram, with the step at
-    which the last of them arrives for good."""
-    walks = random_walks(mdd, rng, rng.randint(1, 3))
+def candidate_walks(mdd, agent_id, rng):
+    """One to three random walks of agent `agent_id` through a full diagram,
+    with the step at which the last of them arrives for good."""
+    walks = random_walks(mdd, agent_id, rng, rng.randint(1, 3))
     return walks, max(walk_cost(p.positions, mdd.goal) for p in walks)
 
 
@@ -839,7 +839,7 @@ class TestSettleStep:
             diagrams, arrivals = {}, {}
             for aid in xi:
                 full = build_mdd(inst, aid, xi[aid] + 2, distances)
-                walks, arrivals[aid] = candidate_walks(full, rng)
+                walks, arrivals[aid] = candidate_walks(full, aid, rng)
                 diagrams[aid] = build_smdd(aid, walks, full.horizon)
             model = build_model(inst, diagrams, [], sum(xi.values()) + 2 * len(xi),
                                 INCOMPLETE, xi)
@@ -865,7 +865,7 @@ class TestSettleStep:
         delta = data.draw(st.integers(0, 2), label="delta")
         horizon = max(xi.values()) + delta
         diagrams = {aid: build_smdd(aid, candidate_walks(
-                        build_mdd(inst, aid, xi[aid] + delta, distances), rng)[0],
+                        build_mdd(inst, aid, xi[aid] + delta, distances), aid, rng)[0],
                         xi[aid] + delta)
                     for aid in xi}
         soc = sum(xi.values()) + data.draw(st.integers(0, delta * len(xi)), label="slack")

@@ -463,25 +463,25 @@ class TestNewAndPath:
                           bound)
 
     def test_single_conflict(self, fix_a):
-        p = new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 3), vconf(("v2", 1)),
-                         Distances(fix_a.graph))
+        [p] = new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 3), vconf(("v2", 1)),
+                           Distances(fix_a.graph))
         assert p.positions == ("v1", "v1", "v2", "v3")
 
     def test_unavoidable_pair_gives_empty(self, fix_a):
         conf = vconf(("v2", 1), ("v2", 2))
         assert new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 3), conf,
-                            Distances(fix_a.graph)) is None
+                            Distances(fix_a.graph)) == []
 
     def test_vacuous_avoidance_is_the_shortest_path(self, fix_a):
         waits_first = build_smdd("a1", [Path("a1", ("v1", "v1", "v2", "v3"))], 3)
-        p = new_and_path(fix_a, "a1", waits_first, AgentConflicts(),
-                         Distances(fix_a.graph))
+        [p] = new_and_path(fix_a, "a1", waits_first, AgentConflicts(),
+                           Distances(fix_a.graph))
         assert p.positions == shortest_path(fix_a, "a1", Distances(fix_a.graph)).positions
 
     def test_path_already_represented_gives_empty(self, fix_a):
         assert (
             new_and_path(fix_a, "a1", self.shortest_diagram(fix_a, 2), AgentConflicts(),
-                         Distances(fix_a.graph)) is None
+                         Distances(fix_a.graph)) == []
         )
 
     def test_path_combined_from_candidate_steps_gives_empty(self, fix_d_graph, fix_d_paths):
@@ -492,16 +492,15 @@ class TestNewAndPath:
         found = constrained_shortest_path(inst, "ax", conf, 4, Distances(fix_d_graph))
         assert found.positions == ("v1", "v2", "v3", "v7", "v5")
         assert new_and_path(inst, "ax", build_smdd("ax", fix_d_paths, 4), conf,
-                            Distances(fix_d_graph)) is None
+                            Distances(fix_d_graph)) == []
 
     def test_avoids_every_conflict(self, fix_c):
         conf = AgentConflicts(
             frozenset({("v2", 1), ("v3", 2)}),
             frozenset({(("v1", "v2"), 0)}),
         )
-        p = new_and_path(fix_c, "a1", self.shortest_diagram(fix_c, 7), conf,
-                         Distances(fix_c.graph))
-        assert p is not None
+        [p] = new_and_path(fix_c, "a1", self.shortest_diagram(fix_c, 7), conf,
+                           Distances(fix_c.graph))
         padded = p.padded(7).positions
         assert all((v, t) not in conf.vertex for t, v in enumerate(padded))
         assert all(
@@ -510,9 +509,16 @@ class TestNewAndPath:
 
 
 class TestNewOrPaths:
+    @staticmethod
+    def dawdling_diagram():
+        """a1's sparse diagram at bound 4 over v1 v2 v2 v3, which represents
+        none of the paths expected below."""
+        return build_smdd("a1", [Path("a1", ("v1", "v2", "v2", "v3"))], 4)
+
     def test_every_subset_forces_a_unique_avoider(self, fix_a):
         conf = vconf(("v2", 1), ("v2", 2))
-        got = [p.positions for p in new_or_paths(fix_a, "a1", conf, 4, Distances(fix_a.graph))]
+        got = [p.positions for p in new_or_paths(fix_a, "a1", self.dawdling_diagram(), conf,
+                                                 Distances(fix_a.graph))]
         assert got == [
             ("v1", "v1", "v2", "v3"),
             ("v1", "v2", "v3"),
@@ -520,16 +526,19 @@ class TestNewOrPaths:
         ]
 
     def test_no_conflicts_no_paths(self, fix_a):
-        assert new_or_paths(fix_a, "a1", AgentConflicts(), 4, Distances(fix_a.graph)) == []
+        assert new_or_paths(fix_a, "a1", self.dawdling_diagram(), AgentConflicts(),
+                            Distances(fix_a.graph)) == []
 
     def test_single_conflict_yields_at_most_one(self, fix_a):
-        got = new_or_paths(fix_a, "a1", vconf(("v2", 1)), 4, Distances(fix_a.graph))
+        got = new_or_paths(fix_a, "a1", self.dawdling_diagram(), vconf(("v2", 1)),
+                           Distances(fix_a.graph))
         assert len(got) <= 1
 
     def test_subset_cap_limits_enumeration(self, fix_a, monkeypatch):
         monkeypatch.setattr(pathing, "OR_SUBSET_LIMIT", 2)
         conf = vconf(("v2", 1), ("v2", 2))
-        capped = new_or_paths(fix_a, "a1", conf, 4, Distances(fix_a.graph))
+        capped = new_or_paths(fix_a, "a1", self.dawdling_diagram(), conf,
+                              Distances(fix_a.graph))
         assert [p.positions for p in capped] == [
             ("v1", "v1", "v2", "v3"),
             ("v1", "v2", "v3"),
@@ -537,7 +546,16 @@ class TestNewOrPaths:
 
     def test_returned_paths_respect_bounds(self, fix_b):
         conf = vconf(("v01", 1), ("v10", 1))
-        for p in new_or_paths(fix_b, "a1", conf, 4, Distances(fix_b.graph)):
-            assert p.length <= 4
-            assert path_cost(p, "v11") <= 4
+        mdd = build_smdd("a1", [Path("a1", ("v00", "v01", "v11"))], 4)
+        for p in new_or_paths(fix_b, "a1", mdd, conf, Distances(fix_b.graph)):
+            assert p.length <= mdd.horizon
+            assert path_cost(p, "v11") <= mdd.horizon
             assert p.is_walk(fix_b.graph)
+
+    def test_paths_the_diagram_represents_give_empty(self, fix_d_graph, fix_d_paths):
+        # every subset of v6 at 1 and v4 at 3 is avoided by a candidate or by
+        # their combination v1 v2 v3 v7 v5, which the diagram represents
+        inst = MapfInstance(fix_d_graph, [Agent("ax", "v1", "v5")])
+        conf = vconf(("v6", 1), ("v4", 3))
+        assert new_or_paths(inst, "ax", build_smdd("ax", fix_d_paths, 4), conf,
+                            Distances(fix_d_graph)) == []

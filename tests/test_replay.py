@@ -44,7 +44,7 @@ def test_reordered_sparse_levels_show_as_counter_deltas(tmp_path, monkeypatch):
 
     def reversed_levels(*args):
         mdd = build_smdd(*args)
-        return Mdd(mdd.agent, mdd.horizon, tuple(level[::-1] for level in mdd.levels),
+        return Mdd(mdd.horizon, tuple(level[::-1] for level in mdd.levels),
                    mdd._out)
 
     monkeypatch.setattr(solvers, "build_smdd", reversed_levels)
@@ -54,6 +54,22 @@ def test_reordered_sparse_levels_show_as_counter_deltas(tmp_path, monkeypatch):
     assert all(mutated[k]["soc"] == rec["soc"] for k, rec in reference.items())
     assert out.getvalue().splitlines()[-1] != f"0 differences over {len(reference)} runs"
     assert "cdcl_" in out.getvalue()
+
+
+def test_promoting_every_agent_shows_as_an_all_full_delta(tmp_path, monkeypatch):
+    reference = replayed(tmp_path, "a.jsonl")
+    monkeypatch.setattr(solvers, "initial_candidates",
+                        lambda instance, distances: {a.id: None for a in instance.agents})
+    promoted = replayed(tmp_path, "b.jsonl")
+    out = io.StringIO()
+    assert replay.diff(reference, promoted, out) == 0  # same SOCs
+    lines = out.getvalue().splitlines()
+    for algo in ("sparse", "heuristic"):
+        line = next(line for line in lines if line.startswith(f"fixtures {algo}: "))
+        assert "all_full" in line, line
+    for algo in ("mddsat", "smtcbs"):
+        line = next(line for line in lines if line.startswith(f"fixtures {algo}: "))
+        assert "all_full" not in line, line
 
 
 @pytest.mark.parametrize("field, value", [("soc", 99), ("status", "timeout")])

@@ -34,6 +34,7 @@ from mapfsat import (
     build_instance,
     constrained_shortest_path,
     build_mdd,
+    build_smdd,
     initial_candidates,
     parse_map,
     parse_scen,
@@ -538,7 +539,7 @@ class TestHeuristicFixed:
         solution = fixed_round(inst, candidates, [], 6)
         assert sum_of_costs(inst, solution) == 6
         assert candidates["a3"] is not None
-        assert list(candidates["a3"].values()) == [Path("a3", ("w1", "w2", "w3"))]
+        assert candidates["a3"] == [Path("a3", ("w1", "w2", "w3"))]
 
     @pytest.mark.parametrize("extend", ["and", "or"])
     def test_only_an_agent_with_nothing_new_moves_to_its_full_diagram(self, extend):
@@ -550,15 +551,30 @@ class TestHeuristicFixed:
         inst = MapfInstance(g, [Agent("a1", "s1", "g1"), Agent("a2", "s2", "g2"),
                                 Agent("a3", "x1", "x2")])
         candidates = initial_candidates(inst, Distances(g))
-        assert list(candidates["a2"]) == [("s2", "m", "g2")]
+        assert [p.positions for p in candidates["a2"]] == [("s2", "m", "g2")]
         stats = SolveStats()
         solution = fixed_round(inst, candidates, [], 5, extend, stats)
         assert validate_solution(inst, solution) == []
         assert candidates["a1"] is None
-        assert list(candidates["a2"]) == [("s2", "m", "g2"), ("s2", "w", "g2")]
-        assert list(candidates["a3"]) == [("x1", "x2")]
+        assert [p.positions for p in candidates["a2"]] == [("s2", "m", "g2"),
+                                                           ("s2", "w", "g2")]
+        assert [p.positions for p in candidates["a3"]] == [("x1", "x2")]
         assert [it.full_mdd for it in stats.iterations] == [(False, False, False),
                                                            (True, False, False)]
+
+    @pytest.mark.parametrize("extend", ["and", "or"])
+    def test_an_agent_whose_diagram_represents_every_avoider_is_promoted(
+            self, extend, fix_d_graph, fix_d_paths):
+        # off v6 at 1 and v4 at 3 ax has the combined path v1 v2 v3 v7 v5,
+        # which is no candidate but every step of which the diagram represents
+        inst = MapfInstance(fix_d_graph, [Agent("ax", "v1", "v5"), Agent("ay", "v7", "v6")])
+        candidates = {"ax": list(fix_d_paths), "ay": None}
+        diagrams = {"ax": build_smdd("ax", fix_d_paths, 4)}
+        met = [Collision("vertex", ("ax", "ay"), "v6", 1),
+               Collision("vertex", ("ax", "ay"), "v4", 3)]
+        assert solvers._extend(inst, candidates, diagrams, met, met, extend,
+                               Distances(fix_d_graph))
+        assert candidates == {"ax": None, "ay": None}
 
 
 class TestOptimalityAgreement:
@@ -747,10 +763,27 @@ class TestOptimalityAgreement:
                         checked += 1
         assert checked > 100
 
-    def test_conflict_sets_only_grow(self, fix_c):
-        # indirectly: recorded conflict totals are monotone over iterations
-        out = solve_heuristic_smt_cbs(fix_c, QUICK)
-        assert out.soc == 8
+    def test_conflict_sets_only_grow(self, fix_c, monkeypatch):
+        # the collisions met as each round starts and ends: each snapshot is a
+        # prefix of the next, and the last is every collision the solve counted
+        real, snapshots = solvers._fixed, []
+
+        def snapshot(instance, deadline, stats, candidates, met, *rest):
+            snapshots.append(list(met))
+            solution = real(instance, deadline, stats, candidates, met, *rest)
+            snapshots.append(list(met))
+            return solution
+
+        monkeypatch.setattr(solvers, "_fixed", snapshot)
+        for algo in ("sparse", "heuristic"):
+            snapshots.clear()
+            out = ALGORITHMS[algo](fix_c, QUICK)
+            assert out.soc == 8, algo
+            # rounds at SOC 6, 7 and 8, and the first meets a collision
+            assert len(snapshots) == 6 and snapshots[1], algo
+            for before, after in zip(snapshots, snapshots[1:]):
+                assert after[:len(before)] == before, algo
+            assert out.stats.conflicts == len(snapshots[-1]), algo
 
 
 class TestTimeoutAndConfig:

@@ -17,9 +17,11 @@ file into that tree's `tools/` and run it there.
 then per workload and algorithm the number of differing runs and, for each
 summed counter that moved, the first file's total beside the delta (second
 file minus first), as in "num_clauses 19860836 -9995343", and a last line
-"N differences over M runs". It exits 1 when a run's status or SOC differs
-or a run is in only one file, else 0. A change that keeps the search shows
-0 differences.
+"N differences over M runs". Besides the search counters, `all_full` counts
+the runs in which some model had every agent on its full diagram, so a
+change to how the guided algorithms promote agents shows as its delta. It
+exits 1 when a run's status or SOC differs or a run is in only one file,
+else 0. A change that keeps the search shows 0 differences.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ COUNTERS = {
     "num_clauses": lambda r: sum(c["num_clauses"] for c in r["solve_calls"]),
     "cdcl_conflicts": lambda r: sum(c["conflicts"] for c in r["solve_calls"]),
     "cdcl_decisions": lambda r: sum(c["decisions"] for c in r["solve_calls"]),
+    "all_full": lambda r: int(any(all(it["full_mdd"]) for it in r["iterations"])),
 }
 
 
