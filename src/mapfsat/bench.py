@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path as FsPath
 from typing import Iterable, Sequence
 
@@ -23,6 +23,7 @@ PARSE_ERROR = "parse error"  # reason prefix: a map or scenario failed to parse
 # faults of one run that become one `error` record, reason "<class>: <message>"
 SOLVER_FAULTS = (EncodingSoundnessError, SatBackendError, MemoryError)
 
+# one per `BenchRecord` field, in its order: `write_csv` writes `astuple(record)`
 CSV_COLUMNS = ["map", "scen", "agents", "algo", "status", "runtime_s", "soc",
                "sat_calls", "conflicts", "reason"]
 
@@ -155,12 +156,7 @@ def write_csv(records: Iterable[BenchRecord], path: str | FsPath) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.map_name, r.scen_name, r.agents, r.algo, r.status,
-                repr(r.runtime_s), "" if r.soc is None else r.soc,
-                r.sat_calls, r.conflicts, r.reason,
-            ])
+        writer.writerows(astuple(r) for r in records)
 
 
 def read_csv(path: str | FsPath) -> list[BenchRecord]:

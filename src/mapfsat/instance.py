@@ -143,12 +143,11 @@ class Agent:
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """One scenario line: start/goal cells plus advisory metadata."""
+    """One scenario line: start/goal cells and the map it names."""
 
     start_cell: tuple[int, int]
     goal_cell: tuple[int, int]
     map_name: str = ""
-    optimal_length: float | None = None  # advisory only, never trusted
 
 
 class MapfInstance:
@@ -424,7 +423,7 @@ def parse_scen(text: str) -> list[AgentSpec]:
     """Parse movingai scenario text into ordered agent specs.
 
     Fields may be tab- or whitespace-separated. The per-line optimal length
-    is kept as advisory metadata only.
+    must be a number and is otherwise ignored.
     """
     lines = text.splitlines()
     if not lines:
@@ -451,10 +450,10 @@ def parse_scen(text: str) -> list[AgentSpec]:
         except ValueError:
             raise ScenParseError("non-numeric start/goal coordinates", line=n) from None
         try:
-            opt = float(fields[8])
+            float(fields[8])
         except ValueError:
             raise ScenParseError("non-numeric optimal length", line=n) from None
-        specs.append(AgentSpec((sx, sy), (gx, gy), map_name=fields[1], optimal_length=opt))
+        specs.append(AgentSpec((sx, sy), (gx, gy), map_name=fields[1]))
     return specs
 
 

@@ -16,16 +16,14 @@ finds ends at its agent's final arrival and ``Solution.from_paths`` pads
 them to the latest one, so every algorithm reports that as its makespan.
 
 The four SAT algorithms run one loop (``_lazy_solve``): raise the cost bound
-from the shortest-path total and run one fixed-bounds round (``_fixed``) per
-bound; each agent's diagrams end at its own bound ``xi + delta``. The loop
-keeps one list of the collisions it has met, across bounds. Each collision
-of a satisfying assignment joins it and becomes one clause over the pair
+from the shortest-path total and run one fixed-bounds round
+(``_SatSolve.round``) per bound; each agent's diagrams end at its own bound
+``xi + delta``. One ``_SatSolve`` object per solve holds the candidate sets
+and the list of collisions met, across bounds. Each collision of a
+satisfying assignment joins the list and becomes one clause over the pair
 that collided; every later model re-emits the list with the same rule, and
 each agent's side of its recorded collisions steers its new candidate
-paths. Candidate sets are a plain dict: each agent id maps to the list of
-its candidate paths in the order added, or to None once the agent is on its
-full diagram. With ``extend`` None every agent is on its full diagram
-from the start. An algorithm is a fixed ``(mode, extend)`` pair:
+paths. An algorithm is a fixed ``(mode, extend)`` pair:
 
 * mddsat    -- ``(COMPLETE, None)``: a collision in an answer is an encoding
   bug and raises ``EncodingSoundnessError``.
@@ -41,7 +39,7 @@ Path Finding Search", AIJ 2021) on both sides:
   Full diagrams leave those goal cells out for every other agent
   (``diagrams.goal_bans``, as CBS's held goals: ``AgentConflicts.held``
   pairs). When the bans leave some agent no walk, the
-  bound is proved infeasible without a model or a SAT call; ``_fixed`` tests
+  bound is proved infeasible without a model or a SAT call; a round tests
   this on every full diagram it builds, and on the candidate paths of the
   agents still on sparse sets before it builds their model.
 * In CBS: a vertex collision on an agent's goal at or after its arrival
@@ -435,20 +433,13 @@ def solve_heuristic_smt_cbs(instance: MapfInstance, config: SolverConfig | None 
 def _lazy_solve(mode, extend, instance, deadline, stats, distances, xi, cap):
     """Raise the cost bound from the shortest-path total, one round per bound.
 
-    Candidate sets and the collisions met carry over from bound to bound.
-    With `extend` None every agent starts on its full diagram. Returns the
-    solution and its bound: every lower bound's round proved infeasible, so
-    the bound is the SOC. `revalidate` checks it against the paths.
+    One `_SatSolve` carries the candidate sets and the collisions met from
+    bound to bound. Returns the solution and its bound: every lower bound's
+    round proved infeasible, so the bound is the SOC; `revalidate` checks it.
     """
-    soc0 = sum(xi.values())
-    if extend is None:
-        candidates = {a.id: None for a in instance.agents}
-    else:
-        candidates = initial_candidates(instance, distances)
-    met: list[Collision] = []
-    for soc in range(soc0, cap + 1):
-        solution = _fixed(instance, deadline, stats, candidates, met, soc, xi, mode, extend,
-                          distances)
+    solve = _SatSolve(mode, extend, instance, deadline, stats, distances, xi)
+    for soc in range(sum(xi.values()), cap + 1):
+        solution = solve.round(soc)
         if solution is not None:
             return solution, soc
     raise _CapExceeded
@@ -460,111 +451,148 @@ def initial_candidates(instance: MapfInstance,
     return {a.id: [shortest_path(instance, a.id, distances)] for a in instance.agents}
 
 
-def _fixed(instance, deadline, stats, candidates, met, soc, xi, mode, extend, distances):
-    """One round at a fixed SOC bound: a collision-free solution or None.
+@dataclass
+class _SatSolve:
+    """The state of one SAT solve, from its first bound to its last.
 
-    Each answer's collisions are appended to `met`, become lazy clauses and
-    grow `candidates`, both in place; a model built in the round re-emits
-    all of `met`. UNSAT is trusted only once every agent is
-    on its full diagram. Each agent's diagram ends at its bound `xi + delta`.
-
-    Full diagrams leave out the goal cells that arrived agents hold
-    (`goal_bans`). A bound is infeasible with no model when those bans leave
-    an agent no walk: a full diagram comes out empty, or an agent on a sparse
-    set has no candidate path clear of them and no search under them finds
-    one. Such a round promotes every agent to its full diagram, as an UNSAT
-    sparse round does, and returns None without a SAT call.
+    `candidates` maps each agent id to its candidate paths, or to None once
+    the agent is on its full diagram; with `extend` None every agent starts
+    there. `met` lists every collision the solve has met, in order.
     """
-    delta = soc - sum(xi.values())
-    bounds = {a.id: xi[a.id] + delta for a in instance.agents}
-    bans = goal_bans(instance, bounds)
-    if not all(_clear_walk(instance, agent_id, paths, bans[agent_id], bounds[agent_id],
-                           distances)
-               for agent_id, paths in candidates.items() if paths is not None):
-        candidates.update(dict.fromkeys(candidates))
-        return None
-    model = None
-    while True:
-        if model is None:
-            deadline.check()
-            try:
-                diagrams = {
-                    a.id: build_mdd(instance, a.id, bounds[a.id], distances, bans[a.id])
-                    if candidates[a.id] is None
-                    else build_smdd(a.id, candidates[a.id], bounds[a.id])
-                    for a in instance.agents
-                }
-            except EmptyDiagramError:
-                candidates.update(dict.fromkeys(candidates))
-                return None
-            # long single SAT calls poll the deadline between conflicts
-            model = build_model(instance, diagrams, met, soc, mode, xi,
-                                solver=CdclSolver(interrupt=deadline.check))
-            stats.iterations.append(IterationStat(
-                soc=soc,
-                horizon=model.horizon,
-                nodes_per_agent=tuple(diagrams[a.id].node_count for a in instance.agents),
-                full_mdd=tuple(candidates[a.id] is None for a in instance.agents),
-            ))
-        deadline.check()
-        stats.sat_calls += 1
-        assignment = model.solve()
-        if assignment is None:
-            if all(paths is None for paths in candidates.values()):
-                return None
+
+    mode: str
+    extend: str | None
+    instance: MapfInstance
+    deadline: Deadline
+    stats: SolveStats
+    distances: Distances
+    xi: dict[Hashable, int]
+    candidates: dict[Hashable, list[Path] | None] = field(init=False)
+    met: list[Collision] = field(init=False, default_factory=list)
+
+    def __post_init__(self):
+        if self.extend is None:
+            self.candidates = dict.fromkeys(a.id for a in self.instance.agents)
+        else:
+            self.candidates = initial_candidates(self.instance, self.distances)
+
+    def round(self, soc: int) -> Solution | None:
+        """One round at a fixed SOC bound: a collision-free solution or None.
+
+        Each answer's collisions join `met`, become lazy clauses and grow
+        `candidates`; a model built in the round re-emits all of `met`.
+        UNSAT is trusted only once every agent is on its full diagram. Each
+        agent's diagram ends at its bound `xi + delta`.
+
+        Full diagrams leave out the goal cells that arrived agents hold
+        (`goal_bans`). A bound is infeasible with no model when those bans
+        leave an agent no walk: a full diagram comes out empty, or an agent on
+        a sparse set has no candidate path clear of them and no search under
+        them finds one. Such a round promotes every agent to its full
+        diagram, as an UNSAT sparse round does, and returns None without a
+        SAT call.
+        """
+        instance, candidates, distances = self.instance, self.candidates, self.distances
+        delta = soc - sum(self.xi.values())
+        bounds = {a.id: self.xi[a.id] + delta for a in instance.agents}
+        bans = goal_bans(instance, bounds)
+        if not all(self._clear_walk(agent_id, paths, bans[agent_id], bounds[agent_id])
+                   for agent_id, paths in candidates.items() if paths is not None):
             candidates.update(dict.fromkeys(candidates))
-            model = None
-            continue
-        solution = extract_solution(model, assignment)
-        collisions = validate_solution(instance, solution)
-        if not collisions:
-            return solution
-        if mode == COMPLETE:
-            raise EncodingSoundnessError(
-                f"complete model admitted a collision: {collisions[0]}"
-            )
-        stats.conflicts += len(collisions)
-        met += collisions
-        add_conflict_clauses(model, collisions)
-        if _extend(instance, candidates, diagrams, met, collisions, extend, distances):
-            model = None  # diagrams changed shape: rebuild on the next pass
+            return None
+        model = None
+        while True:
+            if model is None:
+                self.deadline.check()
+                try:
+                    diagrams = {
+                        a.id: build_mdd(instance, a.id, bounds[a.id], distances, bans[a.id])
+                        if candidates[a.id] is None
+                        else build_smdd(a.id, candidates[a.id], bounds[a.id])
+                        for a in instance.agents
+                    }
+                except EmptyDiagramError:
+                    candidates.update(dict.fromkeys(candidates))
+                    return None
+                # long single SAT calls poll the deadline between conflicts
+                model = build_model(instance, diagrams, self.met, soc, self.mode, self.xi,
+                                    solver=CdclSolver(interrupt=self.deadline.check))
+                self.stats.iterations.append(IterationStat(
+                    soc=soc,
+                    horizon=model.horizon,
+                    nodes_per_agent=tuple(diagrams[a.id].node_count for a in instance.agents),
+                    full_mdd=tuple(candidates[a.id] is None for a in instance.agents),
+                ))
+            self.deadline.check()
+            self.stats.sat_calls += 1
+            assignment = model.solve()
+            if assignment is None:
+                if all(paths is None for paths in candidates.values()):
+                    return None
+                candidates.update(dict.fromkeys(candidates))
+                model = None
+                continue
+            solution = extract_solution(model, assignment)
+            collisions = validate_solution(instance, solution)
+            if not collisions:
+                return solution
+            if self.mode == COMPLETE:
+                raise EncodingSoundnessError(
+                    f"complete model admitted a collision: {collisions[0]}"
+                )
+            self.stats.conflicts += len(collisions)
+            self.met += collisions
+            add_conflict_clauses(model, collisions)
+            if self._grow(diagrams, collisions):
+                model = None  # diagrams changed shape: rebuild on the next pass
 
+    def _grow(self, diagrams, collisions) -> bool:
+        """Grow the sparse candidate sets of the colliding agents; True if any changed.
 
-def _extend(instance, candidates, diagrams, met, collisions, extend, distances):
-    """Grow the sparse candidate sets of the colliding agents; True if any changed.
+        An agent's conflicts are its side of each collision in `met` it was
+        in. "and" asks `new_and_path` for one path avoiding all of them, "or"
+        asks `new_or_paths` for one path per conflict subset. Both search
+        within the agent's current diagram's horizon and return only paths
+        that the diagram does not already represent; these join the agent's
+        set. An agent with nothing new is promoted to its full diagram.
+        """
+        grown = False
+        for agent_id in dict.fromkeys(a for col in collisions for a in col.agents):
+            known = self.candidates[agent_id]
+            if known is None:
+                continue
+            conf = self._avoidance(agent_id)
+            mdd = diagrams[agent_id]
+            # looked up by name at each call, so that wrappers of either see it
+            generate = new_and_path if self.extend == "and" else new_or_paths
+            paths = generate(self.instance, agent_id, mdd, conf, self.distances)
+            assert self.extend != "and" or all(_avoids(p, conf, mdd.horizon) for p in paths)
+            known += paths
+            if not paths:
+                self.candidates[agent_id] = None
+            grown = True
+        return grown
 
-    An agent's conflicts are its side of each collision in `met` it was in.
-    "and" asks `new_and_path` for one path avoiding all of them, "or" asks
-    `new_or_paths` for one path per conflict subset. Both search within the
-    agent's current diagram's horizon and return only paths that the diagram
-    does not already represent; these join the agent's set. An agent with
-    nothing new is promoted to its full diagram.
-    """
-    grown = False
-    for agent_id in dict.fromkeys(a for col in collisions for a in col.agents):
-        known = candidates[agent_id]
-        if known is None:
-            continue
-        conf = _avoidance(met, agent_id)
-        mdd = diagrams[agent_id]
-        # looked up by name at each call, so that wrappers of either see it
-        generate = new_and_path if extend == "and" else new_or_paths
-        paths = generate(instance, agent_id, mdd, conf, distances)
-        assert extend != "and" or all(_avoids(p, conf, mdd.horizon) for p in paths)
-        known += paths
-        if not paths:
-            candidates[agent_id] = None
-        grown = True
-    return grown
+    def _avoidance(self, agent_id: Hashable) -> AgentConflicts:
+        """The agent's side (`Collision.entry`) of each collision in `met` it was in."""
+        entries: dict[str, set] = {"vertex": set(), "edge": set()}
+        for col in self.met:
+            if agent_id in col.agents:
+                entries[col.kind].add(col.entry(col.agents.index(agent_id)))
+        return AgentConflicts(frozenset(entries["vertex"]), frozenset(entries["edge"]))
 
-
-def _avoidance(met: list[Collision], agent_id: Hashable) -> AgentConflicts:
-    """The agent's side (`Collision.entry`) of each collision in `met` it was in."""
-    entries: dict[str, set] = {"vertex": set(), "edge": set()}
-    for col in met:
-        if agent_id in col.agents:
-            entries[col.kind].add(col.entry(col.agents.index(agent_id)))
-    return AgentConflicts(frozenset(entries["vertex"]), frozenset(entries["edge"]))
+    def _clear_walk(self, agent_id: Hashable, paths: list[Path], bans: AgentConflicts,
+                    bound: int) -> bool:
+        """True if the agent has a walk within `bound` that keeps clear of the
+        goal cells held in `bans`: one of its candidate `paths`, else one
+        that a search under the bans finds. Past its end a candidate waits on
+        its own goal, which the bans never hold."""
+        first = bans.held_from()
+        if any(all(first.get(v, t + 1) > t for t, v in enumerate(p.positions))
+               for p in paths):
+            return True
+        return constrained_shortest_path(self.instance, agent_id, bans, bound,
+                                         self.distances) is not None
 
 
 def _avoids(path: Path, conf: AgentConflicts, horizon: int) -> bool:
@@ -574,19 +602,6 @@ def _avoids(path: Path, conf: AgentConflicts, horizon: int) -> bool:
     return not any(
         ((pos[t], pos[t + 1]), t) in conf.edge for t in range(len(pos) - 1)
     )
-
-
-def _clear_walk(instance: MapfInstance, agent_id: Hashable, paths: list[Path],
-                bans: AgentConflicts, bound: int, distances: Distances) -> bool:
-    """True if the agent has a walk within `bound` that keeps clear of the goal
-    cells held in `bans`: one of its candidate `paths`, else one that a
-    search under the bans finds. Past its end a candidate waits on its own
-    goal, which the bans never hold."""
-    first = bans.held_from()
-    if any(all(first.get(v, t + 1) > t for t, v in enumerate(p.positions))
-           for p in paths):
-        return True
-    return constrained_shortest_path(instance, agent_id, bans, bound, distances) is not None
 
 
 ALGORITHMS: dict[str, Callable[..., SolveOutcome]] = {

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import os
 import random
@@ -35,7 +36,6 @@ from mapfsat import (
     constrained_shortest_path,
     build_mdd,
     build_smdd,
-    initial_candidates,
     parse_map,
     parse_scen,
     path_cost,
@@ -50,7 +50,7 @@ from mapfsat import (
 )
 import mapfsat
 from mapfsat import diagrams, encoding, pathing, solvers
-from mapfsat.solvers import INCOMPLETE, Deadline, SolveStats, _fixed
+from mapfsat.solvers import INCOMPLETE, Deadline, SolveStats, _SatSolve
 from conftest import random_grid_instance
 from oracle import brute_force_oracle
 
@@ -73,13 +73,14 @@ def xi_sum(instance) -> int:
     )
 
 
-def fixed_round(instance, candidates, met, soc, extend="and", stats=None):
-    """One fixed-bounds round of incomplete models (`solvers._fixed`), with
-    the shortest costs and distance memo that `_run` would hand it."""
+def sat_solve(instance, extend="and", stats=None):
+    """The loop state of one incomplete-model solve (`solvers._SatSolve`), with
+    the shortest costs and distance memo that `_run` would hand it; its
+    `round(soc)` runs one fixed-bounds round."""
     distances = Distances(instance.graph)
     xi = solvers._shortest_costs(instance, distances)
-    return _fixed(instance, Deadline(60), SolveStats() if stats is None else stats, candidates,
-                  met, soc, xi, INCOMPLETE, extend, distances)
+    return _SatSolve(INCOMPLETE, extend, instance, Deadline(60),
+                     SolveStats() if stats is None else stats, distances, xi)
 
 
 def corridor_instance() -> MapfInstance:
@@ -173,7 +174,7 @@ class TestFixtureOptima:
             assert fn(inst, QUICK).status == INFEASIBLE, algo
         assert brute_force_oracle(inst, 10).status == INFEASIBLE
         with pytest.raises(InfeasibleAgentError):
-            fixed_round(inst, {a.id: {} for a in inst.agents}, [], 2)
+            sat_solve(inst).round(2)
 
 
 class TestCbs:
@@ -453,19 +454,17 @@ class TestSparseFamily:
 
 class TestHeuristicFixed:
     def test_cycle_at_tight_bounds(self, fix_b):
-        candidates = initial_candidates(fix_b, Distances(fix_b.graph))
-        solution = fixed_round(fix_b, candidates, [], 4)
+        solution = sat_solve(fix_b).round(4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
         assert validate_solution(fix_b, solution) == []
 
     def test_spur_below_optimum_is_unsat_after_promotion(self, fix_c):
-        candidates = initial_candidates(fix_c, Distances(fix_c.graph))
-        met = []
-        solution = fixed_round(fix_c, candidates, met, 6)
+        solve = sat_solve(fix_c)
+        solution = solve.round(6)
         assert solution is None
-        assert all(candidates[a.id] is None for a in fix_c.agents)
-        assert met
+        assert all(solve.candidates[a.id] is None for a in fix_c.agents)
+        assert solve.met
 
     @pytest.mark.parametrize("extend", ["and", "or"])
     def test_both_agents_of_every_collision_carry_it(self, extend, fix_c, monkeypatch):
@@ -477,16 +476,16 @@ class TestHeuristicFixed:
             return collisions
 
         monkeypatch.setattr(solvers, "validate_solution", spy)
-        candidates = initial_candidates(fix_c, Distances(fix_c.graph))
-        met = []
+        solve = sat_solve(fix_c, extend)
         # below the optimum of 8: the round meets an edge and two vertex
         # collisions before it promotes both agents and proves UNSAT
-        assert fixed_round(fix_c, candidates, met, 7, extend) is None
+        assert solve.round(7) is None
+        met = solve.met
         assert met == found
         assert {col.kind for col in met} == {"vertex", "edge"}
         for col in met:
             for side, agent_id in enumerate(col.agents):
-                carried = solvers._avoidance(met, agent_id)
+                carried = solve._avoidance(agent_id)
                 entries = carried.vertex if col.kind == "vertex" else carried.edge
                 assert col.entry(side) in entries
 
@@ -494,10 +493,10 @@ class TestHeuristicFixed:
         # at the shortest-path total, agent 1 holds its goal from step 1 on;
         # agent 2's candidate crosses it at step 2, and no walk avoids it
         inst = corridor_instance()
-        candidates = initial_candidates(inst, Distances(inst.graph))
         stats = SolveStats()
-        assert fixed_round(inst, candidates, [], 5, stats=stats) is None
-        assert all(candidates[a.id] is None for a in inst.agents)
+        solve = sat_solve(inst, stats=stats)
+        assert solve.round(5) is None
+        assert all(solve.candidates[a.id] is None for a in inst.agents)
         assert (stats.iterations, stats.sat_calls) == ([], 0)
 
     def test_a_candidate_clear_of_the_bans_needs_no_search(self, fix_b, monkeypatch):
@@ -506,26 +505,24 @@ class TestHeuristicFixed:
         searched = []
         monkeypatch.setattr(solvers, "constrained_shortest_path",
                             lambda *args, **kwargs: searched.append(args))
-        candidates = initial_candidates(fix_b, Distances(fix_b.graph))
-        assert fixed_round(fix_b, candidates, [], 4) is not None
+        assert sat_solve(fix_b).round(4) is not None
         assert searched == []
 
     def test_single_agent_immediate(self, fix_a):
-        candidates = initial_candidates(fix_a, Distances(fix_a.graph))
-        met = []
-        solution = fixed_round(fix_a, candidates, met, 2)
+        solve = sat_solve(fix_a)
+        solution = solve.round(2)
         assert solution.paths[0].positions == ("v1", "v2", "v3")
-        assert met == []
+        assert solve.met == []
 
     def test_unsat_over_sparse_sets_promotes_all_agents(self, fix_b):
         # a pre-recorded collision makes the single-candidate model UNSAT even
         # though the instance is solvable at these bounds
-        candidates = initial_candidates(fix_b, Distances(fix_b.graph))
-        met = [Collision("vertex", ("a1", "a2"), "v01", 1)]
-        solution = fixed_round(fix_b, candidates, met, 4)
+        solve = sat_solve(fix_b)
+        solve.met.append(Collision("vertex", ("a1", "a2"), "v01", 1))
+        solution = solve.round(4)
         assert solution is not None
         assert sum_of_costs(fix_b, solution) == 4
-        assert all(candidates[a.id] is None for a in fix_b.agents)
+        assert all(solve.candidates[a.id] is None for a in fix_b.agents)
 
     def test_only_colliding_agents_grow(self, fix_b):
         # a3 has a road of its own and never collides: it keeps its one path
@@ -535,8 +532,9 @@ class TestHeuristicFixed:
              ("w1", "w2"), ("w2", "w3")],
         )
         inst = MapfInstance(g, [*fix_b.agents, Agent("a3", "w1", "w3")])
-        candidates = initial_candidates(inst, Distances(g))
-        solution = fixed_round(inst, candidates, [], 6)
+        solve = sat_solve(inst)
+        solution = solve.round(6)
+        candidates = solve.candidates
         assert sum_of_costs(inst, solution) == 6
         assert candidates["a3"] is not None
         assert candidates["a3"] == [Path("a3", ("w1", "w2", "w3"))]
@@ -550,10 +548,11 @@ class TestHeuristicFixed:
                    ("w", "g2"), ("x1", "x2")])
         inst = MapfInstance(g, [Agent("a1", "s1", "g1"), Agent("a2", "s2", "g2"),
                                 Agent("a3", "x1", "x2")])
-        candidates = initial_candidates(inst, Distances(g))
-        assert [p.positions for p in candidates["a2"]] == [("s2", "m", "g2")]
         stats = SolveStats()
-        solution = fixed_round(inst, candidates, [], 5, extend, stats)
+        solve = sat_solve(inst, extend, stats)
+        candidates = solve.candidates
+        assert [p.positions for p in candidates["a2"]] == [("s2", "m", "g2")]
+        solution = solve.round(5)
         assert validate_solution(inst, solution) == []
         assert candidates["a1"] is None
         assert [p.positions for p in candidates["a2"]] == [("s2", "m", "g2"),
@@ -568,13 +567,13 @@ class TestHeuristicFixed:
         # off v6 at 1 and v4 at 3 ax has the combined path v1 v2 v3 v7 v5,
         # which is no candidate but every step of which the diagram represents
         inst = MapfInstance(fix_d_graph, [Agent("ax", "v1", "v5"), Agent("ay", "v7", "v6")])
-        candidates = {"ax": list(fix_d_paths), "ay": None}
+        solve = sat_solve(inst, extend)
+        solve.candidates = {"ax": list(fix_d_paths), "ay": None}
         diagrams = {"ax": build_smdd("ax", fix_d_paths, 4)}
-        met = [Collision("vertex", ("ax", "ay"), "v6", 1),
-               Collision("vertex", ("ax", "ay"), "v4", 3)]
-        assert solvers._extend(inst, candidates, diagrams, met, met, extend,
-                               Distances(fix_d_graph))
-        assert candidates == {"ax": None, "ay": None}
+        solve.met += [Collision("vertex", ("ax", "ay"), "v6", 1),
+                      Collision("vertex", ("ax", "ay"), "v4", 3)]
+        assert solve._grow(diagrams, solve.met)
+        assert solve.candidates == {"ax": None, "ay": None}
 
 
 class TestOptimalityAgreement:
@@ -766,15 +765,15 @@ class TestOptimalityAgreement:
     def test_conflict_sets_only_grow(self, fix_c, monkeypatch):
         # the collisions met as each round starts and ends: each snapshot is a
         # prefix of the next, and the last is every collision the solve counted
-        real, snapshots = solvers._fixed, []
+        real, snapshots = _SatSolve.round, []
 
-        def snapshot(instance, deadline, stats, candidates, met, *rest):
-            snapshots.append(list(met))
-            solution = real(instance, deadline, stats, candidates, met, *rest)
-            snapshots.append(list(met))
+        def snapshot(solve, soc):
+            snapshots.append(list(solve.met))
+            solution = real(solve, soc)
+            snapshots.append(list(solve.met))
             return solution
 
-        monkeypatch.setattr(solvers, "_fixed", snapshot)
+        monkeypatch.setattr(_SatSolve, "round", snapshot)
         for algo in ("sparse", "heuristic"):
             snapshots.clear()
             out = ALGORITHMS[algo](fix_c, QUICK)
@@ -874,18 +873,50 @@ def test_reported_soc_is_the_bound_the_loop_proved(algo, fix_a, fix_b, fix_c):
 def test_revalidate_catches_a_wrongly_unsat_lower_bound(algo, fix_a, monkeypatch):
     # the first round answers "no solution" although cost 2 is feasible: the
     # loop then solves at bound 3 and reports 3, while the paths cost 2
-    real, rounds = solvers._fixed, []
+    real, rounds = _SatSolve.round, []
 
-    def unsat_first(*args):
+    def unsat_first(solve, soc):
         rounds.append(None)
-        return None if len(rounds) == 1 else real(*args)
+        return None if len(rounds) == 1 else real(solve, soc)
 
-    monkeypatch.setattr(solvers, "_fixed", unsat_first)
+    monkeypatch.setattr(_SatSolve, "round", unsat_first)
     out = ALGORITHMS[algo](fix_a, QUICK)
     assert (out.status, out.soc) == (SOLVED, 3)
     assert sum_of_costs(fix_a, out.solution) == 2
     with pytest.raises(EncodingSoundnessError):
         solvers.revalidate(fix_a, out)
+
+
+@pytest.mark.parametrize("algo", ["mddsat", "smtcbs", "sparse", "heuristic"])
+def test_each_solve_starts_from_fresh_loop_state(algo, fix_b, fix_c, monkeypatch):
+    # candidate sets and collisions met belong to one solve: each solve's
+    # state starts as its algorithm's first, and solving the same instances
+    # again, in the same order, repeats every answer and counter
+    starts, made = [], _SatSolve.__post_init__
+
+    def recording(solve):
+        made(solve)
+        starts.append((solve.instance, solve.extend, copy.deepcopy(solve.candidates),
+                       list(solve.met)))
+
+    monkeypatch.setattr(_SatSolve, "__post_init__", recording)
+    rng = random.Random(606)
+    instances = [fix_b, fix_c, random_grid_instance(rng)]
+
+    def runs():
+        outs = [ALGORITHMS[algo](inst, QUICK) for inst in instances]
+        return [(out.status, out.soc, out.solution.paths, out.stats.sat_calls,
+                 out.stats.conflicts, out.stats.iterations) for out in outs]
+
+    first = runs()
+    assert first == runs()
+    # the incomplete models meet collisions, so there is state to carry over
+    assert algo == "mddsat" or any(conflicts for *_, conflicts, _ in first)
+    assert len(starts) == 2 * len(instances)
+    for inst, extend, candidates, met in starts:
+        fresh = (dict.fromkeys(a.id for a in inst.agents) if extend is None
+                 else solvers.initial_candidates(inst, Distances(inst.graph)))
+        assert (candidates, met) == (fresh, [])
 
 
 def test_distance_tables_come_from_goals_once_per_solve(fix_c, monkeypatch):

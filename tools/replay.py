@@ -10,8 +10,9 @@ seed, instance, algorithm), status, SOC, `sat_calls`, `conflicts`, every
 `num_vars`, `num_clauses` and the conflicts and decisions that call made.
 The runs are the four SAT algorithms on every draw of dense-sat seeds 3 and
 4 and of large-sparse seed 3, and `cbs` on every draw of cbs-rooms seed 3:
-804 runs, a few minutes on one core. To fingerprint another tree, copy this
-file into that tree's `tools/` and run it there.
+804 runs, about 15 s of wall time on one core of a 2-core x86 host. To
+fingerprint another tree, copy this file into that tree's `tools/` and run
+it there.
 
 `--diff` prints, per run, the fields that differ between two such files,
 then per workload and algorithm the number of differing runs and, for each
