@@ -55,7 +55,6 @@ from .solvers import (
     SolveOutcome,
     SolveStats,
     SolverConfig,
-    initial_candidates,
     solution_json,
     solve_cbs,
     solve_heuristic_smt_cbs,

@@ -15,15 +15,17 @@ once, and hands them to ``_cbs`` or ``_lazy_solve``. Each path a solver
 finds ends at its agent's final arrival and ``Solution.from_paths`` pads
 them to the latest one, so every algorithm reports that as its makespan.
 
-The four SAT algorithms run one loop (``_lazy_solve``): raise the cost bound
-from the shortest-path total and run one fixed-bounds round
+The four SAT algorithms run one loop (``_lazy_solve``). Shortest paths that
+collide nowhere (``_shortest_root``, also CBS's root) meet the lower bound
+of their total: they are returned with no diagram, model or SAT call. Else
+the loop raises the cost bound from that total, one round
 (``_SatSolve.round``) per bound; each agent's diagrams end at its own bound
-``xi + delta``. One ``_SatSolve`` object per solve holds the candidate sets
-and the list of collisions met, across bounds. Each collision of a
-satisfying assignment joins the list and becomes one clause over the pair
-that collided; every later model re-emits the list with the same rule, and
-each agent's side of its recorded collisions steers its new candidate
-paths. An algorithm is a fixed ``(mode, extend)`` pair:
+``xi + delta``. One ``_SatSolve`` per solve holds the candidate sets, which
+start from those paths, and the list of collisions met, across bounds. Each
+collision of a satisfying assignment joins the list and becomes one clause
+over the pair that collided; every later model re-emits the list with the
+same rule, and each agent's side of its recorded collisions steers its new
+candidate paths. An algorithm is a fixed ``(mode, extend)`` pair:
 
 * mddsat    -- ``(COMPLETE, None)``: a collision in an answer is an encoding
   bug and raises ``EncodingSoundnessError``.
@@ -56,7 +58,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from functools import partial
 from typing import Callable, Hashable
 
@@ -208,6 +210,14 @@ def _shortest_costs(instance: MapfInstance, distances: Distances) -> dict[Hashab
     return xi
 
 
+def _shortest_root(instance: MapfInstance,
+                   distances: Distances) -> tuple[dict[Hashable, Path], list[Collision]]:
+    """Each agent's shortest path, by agent id, and the collisions of that set.
+    Without a collision the set is optimal: it costs the shortest-cost total."""
+    paths = {a.id: shortest_path(instance, a.id, distances) for a in instance.agents}
+    return paths, validate_solution(instance, Solution.from_paths(instance, paths.values()))
+
+
 def _resolve_cap(instance: MapfInstance, config: SolverConfig, soc0: int) -> int:
     if config.cost_cap is None:
         return soc0 + instance.graph.vertex_count * max(instance.k, 1)
@@ -265,12 +275,8 @@ def solve_cbs(instance: MapfInstance, config: SolverConfig | None = None) -> Sol
 
 def _cbs(instance, deadline, stats, distances, xi, cap):
     soc0 = sum(xi.values())
-    agent_ids = [a.id for a in instance.agents]
-
-    root_constraints = {a: AgentConflicts() for a in agent_ids}
-    root_paths = {a: shortest_path(instance, a, distances) for a in agent_ids}
-    root = Solution.from_paths(instance, root_paths.values())
-    root_collisions = validate_solution(instance, root)
+    root_paths, root_collisions = _shortest_root(instance, distances)
+    root_constraints = {a: AgentConflicts() for a in root_paths}
 
     # a node: soc, its number of collisions, tiebreak, constraints, paths and
     # collisions; the root's paths are unconstrained shortest paths, so it
@@ -285,7 +291,7 @@ def _cbs(instance, deadline, stats, distances, xi, cap):
         soc, _, _, constraints, paths, collisions = heapq.heappop(heap)
         if soc > cap:
             raise _CapExceeded
-        key = tuple(constraints[a] for a in agent_ids)
+        key = tuple(constraints.values())  # children keep the root's agent order
         if key in expanded:  # the same constraint sets arise via both branches
             continue
         expanded.add(key)
@@ -433,22 +439,20 @@ def solve_heuristic_smt_cbs(instance: MapfInstance, config: SolverConfig | None 
 def _lazy_solve(mode, extend, instance, deadline, stats, distances, xi, cap):
     """Raise the cost bound from the shortest-path total, one round per bound.
 
-    One `_SatSolve` carries the candidate sets and the collisions met from
-    bound to bound. Returns the solution and its bound: every lower bound's
-    round proved infeasible, so the bound is the SOC; `revalidate` checks it.
+    Shortest paths that collide nowhere need no round. Else one `_SatSolve`
+    carries the candidate sets and collisions met from bound to bound, and the
+    first bound solved is the SOC: every lower bound's round proved it
+    infeasible. `revalidate` checks it.
     """
-    solve = _SatSolve(mode, extend, instance, deadline, stats, distances, xi)
+    paths, collisions = _shortest_root(instance, distances)
+    if not collisions:
+        return Solution.from_paths(instance, paths.values()), sum(xi.values())
+    solve = _SatSolve(mode, extend, instance, deadline, stats, distances, xi, paths)
     for soc in range(sum(xi.values()), cap + 1):
         solution = solve.round(soc)
         if solution is not None:
             return solution, soc
     raise _CapExceeded
-
-
-def initial_candidates(instance: MapfInstance,
-                       distances: Distances) -> dict[Hashable, list[Path] | None]:
-    """Each agent's candidate set: a list of its shortest path."""
-    return {a.id: [shortest_path(instance, a.id, distances)] for a in instance.agents}
 
 
 @dataclass
@@ -457,7 +461,7 @@ class _SatSolve:
 
     `candidates` maps each agent id to its candidate paths, or to None once
     the agent is on its full diagram; with `extend` None every agent starts
-    there. `met` lists every collision the solve has met, in order.
+    there, else on its path in `roots`. `met` lists every collision met, in order.
     """
 
     mode: str
@@ -467,14 +471,15 @@ class _SatSolve:
     stats: SolveStats
     distances: Distances
     xi: dict[Hashable, int]
+    roots: InitVar[dict[Hashable, Path]]
     candidates: dict[Hashable, list[Path] | None] = field(init=False)
     met: list[Collision] = field(init=False, default_factory=list)
 
-    def __post_init__(self):
+    def __post_init__(self, roots):
         if self.extend is None:
-            self.candidates = dict.fromkeys(a.id for a in self.instance.agents)
+            self.candidates = dict.fromkeys(roots)
         else:
-            self.candidates = initial_candidates(self.instance, self.distances)
+            self.candidates = {agent_id: [path] for agent_id, path in roots.items()}
 
     def round(self, soc: int) -> Solution | None:
         """One round at a fixed SOC bound: a collision-free solution or None.

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
-from mapfsat import UNREACHED, Agent, Graph, MapfInstance, Path, bfs_distances, parse_map
+from mapfsat import (UNREACHED, Agent, Collision, Graph, MapfInstance, Path, bfs_distances,
+                     parse_map, solvers)
+
+SAT_ALGORITHMS = ("mddsat", "smtcbs", "sparse", "heuristic")
 
 
 @pytest.fixture
@@ -99,3 +103,21 @@ def scrambled_grid_instance():
     g = Graph(list(reversed(names)), edges)
     agents = [Agent("a1", "q", "p"), Agent("a2", "p", "q"), Agent("a3", "m", "c")]
     return MapfInstance(g, agents)
+
+
+@contextmanager
+def colliding_root():
+    """Within it `solvers._shortest_root` reports a made-up collision where the
+    shortest paths collide nowhere, so that every SAT solve runs its bound
+    loop instead of returning those paths. CBS would branch on the made-up
+    collision: solve only with `SAT_ALGORITHMS` within it."""
+    shortest_root = solvers._shortest_root
+
+    def colliding(instance, distances):
+        paths, collisions = shortest_root(instance, distances)
+        first = instance.agents[0]
+        return paths, collisions or [Collision("vertex", (first.id, first.id), first.start, 0)]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_shortest_root", colliding)
+        yield

@@ -11,22 +11,22 @@ import pytest
 
 from mapfsat import ALGORITHMS, solvers
 from mapfsat.diagrams import Mdd
-from conftest import random_grid_instance
+from conftest import SAT_ALGORITHMS, colliding_root, random_grid_instance
 
 sys.path.insert(0, str(FsPath(__file__).resolve().parent.parent / "tools"))
 import replay  # noqa: E402
 
 
-def small_runs():
+def small_runs(algos=tuple(ALGORITHMS)):
     rng = random.Random(606)
     instances = [random_grid_instance(rng, agents=(3, 4)) for _ in range(6)]
     return [(("fixtures", 0, f"r{i}", algo), inst, algo, 30.0)
-            for i, inst in enumerate(instances) for algo in ALGORITHMS]
+            for i, inst in enumerate(instances) for algo in algos]
 
 
-def replayed(tmp_path, name):
+def replayed(tmp_path, name, algos=tuple(ALGORITHMS)):
     path = tmp_path / name
-    replay.write([replay.fingerprint(*run) for run in small_runs()], path)
+    replay.write([replay.fingerprint(*run) for run in small_runs(algos)], path)
     return replay.read(path)
 
 
@@ -58,8 +58,13 @@ def test_reordered_sparse_levels_show_as_counter_deltas(tmp_path, monkeypatch):
 
 def test_promoting_every_agent_shows_as_an_all_full_delta(tmp_path, monkeypatch):
     reference = replayed(tmp_path, "a.jsonl")
-    monkeypatch.setattr(solvers, "initial_candidates",
-                        lambda instance, distances: {a.id: None for a in instance.agents})
+    post_init = solvers._SatSolve.__post_init__
+
+    def promoted_at_start(solve, roots):
+        post_init(solve, roots)
+        solve.candidates = dict.fromkeys(solve.candidates)
+
+    monkeypatch.setattr(solvers._SatSolve, "__post_init__", promoted_at_start)
     promoted = replayed(tmp_path, "b.jsonl")
     out = io.StringIO()
     assert replay.diff(reference, promoted, out) == 0  # same SOCs
@@ -70,6 +75,22 @@ def test_promoting_every_agent_shows_as_an_all_full_delta(tmp_path, monkeypatch)
     for algo in ("mddsat", "smtcbs"):
         line = next(line for line in lines if line.startswith(f"fixtures {algo}: "))
         assert "all_full" not in line, line
+
+
+def test_runs_with_no_model_show_as_a_no_model_count(tmp_path):
+    # the SAT runs on draws whose shortest paths collide nowhere build no
+    # model; with that shortcut forced off, each builds one
+    reference = replayed(tmp_path, "a.jsonl", SAT_ALGORITHMS)
+    with colliding_root():
+        looped = replayed(tmp_path, "b.jsonl", SAT_ALGORITHMS)
+    out = io.StringIO()
+    assert replay.diff(reference, looped, out) == 0  # same SOCs
+    lines = out.getvalue().splitlines()
+    for algo in SAT_ALGORITHMS:
+        skipped = sum(not rec["iterations"] for k, rec in reference.items() if k[3] == algo)
+        assert skipped > 0, algo
+        line = next(line for line in lines if line.startswith(f"fixtures {algo}: "))
+        assert f"no_model {skipped} -{skipped}" in line, line
 
 
 @pytest.mark.parametrize("field, value", [("soc", 99), ("status", "timeout")])

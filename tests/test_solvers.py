@@ -51,7 +51,7 @@ from mapfsat import (
 import mapfsat
 from mapfsat import diagrams, encoding, pathing, solvers
 from mapfsat.solvers import INCOMPLETE, Deadline, SolveStats, _SatSolve
-from conftest import random_grid_instance
+from conftest import SAT_ALGORITHMS, colliding_root, random_grid_instance
 from oracle import brute_force_oracle
 
 QUICK = SolverConfig(timeout_s=30)
@@ -75,12 +75,13 @@ def xi_sum(instance) -> int:
 
 def sat_solve(instance, extend="and", stats=None):
     """The loop state of one incomplete-model solve (`solvers._SatSolve`), with
-    the shortest costs and distance memo that `_run` would hand it; its
-    `round(soc)` runs one fixed-bounds round."""
+    the shortest costs, distance memo and shortest paths that `_run` and
+    `_lazy_solve` would hand it; its `round(soc)` runs one fixed-bounds round."""
     distances = Distances(instance.graph)
     xi = solvers._shortest_costs(instance, distances)
+    roots, _ = solvers._shortest_root(instance, distances)
     return _SatSolve(INCOMPLETE, extend, instance, Deadline(60),
-                     SolveStats() if stats is None else stats, distances, xi)
+                     SolveStats() if stats is None else stats, distances, xi, roots)
 
 
 def corridor_instance() -> MapfInstance:
@@ -475,8 +476,10 @@ class TestHeuristicFixed:
             found.extend(collisions)
             return collisions
 
-        monkeypatch.setattr(solvers, "validate_solution", spy)
+        # built before the spy, which then sees only the round's answers, not
+        # the check of the shortest paths that seed the candidate sets
         solve = sat_solve(fix_c, extend)
+        monkeypatch.setattr(solvers, "validate_solution", spy)
         # below the optimum of 8: the round meets an edge and two vertex
         # collisions before it promotes both agents and proves UNSAT
         assert solve.round(7) is None
@@ -640,11 +643,21 @@ class TestOptimalityAgreement:
         inst = random_grid_instance(random.Random(seed))
         cap = xi_sum(inst) + 3
         oracle = brute_force_oracle(inst, cap)
-        for algo, fn in ALGORITHMS.items():
-            out = fn(inst, SolverConfig(timeout_s=60, cost_cap=cap))
+
+        def compare(algo):
+            out = ALGORITHMS[algo](inst, SolverConfig(timeout_s=60, cost_cap=cap))
             assert (out.status, out.soc) == (oracle.status, oracle.soc), algo
             if out.solution is not None:
                 assert validate_solution(inst, out.solution) == []
+            return out
+
+        for algo in ALGORITHMS:
+            compare(algo)
+        # again with every SAT solve through its bound loop
+        with colliding_root():
+            for algo in SAT_ALGORITHMS:
+                out = compare(algo)
+                assert not out.solved or out.stats.iterations, algo
 
     # (soc, sat_calls, conflicts, iterations) per SAT algorithm, pinned so
     # that a change to the shared loop cannot silently change the search
@@ -657,8 +670,8 @@ class TestOptimalityAgreement:
             "sparse": (8, 8, 4, 5), "heuristic": (8, 8, 4, 5)},
         1: {"mddsat": (9, 3, 0, 3), "smtcbs": (9, 14, 11, 3),
             "sparse": (9, 14, 11, 3), "heuristic": (9, 14, 11, 3)},
-        2: {"mddsat": (4, 1, 0, 1), "smtcbs": (4, 1, 0, 1),
-            "sparse": (4, 1, 0, 1), "heuristic": (4, 1, 0, 1)},
+        2: {"mddsat": (4, 0, 0, 0), "smtcbs": (4, 0, 0, 0),
+            "sparse": (4, 0, 0, 0), "heuristic": (4, 0, 0, 0)},
         3: {"mddsat": (13, 1, 0, 1), "smtcbs": (13, 3, 4, 1),
             "sparse": (13, 3, 4, 1), "heuristic": (13, 3, 4, 1)},
     }
@@ -732,9 +745,17 @@ class TestOptimalityAgreement:
             met.extend(collisions)
             return collisions
 
+        shortest_root = solvers._shortest_root
+
+        def rooting(instance, distances):
+            root = shortest_root(instance, distances)
+            met.clear()  # the check of the shortest paths met no collision in a model
+            return root
+
         monkeypatch.setattr(CdclSolver, "add_clause", recording)
         monkeypatch.setattr(solvers, "build_model", building)
         monkeypatch.setattr(solvers, "validate_solution", validating)
+        monkeypatch.setattr(solvers, "_shortest_root", rooting)
 
         def clause(model, col):
             x, (ai, aj), t = model.x, col.agents, col.t
@@ -864,15 +885,21 @@ def test_a_bound_blocked_by_an_arrived_agent_costs_no_model(algo):
 
 @pytest.mark.parametrize("algo", ["mddsat", "smtcbs", "sparse", "heuristic"])
 def test_reported_soc_is_the_bound_the_loop_proved(algo, fix_a, fix_b, fix_c):
-    for inst in (fix_a, fix_b, fix_c):
+    # fix_a's one shortest path collides with nothing: no round, and its cost
+    out = ALGORITHMS[algo](fix_a, QUICK)
+    assert (out.soc, out.stats.iterations) == (xi_sum(fix_a), [])
+    for inst in (fix_b, fix_c):
         out = ALGORITHMS[algo](inst, QUICK)
         assert out.soc == out.stats.iterations[-1].soc
 
 
 @pytest.mark.parametrize("algo", ["mddsat", "smtcbs", "sparse", "heuristic"])
-def test_revalidate_catches_a_wrongly_unsat_lower_bound(algo, fix_a, monkeypatch):
-    # the first round answers "no solution" although cost 2 is feasible: the
-    # loop then solves at bound 3 and reports 3, while the paths cost 2
+def test_revalidate_catches_a_wrongly_unsat_lower_bound(algo, fix_b, monkeypatch):
+    # on fix_b's cycle a2 stands on its goal v01, which a1's shortest path
+    # crosses, so the loop runs; its first round answers "no solution"
+    # although cost 2 is feasible (a1 goes round by v10): the loop then
+    # solves at bound 3 and reports 3, while the paths cost 2
+    inst = MapfInstance(fix_b.graph, [Agent("a1", "v00", "v11"), Agent("a2", "v01", "v01")])
     real, rounds = _SatSolve.round, []
 
     def unsat_first(solve, soc):
@@ -880,11 +907,11 @@ def test_revalidate_catches_a_wrongly_unsat_lower_bound(algo, fix_a, monkeypatch
         return None if len(rounds) == 1 else real(solve, soc)
 
     monkeypatch.setattr(_SatSolve, "round", unsat_first)
-    out = ALGORITHMS[algo](fix_a, QUICK)
+    out = ALGORITHMS[algo](inst, QUICK)
     assert (out.status, out.soc) == (SOLVED, 3)
-    assert sum_of_costs(fix_a, out.solution) == 2
+    assert sum_of_costs(inst, out.solution) == 2
     with pytest.raises(EncodingSoundnessError):
-        solvers.revalidate(fix_a, out)
+        solvers.revalidate(inst, out)
 
 
 @pytest.mark.parametrize("algo", ["mddsat", "smtcbs", "sparse", "heuristic"])
@@ -894,8 +921,8 @@ def test_each_solve_starts_from_fresh_loop_state(algo, fix_b, fix_c, monkeypatch
     # again, in the same order, repeats every answer and counter
     starts, made = [], _SatSolve.__post_init__
 
-    def recording(solve):
-        made(solve)
+    def recording(solve, roots):
+        made(solve, roots)
         starts.append((solve.instance, solve.extend, copy.deepcopy(solve.candidates),
                        list(solve.met)))
 
@@ -915,8 +942,49 @@ def test_each_solve_starts_from_fresh_loop_state(algo, fix_b, fix_c, monkeypatch
     assert len(starts) == 2 * len(instances)
     for inst, extend, candidates, met in starts:
         fresh = (dict.fromkeys(a.id for a in inst.agents) if extend is None
-                 else solvers.initial_candidates(inst, Distances(inst.graph)))
+                 else {a.id: [pathing.shortest_path(inst, a.id, Distances(inst.graph))]
+                       for a in inst.agents})
         assert (candidates, met) == (fresh, [])
+
+
+def collision_free_draws(n: int) -> list[MapfInstance]:
+    """The first `n` draws of `random_grid_instance` from seed 606 on which
+    the agents' shortest paths collide nowhere."""
+    rng, draws = random.Random(606), []
+    while len(draws) < n:
+        inst = random_grid_instance(rng)
+        if not solvers._shortest_root(inst, Distances(inst.graph))[1]:
+            draws.append(inst)
+    return draws
+
+
+@pytest.mark.parametrize("algo", SAT_ALGORITHMS)
+def test_shortest_paths_that_collide_nowhere_are_solved_with_no_model(algo, fix_a,
+                                                                      monkeypatch):
+    # their total is a lower bound that they meet, so they are optimal: the
+    # solve returns CBS's root at that total and builds nothing
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("no diagram or model for collision-free shortest paths")
+
+    for name in ("build_mdd", "build_smdd", "build_model"):
+        monkeypatch.setattr(solvers, name, unbuilt)
+    for inst in [fix_a, *collision_free_draws(12)]:
+        out = ALGORITHMS[algo](inst, QUICK)
+        assert (out.status, out.soc) == (SOLVED, xi_sum(inst))
+        assert (out.stats.sat_calls, out.stats.conflicts, out.stats.iterations) == (0, 0, [])
+        solvers.revalidate(inst, out)
+        assert out.solution.paths == solve_cbs(inst, QUICK).solution.paths
+
+
+@pytest.mark.parametrize("algo", ["sparse", "heuristic"])
+def test_guided_loop_answers_collision_free_shortest_paths_with_them(algo, fix_a):
+    # with the shortcut forced off, the guided algorithms' first model has
+    # only the shortest paths to choose from: one SAT call answers them
+    for inst in [fix_a, *collision_free_draws(12)]:
+        with colliding_root():
+            out = ALGORITHMS[algo](inst, QUICK)
+        assert (out.soc, out.stats.sat_calls, len(out.stats.iterations)) == (xi_sum(inst), 1, 1)
+        assert out.solution.paths == solve_cbs(inst, QUICK).solution.paths
 
 
 def test_distance_tables_come_from_goals_once_per_solve(fix_c, monkeypatch):

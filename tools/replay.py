@@ -20,9 +20,11 @@ summed counter that moved, the first file's total beside the delta (second
 file minus first), as in "num_clauses 19860836 -9995343", and a last line
 "N differences over M runs". Besides the search counters, `all_full` counts
 the runs in which some model had every agent on its full diagram, so a
-change to how the guided algorithms promote agents shows as its delta. It
-exits 1 when a run's status or SOC differs or a run is in only one file,
-else 0. A change that keeps the search shows 0 differences.
+change to how the guided algorithms promote agents shows as its delta.
+`no_model` counts the runs with an empty iteration list: every `cbs` run,
+and each SAT run that built no model, as when the shortest paths collide
+nowhere. It exits 1 when a run's status or SOC differs or a run is in only
+one file, else 0. A change that keeps the search shows 0 differences.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ COUNTERS = {
     "cdcl_conflicts": lambda r: sum(c["conflicts"] for c in r["solve_calls"]),
     "cdcl_decisions": lambda r: sum(c["decisions"] for c in r["solve_calls"]),
     "all_full": lambda r: int(any(all(it["full_mdd"]) for it in r["iterations"])),
+    "no_model": lambda r: int(not r["iterations"]),
 }
 
 
