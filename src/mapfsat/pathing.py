@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Optional
 
-from .instance import Graph, MapfInstance, Path, Vertex
+from .instance import Graph, MapfInstance, Path, Vertex, path_cost
 
 if TYPE_CHECKING:
     from .diagrams import Mdd
@@ -65,6 +65,21 @@ class AgentConflicts:
         """A copy that also keeps off v at every step from t on."""
         return AgentConflicts(self.vertex, self.edge, self.floor, self.cap,
                               self.held | {(v, t)})
+
+    def admits(self, path: Path) -> bool:
+        """True if `path`, waiting on its last vertex after its end, keeps off
+        every vertex, move and held cell entry, and costs within floor and cap."""
+        pos = path.positions
+        end = pos[-1]
+        if any(pos[t] == v if t < len(pos) else v == end for v, t in self.vertex):
+            return False
+        if any(t + 1 < len(pos) and (pos[t], pos[t + 1]) == move for move, t in self.edge):
+            return False
+        first = self.held_from()
+        if end in first or any(first.get(v, t + 1) <= t for t, v in enumerate(pos)):
+            return False
+        cost = path_cost(path, end)
+        return cost >= self.floor and (self.cap is None or cost <= self.cap)
 
     def held_from(self) -> dict[Vertex, int]:
         """Each held cell and the first step from which it is held."""

@@ -10,18 +10,19 @@ Five algorithms share one outcome shape:
 * ``solve_heuristic_smt_cbs``-- lazy clauses over sparse candidate sets,
                                 extended by one all-conflicts-avoiding path.
 
-``_run`` builds each solve's ``Distances`` memo, shortest costs and cost cap
-once, and hands them to ``_cbs`` or ``_lazy_solve``. Each path a solver
+``_run`` builds each solve's ``Distances`` memo, its root (``_shortest_root``:
+each agent's shortest path, whose length is its cost ``xi``, and the
+collisions of the set) and its cost cap once. A root that collides nowhere
+meets the lower bound of its total: ``_run`` returns it with no search.
+Else it hands the root to ``_cbs`` or ``_lazy_solve``. Each path a solver
 finds ends at its agent's final arrival and ``Solution.from_paths`` pads
 them to the latest one, so every algorithm reports that as its makespan.
 
-The four SAT algorithms run one loop (``_lazy_solve``). Shortest paths that
-collide nowhere (``_shortest_root``, also CBS's root) meet the lower bound
-of their total: they are returned with no diagram, model or SAT call. Else
-the loop raises the cost bound from that total, one round
-(``_SatSolve.round``) per bound; each agent's diagrams end at its own bound
-``xi + delta``. One ``_SatSolve`` per solve holds the candidate sets, which
-start from those paths, and the list of collisions met, across bounds. Each
+The four SAT algorithms run one loop (``_lazy_solve``). It raises the cost
+bound from the root's total, one round (``_SatSolve.round``) per bound;
+each agent's diagrams end at its own bound ``xi + delta``. One
+``_SatSolve`` per solve holds the candidate sets, which start from the root
+paths, and the list of collisions met, across bounds. Each
 collision of a satisfying assignment joins the list and becomes one clause
 over the pair that collided; every later model re-emits the list with the
 same rule, and each agent's side of its recorded collisions steers its new
@@ -90,7 +91,6 @@ from .instance import (
     validate_solution,
 )
 from .pathing import (
-    UNREACHED,
     AgentConflicts,
     Distances,
     bfs_distances,  # noqa: F401  the layer tracer wraps this name here
@@ -199,22 +199,15 @@ def revalidate(instance: MapfInstance, outcome: SolveOutcome) -> None:
         raise EncodingSoundnessError(f"reported sum of costs {outcome.soc}, paths cost {soc}")
 
 
-def _shortest_costs(instance: MapfInstance, distances: Distances) -> dict[Hashable, int]:
-    """Each agent's shortest-path cost; InfeasibleAgentError if one has none."""
-    xi = {}
-    for a in instance.agents:
-        d = distances.dist(a.goal)[a.start]
-        if d is UNREACHED:
-            raise InfeasibleAgentError(f"goal of agent {a.id!r} is unreachable")
-        xi[a.id] = d
-    return xi
-
-
 def _shortest_root(instance: MapfInstance,
                    distances: Distances) -> tuple[dict[Hashable, Path], list[Collision]]:
-    """Each agent's shortest path, by agent id, and the collisions of that set.
-    Without a collision the set is optimal: it costs the shortest-cost total."""
+    """Each agent's shortest path, by agent id, and the collisions of that set;
+    InfeasibleAgentError if an agent has none. Without a collision the set is
+    optimal: it costs the shortest-cost total."""
     paths = {a.id: shortest_path(instance, a.id, distances) for a in instance.agents}
+    for agent_id, path in paths.items():
+        if path is None:
+            raise InfeasibleAgentError(f"goal of agent {agent_id!r} is unreachable")
     return paths, validate_solution(instance, Solution.from_paths(instance, paths.values()))
 
 
@@ -228,6 +221,8 @@ def _resolve_cap(instance: MapfInstance, config: SolverConfig, soc0: int) -> int
 
 def _run(solver_fn: Callable[..., tuple[Solution, int]], instance: MapfInstance,
          config: SolverConfig | None) -> SolveOutcome:
+    """Build the solve's shared state once; answer a root that collides
+    nowhere with no search, else search from it with `solver_fn`."""
     config = config if config is not None else SolverConfig()
     stats = SolveStats()
     deadline = Deadline(config.timeout_s)
@@ -236,9 +231,15 @@ def _run(solver_fn: Callable[..., tuple[Solution, int]], instance: MapfInstance,
     soc: int | None = None
     try:
         distances = Distances(instance.graph)
-        xi = _shortest_costs(instance, distances)
-        cap = _resolve_cap(instance, config, sum(xi.values()))
-        solution, soc = solver_fn(instance, deadline, stats, distances, xi, cap)
+        paths, collisions = _shortest_root(instance, distances)
+        xi = {agent_id: path.length for agent_id, path in paths.items()}
+        soc0 = sum(xi.values())
+        cap = _resolve_cap(instance, config, soc0)
+        if collisions:
+            solution, soc = solver_fn(instance, deadline, stats, distances, xi, cap, paths,
+                                      collisions)
+        else:
+            solution, soc = Solution.from_paths(instance, paths.values()), soc0
         if deadline.expired:
             status, solution, soc = TIMEOUT, None, None
     except SolveTimeout:
@@ -273,17 +274,13 @@ def solve_cbs(instance: MapfInstance, config: SolverConfig | None = None) -> Sol
     return _run(_cbs, instance, config)
 
 
-def _cbs(instance, deadline, stats, distances, xi, cap):
-    soc0 = sum(xi.values())
-    root_paths, root_collisions = _shortest_root(instance, distances)
-    root_constraints = {a: AgentConflicts() for a in root_paths}
-
+def _cbs(instance, deadline, stats, distances, xi, cap, root_paths, root_collisions):
     # a node: soc, its number of collisions, tiebreak, constraints, paths and
     # collisions; the root's paths are unconstrained shortest paths, so it
-    # costs soc0
+    # costs the shortest-cost total
     counter = itertools.count()
-    heap = [(soc0, len(root_collisions), next(counter), root_constraints, root_paths,
-             root_collisions)]
+    heap = [(sum(xi.values()), len(root_collisions), next(counter),
+             {a: AgentConflicts() for a in root_paths}, root_paths, root_collisions)]
     expanded: set = set()
     widths: dict = {}  # (agent, constraints, cost) -> level widths, for this solve
     while heap:
@@ -436,18 +433,16 @@ def solve_heuristic_smt_cbs(instance: MapfInstance, config: SolverConfig | None 
     return _run(partial(_lazy_solve, INCOMPLETE, "and"), instance, config)
 
 
-def _lazy_solve(mode, extend, instance, deadline, stats, distances, xi, cap):
+def _lazy_solve(mode, extend, instance, deadline, stats, distances, xi, cap, roots, _):
     """Raise the cost bound from the shortest-path total, one round per bound.
 
-    Shortest paths that collide nowhere need no round. Else one `_SatSolve`
-    carries the candidate sets and collisions met from bound to bound, and the
-    first bound solved is the SOC: every lower bound's round proved it
-    infeasible. `revalidate` checks it.
+    `_run` hands it the root paths `roots` only when they collide (their
+    collisions go unread). One `_SatSolve` starts from them and carries the
+    candidate sets and collisions met from bound to bound; the first bound
+    solved is the SOC: every lower bound's round proved it infeasible.
+    `revalidate` checks it.
     """
-    paths, collisions = _shortest_root(instance, distances)
-    if not collisions:
-        return Solution.from_paths(instance, paths.values()), sum(xi.values())
-    solve = _SatSolve(mode, extend, instance, deadline, stats, distances, xi, paths)
+    solve = _SatSolve(mode, extend, instance, deadline, stats, distances, xi, roots)
     for soc in range(sum(xi.values()), cap + 1):
         solution = solve.round(soc)
         if solution is not None:
@@ -571,7 +566,7 @@ class _SatSolve:
             # looked up by name at each call, so that wrappers of either see it
             generate = new_and_path if self.extend == "and" else new_or_paths
             paths = generate(self.instance, agent_id, mdd, conf, self.distances)
-            assert self.extend != "and" or all(_avoids(p, conf, mdd.horizon) for p in paths)
+            assert self.extend != "and" or all(conf.admits(p) for p in paths)
             known += paths
             if not paths:
                 self.candidates[agent_id] = None
@@ -590,23 +585,11 @@ class _SatSolve:
                     bound: int) -> bool:
         """True if the agent has a walk within `bound` that keeps clear of the
         goal cells held in `bans`: one of its candidate `paths`, else one
-        that a search under the bans finds. Past its end a candidate waits on
-        its own goal, which the bans never hold."""
-        first = bans.held_from()
-        if any(all(first.get(v, t + 1) > t for t, v in enumerate(p.positions))
-               for p in paths):
+        that a search under the bans finds."""
+        if any(bans.admits(p) for p in paths):
             return True
         return constrained_shortest_path(self.instance, agent_id, bans, bound,
                                          self.distances) is not None
-
-
-def _avoids(path: Path, conf: AgentConflicts, horizon: int) -> bool:
-    pos = path.padded(horizon).positions
-    if any((pos[t], t) in conf.vertex for t in range(len(pos))):
-        return False
-    return not any(
-        ((pos[t], pos[t + 1]), t) in conf.edge for t in range(len(pos) - 1)
-    )
 
 
 ALGORITHMS: dict[str, Callable[..., SolveOutcome]] = {

@@ -108,8 +108,9 @@ def scrambled_grid_instance():
 @contextmanager
 def colliding_root():
     """Within it `solvers._shortest_root` reports a made-up collision where the
-    shortest paths collide nowhere, so that every SAT solve runs its bound
-    loop instead of returning those paths. CBS would branch on the made-up
+    shortest paths collide nowhere, so that `solvers._run` hands every solve,
+    of all five algorithms, to its search instead of returning those paths:
+    each SAT solve runs its bound loop. CBS would branch on the made-up
     collision: solve only with `SAT_ALGORITHMS` within it."""
     shortest_root = solvers._shortest_root
 

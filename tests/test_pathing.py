@@ -421,6 +421,38 @@ class TestTargetEntries:
         assert constrained_shortest_path(inst, 1, held_goal, 5, distances) is None
 
 
+class TestAdmits:
+    def test_admits_exactly_the_walks_the_oracle_keeps(self):
+        # every start->goal walk of the horizon, drawn entries of each kind:
+        # the walks `admits` accepts are the ones `avoiding_walks` keeps.
+        # Edge entries are moves only, as the oracle voids entries on waits;
+        # vertex entries reach past the horizon, where the walk waits on its goal
+        rng = random.Random(3838)
+        narrowed = 0
+        for _ in range(200):
+            inst = random_grid_instance(rng, max_side=3)
+            graph = inst.graph
+            agent = rng.choice(inst.agents)
+            xi = bfs_distances(graph, agent.goal)[agent.start]
+            horizon = xi + rng.randint(0, 3)
+            cells = graph.vertices
+            steps = [(u, w) for u in cells for w in graph.adjacency[u]]
+            vertex = frozenset((rng.choice(cells), rng.randint(0, horizon + 2))
+                               for _ in range(rng.randint(0, 4)))
+            edge = frozenset((rng.choice(steps), rng.randint(0, horizon - 1))
+                             for _ in range(rng.randint(0, 4)) if horizon > 0)
+            held = frozenset((rng.choice(cells), rng.randint(0, horizon + 1))
+                             for _ in range(rng.randint(0, 2)))
+            floor = rng.choice([0, rng.randint(1, horizon + 1)])
+            cap = rng.choice([None, rng.randint(0, horizon + 1)])
+            avoid = AgentConflicts(vertex, edge, floor, cap, held)
+            walks = avoiding_walks(inst, agent.id, AgentConflicts(), horizon)
+            want = avoiding_walks(inst, agent.id, avoid, horizon)
+            assert {w for w in walks if avoid.admits(Path(agent.id, w))} == want
+            narrowed += bool(want) and want != walks
+        assert narrowed >= 40
+
+
 class TestSearchEffort:
     """Among equal-f states the search dives to the goal, so on an open grid
     it pops little beyond the path it returns."""

@@ -75,11 +75,12 @@ def xi_sum(instance) -> int:
 
 def sat_solve(instance, extend="and", stats=None):
     """The loop state of one incomplete-model solve (`solvers._SatSolve`), with
-    the shortest costs, distance memo and shortest paths that `_run` and
-    `_lazy_solve` would hand it; its `round(soc)` runs one fixed-bounds round."""
+    the distance memo, shortest paths and shortest costs (the paths' lengths)
+    that `_run` and `_lazy_solve` would hand it; its `round(soc)` runs one
+    fixed-bounds round."""
     distances = Distances(instance.graph)
-    xi = solvers._shortest_costs(instance, distances)
     roots, _ = solvers._shortest_root(instance, distances)
+    xi = {agent_id: path.length for agent_id, path in roots.items()}
     return _SatSolve(INCOMPLETE, extend, instance, Deadline(60),
                      SolveStats() if stats is None else stats, distances, xi, roots)
 
@@ -958,15 +959,16 @@ def collision_free_draws(n: int) -> list[MapfInstance]:
     return draws
 
 
-@pytest.mark.parametrize("algo", SAT_ALGORITHMS)
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 def test_shortest_paths_that_collide_nowhere_are_solved_with_no_model(algo, fix_a,
                                                                       monkeypatch):
-    # their total is a lower bound that they meet, so they are optimal: the
-    # solve returns CBS's root at that total and builds nothing
+    # their total is a lower bound that they meet, so they are optimal: `_run`
+    # returns CBS's root at that total for every algorithm, and neither
+    # searches nor builds anything
     def unbuilt(*args, **kwargs):
-        raise AssertionError("no diagram or model for collision-free shortest paths")
+        raise AssertionError("no search, diagram or model for collision-free shortest paths")
 
-    for name in ("build_mdd", "build_smdd", "build_model"):
+    for name in ("build_mdd", "build_smdd", "build_model", "_cbs", "_lazy_solve"):
         monkeypatch.setattr(solvers, name, unbuilt)
     for inst in [fix_a, *collision_free_draws(12)]:
         out = ALGORITHMS[algo](inst, QUICK)
@@ -974,6 +976,30 @@ def test_shortest_paths_that_collide_nowhere_are_solved_with_no_model(algo, fix_
         assert (out.stats.sat_calls, out.stats.conflicts, out.stats.iterations) == (0, 0, [])
         solvers.revalidate(inst, out)
         assert out.solution.paths == solve_cbs(inst, QUICK).solution.paths
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_each_solve_finds_the_shortest_paths_once(algo, fix_b, fix_c, monkeypatch):
+    # `_run` finds the root once and hands its paths on: neither CBS nor the
+    # SAT loop searches an agent's unconstrained shortest path again
+    rng, colliding = random.Random(606), None
+    while colliding is None:
+        inst = random_grid_instance(rng)
+        if solvers._shortest_root(inst, Distances(inst.graph))[1]:
+            colliding = inst
+    calls = []
+    shortest_path = solvers.shortest_path
+
+    def counting(instance, agent_id, distances):
+        calls.append(agent_id)
+        return shortest_path(instance, agent_id, distances)
+
+    monkeypatch.setattr(solvers, "shortest_path", counting)
+    for inst in (fix_b, fix_c, colliding):
+        calls.clear()
+        out = ALGORITHMS[algo](inst, QUICK)
+        assert out.solved and out.stats.conflicts + out.stats.sat_calls > 0  # it searched
+        assert calls == [a.id for a in inst.agents]
 
 
 @pytest.mark.parametrize("algo", ["sparse", "heuristic"])
